@@ -10,7 +10,6 @@ from hdbprep import (
     DEFAULT_SCHEME,
     PersonRecord,
     PrefixScheme,
-    identify_stream,
     make_household_key,
     parse_household_key,
 )
@@ -40,10 +39,11 @@ try:
 except MalformedKeyError as exc:
     print("malformed rejected    ->", exc)
 
-# person records stream straight into keys, one per input line
+# every person record gets the key of its household, one per input line
 persons = [
     PersonRecord("1", "1", "1", "1", "34", "1", "1"),
     PersonRecord("1", "1", "1", "1", "30", "2", "2"),
     PersonRecord("1", "1", "1", "2", "51", "1", "1"),
 ]
-print("streamed keys         ->", [k.canonical for k in identify_stream(persons)])
+keys = [make_household_key(p.region, p.milieu, p.cluster, p.household) for p in persons]
+print("per-person keys       ->", [k.canonical for k in keys])

@@ -9,7 +9,7 @@ bounds; the legacy table reproduces a historical implementation verbatim,
 including its quirks, for byte-compatible reprocessing of old outputs.
 """
 
-from hdbprep import IncomeRangeMap, elim1_default_map, income_from_letter, recode_stream
+from hdbprep import IncomeRangeMap, elim1_default_map, income_from_letter
 from hdbprep.errors import UnknownIncomeCodeError
 
 corrected = elim1_default_map()
@@ -34,10 +34,10 @@ except UnknownIncomeCodeError as exc:
     print("corrected table rejects Z:", exc)
 print("legacy table maps Z to", income_from_letter("Z", legacy))
 
-# streams recode lazily and report the offending line on failure
+# tokens are trimmed before the lookup
 tokens = ["A", "C", " B ", "L"]
-print("recode", tokens, "->", list(recode_stream(tokens, corrected)))
+print("recode", tokens, "->", [income_from_letter(t, corrected) for t in tokens])
 
 # custom bracket tables plug in the same way
 tiny = IncomeRangeMap({"X": 100.0, "Y": 900.0}, default_amount=0.0)
-print("custom map:", list(recode_stream(["X", "Y", "?"], tiny)))
+print("custom map:", [income_from_letter(t, tiny) for t in ["X", "Y", "?"]])

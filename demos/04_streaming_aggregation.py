@@ -1,11 +1,12 @@
 """Streaming household aggregation.
 
 Survey files keep each household's members on consecutive lines. The
-aggregator exploits that ordering: it walks the person stream once, holds
-one household in memory at a time, and folds a set of reducers over each
-block. A household key reappearing after its block closed means the file
-was not sorted, and the run stops with NON_CONSECUTIVE_KEY instead of
-silently emitting two half-households.
+aggregator exploits that ordering: it walks the person stream once, keeps
+one accumulator for the household whose block is open, folds each member
+into it once, and emits the household when the key changes. A household
+key reappearing after its block closed means the file was not sorted, and
+the run stops with NON_CONSECUTIVE_KEY instead of silently emitting two
+half-households.
 """
 
 from hdbprep import (
@@ -16,7 +17,6 @@ from hdbprep import (
     ScaleKind,
     ScaleSpec,
     aggregate_all,
-    group_consecutive,
     make_household_key,
 )
 from hdbprep.errors import NonConsecutiveKeyError
@@ -25,7 +25,7 @@ from hdbprep.errors import NonConsecutiveKeyError
 def person(line, household, age, gender, chief=False, income=0.0):
     key = make_household_key("1", "1", "2", household)
     member = Member(line=line, age_raw=str(age), gender_raw=gender,
-                    area="1", is_chief=chief, income=income)
+                    is_chief=chief, income=income)
     return key, member
 
 
@@ -36,10 +36,6 @@ rows = [
     person(4, "2", 61, "2", chief=True, income=75000.0),
     person(5, "3", 44, "1", income=175000.0),  # nobody marked chief here
 ]
-
-print("blocks found by group_consecutive:")
-for run in group_consecutive(rows):
-    print(f"  {run.key.canonical}: {len(run.members)} member(s)")
 
 settings = AggregationSettings(
     age_encoding=AgeEncoding.YEARS,
@@ -56,8 +52,8 @@ settings = AggregationSettings(
 warnings = []
 print("aggregates:")
 for agg in aggregate_all(rows, settings, warnings):
-    print(f"  {agg.key.canonical}  size={agg.size}  adults={agg.n_adults}"
-          f"  oxford={agg.scale_oxford:.2f}  income={agg.total_income:.0f}"
+    print(f"  {agg.key.canonical}  area={agg.label_area}  size={agg.size}"
+          f"  adults={agg.n_adults}  oxford={agg.scale_oxford:.2f}  income={agg.total_income:.0f}"
           f"  per-adult={agg.scaled_income:.0f}  chief={agg.label_chief_gender}")
 for w in warnings:
     print("  warning:", w)
@@ -66,6 +62,6 @@ for w in warnings:
 
 unsorted_rows = [rows[0], rows[3], rows[1]]  # household 1 resumes after 2
 try:
-    list(group_consecutive(unsorted_rows))
+    list(aggregate_all(unsorted_rows, settings))
 except NonConsecutiveKeyError as exc:
     print("unsorted input ->", exc)

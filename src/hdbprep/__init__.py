@@ -7,27 +7,11 @@ DMP), recoded and totalled incomes, household sizes and labels, all
 computed in one streaming pass over consecutively grouped households.
 """
 
-from .aggregate import (
-    AggregationSettings,
-    HouseholdRun,
-    Reducer,
-    aggregate_all,
-    aggregate_run,
-    count_adults_children,
-    group_consecutive,
-    reduce_chief_label,
-    reduce_dmp,
-    reduce_first_label,
-    reduce_scale_sum,
-    reduce_size,
-    reduce_total_income,
-)
+from .aggregate import AggregationSettings, aggregate_all
 from .errors import ConfigError, DataError, HdbError
 from .identity import (
     DEFAULT_SCHEME,
     PrefixScheme,
-    identify_stream,
-    key_of_record,
     make_household_key,
     parse_household_key,
 )
@@ -67,20 +51,17 @@ from .pipeline import (
     run_identify,
     run_pipeline,
     run_recode,
-    scaled_income,
     write_household_table,
 )
 from .recode import (
     IncomeRangeMap,
     elim1_default_map,
     income_from_letter,
-    recode_stream,
 )
 from .scales import (
     classify_adult,
     dmp_scale,
     faofam_weight,
-    household_equivalent_income,
     oxford_weight,
 )
 from .synth import (
@@ -107,7 +88,6 @@ __all__ = [
     "HdbError",
     "HouseholdAggregate",
     "HouseholdKey",
-    "HouseholdRun",
     "IncomeMode",
     "IncomeRangeMap",
     "Member",
@@ -115,7 +95,6 @@ __all__ = [
     "PersonRecord",
     "PipelineConfig",
     "PrefixScheme",
-    "Reducer",
     "RunReport",
     "ScaleKind",
     "ScaleSpec",
@@ -125,19 +104,13 @@ __all__ = [
     "Variable",
     "WarningRecord",
     "aggregate_all",
-    "aggregate_run",
     "classify_adult",
-    "count_adults_children",
     "dmp_scale",
     "elim1_default_map",
     "faofam_weight",
     "format_number",
     "generate",
-    "group_consecutive",
-    "household_equivalent_income",
-    "identify_stream",
     "income_from_letter",
-    "key_of_record",
     "load_config",
     "make_household_key",
     "oracle_aggregate",
@@ -148,18 +121,10 @@ __all__ = [
     "read_column_file",
     "read_column_sources",
     "read_table",
-    "recode_stream",
-    "reduce_chief_label",
-    "reduce_dmp",
-    "reduce_first_label",
-    "reduce_scale_sum",
-    "reduce_size",
-    "reduce_total_income",
     "run_aggregate",
     "run_identify",
     "run_pipeline",
     "run_recode",
-    "scaled_income",
     "validate_weight_domain",
     "write_column_files",
     "write_household_table",

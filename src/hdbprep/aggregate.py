@@ -1,23 +1,25 @@
 """Streaming household-level aggregation.
 
 Survey files arrive sorted so that each household's members occupy one
-consecutive block of lines. Aggregation exploits that: it folds reducers
-over each block in a single pass, holding one household in memory at a
-time, and never builds a person-indexed table. The price of the streaming
-contract is that a household key must never reappear after its block ended;
-when one does the input was not sorted (or keys alias) and the run aborts
-with NON_CONSECUTIVE_KEY rather than silently splitting the household into
-two output rows.
+consecutive block of lines. Aggregation exploits that: `aggregate_all`
+walks the (key, member) rows once, keeps a single accumulator for the
+household whose block is open, and emits that household's aggregate when
+the key changes. It never builds a person-indexed table. Each member is
+folded once: its age token is parsed once and its gender token at most
+once (adults only, when the FAO-OMS scale is configured), so the first bad
+token in row order is the one an error names.
 
-Reducers follow an init/step/finish contract so each statistic is a small
-independent object; `aggregate_all` runs the configured set in one pass.
+The price of the streaming contract is that a household key must never
+reappear after its block ended; when one does the input was not sorted (or
+keys alias) and the run aborts with NON_CONSECUTIVE_KEY rather than
+silently splitting the household into two output rows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import HdbError, MissingIncomeError, NonConsecutiveKeyError, ZeroScaleError
 from .ingest import parse_age, parse_gender
@@ -47,72 +49,6 @@ from .scales import (
 #: token instead of failing; only used under the compatibility switch.
 SENTINEL_WEIGHT = 0.99
 
-
-@dataclass(frozen=True)
-class HouseholdRun:
-    """One household's consecutive block of members."""
-
-    key: HouseholdKey
-    members: tuple[Member, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a household run cannot be empty")
-
-
-class Reducer:
-    """A fold in the shape the streaming passes use: seed the state from the
-    run's first member, fold the rest, then finish.
-
-    init(first_member) -> state; step(state, member) -> state;
-    finish(state) -> value. Runs are never empty, so init always has a
-    member to seed from.
-    """
-
-    __slots__ = ("init", "step", "finish")
-
-    def __init__(self, init, step, finish=lambda state: state):
-        self.init = init
-        self.step = step
-        self.finish = finish
-
-    def over(self, run: HouseholdRun):
-        state = self.init(run.members[0])
-        for member in run.members[1:]:
-            state = self.step(state, member)
-        return self.finish(state)
-
-
-def group_consecutive(
-    rows: Iterable[tuple[HouseholdKey, Member]]
-) -> Iterator[HouseholdRun]:
-    """Group (key, member) rows into runs of equal consecutive keys.
-
-    Raises NON_CONSECUTIVE_KEY (with the 1-based row position) when a key
-    that already closed a run reappears later in the stream.
-    """
-    seen: set[str] = set()
-    current_key: HouseholdKey | None = None
-    members: list[Member] = []
-    for position, (key, member) in enumerate(rows, 1):
-        if current_key is not None and key.canonical == current_key.canonical:
-            members.append(member)
-            continue
-        if key.canonical in seen:
-            raise NonConsecutiveKeyError(key.canonical, line=position)
-        if current_key is not None:
-            yield HouseholdRun(current_key, tuple(members))
-        seen.add(key.canonical)
-        current_key = key
-        members = [member]
-    if current_key is not None:
-        yield HouseholdRun(current_key, tuple(members))
-
-
-def reduce_size(run: HouseholdRun) -> int:
-    return Reducer(lambda m: 1, lambda acc, m: acc + 1).over(run)
-
-
 # Leading-numeric-prefix coercion ("25ans" -> 25.0, "abc" -> 0.0). The
 # compatibility switch reproduces this where the reference arithmetic
 # compared raw tokens numerically without validating them.
@@ -122,211 +58,6 @@ _VAL_PREFIX = re.compile(r"^\s*[+-]?(\d+\.?\d*|\.\d+)")
 def _coerce_numeric_prefix(token: str) -> float:
     match = _VAL_PREFIX.match(token)
     return float(match.group(0)) if match else 0.0
-
-
-def _warn_missing_age(
-    warnings: list[WarningRecord] | None, member: Member
-) -> None:
-    if warnings is not None:
-        warnings.append(
-            WarningRecord(
-                "AGE_MISSING",
-                f"unknown-age code {member.age_raw!r} treated as adult",
-                member.line,
-            )
-        )
-
-
-def oxford_member_weight(
-    age_encoding: AgeEncoding,
-    *,
-    paper_sentinel: bool = False,
-    missing_age_policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT,
-    warnings: list[WarningRecord] | None = None,
-) -> Callable[[Member], float]:
-    """Build the Member -> Oxford-weight function for one run configuration.
-
-    Strict mode (default) raises BAD_AGE_TOKEN on an unparseable age. Under
-    ``paper_sentinel`` an unparseable age yields the 0.99 sentinel weight
-    instead, matching the reference behaviour of flagging the member inside
-    the sum rather than stopping the run.
-    """
-
-    def weight(member: Member) -> float:
-        try:
-            age = parse_age(member.age_raw, age_encoding, missing_age_policy)
-        except HdbError as exc:
-            if paper_sentinel:
-                return SENTINEL_WEIGHT
-            raise exc.at(line=member.line)
-        if age.missing:
-            _warn_missing_age(warnings, member)
-        return oxford_weight(age, age_encoding, member.is_chief)
-
-    return weight
-
-
-def faofam_member_weight(
-    age_encoding: AgeEncoding,
-    gender_encoding: GenderEncoding,
-    *,
-    paper_sentinel: bool = False,
-    missing_age_policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT,
-    warnings: list[WarningRecord] | None = None,
-) -> Callable[[Member], float]:
-    """Build the Member -> FAO-OMS-weight function for one run configuration.
-
-    Children short-circuit to 0.5 before the gender token is even read (the
-    reference arithmetic tests age first), so a child with a garbled gender
-    still weighs 0.5. Adults with an unparseable gender raise
-    BAD_GENDER_TOKEN, or yield the 0.99 sentinel under ``paper_sentinel``.
-    """
-
-    def weight(member: Member) -> float:
-        try:
-            age = parse_age(member.age_raw, age_encoding, missing_age_policy)
-        except HdbError as exc:
-            if paper_sentinel:
-                return SENTINEL_WEIGHT
-            raise exc.at(line=member.line)
-        if age.missing:
-            _warn_missing_age(warnings, member)
-        threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
-        if age.value < threshold:
-            return WEIGHT_CHILD
-        try:
-            gender = parse_gender(member.gender_raw, gender_encoding)
-        except HdbError as exc:
-            if paper_sentinel:
-                return SENTINEL_WEIGHT
-            raise exc.at(line=member.line)
-        return faofam_weight(age, age_encoding, gender)
-
-    return weight
-
-
-def reduce_scale_sum(
-    run: HouseholdRun, member_weight: Callable[[Member], float]
-) -> float:
-    """Sum a member-level weight function over a household run."""
-    reducer = Reducer(member_weight, lambda acc, m: acc + member_weight(m))
-    return reducer.over(run)
-
-
-def count_adults_children(
-    run: HouseholdRun,
-    age_encoding: AgeEncoding,
-    *,
-    paper_sentinel: bool = False,
-    missing_age_policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT,
-    warnings: list[WarningRecord] | None = None,
-) -> tuple[int, int]:
-    """Count (adults, children) in a run.
-
-    Strict mode parses each age and raises on bad tokens. The compatibility
-    switch coerces tokens to their leading numeric prefix (else 0) the way
-    the reference arithmetic did, which files every unparseable member
-    under children.
-    """
-    threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
-    adults = children = 0
-    for member in run.members:
-        if paper_sentinel:
-            value = _coerce_numeric_prefix(member.age_raw)
-        else:
-            try:
-                age = parse_age(member.age_raw, age_encoding, missing_age_policy)
-            except HdbError as exc:
-                raise exc.at(line=member.line)
-            if age.missing:
-                _warn_missing_age(warnings, member)
-            value = age.value
-        if value < threshold:
-            children += 1
-        else:
-            adults += 1
-    return adults, children
-
-
-def reduce_dmp(
-    run: HouseholdRun,
-    c: float,
-    s: float,
-    age_encoding: AgeEncoding,
-    *,
-    paper_sentinel: bool = False,
-    missing_age_policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT,
-) -> float:
-    """DMP scale of a run: count adults and children, then (Na + c*Ne)**s."""
-    adults, children = count_adults_children(
-        run,
-        age_encoding,
-        paper_sentinel=paper_sentinel,
-        missing_age_policy=missing_age_policy,
-    )
-    return dmp_scale(adults, children, c, s)
-
-
-def reduce_total_income(run: HouseholdRun) -> float:
-    """Total member income of a run; a member without an income amount is a
-    MISSING_INCOME error located at that member's line."""
-
-    def income_of(member: Member) -> float:
-        if member.income is None:
-            raise MissingIncomeError("member has no income amount").at(line=member.line)
-        return member.income
-
-    return Reducer(income_of, lambda acc, m: acc + income_of(m)).over(run)
-
-
-def reduce_first_label(
-    run: HouseholdRun, warnings: list[WarningRecord] | None = None
-) -> str:
-    """The household's area label: the first member's region token.
-
-    Members of one household should agree on their region; when they do
-    not, the first token still wins but a HETEROGENEOUS_AREA warning
-    records the first disagreeing member.
-    """
-    label = run.members[0].area
-    if warnings is not None:
-        for member in run.members[1:]:
-            if member.area != label:
-                warnings.append(
-                    WarningRecord(
-                        "HETEROGENEOUS_AREA",
-                        f"household {run.key} mixes areas {label!r} and {member.area!r}",
-                        member.line,
-                    )
-                )
-                break
-    return label
-
-
-def reduce_chief_label(
-    run: HouseholdRun, warnings: list[WarningRecord] | None = None
-) -> str:
-    """The chief-gender label: the raw gender token of the household chief.
-
-    When several members are marked chief the last one wins (the reference
-    pass overwrote the label on each hit) and a MULTIPLE_CHIEFS warning is
-    emitted; when none is, the sentinel label "XXX" marks the household
-    for review.
-    """
-    label = NO_CHIEF_LABEL
-    count = 0
-    for member in run.members:
-        if member.is_chief:
-            label = member.gender_raw
-            count += 1
-    if count > 1 and warnings is not None:
-        warnings.append(
-            WarningRecord(
-                "MULTIPLE_CHIEFS",
-                f"household {run.key} marks {count} members as chief",
-            )
-        )
-    return label
 
 
 @dataclass(frozen=True)
@@ -365,88 +96,59 @@ class AggregationSettings:
         return None
 
 
-def aggregate_run(
-    run: HouseholdRun,
-    settings: AggregationSettings,
-    warnings: list[WarningRecord] | None = None,
-) -> HouseholdAggregate:
-    """Compute every configured statistic for one household run.
+class _Household:
+    """The running totals of the household whose block is open. The first
+    member seeds the Oxford, FAO-OMS and income sums and the rest add in
+    member order; a sum that is not configured stays None."""
 
-    Several reducers parse the same member tokens, so warnings they emit
-    are deduplicated per run before reaching the caller's list.
-    """
-    local: list[WarningRecord] | None = [] if warnings is not None else None
-    size = reduce_size(run)
-    adults, children = count_adults_children(
-        run,
-        settings.age_encoding,
-        paper_sentinel=settings.paper_sentinel,
-        missing_age_policy=settings.missing_age_policy,
-        warnings=local,
-    )
+    __slots__ = ("key", "size", "adults", "children", "oxford", "faofam",
+                 "income", "chief_label", "chiefs")
 
-    scale_values: dict[ScaleKind, float] = {}
-    for spec in settings.scales:
-        if spec.kind is ScaleKind.OXFORD:
-            fn = oxford_member_weight(
-                settings.age_encoding,
-                paper_sentinel=settings.paper_sentinel,
-                missing_age_policy=settings.missing_age_policy,
-                warnings=local,
+    def __init__(self, key: HouseholdKey):
+        self.key = key
+        self.size = self.adults = self.children = self.chiefs = 0
+        self.oxford = self.faofam = self.income = None
+        self.chief_label = NO_CHIEF_LABEL
+
+    def finish(
+        self, settings: AggregationSettings, warnings: list[WarningRecord] | None
+    ) -> HouseholdAggregate:
+        """Close the block: DMP, the scaled income, MULTIPLE_CHIEFS."""
+        dmp = settings.spec_for(ScaleKind.DMP)
+        scale_dmp = (
+            dmp_scale(self.adults, self.children, dmp.dmp_c, dmp.dmp_s)
+            if dmp is not None else None
+        )
+        scaled_income = None
+        if settings.scaled_by is not None:
+            divisor = {ScaleKind.OXFORD: self.oxford, ScaleKind.FAOFAM: self.faofam,
+                       ScaleKind.DMP: scale_dmp}[settings.scaled_by]
+            if not divisor > 0:
+                raise ZeroScaleError(
+                    f"household {self.key}: {settings.scaled_by.value} scale is "
+                    f"{divisor}, cannot scale income"
+                )
+            scaled_income = self.income / divisor
+        if self.chiefs > 1 and warnings is not None:
+            warnings.append(
+                WarningRecord(
+                    "MULTIPLE_CHIEFS",
+                    f"household {self.key} marks {self.chiefs} members as chief",
+                )
             )
-            scale_values[spec.kind] = reduce_scale_sum(run, fn)
-        elif spec.kind is ScaleKind.FAOFAM:
-            fn = faofam_member_weight(
-                settings.age_encoding,
-                settings.gender_encoding,
-                paper_sentinel=settings.paper_sentinel,
-                missing_age_policy=settings.missing_age_policy,
-                warnings=local,
-            )
-            scale_values[spec.kind] = reduce_scale_sum(run, fn)
-        else:
-            scale_values[spec.kind] = reduce_dmp(
-                run,
-                spec.dmp_c,
-                spec.dmp_s,
-                settings.age_encoding,
-                paper_sentinel=settings.paper_sentinel,
-                missing_age_policy=settings.missing_age_policy,
-            )
-
-    total_income = reduce_total_income(run) if settings.income_enabled else None
-
-    scaled_income = None
-    if settings.scaled_by is not None:
-        divisor = scale_values[settings.scaled_by]
-        if not divisor > 0:
-            raise ZeroScaleError(
-                f"household {run.key}: {settings.scaled_by.value} scale is "
-                f"{divisor}, cannot scale income"
-            )
-        scaled_income = total_income / divisor
-
-    aggregate = HouseholdAggregate(
-        key=run.key,
-        size=size,
-        n_adults=adults,
-        n_children=children,
-        scale_oxford=scale_values.get(ScaleKind.OXFORD),
-        scale_faofam=scale_values.get(ScaleKind.FAOFAM),
-        scale_dmp=scale_values.get(ScaleKind.DMP),
-        total_income=total_income,
-        label_area=reduce_first_label(run, local),
-        label_chief_gender=reduce_chief_label(run, local),
-        scaled_income=scaled_income,
-    )
-    if warnings is not None and local:
-        seen = set()
-        for record in local:
-            marker = (record.code, record.line, record.message)
-            if marker not in seen:
-                seen.add(marker)
-                warnings.append(record)
-    return aggregate
+        return HouseholdAggregate(
+            key=self.key,
+            size=self.size,
+            n_adults=self.adults,
+            n_children=self.children,
+            scale_oxford=self.oxford,
+            scale_faofam=self.faofam,
+            scale_dmp=scale_dmp,
+            total_income=self.income,
+            label_area=self.key.components[0],
+            label_chief_gender=self.chief_label,
+            scaled_income=scaled_income,
+        )
 
 
 def aggregate_all(
@@ -455,6 +157,94 @@ def aggregate_all(
     warnings: list[WarningRecord] | None = None,
 ) -> Iterator[HouseholdAggregate]:
     """Stream (key, member) rows into one HouseholdAggregate per household,
-    in input order, in a single pass."""
-    for run in group_consecutive(rows):
-        yield aggregate_run(run, settings, warnings)
+    in input order, in a single pass.
+
+    Per member: strict mode raises BAD_AGE_TOKEN / BAD_GENDER_TOKEN at the
+    member's line. Under ``paper_sentinel`` an unparseable token weighs
+    0.99 in the Oxford and FAO-OMS sums, and the adult/child counts use the
+    token's leading numeric prefix (else 0), as the reference arithmetic
+    did. A child's gender token is never read. The area label is the key's
+    region token; the chief label is the raw gender token of the last
+    member marked chief, or "XXX" when none is.
+
+    Raises NON_CONSECUTIVE_KEY (with the 1-based row position) when a key
+    that already closed a household reappears later in the stream.
+    """
+    age_encoding = settings.age_encoding
+    sentinel = settings.paper_sentinel
+    threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
+    with_oxford = settings.spec_for(ScaleKind.OXFORD) is not None
+    with_faofam = settings.spec_for(ScaleKind.FAOFAM) is not None
+    seen: set[str] = set()
+    household: _Household | None = None
+
+    for position, (key, member) in enumerate(rows, 1):
+        if household is None or key.canonical != household.key.canonical:
+            if key.canonical in seen:
+                raise NonConsecutiveKeyError(key.canonical, line=position)
+            seen.add(key.canonical)
+            if household is not None:
+                yield household.finish(settings, warnings)
+            household = _Household(key)
+
+        try:
+            age = parse_age(member.age_raw, age_encoding, settings.missing_age_policy)
+        except HdbError as exc:
+            if not sentinel:
+                raise exc.at(line=member.line)
+            age = None
+        if age is not None and age.missing and warnings is not None:
+            warnings.append(
+                WarningRecord(
+                    "AGE_MISSING",
+                    f"unknown-age code {member.age_raw!r} treated as adult",
+                    member.line,
+                )
+            )
+        value = _coerce_numeric_prefix(member.age_raw) if sentinel else age.value
+        if value < threshold:
+            household.children += 1
+        else:
+            household.adults += 1
+
+        oxford = faofam = income = None
+        if with_oxford:
+            oxford = (
+                SENTINEL_WEIGHT if age is None
+                else oxford_weight(age, age_encoding, member.is_chief)
+            )
+        if with_faofam:
+            if age is None:
+                faofam = SENTINEL_WEIGHT
+            elif age.value < threshold:
+                faofam = WEIGHT_CHILD
+            else:
+                try:
+                    gender = parse_gender(member.gender_raw, settings.gender_encoding)
+                except HdbError as exc:
+                    if not sentinel:
+                        raise exc.at(line=member.line)
+                    faofam = SENTINEL_WEIGHT
+                else:
+                    faofam = faofam_weight(age, age_encoding, gender)
+        if settings.income_enabled:
+            income = member.income
+            if income is None:
+                raise MissingIncomeError("member has no income amount").at(line=member.line)
+
+        household.size += 1
+        if household.size == 1:
+            household.oxford, household.faofam, household.income = oxford, faofam, income
+        else:
+            if with_oxford:
+                household.oxford += oxford
+            if with_faofam:
+                household.faofam += faofam
+            if income is not None:
+                household.income += income
+        if member.is_chief:
+            household.chief_label = member.gender_raw
+            household.chiefs += 1
+
+    if household is not None:
+        yield household.finish(settings, warnings)

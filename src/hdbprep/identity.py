@@ -14,10 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from .errors import ConfigError, EmptyTokenError, MalformedKeyError, PrefixCollisionError
-from .model import HouseholdKey, PersonRecord
+from .model import HouseholdKey
 
 
 @dataclass(frozen=True)
@@ -103,24 +102,3 @@ def parse_household_key(
         raise MalformedKeyError(canonical)
     region, milieu, cluster, household = match.groups()
     return region, milieu, cluster, household
-
-
-def key_of_record(
-    record: PersonRecord, scheme: PrefixScheme = DEFAULT_SCHEME
-) -> HouseholdKey:
-    """The canonical key of one person's household."""
-    return make_household_key(
-        record.region, record.milieu, record.cluster, record.household, scheme
-    )
-
-
-def identify_stream(
-    records: Iterable[PersonRecord], scheme: PrefixScheme = DEFAULT_SCHEME
-) -> Iterator[HouseholdKey]:
-    """Yield one key per person, in order, annotating errors with the
-    person's 1-based position."""
-    for i, record in enumerate(records, 1):
-        try:
-            yield key_of_record(record, scheme)
-        except PrefixCollisionError as exc:
-            raise exc.at(line=i)

@@ -212,15 +212,14 @@ class Member:
 
     ``line`` is the 1-based line of the person in the input, used to locate
     errors and warnings. ``income`` is the numeric amount after any letter
-    recoding, or None when income is not configured. ``area`` is the raw
-    region token and ``gender_raw`` the raw gender token; label reducers
-    export these verbatim.
+    recoding, or None when income is not configured. ``gender_raw`` is the
+    raw gender token; the chief's is exported verbatim as the household's
+    chief-gender label.
     """
 
     line: int
     age_raw: str
     gender_raw: str
-    area: str
     is_chief: bool
     income: float | None = None
 

@@ -33,7 +33,6 @@ from .errors import (
     ConfigError,
     HdbError,
     IoError,
-    ZeroScaleError,
 )
 from .identity import DEFAULT_SCHEME, PrefixScheme, make_household_key
 from .ingest import (
@@ -324,16 +323,6 @@ def load_config(path: Path) -> PipelineConfig:
     )
 
 
-def scaled_income(total_income: float, scale: float) -> float:
-    """Per-equivalent-adult income: total divided by the equivalence scale.
-
-    The scale must be strictly positive; ZERO_SCALE otherwise.
-    """
-    if not scale > 0:
-        raise ZeroScaleError(f"scale is {scale}, cannot divide income by it")
-    return total_income / scale
-
-
 def format_number(value: float) -> str:
     """Render a number with a decimal point and no grouping: integers
     without a fractional part, anything else as the shortest decimal of at
@@ -490,7 +479,6 @@ def _build_rows(
                     line=i,
                     age_raw=person.age_raw,
                     gender_raw=person.gender_raw,
-                    area=person.region,
                     is_chief=person.is_chief,
                     income=income,
                 ),

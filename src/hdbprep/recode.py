@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import BadIncomeTokenError, ConfigError, UnknownIncomeCodeError
 
@@ -109,13 +109,3 @@ def income_from_letter(raw: str, mapping: IncomeRangeMap) -> float:
     if mapping.default_amount is not None:
         return mapping.default_amount
     raise UnknownIncomeCodeError(token)
-
-
-def recode_stream(tokens: Iterable[str], mapping: IncomeRangeMap):
-    """Yield the recoded amount for each token, annotating errors with the
-    token's 1-based position."""
-    for i, raw in enumerate(tokens, 1):
-        try:
-            yield income_from_letter(raw, mapping)
-        except (BadIncomeTokenError, UnknownIncomeCodeError) as exc:
-            raise exc.at(line=i)

@@ -26,13 +26,10 @@ is a strict ``age < threshold``, so 15.0 years (or class 4) is adult and
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import (
     BadEncodingError,
     DmpParamOutOfRangeError,
     EmptyHouseholdError,
-    LengthMismatchError,
 )
 from .model import Age, AgeEncoding, Gender
 
@@ -45,9 +42,6 @@ WEIGHT_CHILD = 0.5
 WEIGHT_ADULT_OTHER = 0.7
 WEIGHT_ADULT_FEMALE = 0.8
 WEIGHT_FULL = 1.0
-
-#: Every weight a member-level scale can assign.
-VALID_WEIGHTS = frozenset((WEIGHT_CHILD, WEIGHT_ADULT_OTHER, WEIGHT_ADULT_FEMALE, WEIGHT_FULL))
 
 
 def classify_adult(age: Age, encoding: AgeEncoding) -> bool:
@@ -103,15 +97,3 @@ def dmp_scale(n_adults: int, n_children: int, c: float, s: float) -> float:
         if not 0.0 <= value <= 1.0:
             raise DmpParamOutOfRangeError(f"DMP parameter {name}={value} outside [0, 1]")
     return float(n_adults + c * n_children) ** s
-
-
-def household_equivalent_income(
-    weights: Sequence[float], incomes: Sequence[float]
-) -> float:
-    """Weighted income total: the dot product of member weights and member
-    incomes. Lengths must match and be non-zero."""
-    if len(weights) != len(incomes) or not weights:
-        raise LengthMismatchError(
-            "weights/incomes", expected=len(weights), actual=len(incomes)
-        )
-    return sum(w * x for w, x in zip(weights, incomes))

@@ -373,9 +373,9 @@ def oracle_aggregate(
 
     class Acc:
         __slots__ = ("key", "size", "adults", "children", "oxford", "faofam",
-                     "income", "area", "chief_label")
+                     "income", "chief_label")
 
-        def __init__(self, key: HouseholdKey, area: str):
+        def __init__(self, key: HouseholdKey):
             self.key = key
             self.size = 0
             self.adults = 0
@@ -383,14 +383,13 @@ def oracle_aggregate(
             self.oxford = 0.0
             self.faofam = 0.0
             self.income = 0.0
-            self.area = area
             self.chief_label = NO_CHIEF_LABEL
 
     accs: dict[str, Acc] = {}
     for key, member in rows:
         acc = accs.get(key.canonical)
         if acc is None:
-            acc = accs[key.canonical] = Acc(key, member.area)
+            acc = accs[key.canonical] = Acc(key)
         acc.size += 1
         try:
             age_value = float(member.age_raw)
@@ -440,7 +439,7 @@ def oracle_aggregate(
             scale_faofam=acc.faofam,
             scale_dmp=dmp,
             total_income=acc.income if income_enabled else None,
-            label_area=acc.area,
+            label_area=acc.key.components[0],
             label_chief_gender=acc.chief_label,
             scaled_income=scaled,
         )

@@ -11,11 +11,7 @@ import random
 import mpmath
 import pytest
 
-from hdbprep.aggregate import (
-    AggregationSettings,
-    aggregate_all,
-    group_consecutive,
-)
+from hdbprep.aggregate import AggregationSettings, aggregate_all
 from hdbprep.cli import main
 from hdbprep.errors import NonConsecutiveKeyError
 from hdbprep.identity import PrefixScheme, make_household_key, parse_household_key
@@ -140,7 +136,6 @@ def build_rows(persons, income_map):
                     line=i,
                     age_raw=p.age_raw,
                     gender_raw=p.gender_raw,
-                    area=p.region,
                     is_chief=p.is_chief,
                     income=income_from_letter(p.income_raw, income_map),
                 ),
@@ -269,10 +264,10 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
 
     # unsorted input must fail loudly, naming the offending row
     key = lambda h: make_household_key("1", "1", "1", h)
-    member = Member(line=0, age_raw="30", gender_raw="1", area="1", is_chief=False)
+    member = Member(line=0, age_raw="30", gender_raw="1", is_chief=False)
     rows = [(key("1"), member), (key("2"), member), (key("1"), member)]
     with pytest.raises(NonConsecutiveKeyError) as info:
-        list(group_consecutive(rows))
+        list(aggregate_all(rows, settings))
     assert info.value.code == "NON_CONSECUTIVE_KEY"
     assert info.value.line == 3
     assert "R1M1C1H1" in str(info.value)

@@ -1,24 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hdbprep.aggregate import (
-    SENTINEL_WEIGHT,
-    AggregationSettings,
-    HouseholdRun,
-    Reducer,
-    aggregate_all,
-    aggregate_run,
-    count_adults_children,
-    faofam_member_weight,
-    group_consecutive,
-    oxford_member_weight,
-    reduce_chief_label,
-    reduce_dmp,
-    reduce_first_label,
-    reduce_scale_sum,
-    reduce_size,
-    reduce_total_income,
-)
+import hdbprep.aggregate
+from hdbprep.aggregate import SENTINEL_WEIGHT, AggregationSettings, aggregate_all
 from hdbprep.errors import (
     BadAgeTokenError,
     BadGenderTokenError,
@@ -38,33 +22,48 @@ from hdbprep.model import (
 
 YEARS = AgeEncoding.YEARS
 M1F2 = GenderEncoding.MALE1_FEMALE2
+OXFORD = ScaleSpec(ScaleKind.OXFORD)
+FAOFAM = ScaleSpec(ScaleKind.FAOFAM)
+DMP = ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7)
+ALL_SCALES = (OXFORD, FAOFAM, DMP)
 
 
-def key(h):
-    return make_household_key("1", "1", "1", str(h))
+def key(h, region="1"):
+    return make_household_key(region, "1", "1", str(h))
 
 
-def member(line, age, gender="1", chief=False, area="1", income=None):
+def member(line, age, gender="1", chief=False, income=None):
     return Member(
         line=line,
         age_raw=str(age),
         gender_raw=str(gender),
-        area=area,
         is_chief=chief,
         income=income,
     )
 
 
-def run_of(*members, h=1):
-    return HouseholdRun(key(h), tuple(members))
+def household(*members, h=1):
+    """A one-household rows list."""
+    return [(key(h), m) for m in members]
+
+
+def settings(*scales, age=YEARS, gender=M1F2, **options):
+    return AggregationSettings(age, gender, scales=scales, **options)
+
+
+def aggregate_one(rows, config=None, warnings=None):
+    (agg,) = aggregate_all(rows, config or settings(), warnings)
+    return agg
 
 
 class TestGroupConsecutive:
+    """Consecutive rows with one key form one household."""
+
     def test_single_run(self):
         rows = [(key(1), member(1, 30)), (key(1), member(2, 10))]
-        runs = list(group_consecutive(rows))
-        assert len(runs) == 1
-        assert [m.line for m in runs[0].members] == [1, 2]
+        out = list(aggregate_all(rows, settings()))
+        assert len(out) == 1
+        assert out[0].size == 2
 
     def test_boundary_between_households(self):
         rows = [
@@ -72,9 +71,9 @@ class TestGroupConsecutive:
             (key(2), member(2, 40)),
             (key(2), member(3, 8)),
         ]
-        runs = list(group_consecutive(rows))
-        assert [r.key.canonical for r in runs] == ["R1M1C1H1", "R1M1C1H2"]
-        assert [len(r.members) for r in runs] == [1, 2]
+        out = list(aggregate_all(rows, settings()))
+        assert [a.key.canonical for a in out] == ["R1M1C1H1", "R1M1C1H2"]
+        assert [a.size for a in out] == [1, 2]
 
     def test_reappearing_key_aborts(self):
         rows = [
@@ -83,196 +82,184 @@ class TestGroupConsecutive:
             (key(1), member(3, 8)),
         ]
         with pytest.raises(NonConsecutiveKeyError) as info:
-            list(group_consecutive(rows))
+            list(aggregate_all(rows, settings()))
         assert info.value.line == 3
         assert "R1M1C1H1" in str(info.value)
 
     def test_empty_stream(self):
-        assert list(group_consecutive([])) == []
-
-    def test_empty_run_rejected(self):
-        with pytest.raises(ValueError):
-            HouseholdRun(key(1), ())
+        assert list(aggregate_all([], settings())) == []
 
 
 class TestReducer:
     def test_seed_step_finish(self):
-        ages = Reducer(
-            lambda m: [m.age_raw],
-            lambda acc, m: acc + [m.age_raw],
-            lambda acc: ",".join(acc),
+        # the first member seeds each sum and the rest add in member order,
+        # so the floats equal the left-to-right sum bit for bit
+        rows = household(
+            member(1, 10, income=0.1),
+            member(2, 34, chief=True, income=0.2),
+            member(3, 30, "2", income=0.3),
         )
-        assert ages.over(run_of(member(1, 34), member(2, 10))) == "34,10"
-
-    def test_default_finish_is_identity(self):
-        count = Reducer(lambda m: 1, lambda acc, m: acc + 1)
-        assert count.over(run_of(member(1, 1), member(2, 2), member(3, 3))) == 3
+        agg = aggregate_one(rows, settings(OXFORD, FAOFAM, income_enabled=True))
+        assert agg.scale_oxford == 0.5 + 1.0 + 0.7
+        assert agg.scale_faofam == 0.5 + 1.0 + 0.8
+        assert agg.total_income == 0.1 + 0.2 + 0.3
 
     def test_size(self):
-        assert reduce_size(run_of(member(1, 30))) == 1
-        assert reduce_size(run_of(member(1, 30), member(2, 5), member(3, 7))) == 3
+        assert aggregate_one(household(member(1, 30))).size == 1
+        rows = household(member(1, 30), member(2, 5), member(3, 7))
+        assert aggregate_one(rows).size == 3
 
 
 class TestOxfordSum:
     def test_reference_household(self):
         # chief 1.0 + other adult 0.7 + child 0.5
-        run = run_of(member(1, 34, chief=True), member(2, 30), member(3, 10))
-        weight = oxford_member_weight(YEARS)
-        assert reduce_scale_sum(run, weight) == pytest.approx(2.2)
+        rows = household(member(1, 34, chief=True), member(2, 30), member(3, 10))
+        assert aggregate_one(rows, settings(OXFORD)).scale_oxford == pytest.approx(2.2)
 
     def test_child_chief_counts_as_child(self):
-        run = run_of(member(1, 10, chief=True), member(2, 40))
-        assert reduce_scale_sum(run, oxford_member_weight(YEARS)) == pytest.approx(1.2)
+        rows = household(member(1, 10, chief=True), member(2, 40))
+        assert aggregate_one(rows, settings(OXFORD)).scale_oxford == pytest.approx(1.2)
 
     def test_bad_age_raises_with_line(self):
-        run = run_of(member(1, 34, chief=True), member(2, "??"))
+        rows = household(member(1, 34, chief=True), member(2, "??"))
         with pytest.raises(BadAgeTokenError) as info:
-            reduce_scale_sum(run, oxford_member_weight(YEARS))
+            aggregate_one(rows, settings(OXFORD))
         assert info.value.line == 2
 
     def test_chief_age_is_still_parsed(self):
         # chief status must not skip age validation
-        run = run_of(member(1, "abc", chief=True))
         with pytest.raises(BadAgeTokenError):
-            reduce_scale_sum(run, oxford_member_weight(YEARS))
+            aggregate_one(household(member(1, "abc", chief=True)), settings(OXFORD))
 
     def test_sentinel_mode_flags_instead(self):
-        run = run_of(member(1, 34, chief=True), member(2, "??"))
-        weight = oxford_member_weight(YEARS, paper_sentinel=True)
-        assert reduce_scale_sum(run, weight) == pytest.approx(1.0 + SENTINEL_WEIGHT)
+        rows = household(member(1, 34, chief=True), member(2, "??"))
+        agg = aggregate_one(rows, settings(OXFORD, paper_sentinel=True))
+        assert agg.scale_oxford == pytest.approx(1.0 + SENTINEL_WEIGHT)
 
 
 class TestFaofamSum:
     def test_reference_household(self):
         # male adult 1.0 + female adult 0.8 + child 0.5
-        run = run_of(member(1, 34, "1"), member(2, 30, "2"), member(3, 10, "1"))
-        weight = faofam_member_weight(YEARS, M1F2)
-        assert reduce_scale_sum(run, weight) == pytest.approx(2.3)
+        rows = household(member(1, 34, "1"), member(2, 30, "2"), member(3, 10, "1"))
+        assert aggregate_one(rows, settings(FAOFAM)).scale_faofam == pytest.approx(2.3)
 
     def test_child_gender_never_read(self):
-        run = run_of(member(1, 9, "garbled"))
-        weight = faofam_member_weight(YEARS, M1F2)
-        assert reduce_scale_sum(run, weight) == 0.5
+        rows = household(member(1, 9, "garbled"))
+        assert aggregate_one(rows, settings(FAOFAM)).scale_faofam == 0.5
 
     def test_adult_bad_gender_raises_with_line(self):
-        run = run_of(member(1, 30, "1"), member(2, 41, "9"))
+        rows = household(member(1, 30, "1"), member(2, 41, "9"))
         with pytest.raises(BadGenderTokenError) as info:
-            reduce_scale_sum(run, faofam_member_weight(YEARS, M1F2))
+            aggregate_one(rows, settings(FAOFAM))
         assert info.value.line == 2
 
     def test_adult_bad_gender_sentinel(self):
-        run = run_of(member(1, 41, "9"))
-        weight = faofam_member_weight(YEARS, M1F2, paper_sentinel=True)
-        assert reduce_scale_sum(run, weight) == SENTINEL_WEIGHT
+        rows = household(member(1, 41, "9"))
+        agg = aggregate_one(rows, settings(FAOFAM, paper_sentinel=True))
+        assert agg.scale_faofam == SENTINEL_WEIGHT
 
     def test_other_gender_encoding(self):
-        run = run_of(member(1, 30, "0"), member(2, 30, "1"))
-        weight = faofam_member_weight(YEARS, GenderEncoding.MALE0_FEMALE1)
-        assert reduce_scale_sum(run, weight) == pytest.approx(1.8)
+        rows = household(member(1, 30, "0"), member(2, 30, "1"))
+        agg = aggregate_one(rows, settings(FAOFAM, gender=GenderEncoding.MALE0_FEMALE1))
+        assert agg.scale_faofam == pytest.approx(1.8)
+
+
+def counts(agg):
+    return agg.n_adults, agg.n_children
 
 
 class TestCounts:
     def test_split(self):
-        run = run_of(member(1, 34), member(2, 15), member(3, 14.9), member(4, 2))
-        assert count_adults_children(run, YEARS) == (2, 2)
+        rows = household(member(1, 34), member(2, 15), member(3, 14.9), member(4, 2))
+        assert counts(aggregate_one(rows)) == (2, 2)
 
     def test_class_encoding(self):
-        run = run_of(member(1, 4), member(2, 3))
-        assert count_adults_children(run, AgeEncoding.FIVE_YEAR_CLASSES) == (1, 1)
+        rows = household(member(1, 4), member(2, 3))
+        config = settings(age=AgeEncoding.FIVE_YEAR_CLASSES)
+        assert counts(aggregate_one(rows, config)) == (1, 1)
 
     def test_strict_rejects_bad_token(self):
-        run = run_of(member(1, 34), member(2, "old"))
+        rows = household(member(1, 34), member(2, "old"))
         with pytest.raises(BadAgeTokenError) as info:
-            count_adults_children(run, YEARS)
+            aggregate_one(rows)
         assert info.value.line == 2
 
     def test_sentinel_coerces_numeric_prefix(self):
         # "25ans" reads as 25 (adult), "abc" as 0 (child)
-        run = run_of(member(1, "25ans"), member(2, "abc"))
-        assert count_adults_children(run, YEARS, paper_sentinel=True) == (1, 1)
+        rows = household(member(1, "25ans"), member(2, "abc"))
+        assert counts(aggregate_one(rows, settings(paper_sentinel=True))) == (1, 1)
 
     def test_unknown_age_code_warns_under_strict_policy(self):
         warnings = []
-        run = run_of(member(1, 99))
-        counts = count_adults_children(
-            run, YEARS, missing_age_policy=MissingAgePolicy.STRICT, warnings=warnings
-        )
-        assert counts == (1, 0)
+        config = settings(missing_age_policy=MissingAgePolicy.STRICT)
+        agg = aggregate_one(household(member(1, 99)), config, warnings)
+        assert counts(agg) == (1, 0)
         assert [w.code for w in warnings] == ["AGE_MISSING"]
         assert warnings[0].line == 1
 
     def test_unknown_age_code_silent_by_default(self):
         warnings = []
-        run = run_of(member(1, 99))
-        count_adults_children(run, YEARS, warnings=warnings)
+        aggregate_one(household(member(1, 99)), settings(), warnings)
         assert warnings == []
 
 
 class TestDmp:
     def test_reference_values(self):
-        run = run_of(
+        rows = household(
             member(1, 30),
             member(2, 40),
             member(3, 8),
             member(4, 5),
             member(5, 1),
         )
-        assert reduce_dmp(run, 0.5, 0.7, YEARS) == pytest.approx(3.5 ** 0.7)
+        assert aggregate_one(rows, settings(DMP)).scale_dmp == pytest.approx(3.5 ** 0.7)
 
     def test_sentinel_counting_feeds_formula(self):
-        run = run_of(member(1, "abc"), member(2, 30))
-        value = reduce_dmp(run, 0.5, 0.7, YEARS, paper_sentinel=True)
-        assert value == pytest.approx(1.5 ** 0.7)
+        rows = household(member(1, "abc"), member(2, 30))
+        agg = aggregate_one(rows, settings(DMP, paper_sentinel=True))
+        assert agg.scale_dmp == pytest.approx(1.5 ** 0.7)
 
 
 class TestIncome:
     def test_total(self):
-        run = run_of(member(1, 30, income=14500.0), member(2, 40, income=39500.0))
-        assert reduce_total_income(run) == pytest.approx(54000.0)
+        rows = household(member(1, 30, income=14500.0), member(2, 40, income=39500.0))
+        agg = aggregate_one(rows, settings(income_enabled=True))
+        assert agg.total_income == pytest.approx(54000.0)
 
     def test_missing_amount_located(self):
-        run = run_of(member(1, 30, income=14500.0), member(2, 40))
+        rows = household(member(1, 30, income=14500.0), member(2, 40))
         with pytest.raises(MissingIncomeError) as info:
-            reduce_total_income(run)
+            aggregate_one(rows, settings(income_enabled=True))
         assert info.value.line == 2
 
 
 class TestLabels:
     def test_area_is_first_member_token(self):
-        run = run_of(member(1, 30, area="7"), member(2, 40, area="7"))
-        assert reduce_first_label(run) == "7"
-
-    def test_heterogeneous_area_warns_once(self):
-        warnings = []
-        run = run_of(
-            member(1, 30, area="7"),
-            member(2, 40, area="8"),
-            member(3, 10, area="9"),
-        )
-        assert reduce_first_label(run, warnings) == "7"
-        assert [w.code for w in warnings] == ["HETEROGENEOUS_AREA"]
-        assert warnings[0].line == 2
+        # the area label is the key's region token, which every member of
+        # the household shares
+        rows = [(key(1, region="7"), member(1, 30)), (key(1, region="7"), member(2, 40))]
+        assert aggregate_one(rows).label_area == "7"
 
     def test_chief_gender_token_exported_verbatim(self):
-        run = run_of(member(1, 30, "2"), member(2, 40, "1", chief=True))
-        assert reduce_chief_label(run) == "1"
+        rows = household(member(1, 30, "2"), member(2, 40, "1", chief=True))
+        assert aggregate_one(rows).label_chief_gender == "1"
 
     def test_no_chief_sentinel_label(self):
-        run = run_of(member(1, 30), member(2, 40))
-        assert reduce_chief_label(run) == "XXX"
+        rows = household(member(1, 30), member(2, 40))
+        assert aggregate_one(rows).label_chief_gender == "XXX"
 
     def test_last_chief_wins_and_warns(self):
         warnings = []
-        run = run_of(
+        rows = household(
             member(1, 30, "1", chief=True),
             member(2, 28, "2", chief=True),
         )
-        assert reduce_chief_label(run, warnings) == "2"
+        assert aggregate_one(rows, settings(), warnings).label_chief_gender == "2"
         assert [w.code for w in warnings] == ["MULTIPLE_CHIEFS"]
 
     def test_chief_flag_is_exact_token_match(self):
-        run = run_of(member(1, 30, "2", chief=False))
-        assert reduce_chief_label(run) == "XXX"
+        rows = household(member(1, 30, "2", chief=False))
+        assert aggregate_one(rows).label_chief_gender == "XXX"
 
 
 class TestSettings:
@@ -305,33 +292,20 @@ class TestSettings:
 
     def test_spec_lookup(self):
         spec = ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7)
-        settings = AggregationSettings(YEARS, M1F2, scales=(spec,))
-        assert settings.spec_for(ScaleKind.DMP) is spec
-        assert settings.spec_for(ScaleKind.OXFORD) is None
-
-
-ALL_SCALES = (
-    ScaleSpec(ScaleKind.OXFORD),
-    ScaleSpec(ScaleKind.FAOFAM),
-    ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
-)
+        config = AggregationSettings(YEARS, M1F2, scales=(spec,))
+        assert config.spec_for(ScaleKind.DMP) is spec
+        assert config.spec_for(ScaleKind.OXFORD) is None
 
 
 class TestAggregateRun:
     def test_full_statistics(self):
-        run = run_of(
+        rows = household(
             member(1, 34, "1", chief=True, income=125000.0),
             member(2, 30, "2", income=39500.0),
             member(3, 10, "1", income=14500.0),
         )
-        settings = AggregationSettings(
-            YEARS,
-            M1F2,
-            scales=ALL_SCALES,
-            income_enabled=True,
-            scaled_by=ScaleKind.OXFORD,
-        )
-        agg = aggregate_run(run, settings)
+        config = settings(*ALL_SCALES, income_enabled=True, scaled_by=ScaleKind.OXFORD)
+        agg = aggregate_one(rows, config)
         assert agg.size == 3
         assert (agg.n_adults, agg.n_children) == (2, 1)
         assert agg.scale_oxford == pytest.approx(2.2)
@@ -343,8 +317,7 @@ class TestAggregateRun:
         assert agg.label_chief_gender == "1"
 
     def test_unconfigured_fields_stay_none(self):
-        run = run_of(member(1, 34))
-        agg = aggregate_run(run, AggregationSettings(YEARS, M1F2))
+        agg = aggregate_one(household(member(1, 34)))
         assert agg.scale_oxford is None
         assert agg.scale_faofam is None
         assert agg.scale_dmp is None
@@ -354,46 +327,32 @@ class TestAggregateRun:
 
     def test_zero_scale_cannot_divide(self):
         # c=0 erases a children-only household from the DMP count
-        run = run_of(member(1, 5, income=1000.0))
-        settings = AggregationSettings(
-            YEARS,
-            M1F2,
-            scales=(ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),),
+        rows = household(member(1, 5, income=1000.0))
+        config = settings(
+            ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),
             income_enabled=True,
             scaled_by=ScaleKind.DMP,
         )
         with pytest.raises(ZeroScaleError):
-            aggregate_run(run, settings)
+            aggregate_one(rows, config)
 
     def test_missing_age_warning_deduplicated(self):
-        # oxford, faofam and the counting pass each parse the same token;
-        # the caller must still see one warning
+        # oxford, faofam and the counts all use the member's one parse, so
+        # the caller sees one warning for the member
         warnings = []
-        run = run_of(member(1, 99, "1"))
-        settings = AggregationSettings(
-            YEARS,
-            M1F2,
-            scales=ALL_SCALES,
-            missing_age_policy=MissingAgePolicy.STRICT,
-        )
-        aggregate_run(run, settings, warnings)
+        config = settings(*ALL_SCALES, missing_age_policy=MissingAgePolicy.STRICT)
+        aggregate_one(household(member(1, 99, "1")), config, warnings)
         assert [w.code for w in warnings] == ["AGE_MISSING"]
 
     def test_distinct_warnings_all_kept(self):
         warnings = []
-        run = run_of(
-            member(1, 99, "1", chief=True, area="1"),
-            member(2, 30, "2", chief=True, area="2"),
+        rows = household(
+            member(1, 99, "1", chief=True),
+            member(2, 30, "2", chief=True),
         )
-        settings = AggregationSettings(
-            YEARS,
-            M1F2,
-            scales=ALL_SCALES,
-            missing_age_policy=MissingAgePolicy.STRICT,
-        )
-        aggregate_run(run, settings, warnings)
-        codes = sorted(w.code for w in warnings)
-        assert codes == ["AGE_MISSING", "HETEROGENEOUS_AREA", "MULTIPLE_CHIEFS"]
+        config = settings(*ALL_SCALES, missing_age_policy=MissingAgePolicy.STRICT)
+        aggregate_one(rows, config, warnings)
+        assert [w.code for w in warnings] == ["AGE_MISSING", "MULTIPLE_CHIEFS"]
 
 
 class TestAggregateAll:
@@ -403,8 +362,7 @@ class TestAggregateAll:
             (key(1), member(2, 40)),
             (key(1), member(3, 8)),
         ]
-        settings = AggregationSettings(YEARS, M1F2)
-        out = list(aggregate_all(rows, settings))
+        out = list(aggregate_all(rows, settings()))
         assert [a.key.canonical for a in out] == ["R1M1C1H2", "R1M1C1H1"]
         assert [a.size for a in out] == [1, 2]
 
@@ -415,9 +373,47 @@ class TestAggregateAll:
             for _ in range(size):
                 line += 1
                 rows.append((key(h), member(line, 20 + line)))
-        out = list(aggregate_all(rows, AggregationSettings(YEARS, M1F2)))
+        out = list(aggregate_all(rows, settings()))
         assert sum(a.size for a in out) == line
         assert len(out) == 3
+
+
+class TestOnePassPerMember:
+    def test_each_token_parsed_once(self, monkeypatch):
+        calls = {"age": 0, "gender": 0}
+        parse_age, parse_gender = hdbprep.aggregate.parse_age, hdbprep.aggregate.parse_gender
+
+        def counted_age(*args):
+            calls["age"] += 1
+            return parse_age(*args)
+
+        def counted_gender(*args):
+            calls["gender"] += 1
+            return parse_gender(*args)
+
+        monkeypatch.setattr(hdbprep.aggregate, "parse_age", counted_age)
+        monkeypatch.setattr(hdbprep.aggregate, "parse_gender", counted_gender)
+        rows = household(member(1, 34, chief=True), member(2, 30, "2"), member(3, 10))
+        rows += household(member(4, 99), member(5, 3), h=2)
+        config = settings(*ALL_SCALES, missing_age_policy=MissingAgePolicy.STRICT)
+        assert len(list(aggregate_all(rows, config))) == 2
+        assert calls == {"age": 5, "gender": 3}  # gender: adults only
+
+    def test_first_bad_token_in_line_order_wins(self):
+        # the adult on line 1 has a bad gender, line 2 a bad age
+        rows = household(member(1, 30, "9"), member(2, "x"))
+        with pytest.raises(BadGenderTokenError) as info:
+            aggregate_one(rows, settings(*ALL_SCALES))
+        assert info.value.line == 1
+
+    def test_sentinel_strict_warns_age_missing_without_member_scales(self):
+        warnings = []
+        rows = household(member(1, 99), member(2, 40), member(3, 99))
+        config = settings(
+            DMP, paper_sentinel=True, missing_age_policy=MissingAgePolicy.STRICT
+        )
+        aggregate_one(rows, config, warnings)
+        assert [(w.code, w.line) for w in warnings] == [("AGE_MISSING", 1), ("AGE_MISSING", 3)]
 
 
 households = st.lists(
@@ -443,8 +439,7 @@ def test_aggregate_invariants(hh):
         for age, gender, chief in people:
             line += 1
             rows.append((key(h), member(line, age, gender, chief=chief)))
-    settings = AggregationSettings(YEARS, M1F2, scales=ALL_SCALES)
-    out = list(aggregate_all(rows, settings))
+    out = list(aggregate_all(rows, settings(*ALL_SCALES)))
     assert sum(a.size for a in out) == line
     for agg in out:
         assert agg.n_adults + agg.n_children == agg.size

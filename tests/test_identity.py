@@ -10,12 +10,11 @@ from hdbprep.errors import (
 from hdbprep.identity import (
     DEFAULT_SCHEME,
     PrefixScheme,
-    identify_stream,
-    key_of_record,
     make_household_key,
     parse_household_key,
 )
 from hdbprep.model import PersonRecord
+from hdbprep.pipeline import PipelineConfig, run_identify
 
 DMCH = PrefixScheme.from_string("DMCH")
 
@@ -91,27 +90,45 @@ def make_record(region="1", milieu="1", cluster="1", household="1"):
     )
 
 
+def identify_records(directory, records):
+    """Write the records as column files and run the standalone identify
+    stage over them; returns the key file's lines."""
+    for name in ("region", "milieu", "cluster", "household"):
+        tokens = [getattr(r, name) for r in records]
+        (directory / f"{name}.txt").write_text(
+            "".join(f"{t}\n" for t in tokens), encoding="utf-8"
+        )
+    for name in ("age", "gender", "poswrchief"):
+        tokens = [getattr(r, f"{name}_raw") for r in records]
+        (directory / f"{name}.txt").write_text(
+            "".join(f"{t}\n" for t in tokens), encoding="utf-8"
+        )
+    run_identify(PipelineConfig(input_dir=directory))
+    return (directory / "identhousehold.txt").read_text(encoding="utf-8").splitlines()
+
+
 class TestIdentifyStream:
-    def test_one_key_per_person_boundaries_preserved(self):
+    def test_one_key_per_person_boundaries_preserved(self, tmp_path):
         records = [
             make_record(household="1"),
             make_record(household="1"),
             make_record(household="2"),
         ]
-        keys = list(identify_stream(records))
+        keys = identify_records(tmp_path, records)
         assert len(keys) == 3
         assert keys[0] == keys[1] != keys[2]
-        assert keys[2].canonical == "R1M1C1H2"
+        assert keys[2] == "R1M1C1H2"
 
-    def test_error_carries_person_position(self):
+    def test_error_carries_person_position(self, tmp_path):
         records = [make_record(), make_record(region="2H")]
         with pytest.raises(PrefixCollisionError) as exc:
-            list(identify_stream(records))
+            identify_records(tmp_path, records)
         assert exc.value.line == 2
 
     def test_key_of_record_matches_manual_concat(self):
         record = make_record(region="9", milieu="8", cluster="7", household="6")
-        assert key_of_record(record).canonical == "R" + "9" + "M" + "8" + "C" + "7" + "H" + "6"
+        key = make_household_key(record.region, record.milieu, record.cluster, record.household)
+        assert key.canonical == "R" + "9" + "M" + "8" + "C" + "7" + "H" + "6"
 
 
 # alphabet free of both schemes' letters so collision errors never fire

@@ -30,7 +30,6 @@ from hdbprep.pipeline import (
     run_identify,
     run_pipeline,
     run_recode,
-    scaled_income,
     write_household_table,
 )
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
@@ -68,13 +67,34 @@ class TestFormatNumber:
 
 
 class TestScaledIncome:
-    def test_divides(self):
-        assert scaled_income(220.0, 2.2) == pytest.approx(100.0)
+    """Per-equivalent-adult income in households.csv: total income over the
+    chosen scale."""
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0])
-    def test_nonpositive_scale(self, scale):
-        with pytest.raises(ZeroScaleError):
-            scaled_income(100.0, scale)
+    def test_divides(self, tmp_path):
+        # chief 1.0 + other adult 0.7 + child 0.5 = 2.2; 220 / 2.2 = 100
+        write_columns(tmp_path, **ONE_HOUSEHOLD, monthlyincome=["100", "100", "20"])
+        run_pipeline(PipelineConfig(input_dir=tmp_path, income_mode=IncomeMode.NUMERIC))
+        with (tmp_path / "households.csv").open(encoding="utf-8") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["total_income"], row["scale_oxford"]) == ("220", "2.2")
+        assert float(row["scaled_income"]) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("scale", [0.0])
+    def test_nonpositive_scale(self, scale, tmp_path):
+        # a children-only household under c = 0 has a DMP scale of 0.0, the
+        # one non-positive scale the aggregation can produce
+        children = dict(ONE_HOUSEHOLD, age=["5", "8", "10"])
+        write_columns(tmp_path, **children, monthlyincome=["100", "100", "20"])
+        config = PipelineConfig(
+            input_dir=tmp_path,
+            income_mode=IncomeMode.NUMERIC,
+            scales=(ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),),
+            scaled_by=ScaleKind.DMP,
+        )
+        with pytest.raises(ZeroScaleError) as info:
+            run_pipeline(config)
+        assert info.value.stage == "aggregate"
+        assert f"dmp scale is {scale}" in str(info.value)
 
 
 class TestDmpFileName:
@@ -424,6 +444,16 @@ def write_columns(directory, **columns):
             "".join(f"{t}\n" for t in tokens), encoding="utf-8"
         )
 
+
+ONE_HOUSEHOLD = dict(
+    region=["1", "1", "1"],
+    milieu=["1", "1", "1"],
+    cluster=["1", "1", "1"],
+    household=["1", "1", "1"],
+    age=["34", "30", "10"],
+    gender=["1", "2", "1"],
+    poswrchief=["1", "2", "2"],
+)
 
 UNSORTED = dict(
     region=["1", "1", "1"],

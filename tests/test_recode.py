@@ -3,7 +3,9 @@ import random
 import pytest
 
 from hdbprep.errors import BadIncomeTokenError, UnknownIncomeCodeError
-from hdbprep.recode import IncomeRangeMap, elim1_default_map, income_from_letter, recode_stream
+from hdbprep.model import IncomeMode
+from hdbprep.pipeline import PipelineConfig, run_recode
+from hdbprep.recode import IncomeRangeMap, elim1_default_map, income_from_letter
 
 # midpoints recomputed by hand from the bracket bounds
 CORRECTED = {
@@ -120,22 +122,28 @@ class TestIncomeFromLetter:
             income_from_letter("b", elim1_default_map())
 
 
-class TestRecodeStream:
-    def test_order_and_length(self):
-        m = elim1_default_map()
-        out = list(recode_stream(["A", "B", "A"], m))
-        assert out == [14500.0, 39500.0, 14500.0]
+def recode_column(directory, tokens):
+    """Recode a letter column file through the standalone recode stage."""
+    (directory / "monthlyincomeNT.txt").write_text(
+        "".join(f"{t}\n" for t in tokens), encoding="utf-8"
+    )
+    run_recode(PipelineConfig(input_dir=directory, income_mode=IncomeMode.LETTERS))
+    text = (directory / "monthlyincome.txt").read_text(encoding="utf-8")
+    return [float(t) for t in text.splitlines()]
 
-    def test_error_carries_line(self):
-        m = elim1_default_map()
+
+class TestRecodeStream:
+    def test_order_and_length(self, tmp_path):
+        assert recode_column(tmp_path, ["A", "B", "A"]) == [14500.0, 39500.0, 14500.0]
+
+    def test_error_carries_line(self, tmp_path):
         with pytest.raises(UnknownIncomeCodeError) as info:
-            list(recode_stream(["A", "Z"], m))
+            recode_column(tmp_path, ["A", "Z"])
         assert info.value.line == 2
 
-    def test_random_letters_against_plain_dict(self):
-        m = elim1_default_map()
+    def test_random_letters_against_plain_dict(self, tmp_path):
         codes = list(CORRECTED) + ["U"]
         rng = random.Random(20260819)
         tokens = [rng.choice(codes) for _ in range(1000)]
         expected = [CORRECTED.get(t, 875000.0) for t in tokens]
-        assert list(recode_stream(tokens, m)) == expected
+        assert recode_column(tmp_path, tokens) == expected

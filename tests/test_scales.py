@@ -6,17 +6,18 @@ from hypothesis import given, strategies as st
 from hdbprep.errors import (
     DmpParamOutOfRangeError,
     EmptyHouseholdError,
-    LengthMismatchError,
 )
 from hdbprep.model import Age, AgeEncoding, Gender
 from hdbprep.scales import (
     ADULT_AGE_YEARS,
     ADULT_CLASS,
-    VALID_WEIGHTS,
+    WEIGHT_ADULT_FEMALE,
+    WEIGHT_ADULT_OTHER,
+    WEIGHT_CHILD,
+    WEIGHT_FULL,
     classify_adult,
     dmp_scale,
     faofam_weight,
-    household_equivalent_income,
     oxford_weight,
 )
 
@@ -99,8 +100,9 @@ class TestFaofamWeight:
 )
 def test_weights_stay_in_the_published_set(age_value, chief, gender):
     age = Age(age_value)
-    assert oxford_weight(age, YEARS, chief) in VALID_WEIGHTS
-    assert faofam_weight(age, YEARS, gender) in VALID_WEIGHTS
+    published = {WEIGHT_CHILD, WEIGHT_ADULT_OTHER, WEIGHT_ADULT_FEMALE, WEIGHT_FULL}
+    assert oxford_weight(age, YEARS, chief) in published
+    assert faofam_weight(age, YEARS, gender) in published
 
 
 class TestDmpScale:
@@ -144,18 +146,3 @@ class TestDmpScale:
         assert dmp_scale(na + 1, ne, c, s) >= base
         assert dmp_scale(na, ne + 1, c, s) >= base
 
-
-class TestHouseholdEquivalentIncome:
-    def test_single_member(self):
-        assert household_equivalent_income([1.0], [100.0]) == 100.0
-
-    def test_dot_product(self):
-        assert household_equivalent_income([1.0, 0.7, 0.5], [100, 100, 100]) == pytest.approx(220.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(LengthMismatchError):
-            household_equivalent_income([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            household_equivalent_income([1.0], [100, 200])

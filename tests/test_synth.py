@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hdbprep.errors import ConfigError
-from hdbprep.identity import key_of_record
+from hdbprep.identity import make_household_key
 from hdbprep.ingest import ColumnSource, Variable, read_column_file, read_table
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, Member, ScaleKind
 from hdbprep.aggregate import AggregationSettings, aggregate_all
@@ -22,6 +22,10 @@ YEARS = AgeEncoding.YEARS
 M1F2 = GenderEncoding.MALE1_FEMALE2
 
 
+def key_of(p):
+    return make_household_key(p.region, p.milieu, p.cluster, p.household)
+
+
 def rows_of(result):
     """(key, member) rows for the generated persons, income taken from the
     numeric token when present."""
@@ -30,12 +34,11 @@ def rows_of(result):
     for i, p in enumerate(result.persons, 1):
         rows.append(
             (
-                key_of_record(p),
+                key_of(p),
                 Member(
                     line=i,
                     age_raw=p.age_raw,
                     gender_raw=p.gender_raw,
-                    area=p.region,
                     is_chief=p.poswrchief_raw == "1",
                     income=float(p.income_raw) if numeric else None,
                 ),
@@ -99,7 +102,7 @@ class TestGenerate:
 
     def test_members_are_consecutive_by_key(self):
         result = generate(SynthParams(n_households=40, seed=3))
-        keys = [key_of_record(p).canonical for p in result.persons]
+        keys = [key_of(p).canonical for p in result.persons]
         blocks = []
         for canonical in keys:
             if not blocks or blocks[-1] != canonical:
@@ -108,7 +111,7 @@ class TestGenerate:
 
     def test_truth_sizes_match_person_stream(self):
         result = generate(SynthParams(n_households=25, seed=9))
-        keys = [key_of_record(p).canonical for p in result.persons]
+        keys = [key_of(p).canonical for p in result.persons]
         for agg in result.ground_truth:
             assert agg.size == keys.count(agg.key.canonical)
             assert 1 <= agg.size <= result.params.max_household_size
@@ -139,7 +142,7 @@ class TestGenerate:
         result = generate(SynthParams(n_households=30, seed=11))
         chiefs = {}
         for p in result.persons:
-            key = key_of_record(p).canonical
+            key = key_of(p).canonical
             chiefs[key] = chiefs.get(key, 0) + (p.poswrchief_raw == "1")
         assert set(chiefs.values()) == {1}
         for agg in result.ground_truth:
@@ -182,7 +185,7 @@ class TestAnomalies:
         count = sum(
             p.poswrchief_raw == "1"
             for p in result.persons
-            if key_of_record(p).canonical == target
+            if key_of(p).canonical == target
         )
         assert count == 2
 
