@@ -21,30 +21,31 @@ from hdbprep import (
     write_column_files,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="hdbprep_demo_"))
-result = generate(SynthParams(n_households=25, seed=7, anomalies=True))
-write_column_files(result, workdir)
-print(f"generated {len(result.persons)} persons in {len(result.ground_truth)} "
-      f"households under {workdir}")
+with tempfile.TemporaryDirectory(prefix="hdbprep_demo_") as tmp:
+    workdir = Path(tmp)
+    result = generate(SynthParams(n_households=25, seed=7, anomalies=True))
+    write_column_files(result, workdir)
+    print(f"generated {len(result.persons)} persons in {len(result.ground_truth)} "
+          f"households under {workdir}")
 
-config = PipelineConfig(
-    input_dir=workdir,
-    income_mode=IncomeMode.LETTERS,
-    out_dir=workdir / "out",
-)
-report = run_pipeline(config)
-print(report.render())
+    config = PipelineConfig(
+        input_dir=workdir,
+        income_mode=IncomeMode.LETTERS,
+        out_dir=workdir / "out",
+    )
+    report = run_pipeline(config)
+    print(report.render())
 
-table = (workdir / "out" / "households.csv").read_text().splitlines()
-print("first household rows:")
-for line in table[:4]:
-    print(" ", line)
+    table = (workdir / "out" / "households.csv").read_text().splitlines()
+    print("first household rows:")
+    for line in table[:4]:
+        print(" ", line)
 
-# the generator kept its own books, so the output can be checked directly
-truth = result.ground_truth[0]
-first = table[1].split(",")
-print("ground truth for", truth.key.canonical,
-      "size", truth.size, "oxford", truth.scale_oxford)
-assert first[0] == truth.key.canonical
-assert int(first[1]) == truth.size
-print("pipeline output matches the generator's ground truth")
+    # the generator kept its own books, so the output can be checked directly
+    truth = result.ground_truth[0]
+    first = table[1].split(",")
+    print("ground truth for", truth.key.canonical,
+          "size", truth.size, "oxford", truth.scale_oxford)
+    assert first[0] == truth.key.canonical
+    assert int(first[1]) == truth.size
+    print("pipeline output matches the generator's ground truth")

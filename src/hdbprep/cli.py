@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands mirror the step-by-step preparation workflow: `identify`,
-`recode-income` and `aggregate` run one stage each, `run` fuses everything
-into a single pass, and `synth` generates a test database in the same
-layout. Every flag mirrors a config key and wins over the file.
+`recode-income` and `aggregate` select one stage's outputs from the
+pipeline's single pass, `run` selects all of them, and `synth` generates a
+test database in the same layout. Every flag mirrors a config key and wins
+over the file.
 """
 
 from __future__ import annotations

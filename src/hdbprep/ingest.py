@@ -21,6 +21,7 @@ from .errors import (
     BadGenderTokenError,
     BlankLineError,
     ConfigError,
+    DataError,
     EmptyFileError,
     IoError,
     LengthMismatchError,
@@ -75,6 +76,20 @@ class TableSource:
     delimiter: str = ","
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+    """The error for an input that is not UTF-8, at the 1-based line of its
+    first undecodable byte. A chunked read reports offsets within its
+    chunk, so they are taken again from the whole file."""
+    try:
+        path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    bad = exc.object[exc.start : exc.end]
+    return DataError(f"bytes {bad!r} are not valid UTF-8").at(
+        source=str(path), line=exc.object[: exc.start].count(b"\n") + 1
+    )
+
+
 def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
     """Read a one-token-per-line file into a list of stripped tokens.
 
@@ -88,6 +103,8 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
         text = source.path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot read {source.path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source.path, exc) from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -165,47 +182,50 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[PersonRecord]:
         handle = source.path.open(encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IoError(f"cannot read {source.path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle, delimiter=source.delimiter)
-        try:
-            for _ in range(skip_header):
-                next(reader)
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError("no header row").at(source=str(source.path)) from None
-        names = [cell.strip() for cell in header]
-        positions: dict[Variable, int] = {}
-        for variable, column_name in source.column_map.items():
+    try:
+        with handle:
+            reader = csv.reader(handle, delimiter=source.delimiter)
             try:
-                positions[variable] = names.index(column_name)
-            except ValueError:
-                raise MissingColumnError(column_name).at(
-                    source=str(source.path)
-                ) from None
-        for variable in REQUIRED_VARIABLES:
-            if variable not in positions:
-                raise ConfigError(
-                    f"column map does not cover variable '{variable.value}'"
+                for _ in range(skip_header):
+                    next(reader)
+                header = next(reader)
+            except StopIteration:
+                raise EmptyFileError("no header row").at(source=str(source.path)) from None
+            names = [cell.strip() for cell in header]
+            positions: dict[Variable, int] = {}
+            for variable, column_name in source.column_map.items():
+                try:
+                    positions[variable] = names.index(column_name)
+                except ValueError:
+                    raise MissingColumnError(column_name).at(
+                        source=str(source.path)
+                    ) from None
+            for variable in REQUIRED_VARIABLES:
+                if variable not in positions:
+                    raise ConfigError(
+                        f"column map does not cover variable '{variable.value}'"
+                    )
+            records: list[PersonRecord] = []
+            for row in reader:
+                line = reader.line_num
+                if len(row) != len(names):
+                    raise RowArityMismatchError(expected=len(names), actual=len(row)).at(
+                        source=str(source.path), line=line
+                    )
+                cell = {v: row[i].strip() for v, i in positions.items()}
+                record = PersonRecord(
+                    region=cell[Variable.REGION],
+                    milieu=cell[Variable.MILIEU],
+                    cluster=cell[Variable.CLUSTER],
+                    household=cell[Variable.HOUSEHOLD],
+                    age_raw=cell[Variable.AGE],
+                    gender_raw=cell[Variable.GENDER],
+                    poswrchief_raw=cell[Variable.POSWRCHIEF],
+                    income_raw=cell.get(Variable.INCOME),
                 )
-        records: list[PersonRecord] = []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(names):
-                raise RowArityMismatchError(expected=len(names), actual=len(row)).at(
-                    source=str(source.path), line=line
-                )
-            cell = {v: row[i].strip() for v, i in positions.items()}
-            record = PersonRecord(
-                region=cell[Variable.REGION],
-                milieu=cell[Variable.MILIEU],
-                cluster=cell[Variable.CLUSTER],
-                household=cell[Variable.HOUSEHOLD],
-                age_raw=cell[Variable.AGE],
-                gender_raw=cell[Variable.GENDER],
-                poswrchief_raw=cell[Variable.POSWRCHIEF],
-                income_raw=cell.get(Variable.INCOME),
-            )
-            records.append(record)
+                records.append(record)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source.path, exc) from None
     if not records:
         raise EmptyFileError("no data rows").at(source=str(source.path))
     return records

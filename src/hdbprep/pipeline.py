@@ -1,39 +1,38 @@
-"""End-to-end orchestration: read persons, build keys, recode income,
-aggregate households, write output files.
+"""End-to-end orchestration: one pass reads the persons, builds their
+household keys, recodes or parses their incomes, folds households and
+writes the selected outputs.
 
 The pipeline owns configuration (an INI file, every key mirrored by a CLI
-flag) and the on-disk output contract. Person-level outputs keep input
-order; household-level files are aligned with each other row by row, one
-row per household run, in run order.
+flag) and the on-disk output contract. Every command is a selection of
+outputs from the same pass, and the pass does only the work its selection
+needs: `identify` builds keys and never recodes an income,
+`recode-income` recodes incomes without building keys, and households are
+folded only when a household output is selected. Nothing is written until
+every step has succeeded, so a run that stops on a data error writes none
+of its outputs (an I/O failure part-way through the writes can still leave
+the files written before it).
+
+Person-level outputs keep input order; household-level files are aligned
+with each other row by row, one row per household run, in run order.
 
 Output files
     identhousehold.txt      canonical key, one line per person
     monthlyincome.txt       recoded amount, one line per person (letter mode)
-    scaleoxford.txt         Oxford scale, one line per household
-    scalefaofam.txt         FAO-OMS scale, one line per household
-    scaleDMP-<c>-<s>.txt    DMP scale; the name embeds the parameters
-    sizehousehold.txt       household size
-    totalincome.txt         household income total
-    labelregion.txt         area label
-    labelgender.txt         chief-gender label
-    households.csv          all of the above joined into one table
+    per-variable files      one value per household; see _HOUSEHOLD_FILES
+    households.csv          every household column in one table
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .aggregate import AggregationSettings, aggregate_all
-from .errors import (
-    BadIncomeTokenError,
-    ConfigError,
-    HdbError,
-    IoError,
-)
+from .errors import BadIncomeTokenError, ConfigError, HdbError, IoError
 from .identity import DEFAULT_SCHEME, PrefixScheme, make_household_key
 from .ingest import (
     ColumnSource,
@@ -51,7 +50,6 @@ from .model import (
     IncomeMode,
     Member,
     MissingAgePolicy,
-    PersonRecord,
     ScaleKind,
     ScaleSpec,
     WarningRecord,
@@ -73,16 +71,31 @@ DEFAULT_NUMERIC_INCOME_FILE = "monthlyincome.txt"
 
 IDENT_FILE = "identhousehold.txt"
 RECODED_INCOME_FILE = "monthlyincome.txt"
-SIZE_FILE = "sizehousehold.txt"
-OXFORD_FILE = "scaleoxford.txt"
-FAOFAM_FILE = "scalefaofam.txt"
-TOTAL_INCOME_FILE = "totalincome.txt"
-AREA_LABEL_FILE = "labelregion.txt"
-CHIEF_LABEL_FILE = "labelgender.txt"
 TABLE_FILE = "households.csv"
 
+#: The per-variable household files in output order: (--only name, file
+#: name, HouseholdAggregate attribute). The DMP file's name embeds its
+#: parameters, so it is made by dmp_file_name.
+_HOUSEHOLD_FILES = (
+    ("oxford", "scaleoxford.txt", "scale_oxford"),
+    ("faofam", "scalefaofam.txt", "scale_faofam"),
+    ("dmp", None, "scale_dmp"),
+    ("size", "sizehousehold.txt", "size"),
+    ("income", "totalincome.txt", "total_income"),
+    ("area", "labelregion.txt", "label_area"),
+    ("chief", "labelgender.txt", "label_chief_gender"),
+)
+
 #: Selectable per-variable outputs of the aggregate stage.
-AGGREGATE_OUTPUTS = ("oxford", "faofam", "dmp", "size", "income", "area", "chief")
+AGGREGATE_OUTPUTS = tuple(name for name, _, _ in _HOUSEHOLD_FILES)
+
+#: The columns of households.csv: HouseholdAggregate attributes, which are
+#: also the header.
+_TABLE_COLUMNS = (
+    "key", "size", "n_adults", "n_children", "scale_oxford", "scale_faofam",
+    "scale_dmp", "total_income", "scaled_income", "label_area",
+    "label_chief_gender",
+)
 
 _DEFAULT_SCALES = (
     ScaleSpec(ScaleKind.OXFORD),
@@ -90,16 +103,8 @@ _DEFAULT_SCALES = (
     ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
 )
 
-_DEFAULT_TABLE_COLUMNS = (
-    ("region", "region"),
-    ("milieu", "milieu"),
-    ("cluster", "cluster"),
-    ("household", "household"),
-    ("age", "age"),
-    ("gender", "gender"),
-    ("poswrchief", "poswrchief"),
-    ("income", "income"),
-)
+#: Table mode: the header name of each variable's column, by default its own.
+_DEFAULT_TABLE_COLUMNS = tuple((v.value, v.value) for v in Variable)
 
 
 @dataclass(frozen=True)
@@ -108,18 +113,14 @@ class PipelineConfig:
 
     ``input_dir`` anchors every relative path (input files and, unless
     ``out_dir`` is set, the outputs too, matching the one-folder workflow
-    the file formats come from).
+    the file formats come from). ``column_files`` names the file of each
+    variable in columns mode; the income file follows the income mode
+    unless ``income_file`` names it.
     """
 
     input_mode: str = "columns"
     input_dir: Path | str = Path(".")
-    region_file: str = DEFAULT_COLUMN_FILES[Variable.REGION]
-    milieu_file: str = DEFAULT_COLUMN_FILES[Variable.MILIEU]
-    cluster_file: str = DEFAULT_COLUMN_FILES[Variable.CLUSTER]
-    household_file: str = DEFAULT_COLUMN_FILES[Variable.HOUSEHOLD]
-    age_file: str = DEFAULT_COLUMN_FILES[Variable.AGE]
-    gender_file: str = DEFAULT_COLUMN_FILES[Variable.GENDER]
-    poswrchief_file: str = DEFAULT_COLUMN_FILES[Variable.POSWRCHIEF]
+    column_files: Mapping[Variable, str] = field(default_factory=DEFAULT_COLUMN_FILES.copy)
     income_file: str | None = None
     table_file: str | None = None
     table_delimiter: str = ","
@@ -215,10 +216,18 @@ def load_config(path: Path) -> PipelineConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # income-map letters are case-sensitive
     try:
-        with path.open(encoding="utf-8") as handle:
-            parser.read_file(handle)
+        data = path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    try:
+        # newline=None: the universal newlines of a file opened in text mode
+        parser.read_file(
+            io.StringIO(data.decode("utf-8"), newline=None), source=str(path)
+        )
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file is not valid UTF-8").at(
+            source=str(path), line=data[: exc.start].count(b"\n") + 1
+        ) from None
     except configparser.Error as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
@@ -247,10 +256,6 @@ def load_config(path: Path) -> PipelineConfig:
 
     input_dir = base / get("input", "dir", ".")
     income_mode = IncomeMode.from_config(get("income", "mode", "none"))
-
-    table_columns = []
-    for variable, default_header in _DEFAULT_TABLE_COLUMNS:
-        table_columns.append((variable, get("input", f"{variable}_column", default_header)))
 
     income_map = None
     if parser.has_section("income_map"):
@@ -292,17 +297,17 @@ def load_config(path: Path) -> PipelineConfig:
     return PipelineConfig(
         input_mode=get("input", "mode", "columns").strip(),
         input_dir=input_dir,
-        region_file=get("input", "region", DEFAULT_COLUMN_FILES[Variable.REGION]),
-        milieu_file=get("input", "milieu", DEFAULT_COLUMN_FILES[Variable.MILIEU]),
-        cluster_file=get("input", "cluster", DEFAULT_COLUMN_FILES[Variable.CLUSTER]),
-        household_file=get("input", "household", DEFAULT_COLUMN_FILES[Variable.HOUSEHOLD]),
-        age_file=get("input", "age", DEFAULT_COLUMN_FILES[Variable.AGE]),
-        gender_file=get("input", "gender", DEFAULT_COLUMN_FILES[Variable.GENDER]),
-        poswrchief_file=get("input", "poswrchief", DEFAULT_COLUMN_FILES[Variable.POSWRCHIEF]),
+        column_files={
+            variable: get("input", variable.value, name)
+            for variable, name in DEFAULT_COLUMN_FILES.items()
+        },
         income_file=get("input", "income", None),
         table_file=get("input", "table", None),
         table_delimiter=get("input", "delimiter", ","),
-        table_columns=tuple(table_columns),
+        table_columns=tuple(
+            (name, get("input", f"{name}_column", header))
+            for name, header in _DEFAULT_TABLE_COLUMNS
+        ),
         skip_header=getint("input", "skip_header", 0),
         scheme=PrefixScheme.from_string(get("identify", "scheme", "RMCH")),
         age_encoding=AgeEncoding.from_config(get("variables", "age_encoding", "years")),
@@ -355,6 +360,16 @@ def _write_lines(path: Path, lines: Iterable[str]) -> Path:
     return path
 
 
+def _cell(value) -> str:
+    """How every household value is written: None as an empty cell, a
+    float through format_number, anything else as its str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format_number(value)
+    return str(value)
+
+
 def write_household_table(
     aggregates: Sequence[HouseholdAggregate], path: Path
 ) -> Path:
@@ -362,80 +377,55 @@ def write_household_table(
     present; empty column where a statistic was not configured)."""
     import csv
 
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, str):
-            return value
-        if isinstance(value, int):
-            return str(value)
-        return format_number(value)
-
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(
-                ["key", "size", "n_adults", "n_children", "scale_oxford",
-                 "scale_faofam", "scale_dmp", "total_income", "scaled_income",
-                 "label_area", "label_chief_gender"]
-            )
+            writer.writerow(_TABLE_COLUMNS)
             for a in aggregates:
-                writer.writerow(
-                    [a.key.canonical, cell(a.size), cell(a.n_adults),
-                     cell(a.n_children), cell(a.scale_oxford), cell(a.scale_faofam),
-                     cell(a.scale_dmp), cell(a.total_income), cell(a.scaled_income),
-                     a.label_area, a.label_chief_gender]
-                )
+                writer.writerow([_cell(getattr(a, name)) for name in _TABLE_COLUMNS])
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def _read_persons(config: PipelineConfig) -> list[PersonRecord]:
+def _read_persons(config: PipelineConfig, *, income_only: bool = False) -> list:
+    """Every person in line order, or with ``income_only`` only their income
+    tokens; in columns mode those come from the income file alone."""
     want_income = config.income_mode is not IncomeMode.NONE
+    income = ColumnSource(config.input_dir / config.effective_income_file, Variable.INCOME)
     try:
         if config.input_mode == "columns":
+            if income_only:
+                return read_column_file(income, skip_header=config.skip_header)
             sources = [
-                ColumnSource(config.input_dir / config.region_file, Variable.REGION),
-                ColumnSource(config.input_dir / config.milieu_file, Variable.MILIEU),
-                ColumnSource(config.input_dir / config.cluster_file, Variable.CLUSTER),
-                ColumnSource(config.input_dir / config.household_file, Variable.HOUSEHOLD),
-                ColumnSource(config.input_dir / config.age_file, Variable.AGE),
-                ColumnSource(config.input_dir / config.gender_file, Variable.GENDER),
-                ColumnSource(config.input_dir / config.poswrchief_file, Variable.POSWRCHIEF),
+                ColumnSource(config.input_dir / name, variable)
+                for variable, name in config.column_files.items()
             ]
             if want_income:
-                sources.append(
-                    ColumnSource(
-                        config.input_dir / config.effective_income_file, Variable.INCOME
-                    )
-                )
+                sources.append(income)
             return read_column_sources(sources, skip_header=config.skip_header)
-        column_map = {}
-        for variable_name, header in config.table_columns:
-            variable = Variable(variable_name)
-            if variable is Variable.INCOME and not want_income:
-                continue
-            column_map[variable] = header
+        column_map = {
+            Variable(name): header
+            for name, header in config.table_columns
+            if want_income or name != Variable.INCOME.value
+        }
         source = TableSource(
             config.input_dir / config.table_file,
             column_map,
             delimiter=config.table_delimiter,
         )
-        return read_table(source, skip_header=config.skip_header)
+        persons = read_table(source, skip_header=config.skip_header)
+        return [person.income_raw for person in persons] if income_only else persons
     except HdbError as exc:
         raise exc.at(stage="ingest")
 
 
-def _member_income(
-    record: PersonRecord, config: PipelineConfig, mapping: IncomeRangeMap | None
-) -> float | None:
-    if config.income_mode is IncomeMode.NONE:
-        return None
-    if config.income_mode is IncomeMode.LETTERS:
-        return income_from_letter(record.income_raw, mapping)
-    token = record.income_raw
+def _parse_income(token: str, mapping: IncomeRangeMap | None) -> float:
+    """A letter token recoded through ``mapping``, or without one a numeric
+    token read as a finite amount."""
+    if mapping is not None:
+        return income_from_letter(token, mapping)
     try:
         value = float(token)
     except ValueError:
@@ -445,250 +435,156 @@ def _member_income(
     return value
 
 
-def _build_rows(
-    config: PipelineConfig, persons: Sequence[PersonRecord]
-) -> list[tuple[HouseholdKey, Member]]:
-    """Pair every person with their household key and parsed-enough Member.
-
-    Rows come back in input order; the aggregation stage decides whether to
-    sort. Person index (1-based) is the line number carried into all later
-    error messages.
-    """
-    mapping = (
-        config.active_income_map()
-        if config.income_mode is IncomeMode.LETTERS
-        else None
-    )
-    rows: list[tuple[HouseholdKey, Member]] = []
-    for i, person in enumerate(persons, 1):
-        try:
-            key = make_household_key(
-                person.region, person.milieu, person.cluster, person.household,
-                config.scheme,
-            )
-        except HdbError as exc:
-            raise exc.at(line=i, stage="identify")
-        try:
-            income = _member_income(person, config, mapping)
-        except HdbError as exc:
-            raise exc.at(line=i, stage="recode")
-        rows.append(
-            (
-                key,
-                Member(
-                    line=i,
-                    age_raw=person.age_raw,
-                    gender_raw=person.gender_raw,
-                    is_chief=person.is_chief,
-                    income=income,
-                ),
-            )
-        )
-    return rows
-
-
-def _settings_for(config: PipelineConfig, *, with_scaled_income: bool) -> AggregationSettings:
-    return AggregationSettings(
-        age_encoding=config.age_encoding,
-        gender_encoding=config.gender_encoding,
-        scales=config.scales,
-        income_enabled=config.income_mode is not IncomeMode.NONE,
-        scaled_by=(
-            config.scaled_by
-            if with_scaled_income and config.income_mode is not IncomeMode.NONE
-            else None
-        ),
-        paper_sentinel=config.paper_sentinel,
-        missing_age_policy=config.missing_age_policy,
-    )
-
-
-def _aggregate_rows(
+def _run(
     config: PipelineConfig,
-    rows: list[tuple[HouseholdKey, Member]],
-    warnings: list[WarningRecord],
     *,
-    with_scaled_income: bool,
-) -> list[HouseholdAggregate]:
-    if config.sort:
-        rows = sorted(rows, key=lambda row: row[0].canonical)
-    settings = _settings_for(config, with_scaled_income=with_scaled_income)
-    try:
-        return list(aggregate_all(rows, settings, warnings))
-    except HdbError as exc:
-        raise exc.at(stage="aggregate")
+    keys: bool = False,
+    amounts: bool = False,
+    files: bool = False,
+    only: Sequence[str] | None = None,
+    table: bool = False,
+) -> RunReport:
+    """The one pass behind every command, writing the selected outputs:
+    ``keys`` the key file, ``amounts`` the recoded-income file, ``files``
+    the per-variable household files (``only`` picks a subset; default
+    every file the config enables) and ``table`` households.csv.
 
-
-def run_identify(config: PipelineConfig) -> RunReport:
-    """Standalone key-building pass: write one canonical key per person."""
-    persons = _read_persons(config)
-    rows = _build_rows(config, persons)
-    out = _write_lines(
-        config.effective_out_dir / IDENT_FILE,
-        (key.canonical for key, _ in rows),
-    )
-    return RunReport(persons=len(persons), households=None, outputs=(out,))
-
-
-def run_recode(config: PipelineConfig) -> RunReport:
-    """Standalone income recoding: letter file in, amount file out.
-
-    Reads only the income tokens (the one-pass workflow this mirrors does
-    not need the other variables yet).
+    Each person is handled in line order: key, then income, then member,
+    each only when a selected output needs it. Households are folded only
+    for a household output, and the scaled income is computed only for
+    households.csv. Nothing is written before every step has succeeded.
     """
-    if config.income_mode is not IncomeMode.LETTERS:
-        raise ConfigError("income recoding needs income mode 'letters'")
-    mapping = config.active_income_map()
-    try:
-        if config.input_mode == "columns":
-            tokens = read_column_file(
-                ColumnSource(
-                    config.input_dir / config.effective_income_file, Variable.INCOME
-                ),
-                skip_header=config.skip_header,
-            )
-        else:
-            persons = _read_persons(config)
-            tokens = [person.income_raw for person in persons]
-    except HdbError as exc:
-        raise exc.at(stage="ingest")
-    amounts = []
-    for i, token in enumerate(tokens, 1):
-        try:
-            amounts.append(income_from_letter(token, mapping))
-        except HdbError as exc:
-            raise exc.at(line=i, stage="recode")
-    out = _write_lines(
-        config.effective_out_dir / RECODED_INCOME_FILE,
-        (format_number(a) for a in amounts),
-    )
-    return RunReport(persons=len(tokens), households=None, outputs=(out,))
-
-
-def _aggregate_file_plan(
-    config: PipelineConfig, only: Sequence[str] | None
-) -> list[str]:
-    configured = {spec.kind.value for spec in config.scales}
-    available = [name for name in ("oxford", "faofam", "dmp") if name in configured]
-    available.append("size")
-    if config.income_mode is not IncomeMode.NONE:
-        available.append("income")
-    available.extend(("area", "chief"))
-    if only is None:
-        return available
+    with_income = config.income_mode is not IncomeMode.NONE
+    enabled = {spec.kind.value for spec in config.scales} | {"size", "area", "chief"}
+    if with_income:
+        enabled.add("income")
     plan = []
-    for name in only:
+    for name in (AGGREGATE_OUTPUTS if only is None else only) if files else ():
         if name not in AGGREGATE_OUTPUTS:
             raise ConfigError(
                 f"unknown aggregate output {name!r} (choose from {', '.join(AGGREGATE_OUTPUTS)})"
             )
-        if name not in available:
+        if name not in enabled:
+            if only is None:
+                continue
             raise ConfigError(f"aggregate output {name!r} is not enabled by this config")
-        if name not in plan:
-            plan.append(name)
-    return plan
+        spec = _HOUSEHOLD_FILES[AGGREGATE_OUTPUTS.index(name)]
+        if spec not in plan:
+            plan.append(spec)
 
+    fold = files or table
+    need_keys = keys or fold
+    need_income = with_income and (amounts or fold)
+    mapping = (
+        config.active_income_map() if config.income_mode is IncomeMode.LETTERS else None
+    )
+    scheme = config.scheme
+    persons = _read_persons(config, income_only=not need_keys)
+    key_lines: list[str] = []
+    amount_list: list[float] = []
+    rows: list[tuple[HouseholdKey, Member]] = []
+    for line, person in enumerate(persons, 1):
+        if need_keys:
+            try:
+                key = make_household_key(
+                    person.region, person.milieu, person.cluster, person.household, scheme
+                )
+            except HdbError as exc:
+                raise exc.at(line=line, stage="identify")
+            if keys:
+                key_lines.append(key.canonical)
+        income = None
+        if need_income:
+            try:
+                # without keys the pass reads bare income tokens
+                income = _parse_income(person.income_raw if need_keys else person, mapping)
+            except HdbError as exc:
+                raise exc.at(line=line, stage="recode")
+            if amounts:
+                amount_list.append(income)
+        if fold:
+            member = Member(line, person.age_raw, person.gender_raw, person.is_chief, income)
+            rows.append((key, member))
 
-def _write_aggregate_files(
-    config: PipelineConfig,
-    aggregates: Sequence[HouseholdAggregate],
-    plan: Sequence[str],
-) -> list[Path]:
+    aggregates = None
+    warnings: list[WarningRecord] = []
+    if fold:
+        if config.sort:
+            rows.sort(key=lambda row: row[0].canonical)
+        settings = AggregationSettings(
+            age_encoding=config.age_encoding,
+            gender_encoding=config.gender_encoding,
+            scales=config.scales,
+            income_enabled=with_income,
+            scaled_by=config.scaled_by if table and with_income else None,
+            paper_sentinel=config.paper_sentinel,
+            missing_age_policy=config.missing_age_policy,
+        )
+        try:
+            aggregates = list(aggregate_all(rows, settings, warnings))
+        except HdbError as exc:
+            raise exc.at(stage="aggregate")
+
     out_dir = config.effective_out_dir
-    dmp = config.dmp_spec()
     outputs = []
-    for name in plan:
-        if name == "oxford":
-            outputs.append(_write_lines(
-                out_dir / OXFORD_FILE,
-                (format_number(a.scale_oxford) for a in aggregates),
-            ))
-        elif name == "faofam":
-            outputs.append(_write_lines(
-                out_dir / FAOFAM_FILE,
-                (format_number(a.scale_faofam) for a in aggregates),
-            ))
-        elif name == "dmp":
-            outputs.append(_write_lines(
-                out_dir / dmp_file_name(dmp.dmp_c, dmp.dmp_s),
-                (format_number(a.scale_dmp) for a in aggregates),
-            ))
-        elif name == "size":
-            outputs.append(_write_lines(
-                out_dir / SIZE_FILE, (str(a.size) for a in aggregates)
-            ))
-        elif name == "income":
-            outputs.append(_write_lines(
-                out_dir / TOTAL_INCOME_FILE,
-                (format_number(a.total_income) for a in aggregates),
-            ))
-        elif name == "area":
-            outputs.append(_write_lines(
-                out_dir / AREA_LABEL_FILE, (a.label_area for a in aggregates)
-            ))
-        else:
-            outputs.append(_write_lines(
-                out_dir / CHIEF_LABEL_FILE,
-                (a.label_chief_gender for a in aggregates),
-            ))
-    return outputs
+    if keys:
+        outputs.append(_write_lines(out_dir / IDENT_FILE, key_lines))
+    if amounts:
+        outputs.append(
+            _write_lines(out_dir / RECODED_INCOME_FILE, map(format_number, amount_list))
+        )
+    dmp = config.dmp_spec()
+    for _, file_name, attribute in plan:
+        path = out_dir / (file_name or dmp_file_name(dmp.dmp_c, dmp.dmp_s))
+        outputs.append(
+            _write_lines(path, (_cell(getattr(a, attribute)) for a in aggregates))
+        )
+    if table:
+        outputs.append(write_household_table(aggregates, out_dir / TABLE_FILE))
+    return RunReport(
+        persons=len(persons),
+        households=None if aggregates is None else len(aggregates),
+        outputs=tuple(outputs),
+        warnings=tuple(warnings),
+    )
+
+
+def run_identify(config: PipelineConfig) -> RunReport:
+    """Write one canonical key per person; incomes are never recoded."""
+    return _run(config, keys=True)
+
+
+def run_recode(config: PipelineConfig) -> RunReport:
+    """Recode letter incomes into the amount file. In columns mode only the
+    income file is read (the one-pass workflow this mirrors does not need
+    the other variables yet)."""
+    if config.income_mode is not IncomeMode.LETTERS:
+        raise ConfigError("income recoding needs income mode 'letters'")
+    return _run(config, amounts=True)
 
 
 def run_aggregate(
     config: PipelineConfig, only: Sequence[str] | None = None
 ) -> RunReport:
-    """Aggregation pass writing the selected per-variable household files;
-    ``only`` picks a subset (default: everything the config enables)."""
-    plan = _aggregate_file_plan(config, only)
-    persons = _read_persons(config)
-    rows = _build_rows(config, persons)
-    warnings: list[WarningRecord] = []
-    aggregates = _aggregate_rows(config, rows, warnings, with_scaled_income=False)
-    outputs = _write_aggregate_files(config, aggregates, plan)
-    return RunReport(
-        persons=len(persons),
-        households=len(aggregates),
-        outputs=tuple(outputs),
-        warnings=tuple(warnings),
-    )
+    """Write the selected per-variable household files; ``only`` picks a
+    subset (default: everything the config enables)."""
+    return _run(config, files=True, only=only)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """The full fused run: person-level files, every enabled household
     file, and the combined households.csv."""
-    persons = _read_persons(config)
-    rows = _build_rows(config, persons)
-    skipped = []
-
-    outputs = [
-        _write_lines(
-            config.effective_out_dir / IDENT_FILE,
-            (key.canonical for key, _ in rows),
-        )
-    ]
-    if config.income_mode is IncomeMode.LETTERS:
-        outputs.append(
-            _write_lines(
-                config.effective_out_dir / RECODED_INCOME_FILE,
-                (format_number(member.income) for _, member in rows),
-            )
-        )
-    elif config.income_mode is IncomeMode.NONE:
-        skipped.append("income recoding and totals: no income configured")
-
-    warnings: list[WarningRecord] = []
-    aggregates = _aggregate_rows(config, rows, warnings, with_scaled_income=True)
-    plan = _aggregate_file_plan(config, None)
-    outputs.extend(_write_aggregate_files(config, aggregates, plan))
-    if config.income_mode is not IncomeMode.NONE and config.scaled_by is None:
-        skipped.append("scaled income: no scale chosen")
-    outputs.append(
-        write_household_table(aggregates, config.effective_out_dir / TABLE_FILE)
+    report = _run(
+        config,
+        keys=True,
+        amounts=config.income_mode is IncomeMode.LETTERS,
+        files=True,
+        table=True,
     )
-    return RunReport(
-        persons=len(persons),
-        households=len(aggregates),
-        outputs=tuple(outputs),
-        warnings=tuple(warnings),
-        skipped=tuple(skipped),
-    )
+    if config.income_mode is IncomeMode.NONE:
+        skipped = ("income recoding and totals: no income configured",)
+    elif config.scaled_by is None:
+        skipped = ("scaled income: no scale chosen",)
+    else:
+        skipped = ()
+    return replace(report, skipped=skipped)

@@ -155,3 +155,83 @@ class TestStageCommands:
         code = main(["recode-income", "--config", str(data / "config.ini")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def write_two_persons(directory, income=("A", "B"), gender=("1", "2")):
+    """One household: an adult chief on line 1 and a child on line 2, with
+    letter incomes and a config that enables every output."""
+    directory.mkdir(parents=True, exist_ok=True)
+    columns = {
+        "region.txt": ("1", "1"), "milieu.txt": ("1", "1"),
+        "cluster.txt": ("1", "1"), "household.txt": ("1", "1"),
+        "age.txt": ("40", "10"), "gender.txt": gender,
+        "poswrchief.txt": ("1", "2"), "monthlyincomeNT.txt": income,
+    }
+    for name, tokens in columns.items():
+        (directory / name).write_text("".join(f"{t}\n" for t in tokens))
+    config = directory / "config.ini"
+    config.write_text("[income]\nmode = letters\n")
+    return config
+
+
+class TestOutputSelections:
+    """Each command computes only what its outputs need, and a run that
+    stops on a data error writes nothing."""
+
+    def test_identify_does_not_recode_income(self, tmp_path, capsys):
+        config = write_two_persons(tmp_path / "data", income=("A", "Z"))
+        out = tmp_path / "out"
+        assert main(["identify", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert (out / "identhousehold.txt").read_text().splitlines() == ["R1M1C1H1"] * 2
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[recode] UNKNOWN_INCOME_CODE (line 2)" in err
+
+    def test_failed_run_leaves_earlier_outputs_untouched(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        config = write_two_persons(data)
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        write_two_persons(data, income=("A", "C"), gender=("9", "2"))
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert "BAD_GENDER_TOKEN" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a located data error, never a traceback."""
+
+    @pytest.mark.parametrize("layout", ["columns", "table"])
+    def test_names_file_and_line(self, layout, tmp_path, capsys):
+        data = tmp_path / "data"
+        # enough persons that the table's bad byte lies past the first
+        # read chunk, where a decoder's own offsets no longer count lines
+        assert main(["synth", "--seed", "3", "--households", "200",
+                     "--out-dir", str(data), "--table"]) == 0
+        config = data / "config.ini"
+        name = "region.txt" if layout == "columns" else "persons.csv"
+        if layout == "table":
+            config.write_text(config.read_text().replace(
+                "mode = columns", "mode = table\ntable = persons.csv"))
+        lines = (data / name).read_bytes().split(b"\n")
+        if layout == "table":
+            assert len(b"\n".join(lines[:599])) > 8192
+        lines[599] = b"\xe9" + lines[599]
+        (data / name).write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{name}:600)" in err
+        assert "not valid UTF-8" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "config.ini"
+        config.write_bytes(b"[input]\nmode = columns\n; r\xe9gion\n")
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "config.ini:3)" in err
+        assert "not valid UTF-8" in err

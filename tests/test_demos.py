@@ -2,7 +2,8 @@
 
 Each demo runs in its own interpreter with ``src`` on PYTHONPATH, the way
 the README tells a reader to run them, and with TMPDIR pointed at the
-test's temporary directory so demos that write files leave nothing behind.
+test's temporary directory so demos that write files leave nothing behind
+elsewhere; a demo's own work directory must be gone when it exits.
 """
 
 import os
@@ -28,3 +29,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert not list(tmp_path.glob("hdbprep_demo_*")), "demo left its work directory"

@@ -11,6 +11,7 @@ from hdbprep.errors import (
     UnknownIncomeCodeError,
     ZeroScaleError,
 )
+from hdbprep.ingest import Variable
 from hdbprep.model import (
     AgeEncoding,
     GenderEncoding,
@@ -260,7 +261,8 @@ class TestLoadConfig:
         )
         config = load_config(path)
         assert config.input_dir == tmp_path.resolve() / "data"
-        assert config.region_file == "reg.txt"
+        assert config.column_files[Variable.REGION] == "reg.txt"
+        assert config.column_files[Variable.AGE] == "age.txt"
         assert config.income_file == "letters.txt"
         assert config.skip_header == 1
         assert config.scheme.letters == ("D", "M", "C", "H")
