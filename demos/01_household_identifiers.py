@@ -8,7 +8,6 @@ tokens. Run this file directly to see the round trip and its guard rails.
 
 from hdbprep import (
     DEFAULT_SCHEME,
-    PersonRecord,
     PrefixScheme,
     make_household_key,
     parse_household_key,
@@ -39,11 +38,12 @@ try:
 except MalformedKeyError as exc:
     print("malformed rejected    ->", exc)
 
-# every person record gets the key of its household, one per input line
+# every person gets the key of its household, one per input line; the
+# readers hand each person over as a tuple that starts with its four strata
 persons = [
-    PersonRecord("1", "1", "1", "1", "34", "1", "1"),
-    PersonRecord("1", "1", "1", "1", "30", "2", "2"),
-    PersonRecord("1", "1", "1", "2", "51", "1", "1"),
+    ("1", "1", "1", "1", "34", "1", "1"),
+    ("1", "1", "1", "1", "30", "2", "2"),
+    ("1", "1", "1", "2", "51", "1", "1"),
 ]
-keys = [make_household_key(p.region, p.milieu, p.cluster, p.household) for p in persons]
+keys = [make_household_key(*person[:4]) for person in persons]
 print("per-person keys       ->", [k.canonical for k in keys])

@@ -5,9 +5,12 @@ consecutive block of lines. Aggregation exploits that: `aggregate_all`
 walks the (key, member) rows once, keeps a single accumulator for the
 household whose block is open, and emits that household's aggregate when
 the key changes. It never builds a person-indexed table. Each member is
-folded once: its age token is parsed once and its gender token at most
-once (adults only, when the FAO-OMS scale is configured), so the first bad
-token in row order is the one an error names.
+folded once, and each distinct token is parsed once per run: per-run
+tables map an age token to its Age, (age token, chief flag) to the Oxford
+weight and (age token, gender token) to the FAO-OMS weight. A gender token
+is read only for adults, and only when the FAO-OMS scale is configured.
+A token that fails to parse is never stored, so it fails again at each
+occurrence and the first bad token in row order is the one an error names.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -25,6 +28,7 @@ from .errors import HdbError, MissingIncomeError, NonConsecutiveKeyError, ZeroSc
 from .ingest import parse_age, parse_gender
 from .model import (
     NO_CHIEF_LABEL,
+    Age,
     AgeEncoding,
     GenderEncoding,
     HouseholdAggregate,
@@ -58,6 +62,20 @@ _VAL_PREFIX = re.compile(r"^\s*[+-]?(\d+\.?\d*|\.\d+)")
 def _coerce_numeric_prefix(token: str) -> float:
     match = _VAL_PREFIX.match(token)
     return float(match.group(0)) if match else 0.0
+
+
+#: The most entries a per-run token table holds. Survey columns have small
+#: vocabularies; past the cap a table stops growing, and a token it does
+#: not hold is parsed again at each occurrence.
+TOKEN_TABLE_SIZE = 4096
+
+
+def remember(table: dict, token, value):
+    """Store ``value`` under ``token`` while ``table`` holds fewer than
+    TOKEN_TABLE_SIZE entries; return ``value``."""
+    if len(table) < TOKEN_TABLE_SIZE:
+        table[token] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -171,12 +189,17 @@ def aggregate_all(
     that already closed a household reappears later in the stream.
     """
     age_encoding = settings.age_encoding
+    policy = settings.missing_age_policy
     sentinel = settings.paper_sentinel
     threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
     with_oxford = settings.spec_for(ScaleKind.OXFORD) is not None
     with_faofam = settings.spec_for(ScaleKind.FAOFAM) is not None
     seen: set[str] = set()
     household: _Household | None = None
+    # per-run token tables; a parse that fails is never stored
+    ages: dict[str, Age] = {}
+    oxfords: dict[tuple[str, bool], float] = {}
+    faofams: dict[tuple[str, str], float] = {}
 
     for position, (key, member) in enumerate(rows, 1):
         if household is None or key.canonical != household.key.canonical:
@@ -187,21 +210,23 @@ def aggregate_all(
                 yield household.finish(settings, warnings)
             household = _Household(key)
 
-        try:
-            age = parse_age(member.age_raw, age_encoding, settings.missing_age_policy)
-        except HdbError as exc:
-            if not sentinel:
-                raise exc.at(line=member.line)
-            age = None
+        token = member.age_raw
+        age = ages.get(token)
+        if age is None:
+            try:
+                age = remember(ages, token, parse_age(token, age_encoding, policy))
+            except HdbError as exc:
+                if not sentinel:
+                    raise exc.at(line=member.line)
         if age is not None and age.missing and warnings is not None:
             warnings.append(
                 WarningRecord(
                     "AGE_MISSING",
-                    f"unknown-age code {member.age_raw!r} treated as adult",
+                    f"unknown-age code {token!r} treated as adult",
                     member.line,
                 )
             )
-        value = _coerce_numeric_prefix(member.age_raw) if sentinel else age.value
+        value = _coerce_numeric_prefix(token) if sentinel else age.value
         if value < threshold:
             household.children += 1
         else:
@@ -209,24 +234,34 @@ def aggregate_all(
 
         oxford = faofam = income = None
         if with_oxford:
-            oxford = (
-                SENTINEL_WEIGHT if age is None
-                else oxford_weight(age, age_encoding, member.is_chief)
-            )
+            if age is None:
+                oxford = SENTINEL_WEIGHT
+            else:
+                pair = (token, member.is_chief)
+                oxford = oxfords.get(pair)
+                if oxford is None:
+                    oxford = remember(
+                        oxfords, pair, oxford_weight(age, age_encoding, member.is_chief)
+                    )
         if with_faofam:
             if age is None:
                 faofam = SENTINEL_WEIGHT
-            elif age.value < threshold:
-                faofam = WEIGHT_CHILD
             else:
-                try:
-                    gender = parse_gender(member.gender_raw, settings.gender_encoding)
-                except HdbError as exc:
-                    if not sentinel:
-                        raise exc.at(line=member.line)
-                    faofam = SENTINEL_WEIGHT
-                else:
-                    faofam = faofam_weight(age, age_encoding, gender)
+                pair = (token, member.gender_raw)
+                faofam = faofams.get(pair)
+                if faofam is None and age.value < threshold:
+                    faofam = remember(faofams, pair, WEIGHT_CHILD)
+                elif faofam is None:
+                    try:
+                        gender = parse_gender(member.gender_raw, settings.gender_encoding)
+                    except HdbError as exc:
+                        if not sentinel:
+                            raise exc.at(line=member.line)
+                        faofam = SENTINEL_WEIGHT
+                    else:
+                        faofam = remember(
+                            faofams, pair, faofam_weight(age, age_encoding, gender)
+                        )
         if settings.income_enabled:
             income = member.income
             if income is None:

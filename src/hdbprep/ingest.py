@@ -4,7 +4,9 @@ tables, plus the token parsers for age and gender.
 Column files are the native format: one token per line, aligned across
 files by line number so that line i of every file describes person i. The
 table reader accepts a delimited file with a header row instead and maps
-named columns onto the same variables.
+named columns onto the same variables. Both readers return one plain tuple
+of stripped tokens per person, in `Variable` order, holding only the
+variables they were asked for; nothing is parsed here.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from .errors import (
     BadAgeTokenError,
     BadEncodingError,
     BadGenderTokenError,
+    BadStrataTokenError,
     BlankLineError,
     ConfigError,
     DataError,
     EmptyFileError,
+    EmptyTokenError,
     IoError,
     LengthMismatchError,
     MissingColumnError,
@@ -35,7 +39,6 @@ from .model import (
     Gender,
     GenderEncoding,
     MissingAgePolicy,
-    PersonRecord,
 )
 
 
@@ -52,8 +55,11 @@ class Variable(Enum):
     INCOME = "income"
 
 
-#: Variables every source must supply; INCOME alone is optional.
+#: Variables every run that folds households reads; INCOME alone is optional.
 REQUIRED_VARIABLES = tuple(v for v in Variable if v is not Variable.INCOME)
+
+#: The four strata variables that make up a household key, in key order.
+STRATA_VARIABLES = REQUIRED_VARIABLES[:4]
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,9 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
     A single trailing newline is tolerated; blank lines anywhere else are a
     BLANK_LINE error (they would silently shift every later person across
     files). A file with no data lines is an EMPTY_FILE error. Error line
-    numbers are 1-based and count skipped header lines.
+    numbers are 1-based and count skipped header lines. The file is read
+    with universal newlines, so a carriage return ends a line and no token
+    holds a line break.
     """
     try:
         # utf-8-sig: strip a BOM if a spreadsheet export left one behind
@@ -108,75 +116,74 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    tokens: list[str] = []
-    for i, line in enumerate(lines, 1):
-        if i <= skip_header:
-            continue
-        token = line.rstrip("\r").strip()
-        if not token:
-            raise BlankLineError(f"blank line in column file").at(
-                source=str(source.path), line=i
-            )
-        tokens.append(token)
+    tokens = [line.strip() for line in lines[skip_header:]]
+    if "" in tokens:
+        raise BlankLineError("blank line in column file").at(
+            source=str(source.path), line=skip_header + tokens.index("") + 1
+        )
     if not tokens:
         raise EmptyFileError("no data lines").at(source=str(source.path))
-    return tokens
-
-
-def zip_columns(columns: Mapping[Variable, Sequence[str]]) -> list[PersonRecord]:
-    """Align per-variable token lists into PersonRecords.
-
-    All required variables must be present and all supplied lists must have
-    the same length as REGION's; a shorter or longer list means the files
-    drifted apart and is a LENGTH_MISMATCH error naming the variable.
-    """
-    for variable in REQUIRED_VARIABLES:
-        if variable not in columns:
-            raise ConfigError(f"no source supplies variable '{variable.value}'")
-    expected = len(columns[Variable.REGION])
-    for variable, tokens in columns.items():
-        if len(tokens) != expected:
-            raise LengthMismatchError(
-                variable.value, expected=expected, actual=len(tokens)
-            )
-    incomes = columns.get(Variable.INCOME)
-    records = []
-    for i in range(expected):
-        records.append(
-            PersonRecord(
-                region=columns[Variable.REGION][i],
-                milieu=columns[Variable.MILIEU][i],
-                cluster=columns[Variable.CLUSTER][i],
-                household=columns[Variable.HOUSEHOLD][i],
-                age_raw=columns[Variable.AGE][i],
-                gender_raw=columns[Variable.GENDER][i],
-                poswrchief_raw=columns[Variable.POSWRCHIEF][i],
-                income_raw=incomes[i] if incomes is not None else None,
-            )
-        )
-    return records
+    # a column has few distinct tokens: keep one string object for each
+    distinct: dict[str, str] = {}
+    return list(map(distinct.setdefault, tokens, tokens))
 
 
 def read_column_sources(
     sources: Sequence[ColumnSource], skip_header: int = 0
-) -> list[PersonRecord]:
-    """Read every column file and align them into PersonRecords."""
+) -> list[tuple[str, ...]]:
+    """Read every column file and align them into one tuple per person,
+    its tokens in `Variable` order (region, milieu, cluster, household,
+    age, gender, poswrchief, income), restricted to the variables supplied.
+
+    Every file must have as many tokens as the first in `Variable` order;
+    a shorter or longer one means the files drifted apart and is a
+    LENGTH_MISMATCH error naming the variable.
+    """
     columns: dict[Variable, list[str]] = {}
     for source in sources:
         if source.variable in columns:
             raise ConfigError(f"variable '{source.variable.value}' supplied twice")
         columns[source.variable] = read_column_file(source, skip_header=skip_header)
-    return zip_columns(columns)
+    ordered = [columns[variable] for variable in Variable if variable in columns]
+    expected = len(ordered[0])
+    for variable, tokens in columns.items():
+        if len(tokens) != expected:
+            raise LengthMismatchError(
+                variable.value, expected=expected, actual=len(tokens)
+            )
+    return list(zip(*ordered))
 
 
-def read_table(source: TableSource, skip_header: int = 0) -> list[PersonRecord]:
-    """Read a delimited table with a header row into PersonRecords.
+#: A table cell's field name in EMPTY_TOKEN and BAD_STRATA_TOKEN messages.
+_FIELD_NAMES = {
+    variable: variable.value if variable in STRATA_VARIABLES else f"{variable.value}_raw"
+    for variable in Variable
+}
+
+
+def _check_cells(person: tuple[str, ...], variables: Sequence[Variable]) -> None:
+    """Raise for the first bad cell of a person, in field order: an empty
+    cell, or a strata cell holding a line break."""
+    for variable, token in zip(variables, person):
+        name = _FIELD_NAMES[variable]
+        if not token:
+            raise EmptyTokenError(f"field '{name}' is empty")
+        if variable in STRATA_VARIABLES and ("\n" in token or "\r" in token):
+            raise BadStrataTokenError(f"field '{name}' contains a line break: {token!r}")
+
+
+def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...]]:
+    """Read a delimited table with a header row into one tuple per person,
+    its stripped cells in `Variable` order, restricted to the variables of
+    the source's column_map.
 
     ``skip_header`` lines are discarded before the header itself. Every
-    column named in the source's column_map must appear in the header; every
-    data row must have exactly as many cells as the header. Quoting follows
-    the common convention (fields wrapped in double quotes, embedded quotes
-    doubled), which the csv module implements.
+    column named in the column_map must appear in the header; every data
+    row must have exactly as many cells as the header. An empty cell is an
+    EMPTY_TOKEN error and a strata cell holding a line break a
+    BAD_STRATA_TOKEN error. Quoting follows the common convention (fields
+    wrapped in double quotes, embedded quotes doubled), which the csv
+    module implements.
     """
     try:
         handle = source.path.open(encoding="utf-8-sig", newline="")
@@ -200,35 +207,25 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[PersonRecord]:
                     raise MissingColumnError(column_name).at(
                         source=str(source.path)
                     ) from None
-            for variable in REQUIRED_VARIABLES:
-                if variable not in positions:
-                    raise ConfigError(
-                        f"column map does not cover variable '{variable.value}'"
-                    )
-            records: list[PersonRecord] = []
+            variables = [variable for variable in Variable if variable in positions]
+            indexes = [positions[variable] for variable in variables]
+            n_strata = sum(variable in STRATA_VARIABLES for variable in variables)
+            persons: list[tuple[str, ...]] = []
             for row in reader:
-                line = reader.line_num
                 if len(row) != len(names):
                     raise RowArityMismatchError(expected=len(names), actual=len(row)).at(
-                        source=str(source.path), line=line
+                        source=str(source.path), line=reader.line_num
                     )
-                cell = {v: row[i].strip() for v, i in positions.items()}
-                record = PersonRecord(
-                    region=cell[Variable.REGION],
-                    milieu=cell[Variable.MILIEU],
-                    cluster=cell[Variable.CLUSTER],
-                    household=cell[Variable.HOUSEHOLD],
-                    age_raw=cell[Variable.AGE],
-                    gender_raw=cell[Variable.GENDER],
-                    poswrchief_raw=cell[Variable.POSWRCHIEF],
-                    income_raw=cell.get(Variable.INCOME),
-                )
-                records.append(record)
+                person = tuple([row[i].strip() for i in indexes])
+                strata = "".join(person[:n_strata])
+                if "" in person or "\n" in strata or "\r" in strata:
+                    _check_cells(person, variables)
+                persons.append(person)
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None
-    if not records:
+    if not persons:
         raise EmptyFileError("no data rows").at(source=str(source.path))
-    return records
+    return persons
 
 
 def parse_age(

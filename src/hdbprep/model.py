@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import (
-    BadEncodingError,
-    BadStrataTokenError,
-    DmpParamOutOfRangeError,
-    EmptyTokenError,
-)
+from .errors import BadEncodingError, DmpParamOutOfRangeError
 
 #: Age value reserved by some surveys for "age unknown" (years encoding only).
 UNKNOWN_AGE_YEARS = 99.0
@@ -114,45 +110,6 @@ class ScaleKind(Enum):
         raise BadEncodingError(f"unknown scale {token!r}")
 
 
-_STRATA_FIELDS = ("region", "milieu", "cluster", "household")
-
-
-@dataclass(frozen=True)
-class PersonRecord:
-    """One survey respondent, as raw tokens.
-
-    Tokens are whitespace-trimmed on construction and must be non-empty;
-    strata tokens must not contain line breaks. ``income_raw`` is None when
-    no income column is configured.
-    """
-
-    region: str
-    milieu: str
-    cluster: str
-    household: str
-    age_raw: str
-    gender_raw: str
-    poswrchief_raw: str
-    income_raw: str | None = None
-
-    def __post_init__(self):
-        for name in ("region", "milieu", "cluster", "household",
-                     "age_raw", "gender_raw", "poswrchief_raw", "income_raw"):
-            raw = getattr(self, name)
-            if raw is None:
-                continue
-            token = raw.strip()
-            if not token:
-                raise EmptyTokenError(f"field '{name}' is empty")
-            if name in _STRATA_FIELDS and ("\n" in token or "\r" in token):
-                raise BadStrataTokenError(f"field '{name}' contains a line break: {token!r}")
-            object.__setattr__(self, name, token)
-
-    @property
-    def is_chief(self) -> bool:
-        return self.poswrchief_raw == "1"
-
-
 @dataclass(frozen=True)
 class Age:
     """A parsed age: years (possibly fractional) or a five-year class index.
@@ -206,9 +163,9 @@ def validate_weight_domain(spec: ScaleSpec) -> None:
             raise DmpParamOutOfRangeError(f"DMP parameter {name}={value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class Member:
-    """One parsed household member as the aggregation stage sees it.
+class Member(NamedTuple):
+    """One parsed household member as the aggregation stage sees it; a
+    named tuple, because the pass builds one per person.
 
     ``line`` is the 1-based line of the person in the input, used to locate
     errors and warnings. ``income`` is the numeric amount after any letter

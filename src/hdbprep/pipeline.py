@@ -5,12 +5,18 @@ writes the selected outputs.
 The pipeline owns configuration (an INI file, every key mirrored by a CLI
 flag) and the on-disk output contract. Every command is a selection of
 outputs from the same pass, and the pass does only the work its selection
-needs: `identify` builds keys and never recodes an income,
-`recode-income` recodes incomes without building keys, and households are
-folded only when a household output is selected. Nothing is written until
-every step has succeeded, so a run that stops on a data error writes none
-of its outputs (an I/O failure part-way through the writes can still leave
-the files written before it).
+needs: `identify` reads the four strata columns and builds keys,
+`recode-income` reads and recodes the income column alone, and households
+are folded only when a household output is selected. Nothing is written
+until every step has succeeded, so a run that stops on a data error writes
+none of its outputs (an I/O failure part-way through the writes can still
+leave the files written before it).
+
+The per-person work is per distinct token: a household key is built once
+per run of lines with the same strata tokens, each income token is
+recoded once (per-run table), and each household value is rendered to
+text once, with each distinct number formatted once; the per-variable
+files and households.csv write the same text.
 
 Person-level outputs keep input order; household-level files are aligned
 with each other row by row, one row per household run, in run order.
@@ -27,18 +33,20 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .aggregate import AggregationSettings, aggregate_all
+from .aggregate import AggregationSettings, aggregate_all, remember
 from .errors import BadIncomeTokenError, ConfigError, HdbError, IoError
 from .identity import DEFAULT_SCHEME, PrefixScheme, make_household_key
 from .ingest import (
+    REQUIRED_VARIABLES,
+    STRATA_VARIABLES,
     ColumnSource,
     TableSource,
     Variable,
-    read_column_file,
     read_column_sources,
     read_table,
 )
@@ -337,7 +345,10 @@ def format_number(value: float) -> str:
         raise ValueError(f"cannot format {value}")
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    for precision in range(1, 13):
+    # repr is the shortest decimal that reads back, so no precision below
+    # its digit count can; at that count %g may still round the other way
+    digits = len(repr(value).partition("e")[0].lstrip("-0.").replace(".", ""))
+    for precision in range(digits, 13):
         text = f"{value:.{precision}g}"
         if float(text) == value:
             return text
@@ -352,71 +363,84 @@ def _write_lines(path: Path, lines: Iterable[str]) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+            handle.writelines(f"{line}\n" for line in lines)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def _cell(value) -> str:
-    """How every household value is written: None as an empty cell, a
-    float through format_number, anything else as its str."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format_number(value)
-    return str(value)
+def _renderer() -> Callable[[object], str]:
+    """A renderer of household values: None as an empty cell, a float
+    through format_number, anything else (a str as it is) as its str. It
+    keeps a table of the text of each float it rendered, so a value that
+    repeats is formatted once."""
+    texts: dict[float, str] = {}
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            text = texts.get(value)
+            if text is None:
+                text = remember(texts, value, format_number(value))
+            return text
+        return str(value)
+
+    return cell
+
+
+#: One household's values, each rendered to the text every output writes.
+_RenderedRow = namedtuple("_RenderedRow", _TABLE_COLUMNS)
 
 
 def write_household_table(
     aggregates: Sequence[HouseholdAggregate], path: Path
 ) -> Path:
     """Write the combined one-row-per-household table (header always
-    present; empty column where a statistic was not configured)."""
+    present; empty column where a statistic was not configured). Rows the
+    pass already rendered to text are written as they are."""
     import csv
 
+    cell = _renderer()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(_TABLE_COLUMNS)
-            for a in aggregates:
-                writer.writerow([_cell(getattr(a, name)) for name in _TABLE_COLUMNS])
+            writer.writerows(
+                [cell(getattr(a, name)) for name in _TABLE_COLUMNS] for a in aggregates
+            )
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def _read_persons(config: PipelineConfig, *, income_only: bool = False) -> list:
-    """Every person in line order, or with ``income_only`` only their income
-    tokens; in columns mode those come from the income file alone."""
-    want_income = config.income_mode is not IncomeMode.NONE
-    income = ColumnSource(config.input_dir / config.effective_income_file, Variable.INCOME)
+def _read_persons(
+    config: PipelineConfig, variables: Sequence[Variable]
+) -> list[tuple[str, ...]]:
+    """One tuple per person in line order, holding the tokens of
+    ``variables`` (given in `Variable` order) and read from their columns
+    alone."""
+    if config.input_mode == "columns":
+        names = {**config.column_files, Variable.INCOME: config.effective_income_file}
+    else:
+        names = {Variable(name): header for name, header in config.table_columns}
+    for variable in variables:
+        if variable not in names:
+            raise ConfigError(f"no source supplies variable '{variable.value}'")
     try:
         if config.input_mode == "columns":
-            if income_only:
-                return read_column_file(income, skip_header=config.skip_header)
             sources = [
-                ColumnSource(config.input_dir / name, variable)
-                for variable, name in config.column_files.items()
+                ColumnSource(config.input_dir / names[variable], variable)
+                for variable in variables
             ]
-            if want_income:
-                sources.append(income)
             return read_column_sources(sources, skip_header=config.skip_header)
-        column_map = {
-            Variable(name): header
-            for name, header in config.table_columns
-            if want_income or name != Variable.INCOME.value
-        }
         source = TableSource(
             config.input_dir / config.table_file,
-            column_map,
+            {variable: names[variable] for variable in variables},
             delimiter=config.table_delimiter,
         )
-        persons = read_table(source, skip_header=config.skip_header)
-        return [person.income_raw for person in persons] if income_only else persons
+        return read_table(source, skip_header=config.skip_header)
     except HdbError as exc:
         raise exc.at(stage="ingest")
 
@@ -449,10 +473,13 @@ def _run(
     the per-variable household files (``only`` picks a subset; default
     every file the config enables) and ``table`` households.csv.
 
-    Each person is handled in line order: key, then income, then member,
-    each only when a selected output needs it. Households are folded only
-    for a household output, and the scaled income is computed only for
-    households.csv. Nothing is written before every step has succeeded.
+    Only the columns a selected output needs are read. Each person is
+    handled in line order: key, then income, then member, each only when a
+    selected output needs it; an error names the line of the first person
+    whose token fails, and a key error the first line of its household run.
+    Households are folded only for a household output, and the scaled
+    income is computed only for households.csv. Nothing is written before
+    every step has succeeded.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {spec.kind.value for spec in config.scales} | {"size", "area", "chief"}
@@ -475,37 +502,51 @@ def _run(
     fold = files or table
     need_keys = keys or fold
     need_income = with_income and (amounts or fold)
+    if fold:
+        variables = REQUIRED_VARIABLES + ((Variable.INCOME,) if with_income else ())
+    else:
+        variables = STRATA_VARIABLES if need_keys else (Variable.INCOME,)
     mapping = (
         config.active_income_map() if config.income_mode is IncomeMode.LETTERS else None
     )
-    scheme = config.scheme
-    persons = _read_persons(config, income_only=not need_keys)
+    persons = _read_persons(config, variables)
+    cell = _renderer()
     key_lines: list[str] = []
-    amount_list: list[float] = []
+    amount_lines: list[str] = []
     rows: list[tuple[HouseholdKey, Member]] = []
+    strata = key = None
+    # income token -> (amount, its text when the amount file is written);
+    # a token that fails to parse is never stored
+    incomes: dict[str, tuple[float, str | None]] = {}
     for line, person in enumerate(persons, 1):
-        if need_keys:
+        # a household's members share one key, built at the first line of its run
+        if need_keys and person[:4] != strata:
+            strata = person[:4]
             try:
-                key = make_household_key(
-                    person.region, person.milieu, person.cluster, person.household, scheme
-                )
+                key = make_household_key(*strata, config.scheme)
             except HdbError as exc:
                 raise exc.at(line=line, stage="identify")
-            if keys:
-                key_lines.append(key.canonical)
+        if keys:
+            key_lines.append(key.canonical)
         income = None
         if need_income:
-            try:
-                # without keys the pass reads bare income tokens
-                income = _parse_income(person.income_raw if need_keys else person, mapping)
-            except HdbError as exc:
-                raise exc.at(line=line, stage="recode")
+            token = person[-1]
+            entry = incomes.get(token)
+            if entry is None:
+                try:
+                    income = _parse_income(token, mapping)
+                except HdbError as exc:
+                    raise exc.at(line=line, stage="recode")
+                entry = remember(incomes, token, (income, cell(income) if amounts else None))
+            income, text = entry
             if amounts:
-                amount_list.append(income)
+                amount_lines.append(text)
         if fold:
-            member = Member(line, person.age_raw, person.gender_raw, person.is_chief, income)
+            member = Member(line, person[4], person[5], person[6] == "1", income)
             rows.append((key, member))
 
+    n_persons = len(persons)
+    del persons  # the rows hold what the rest of the pass needs
     aggregates = None
     warnings: list[WarningRecord] = []
     if fold:
@@ -525,24 +566,26 @@ def _run(
         except HdbError as exc:
             raise exc.at(stage="aggregate")
 
+    # every value is rendered once; the per-variable files and
+    # households.csv write the same text
+    rendered = [
+        _RenderedRow._make([cell(getattr(a, name)) for name in _TABLE_COLUMNS])
+        for a in aggregates or ()
+    ]
     out_dir = config.effective_out_dir
     outputs = []
     if keys:
         outputs.append(_write_lines(out_dir / IDENT_FILE, key_lines))
     if amounts:
-        outputs.append(
-            _write_lines(out_dir / RECODED_INCOME_FILE, map(format_number, amount_list))
-        )
+        outputs.append(_write_lines(out_dir / RECODED_INCOME_FILE, amount_lines))
     dmp = config.dmp_spec()
     for _, file_name, attribute in plan:
         path = out_dir / (file_name or dmp_file_name(dmp.dmp_c, dmp.dmp_s))
-        outputs.append(
-            _write_lines(path, (_cell(getattr(a, attribute)) for a in aggregates))
-        )
+        outputs.append(_write_lines(path, (getattr(row, attribute) for row in rendered)))
     if table:
-        outputs.append(write_household_table(aggregates, out_dir / TABLE_FILE))
+        outputs.append(write_household_table(rendered, out_dir / TABLE_FILE))
     return RunReport(
-        persons=len(persons),
+        persons=n_persons,
         households=None if aggregates is None else len(aggregates),
         outputs=tuple(outputs),
         warnings=tuple(warnings),
@@ -550,14 +593,15 @@ def _run(
 
 
 def run_identify(config: PipelineConfig) -> RunReport:
-    """Write one canonical key per person; incomes are never recoded."""
+    """Write one canonical key per person, reading only the four strata
+    columns."""
     return _run(config, keys=True)
 
 
 def run_recode(config: PipelineConfig) -> RunReport:
-    """Recode letter incomes into the amount file. In columns mode only the
-    income file is read (the one-pass workflow this mirrors does not need
-    the other variables yet)."""
+    """Recode letter incomes into the amount file, reading only the income
+    column (the one-pass workflow this mirrors does not need the other
+    variables yet)."""
     if config.income_mode is not IncomeMode.LETTERS:
         raise ConfigError("income recoding needs income mode 'letters'")
     return _run(config, amounts=True)

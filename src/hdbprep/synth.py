@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadAgeTokenError, BadGenderTokenError, ConfigError, IoError
 from .model import (
@@ -32,9 +32,9 @@ from .model import (
     HouseholdKey,
     IncomeMode,
     Member,
-    PersonRecord,
     ScaleKind,
 )
+from .pipeline import _write_lines
 
 # Letter incomes the generator can draw, with the amounts the ground truth
 # assigns them. Literal on purpose: these must not come from the recode
@@ -108,13 +108,31 @@ class SynthParams:
             )
 
 
+class SynthPerson(NamedTuple):
+    """One generated person as raw tokens, in the order the readers return
+    them; ``income_raw`` is None when no income is generated."""
+
+    region: str
+    milieu: str
+    cluster: str
+    household: str
+    age_raw: str
+    gender_raw: str
+    poswrchief_raw: str
+    income_raw: str | None = None
+
+    @property
+    def is_chief(self) -> bool:
+        return self.poswrchief_raw == "1"
+
+
 @dataclass(frozen=True)
 class SynthResult:
     """Generated persons (consecutive by household) and the per-household
     ground truth, in file order."""
 
     params: SynthParams
-    persons: tuple[PersonRecord, ...]
+    persons: tuple[SynthPerson, ...]
     ground_truth: tuple[HouseholdAggregate, ...]
 
 
@@ -177,7 +195,7 @@ def generate(params: SynthParams) -> SynthResult:
     )
     sch = params.scheme_letters
 
-    persons: list[PersonRecord] = []
+    persons: list[SynthPerson] = []
     truth: list[HouseholdAggregate] = []
     household_counter = 0
     person_line = 0
@@ -247,7 +265,7 @@ def generate(params: SynthParams) -> SynthResult:
                     total_income += income_amount
 
                 persons.append(
-                    PersonRecord(
+                    SynthPerson(
                         region=region_tok,
                         milieu=milieu_tok,
                         cluster=cluster_tok,
@@ -284,16 +302,6 @@ def generate(params: SynthParams) -> SynthResult:
             )
 
     return SynthResult(params, tuple(persons), tuple(truth))
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    try:
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:

@@ -235,3 +235,217 @@ class TestUndecodableInput:
         err = capsys.readouterr().err
         assert "config.ini:3)" in err
         assert "not valid UTF-8" in err
+
+
+#: Five persons in three households: (region, milieu, cluster, household,
+#: age, gender, poswrchief, letter income), one tuple per input line.
+FIVE_PERSONS = (
+    ("1", "1", "1", "1", "40", "1", "1", "A"),
+    ("1", "1", "1", "1", "10", "2", "2", "B"),
+    ("1", "1", "1", "2", "35", "2", "1", "C"),
+    ("1", "1", "1", "2", "33", "1", "2", "D"),
+    ("1", "1", "1", "3", "50", "1", "1", "E"),
+)
+COLUMN_NAMES = ("region.txt", "milieu.txt", "cluster.txt", "household.txt",
+                "age.txt", "gender.txt", "poswrchief.txt", "monthlyincomeNT.txt")
+
+
+def write_persons(directory, faults=()):
+    """Write FIVE_PERSONS as letter-income column files and a config; each
+    fault is (1-based line, column index, token) and replaces one token."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = [list(person) for person in FIVE_PERSONS]
+    for line, column, token in faults:
+        rows[line - 1][column] = token
+    for column, name in enumerate(COLUMN_NAMES):
+        (directory / name).write_text("".join(f"{row[column]}\n" for row in rows))
+    config = directory / "config.ini"
+    config.write_text("[income]\nmode = letters\n")
+    return config
+
+
+def failure(capsys, argv):
+    """The exit code and the error line of a CLI run."""
+    code = main(argv)
+    return code, capsys.readouterr().err.strip()
+
+
+AGE, GENDER, INCOME, REGION, CLUSTER, HOUSEHOLD = 4, 5, 7, 0, 2, 3
+
+
+class TestErrorPrecedence:
+    """With several faults in one input, the code, line and stage that an
+    error names."""
+
+    def run(self, tmp_path, capsys, *faults, flags=()):
+        config = write_persons(tmp_path / "data", faults)
+        return failure(capsys, ["run", "--config", str(config),
+                                "--out-dir", str(tmp_path / "out"), *flags])
+
+    def test_late_blank_line_beats_early_prefix_collision(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, (1, HOUSEHOLD, "1H"), (4, AGE, ""))
+        assert code == 1
+        assert err.startswith("error: [ingest] BLANK_LINE (")
+        assert err.split(" (")[1].startswith(f"{tmp_path / 'data' / 'age.txt'}:4)")
+
+    def test_carriage_return_in_a_column_file_ends_a_line(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, (1, HOUSEHOLD, "1H"), (5, CLUSTER, "1\r2"))
+        assert code == 1
+        assert err == ("error: [ingest] LENGTH_MISMATCH: column 'cluster' "
+                       "has 6 tokens, expected 5")
+
+    def test_later_prefix_collision_beats_early_bad_age(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"))
+        assert code == 1
+        assert err.startswith("error: [identify] PREFIX_COLLISION (line 5): ")
+
+    def test_later_unknown_letter_beats_early_bad_age(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, INCOME, "Z"))
+        assert code == 1
+        assert err == ("error: [recode] UNKNOWN_INCOME_CODE (line 5): "
+                       "income code 'Z' is not in the range map")
+
+    def test_repeated_bad_age_names_its_first_line(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, (4, AGE, "x"), (2, AGE, "x"))
+        assert code == 1
+        assert err == "error: [aggregate] BAD_AGE_TOKEN (line 2): cannot read 'x' as an age"
+
+    def test_repeated_bad_gender_names_its_first_line(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, (4, GENDER, "9"), (3, GENDER, "9"))
+        assert code == 1
+        assert err.startswith("error: [aggregate] BAD_GENDER_TOKEN (line 3): ")
+
+    def test_repeated_bad_tokens_under_paper_sentinel(self, tmp_path, capsys):
+        code, err = self.run(
+            tmp_path, capsys, (2, AGE, "x"), (4, AGE, "x"), (3, AGE, "25ans"),
+            (5, AGE, "25ans"), (1, GENDER, "9"), (4, GENDER, "9"),
+            flags=["--paper-sentinel"])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out" / "households.csv").read_text() == (
+            "key,size,n_adults,n_children,scale_oxford,scale_faofam,scale_dmp,"
+            "total_income,scaled_income,label_area,label_chief_gender\n"
+            "R1M1C1H1,2,1,1,1.99,1.98,1.32820123994,54000,27135.678392,1,9\n"
+            "R1M1C1H2,2,1,1,1.98,1.98,1.32820123994,200000,101010.10101,1,2\n"
+            "R1M1C1H3,1,1,0,0.99,0.99,1,175000,176767.676768,1,1\n"
+        )
+
+    def run_table(self, tmp_path, capsys, rows):
+        """Run on a persons.csv of a header and the given data rows."""
+        data = tmp_path / "data"
+        data.mkdir(parents=True)
+        header = "region,milieu,cluster,household,age,gender,poswrchief,income\n"
+        (data / "persons.csv").write_text(header + "".join(f"{r}\n" for r in rows))
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n"
+                          "[income]\nmode = letters\n")
+        return failure(capsys, ["run", "--config", str(config),
+                                "--out-dir", str(tmp_path / "out")])
+
+    def test_empty_table_cell_beats_later_row_arity_error(self, tmp_path, capsys):
+        code, err = self.run_table(tmp_path, capsys, [
+            "1,1,1,1,40,1,1,A", "1,1,1,1, ,2,2,B", "1,1,1,2,35,2,1,C", "1,1,1"])
+        assert code == 1
+        assert err == "error: [ingest] EMPTY_TOKEN: field 'age_raw' is empty"
+
+    def test_late_line_break_in_strata_beats_early_prefix_collision(self, tmp_path, capsys):
+        code, err = self.run_table(tmp_path, capsys, [
+            "1,1,1,1H,40,1,1,A", "1,1,1,1,10,2,2,B", '1,1,"1\r2",2,35,2,1,C'])
+        assert code == 1
+        assert err == ("error: [ingest] BAD_STRATA_TOKEN: field 'cluster' "
+                       "contains a line break: '1\\r2'")
+
+    def test_first_bad_cell_in_line_then_field_order_wins(self, tmp_path, capsys):
+        rows = ["1,1,1,1,40,1,1,A", '1," ",1,"1\n3",10,2,2,B', '"1\r2",1,1,2,,2,1,C']
+        code, err = self.run_table(tmp_path, capsys, rows)
+        assert (code, err) == (1, "error: [ingest] EMPTY_TOKEN: field 'milieu' is empty")
+        rows[1] = '"1\n2",,1,1,10,2,2,B'
+        code, err = self.run_table(tmp_path / "again", capsys, rows)
+        assert code == 1
+        assert err == ("error: [ingest] BAD_STRATA_TOKEN: field 'region' "
+                       "contains a line break: '1\\n2'")
+
+
+class TestIdentifyReadsOnlyStrata:
+    """`identify` reads the four strata columns and nothing else; `run`
+    still needs every column."""
+
+    def commands(self, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        identify = failure(capsys, ["identify", "--config", str(config), "--out-dir", str(out)])
+        keys = (out / "identhousehold.txt").read_text().splitlines()
+        run = failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)])
+        return identify, keys, run
+
+    @pytest.mark.parametrize("name", ["monthlyincomeNT.txt", "age.txt"])
+    def test_missing_person_column_file(self, name, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        (tmp_path / "data" / name).unlink()
+        identify, keys, (code, err) = self.commands(config, tmp_path, capsys)
+        assert identify == (0, "")
+        assert keys == ["R1M1C1H1"] * 2 + ["R1M1C1H2"] * 2 + ["R1M1C1H3"]
+        assert code == 2
+        assert err.startswith(f"error: [ingest] IO_ERROR: cannot read {tmp_path / 'data' / name}")
+
+    def test_income_file_of_another_length(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        (tmp_path / "data" / "monthlyincomeNT.txt").write_text("A\n" * 100)
+        identify, keys, (code, err) = self.commands(config, tmp_path, capsys)
+        assert identify == (0, "")
+        assert len(keys) == 5
+        assert (code, err) == (1, "error: [ingest] LENGTH_MISMATCH: column "
+                                  "'income' has 100 tokens, expected 5")
+
+    def test_table_with_strata_columns_only(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household\n1,1,1,1\n1,1,1,1\n1,1,1,2\n")
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n")
+        identify, keys, (code, err) = self.commands(config, tmp_path, capsys)
+        assert identify == (0, "")
+        assert keys == ["R1M1C1H1"] * 2 + ["R1M1C1H2"]
+        assert code == 1
+        assert err.startswith("error: [ingest] MISSING_COLUMN (")
+        assert err.endswith("column 'age' not found in header row")
+
+
+class TestTokenTableCap:
+    """Past TOKEN_TABLE_SIZE entries a token table stops growing and
+    tokens it does not hold are parsed again: same output bytes."""
+
+    def outputs(self, data, out, capsys):
+        assert main(["run", "--config", str(data / "config.ini"),
+                     "--out-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<OUT>")
+        return stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_capped_tables_give_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        from hdbprep import aggregate, pipeline
+
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "4", "--households", "60",
+                     "--out-dir", str(data), "--anomalies"]) == 0
+        ages = (data / "age.txt").read_text().splitlines()
+        # infants get fractional ages, nine distinct ones
+        ages = [f"0.{i % 9 + 1}" if age in ("0", "1") else age
+                for i, age in enumerate(ages)]
+        assert len(set(ages)) > 4 and any("." in age for age in ages)
+        (data / "age.txt").write_text("".join(f"{a}\n" for a in ages))
+        capsys.readouterr()
+        uncapped = self.outputs(data, tmp_path / "uncapped", capsys)
+
+        tables = []
+
+        def spy(table, token, value):
+            if not any(table is seen for seen in tables):
+                tables.append(table)
+            return real_remember(table, token, value)
+
+        real_remember = aggregate.remember
+        monkeypatch.setattr(aggregate, "TOKEN_TABLE_SIZE", 4)
+        monkeypatch.setattr(aggregate, "remember", spy)
+        monkeypatch.setattr(pipeline, "remember", spy)
+        assert self.outputs(data, tmp_path / "capped", capsys) == uncapped
+        # ages, Oxford and FAO-OMS weights, income letters, rendered values
+        assert [len(table) for table in tables] == [4] * 5

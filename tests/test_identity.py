@@ -13,7 +13,6 @@ from hdbprep.identity import (
     make_household_key,
     parse_household_key,
 )
-from hdbprep.model import PersonRecord
 from hdbprep.pipeline import PipelineConfig, run_identify
 
 DMCH = PrefixScheme.from_string("DMCH")
@@ -84,22 +83,14 @@ class TestParseHouseholdKey:
 
 
 def make_record(region="1", milieu="1", cluster="1", household="1"):
-    return PersonRecord(
-        region=region, milieu=milieu, cluster=cluster, household=household,
-        age_raw="30", gender_raw="1", poswrchief_raw="1",
-    )
+    return (region, milieu, cluster, household)
 
 
 def identify_records(directory, records):
-    """Write the records as column files and run the standalone identify
-    stage over them; returns the key file's lines."""
-    for name in ("region", "milieu", "cluster", "household"):
-        tokens = [getattr(r, name) for r in records]
-        (directory / f"{name}.txt").write_text(
-            "".join(f"{t}\n" for t in tokens), encoding="utf-8"
-        )
-    for name in ("age", "gender", "poswrchief"):
-        tokens = [getattr(r, f"{name}_raw") for r in records]
+    """Write the records' strata as column files and run the standalone
+    identify stage over them (it reads no other column); returns the key
+    file's lines."""
+    for name, tokens in zip(("region", "milieu", "cluster", "household"), zip(*records)):
         (directory / f"{name}.txt").write_text(
             "".join(f"{t}\n" for t in tokens), encoding="utf-8"
         )
@@ -126,8 +117,7 @@ class TestIdentifyStream:
         assert exc.value.line == 2
 
     def test_key_of_record_matches_manual_concat(self):
-        record = make_record(region="9", milieu="8", cluster="7", household="6")
-        key = make_household_key(record.region, record.milieu, record.cluster, record.household)
+        key = make_household_key(*make_record(region="9", milieu="8", cluster="7", household="6"))
         assert key.canonical == "R" + "9" + "M" + "8" + "C" + "7" + "H" + "6"
 
 

@@ -4,9 +4,11 @@ from hypothesis import given, strategies as st
 from hdbprep.errors import (
     BadAgeTokenError,
     BadGenderTokenError,
+    BadStrataTokenError,
     BlankLineError,
     ConfigError,
     EmptyFileError,
+    EmptyTokenError,
     IoError,
     LengthMismatchError,
     MissingColumnError,
@@ -21,7 +23,6 @@ from hdbprep.ingest import (
     read_column_file,
     read_column_sources,
     read_table,
-    zip_columns,
 )
 from hdbprep.model import (
     Age,
@@ -83,9 +84,11 @@ class TestReadColumnFile:
             read_column_file(src)
 
 
-class TestZipColumns:
-    def full_columns(self):
-        return {
+class TestReadColumnSources:
+    """Column files aligned into one tuple per person, in variable order."""
+
+    def write(self, tmp_path, **extra):
+        columns = {
             Variable.REGION: ["1", "1"],
             Variable.MILIEU: ["1", "1"],
             Variable.CLUSTER: ["1", "1"],
@@ -94,34 +97,34 @@ class TestZipColumns:
             Variable.GENDER: ["1", "2"],
             Variable.POSWRCHIEF: ["1", "2"],
         }
+        columns.update({Variable[name.upper()]: tokens for name, tokens in extra.items()})
+        sources = []
+        # listed in reverse: the tuple order is the variable order regardless
+        for variable, tokens in reversed(columns.items()):
+            path = tmp_path / f"{variable.value}.txt"
+            path.write_text("".join(f"{t}\n" for t in tokens), encoding="utf-8")
+            sources.append(ColumnSource(path, variable))
+        return sources
 
-    def test_alignment(self):
-        records = zip_columns(self.full_columns())
-        assert len(records) == 2
-        assert records[0].age_raw == "30"
-        assert records[1].gender_raw == "2"
-        assert records[0].income_raw is None
+    def test_alignment(self, tmp_path):
+        records = read_column_sources(self.write(tmp_path))
+        assert records == [("1", "1", "1", "1", "30", "1", "1"),
+                           ("1", "1", "1", "1", "7", "2", "2")]
 
-    def test_income_column_optional(self):
-        columns = self.full_columns()
-        columns[Variable.INCOME] = ["A", "B"]
-        records = zip_columns(columns)
-        assert [r.income_raw for r in records] == ["A", "B"]
+    def test_income_column_optional(self, tmp_path):
+        records = read_column_sources(self.write(tmp_path, income=["A", "B"]))
+        assert [r[-1] for r in records] == ["A", "B"]
 
-    def test_length_mismatch_names_the_variable(self):
-        columns = self.full_columns()
-        columns[Variable.AGE] = ["30"]
+    def test_length_mismatch_names_the_variable(self, tmp_path):
         with pytest.raises(LengthMismatchError) as exc:
-            zip_columns(columns)
+            read_column_sources(self.write(tmp_path, age=["30"]))
         assert "age" in exc.value.message
         assert exc.value.expected == 2
         assert exc.value.actual == 1
 
-    def test_missing_required_variable(self):
-        columns = self.full_columns()
-        del columns[Variable.GENDER]
-        with pytest.raises(ConfigError):
-            zip_columns(columns)
+    def test_reads_only_the_sources_given(self, tmp_path):
+        strata = self.write(tmp_path)[-4:]
+        assert read_column_sources(strata) == [("1", "1", "1", "1")] * 2
 
 
 def test_read_column_sources_rejects_duplicate_variable(tmp_path):
@@ -154,8 +157,45 @@ class TestReadTable:
     def test_basic(self, tmp_path):
         src = self.write(tmp_path, self.HEADER + "1,1,1,1,30,1,1\n1,1,1,1,7,2,2\n")
         records = read_table(src)
-        assert len(records) == 2
-        assert records[1].age_raw == "7"
+        assert records == [("1", "1", "1", "1", "30", "1", "1"),
+                           ("1", "1", "1", "1", "7", "2", "2")]
+
+    def test_cells_are_trimmed(self, tmp_path):
+        src = self.write(tmp_path, self.HEADER + " 01 ,1,1,1,30 ,1,1\n")
+        assert read_table(src) == [("01", "1", "1", "1", "30", "1", "1")]
+
+    def test_internal_whitespace_survives(self, tmp_path):
+        src = self.write(tmp_path, self.HEADER + "1 x,1,1,1,30,1,1\n")
+        assert read_table(src)[0][0] == "1 x"
+
+    def test_empty_cell_rejected(self, tmp_path):
+        src = self.write(tmp_path, self.HEADER + "1,1,1,1,30,1,1\n1,1,1,1,30,   ,1\n")
+        with pytest.raises(EmptyTokenError) as exc:
+            read_table(src)
+        assert exc.value.message == "field 'gender_raw' is empty"
+
+    def test_linebreak_in_strata_rejected(self, tmp_path):
+        src = self.write(tmp_path, self.HEADER + '1,1,"3\n4",1,30,1,1\n')
+        with pytest.raises(BadStrataTokenError) as exc:
+            read_table(src)
+        assert exc.value.message == "field 'cluster' contains a line break: '3\\n4'"
+
+    def test_linebreak_outside_strata_kept(self, tmp_path):
+        src = self.write(tmp_path, self.HEADER + '1,1,1,1,30,1,"1\r1"\n')
+        assert read_table(src)[0][6] == "1\r1"
+
+    def test_income_optional(self, tmp_path):
+        text = self.HEADER.replace("\n", ",income\n") + "1,1,1,1,30,1,1, A \n"
+        src = self.write(tmp_path, text)
+        assert read_table(src) == [("1", "1", "1", "1", "30", "1", "1")]
+        with_income = TableSource(src.path, {**src.column_map, Variable.INCOME: "income"})
+        assert read_table(with_income) == [("1", "1", "1", "1", "30", "1", "1", "A")]
+
+    def test_reads_only_the_mapped_columns(self, tmp_path):
+        src = self.write(tmp_path, "household,region,cluster,milieu\n4,1,3,2\n")
+        strata = {v: src.column_map[v] for v in
+                  (Variable.HOUSEHOLD, Variable.MILIEU, Variable.REGION, Variable.CLUSTER)}
+        assert read_table(TableSource(src.path, strata)) == [("1", "2", "3", "4")]
 
     def test_extra_columns_ignored(self, tmp_path):
         src = self.write(
@@ -163,13 +203,11 @@ class TestReadTable:
             "region,milieu,cluster,household,age,gender,poswrchief,junk\n"
             "1,1,1,1,30,1,1,zzz\n",
         )
-        assert read_table(src)[0].region == "1"
+        assert read_table(src)[0][0] == "1"
 
     def test_quoted_cells(self, tmp_path):
         src = self.write(tmp_path, self.HEADER + '"1",1,1,1,"30",1,"1"\n')
-        record = read_table(src)[0]
-        assert record.region == "1"
-        assert record.poswrchief_raw == "1"
+        assert read_table(src) == [("1", "1", "1", "1", "30", "1", "1")]
 
     def test_semicolon_delimiter(self, tmp_path):
         src = self.write(
@@ -177,7 +215,7 @@ class TestReadTable:
             self.HEADER.replace(",", ";") + "1;1;1;1;30;1;1\n",
             delimiter=";",
         )
-        assert read_table(src)[0].age_raw == "30"
+        assert read_table(src)[0][4] == "30"
 
     def test_missing_column(self, tmp_path):
         src = self.write(tmp_path, "region,milieu,cluster,household,age,gender\n1,1,1,1,30,1\n")
@@ -198,7 +236,7 @@ class TestReadTable:
 
     def test_skip_header_lines_before_real_header(self, tmp_path):
         src = self.write(tmp_path, "export 2026\n" + self.HEADER + "1,1,1,1,30,1,1\n")
-        assert read_table(src, skip_header=1)[0].age_raw == "30"
+        assert read_table(src, skip_header=1)[0][4] == "30"
 
 
 class TestParseAge:

@@ -1,11 +1,6 @@
 import pytest
 
-from hdbprep.errors import (
-    BadEncodingError,
-    BadStrataTokenError,
-    DmpParamOutOfRangeError,
-    EmptyTokenError,
-)
+from hdbprep.errors import BadEncodingError, DmpParamOutOfRangeError
 from hdbprep.model import (
     Age,
     AgeEncoding,
@@ -14,21 +9,11 @@ from hdbprep.model import (
     HouseholdKey,
     IncomeMode,
     MissingAgePolicy,
-    PersonRecord,
     ScaleKind,
     ScaleSpec,
     WarningRecord,
     validate_weight_domain,
 )
-
-
-def make_record(**overrides):
-    fields = dict(
-        region="1", milieu="2", cluster="3", household="4",
-        age_raw="30", gender_raw="1", poswrchief_raw="1",
-    )
-    fields.update(overrides)
-    return PersonRecord(**fields)
 
 
 class TestEnums:
@@ -62,33 +47,6 @@ class TestEnums:
             IncomeMode.from_config("euros")
         with pytest.raises(BadEncodingError):
             ScaleKind.from_config("oecd")
-
-
-class TestPersonRecord:
-    def test_tokens_are_trimmed(self):
-        record = make_record(region=" 01 ", age_raw="30 ")
-        assert record.region == "01"
-        assert record.age_raw == "30"
-
-    def test_empty_token_rejected(self):
-        with pytest.raises(EmptyTokenError):
-            make_record(gender_raw="   ")
-
-    def test_linebreak_in_strata_rejected(self):
-        with pytest.raises(BadStrataTokenError):
-            make_record(cluster="3\n4")
-
-    def test_income_optional(self):
-        assert make_record().income_raw is None
-        assert make_record(income_raw=" A ").income_raw == "A"
-
-    def test_chief_flag_is_exact_string_match(self):
-        assert make_record(poswrchief_raw="1").is_chief
-        assert not make_record(poswrchief_raw="01").is_chief
-        assert not make_record(poswrchief_raw="2").is_chief
-
-    def test_internal_whitespace_survives(self):
-        assert make_record(region="1 x").region == "1 x"
 
 
 class TestAge:

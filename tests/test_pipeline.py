@@ -3,6 +3,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hdbprep.errors import (
     ConfigError,
@@ -65,6 +66,33 @@ class TestFormatNumber:
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 format_number(value)
+
+
+def twelve_digit_loop(value):
+    """format_number as it was first written: try every precision up to 12."""
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    for precision in range(1, 13):
+        text = f"{value:.{precision}g}"
+        if float(text) == value:
+            return text
+    return f"{value:.12g}"
+
+
+class TestFormatNumberMatchesLoop:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_double(self, value):
+        assert format_number(value) == twelve_digit_loop(value)
+
+    @given(st.integers(0, 10**8), st.floats(0.25, 40))
+    def test_scaled_incomes(self, total, scale):
+        value = total / scale
+        assert format_number(value) == twelve_digit_loop(value)
+
+    @given(st.floats(-1e7, 1e7), st.integers(0, 14))
+    def test_rounded_decimals(self, value, digits):
+        value = round(value, digits)
+        assert format_number(value) == twelve_digit_loop(value)
 
 
 class TestScaledIncome:
@@ -381,6 +409,12 @@ class TestRunRecode:
         assert lines_of(tmp_path / "monthlyincome.txt") == ["14500", "875000"]
         assert report.persons == 2
 
+    def test_table_mode_reads_only_the_income_column(self, tmp_path):
+        (tmp_path / "persons.csv").write_text("age,income\n,A\nx,I\n", encoding="utf-8")
+        config = letters_config(tmp_path, input_mode="table", table_file="persons.csv")
+        assert run_recode(config).persons == 2
+        assert lines_of(tmp_path / "monthlyincome.txt") == ["14500", "875000"]
+
     def test_literal_table_zeroes_unknown_letters(self, tmp_path):
         (tmp_path / "monthlyincomeNT.txt").write_text("A\nZ\n", encoding="utf-8")
         run_recode(letters_config(tmp_path, paper_literal=True))
@@ -437,6 +471,27 @@ class TestRunAggregate:
         config = letters_config(data, income_mode=IncomeMode.NONE)
         with pytest.raises(ConfigError):
             run_aggregate(config, only=["income"])
+
+
+    def test_chief_flag_is_exact_string_match(self, tmp_path):
+        write_columns(tmp_path, **dict(ONE_HOUSEHOLD, poswrchief=["01", "2", " 1 "]))
+        run_aggregate(PipelineConfig(input_dir=tmp_path), only=["chief", "oxford"])
+        # " 1 " is read as "1": the child on line 3 is the chief, "01" is not
+        assert lines_of(tmp_path / "labelgender.txt") == ["1"]
+        assert lines_of(tmp_path / "scaleoxford.txt") == ["1.9"]
+        write_columns(tmp_path, **dict(ONE_HOUSEHOLD, poswrchief=["01", "2", "2"]))
+        run_aggregate(PipelineConfig(input_dir=tmp_path), only=["chief"])
+        assert lines_of(tmp_path / "labelgender.txt") == ["XXX"]
+
+    def test_missing_required_variable(self, tmp_path):
+        write_columns(tmp_path, **ONE_HOUSEHOLD)
+        files = {v: f"{v.value}.txt" for v in Variable if v is not Variable.INCOME}
+        del files[Variable.GENDER]
+        config = PipelineConfig(input_dir=tmp_path, column_files=files)
+        with pytest.raises(ConfigError) as info:
+            run_aggregate(config)
+        assert info.value.message == "no source supplies variable 'gender'"
+        assert run_identify(config).persons == 3
 
 
 def write_columns(directory, **columns):

@@ -1,0 +1,234 @@
+"""Byte-identity grid: run the same CLI cases on two source trees and
+compare everything each case leaves behind.
+
+    python tools/output_grid.py PARENT_SRC CHANGE_SRC [--jobs N] [--case ID ...]
+
+PARENT_SRC and CHANGE_SRC are directories holding the `hdbprep` package,
+for example the `src` of a clean checkout of the parent commit and this
+checkout's `src`. The corpora are generated once, by PARENT_SRC's
+`hdbprep synth`:
+
+* 48 clean corpora: synth seeds 3 and 11, 400 households, `--regions 6
+  --max-clusters 8 --max-per-cluster 12 --max-size 12`, with letter,
+  numeric or no incomes, ages in years or in classes, with and without
+  `--anomalies` and `--renumber`;
+* 12 table corpora: the seed-3 corpora without `--renumber`, read from
+  one `persons.csv` in table mode;
+* 9 corpora with one injected fault each (FAULTS below).
+
+Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
+`identify` and `recode-income`, each with no flag, `--paper-sentinel`,
+`--sort`, `--scale faofam` and `--scale dmp --dmp-c 0.3`. A case's
+output directory starts with a stale `households.csv` in it. The grid
+compares the exit code, stdout and stderr (output directory and source
+tree masked) and the name and bytes of every file in the output
+directory, prints each case that differs with what differs, and exits 1
+when any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SEEDS = (3, 11)
+FRAME = ["--households", "400", "--regions", "6", "--max-clusters", "8",
+         "--max-per-cluster", "12", "--max-size", "12"]
+
+COMMANDS = {
+    "run": ["run"],
+    "aggregate": ["aggregate"],
+    "aggregate-only": ["aggregate", "--only", "income", "size"],
+    "identify": ["identify"],
+    "recode-income": ["recode-income"],
+}
+FLAGS = {
+    "plain": [],
+    "sentinel": ["--paper-sentinel"],
+    "sort": ["--sort"],
+    "faofam": ["--scale", "faofam"],
+    "dmp": ["--scale", "dmp", "--dmp-c", "0.3"],
+}
+CHILD_TIMEOUT_S = 120
+
+
+def _replace_line(path: Path, line: int, token: str) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line - 1] = token
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _first_adult_line(data: Path) -> int:
+    ages = (data / "age.txt").read_text(encoding="utf-8").split("\n")
+    return next(i for i, age in enumerate(ages, 1) if float(age) >= 15)
+
+
+def _move_household(data: Path) -> None:
+    """Give the last person the strata of the first household."""
+    for name in ("region.txt", "milieu.txt", "cluster.txt", "household.txt"):
+        lines = (data / name).read_text(encoding="utf-8").split("\n")
+        _replace_line(data / name, len(lines) - 1, lines[0])
+
+
+def _drop_last_line(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    path.write_text("\n".join(lines[:-2] + [""]), encoding="utf-8")
+
+
+def _config_line(data: Path, old: str, new: str) -> None:
+    config = data / "config.ini"
+    config.write_text(config.read_text(encoding="utf-8").replace(old, new),
+                      encoding="utf-8")
+
+
+def _not_utf8(path: Path, line: int) -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xe9" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+#: One fault each, injected into the seed-3 letters/years corpus.
+FAULTS = {
+    "bad-age": lambda d: _replace_line(d / "age.txt", 5, "x"),
+    "unknown-letter": lambda d: _replace_line(d / "monthlyincomeNT.txt", 7, "Z"),
+    "unknown-letter-after-bad-age": lambda d: (
+        _replace_line(d / "age.txt", 3, "x"),
+        _replace_line(d / "monthlyincomeNT.txt", 9, "Z")),
+    "adult-gender-9": lambda d: _replace_line(d / "gender.txt", _first_adult_line(d), "9"),
+    "prefix-letter-in-region": lambda d: _replace_line(d / "region.txt", 4, "1R"),
+    "non-consecutive-household": _move_household,
+    "short-column-file": lambda d: _drop_last_line(d / "gender.txt"),
+    "dmp-out-of-range": lambda d: _config_line(d, "dmp_c = 0.5", "dmp_c = 1.5"),
+    "not-utf8-region": lambda d: _not_utf8(d / "region.txt", 6),
+}
+
+
+def corpora() -> dict[str, tuple[list[str], bool, object]]:
+    """Corpus name -> (synth flags, table layout, fault or None)."""
+    specs = {}
+    for seed in SEEDS:
+        for income in ("letters", "numeric", "none"):
+            for encoding in ("years", "classes"):
+                for anomalies in (False, True):
+                    for renumber in (False, True):
+                        flags = ["--seed", str(seed), "--income", income,
+                                 "--age-encoding", encoding]
+                        flags += ["--anomalies"] if anomalies else []
+                        flags += ["--renumber"] if renumber else []
+                        name = (f"s{seed}-{income}-{encoding}"
+                                f"-{'anomalies' if anomalies else 'clean'}"
+                                f"-{'renumber' if renumber else 'continuous'}")
+                        specs[name] = (flags, False, None)
+                        if seed == SEEDS[0] and not renumber:
+                            specs[f"table-{name}"] = (flags, True, None)
+    base = ["--seed", str(SEEDS[0]), "--income", "letters", "--age-encoding", "years"]
+    for fault, inject in FAULTS.items():
+        specs[f"fault-{fault}"] = (base, False, inject)
+    return specs
+
+
+def cases() -> list[str]:
+    """Every case id, `corpus/command/flags`."""
+    return [f"{corpus}/{command}/{flag}"
+            for corpus in corpora() for command in COMMANDS for flag in FLAGS]
+
+
+def _env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def build_corpus(src: Path, name: str, directory: Path) -> Path:
+    flags, table, inject = corpora()[name]
+    subprocess.run(
+        [sys.executable, "-m", "hdbprep.cli", "synth", *flags, *FRAME,
+         "--out-dir", str(directory)] + (["--table"] if table else []),
+        env=_env(src), check=True, capture_output=True, timeout=CHILD_TIMEOUT_S)
+    if table:
+        _config_line(directory, "mode = columns", "mode = table\ntable = persons.csv")
+    if inject is not None:
+        inject(directory)
+    return directory
+
+
+def run_case(src: Path, corpus: Path, command: str, flag: str, out_dir: Path) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one case."""
+    out_dir.mkdir(parents=True)
+    (out_dir / "households.csv").write_text("stale\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "hdbprep.cli", COMMANDS[command][0],
+            "--config", str(corpus / "config.ini"), "--out-dir", str(out_dir),
+            *COMMANDS[command][1:], *FLAGS[flag]]
+    done = subprocess.run(argv, env=_env(src), capture_output=True,
+                          timeout=CHILD_TIMEOUT_S)
+
+    def mask(text: bytes) -> bytes:
+        return (text.replace(str(out_dir).encode(), b"<OUT>")
+                .replace(str(src).encode(), b"<SRC>"))
+
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    shutil.rmtree(out_dir)
+    return done.returncode, mask(done.stdout), mask(done.stderr), files
+
+
+def differences(parent: tuple, change: tuple) -> list[str]:
+    """What differs between the results of one case on the two trees."""
+    found = [what for what, a, b in zip(("exit code", "stdout", "stderr"), parent, change)
+             if a != b]
+    files_a, files_b = parent[3], change[3]
+    found += [f"file {name}" for name in sorted(set(files_a) | set(files_b))
+              if files_a.get(name) != files_b.get(name)]
+    return found
+
+
+def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
+            jobs: int = 2) -> list[tuple[str, list[str], tuple, tuple]]:
+    """Run the selected cases on both trees; returns the cases that differ
+    as (case id, what differs, parent result, change result)."""
+    parent_src, change_src = parent_src.resolve(), change_src.resolve()
+    names = sorted({case.split("/")[0] for case in selected})
+    paths = {name: build_corpus(parent_src, name, work / "corpora" / name)
+             for name in names}
+
+    def one(index_case):
+        index, case = index_case
+        corpus, command, flag = case.split("/")
+        results = [run_case(src, paths[corpus], command, flag, work / "out" / f"{index}-{side}")
+                   for side, src in (("parent", parent_src), ("change", change_src))]
+        return case, differences(*results), *results
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return [row for row in pool.map(one, enumerate(selected)) if row[1]]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--jobs", type=int, default=2, help="cases run at once")
+    parser.add_argument("--case", action="append", metavar="ID",
+                        help="run only this case (corpus/command/flags); repeatable")
+    args = parser.parse_args(argv)
+    known = cases()
+    selected = args.case or known
+    unknown = [case for case in selected if case not in known]
+    if unknown:
+        parser.error(f"unknown case {unknown[0]!r}")
+    with tempfile.TemporaryDirectory(prefix="output_grid_") as work:
+        differing = compare(args.parent_src, args.change_src, selected, Path(work),
+                            jobs=args.jobs)
+    for case, what, parent, change in differing:
+        print(f"DIFF {case}: {', '.join(what)} (exit {parent[0]} -> {change[0]})")
+        for label, result in (("parent", parent), ("change", change)):
+            if result[2]:
+                print(f"  {label} stderr: {result[2].decode(errors='replace').strip()}")
+    print(f"{len(selected)} cases, {len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
