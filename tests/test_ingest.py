@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 from hdbprep.errors import (
     BadAgeTokenError,
     BadGenderTokenError,
-    BadStrataTokenError,
     BlankLineError,
     ConfigError,
     EmptyFileError,
-    EmptyTokenError,
     IoError,
     LengthMismatchError,
     MissingColumnError,
@@ -31,6 +29,7 @@ from hdbprep.model import (
     GenderEncoding,
     MissingAgePolicy,
 )
+from hdbprep.pipeline import PipelineConfig, run_aggregate, run_identify
 
 
 def column(tmp_path, name, text):
@@ -84,8 +83,8 @@ class TestReadColumnFile:
             read_column_file(src)
 
 
-class TestReadColumnSources:
-    """Column files aligned into one tuple per person, in variable order."""
+class TestZipColumns:
+    """Column files zipped into one tuple per person, in variable order."""
 
     def write(self, tmp_path, **extra):
         columns = {
@@ -126,6 +125,17 @@ class TestReadColumnSources:
         strata = self.write(tmp_path)[-4:]
         assert read_column_sources(strata) == [("1", "1", "1", "1")] * 2
 
+    def test_missing_required_variable(self, tmp_path):
+        self.write(tmp_path)
+        files = {v: f"{v.value}.txt" for v in Variable if v is not Variable.INCOME}
+        del files[Variable.GENDER]
+        config = PipelineConfig(input_dir=tmp_path, column_files=files)
+        with pytest.raises(ConfigError) as info:
+            run_aggregate(config)
+        assert info.value.message == "no source supplies variable 'gender'"
+        # identify reads the strata alone and needs no gender column
+        assert run_identify(config).persons == 2
+
 
 def test_read_column_sources_rejects_duplicate_variable(tmp_path):
     (tmp_path / "a.txt").write_text("1\n", encoding="utf-8")
@@ -160,36 +170,9 @@ class TestReadTable:
         assert records == [("1", "1", "1", "1", "30", "1", "1"),
                            ("1", "1", "1", "1", "7", "2", "2")]
 
-    def test_cells_are_trimmed(self, tmp_path):
-        src = self.write(tmp_path, self.HEADER + " 01 ,1,1,1,30 ,1,1\n")
-        assert read_table(src) == [("01", "1", "1", "1", "30", "1", "1")]
-
-    def test_internal_whitespace_survives(self, tmp_path):
-        src = self.write(tmp_path, self.HEADER + "1 x,1,1,1,30,1,1\n")
-        assert read_table(src)[0][0] == "1 x"
-
-    def test_empty_cell_rejected(self, tmp_path):
-        src = self.write(tmp_path, self.HEADER + "1,1,1,1,30,1,1\n1,1,1,1,30,   ,1\n")
-        with pytest.raises(EmptyTokenError) as exc:
-            read_table(src)
-        assert exc.value.message == "field 'gender_raw' is empty"
-
-    def test_linebreak_in_strata_rejected(self, tmp_path):
-        src = self.write(tmp_path, self.HEADER + '1,1,"3\n4",1,30,1,1\n')
-        with pytest.raises(BadStrataTokenError) as exc:
-            read_table(src)
-        assert exc.value.message == "field 'cluster' contains a line break: '3\\n4'"
-
     def test_linebreak_outside_strata_kept(self, tmp_path):
         src = self.write(tmp_path, self.HEADER + '1,1,1,1,30,1,"1\r1"\n')
         assert read_table(src)[0][6] == "1\r1"
-
-    def test_income_optional(self, tmp_path):
-        text = self.HEADER.replace("\n", ",income\n") + "1,1,1,1,30,1,1, A \n"
-        src = self.write(tmp_path, text)
-        assert read_table(src) == [("1", "1", "1", "1", "30", "1", "1")]
-        with_income = TableSource(src.path, {**src.column_map, Variable.INCOME: "income"})
-        assert read_table(with_income) == [("1", "1", "1", "1", "30", "1", "1", "A")]
 
     def test_reads_only_the_mapped_columns(self, tmp_path):
         src = self.write(tmp_path, "household,region,cluster,milieu\n4,1,3,2\n")

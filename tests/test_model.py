@@ -1,6 +1,12 @@
 import pytest
 
-from hdbprep.errors import BadEncodingError, DmpParamOutOfRangeError
+from hdbprep.errors import (
+    BadEncodingError,
+    BadStrataTokenError,
+    DmpParamOutOfRangeError,
+    EmptyTokenError,
+)
+from hdbprep.ingest import TableSource, Variable, read_table
 from hdbprep.model import (
     Age,
     AgeEncoding,
@@ -14,6 +20,7 @@ from hdbprep.model import (
     WarningRecord,
     validate_weight_domain,
 )
+from hdbprep.pipeline import PipelineConfig, run_aggregate
 
 
 class TestEnums:
@@ -47,6 +54,68 @@ class TestEnums:
             IncomeMode.from_config("euros")
         with pytest.raises(BadEncodingError):
             ScaleKind.from_config("oecd")
+
+
+HEADER = "region,milieu,cluster,household,age,gender,poswrchief,income\n"
+
+
+def person_table(tmp_path, rows, income=False):
+    """A table source over ``rows``; the income column is mapped only when
+    ``income`` is set."""
+    path = tmp_path / "persons.csv"
+    path.write_text(HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")
+    names = [v for v in Variable if income or v is not Variable.INCOME]
+    return TableSource(path, {v: v.value for v in names})
+
+
+class TestPersonRecord:
+    """A person record is the tuple of stripped tokens a reader builds, in
+    variable order; aggregation reads the chief flag from it."""
+
+    def test_tokens_are_trimmed(self, tmp_path):
+        src = person_table(tmp_path, [" 01 ,1,1,1,30 ,1,1,A"])
+        assert read_table(src) == [("01", "1", "1", "1", "30", "1", "1")]
+
+    def test_empty_token_rejected(self, tmp_path):
+        src = person_table(tmp_path, ["1,1,1,1,30,1,1,A", "1,1,1,1,30,   ,1,A"])
+        with pytest.raises(EmptyTokenError) as exc:
+            read_table(src)
+        assert exc.value.message == "field 'gender_raw' is empty"
+
+    def test_linebreak_in_strata_rejected(self, tmp_path):
+        src = person_table(tmp_path, ['1,1,"3\n4",1,30,1,1,A'])
+        with pytest.raises(BadStrataTokenError) as exc:
+            read_table(src)
+        assert exc.value.message == "field 'cluster' contains a line break: '3\\n4'"
+
+    def test_income_optional(self, tmp_path):
+        rows = ["1,1,1,1,30,1,1, A "]
+        assert read_table(person_table(tmp_path, rows)) == [
+            ("1", "1", "1", "1", "30", "1", "1")
+        ]
+        assert read_table(person_table(tmp_path, rows, income=True)) == [
+            ("1", "1", "1", "1", "30", "1", "1", "A")
+        ]
+
+    def test_chief_flag_is_exact_string_match(self, tmp_path):
+        def labels(poswrchief):
+            columns = dict(region="111", milieu="111", cluster="111", household="111",
+                           age=["34", "30", "10"], gender="121", poswrchief=poswrchief)
+            for name, tokens in columns.items():
+                (tmp_path / f"{name}.txt").write_text(
+                    "".join(f"{t}\n" for t in tokens), encoding="utf-8"
+                )
+            run_aggregate(PipelineConfig(input_dir=tmp_path), only=["chief", "oxford"])
+            return [(tmp_path / name).read_text(encoding="utf-8").split()
+                    for name in ("labelgender.txt", "scaleoxford.txt")]
+
+        # " 1 " is read as "1": the child on line 3 is the chief, "01" is not
+        assert labels(["01", "2", " 1 "]) == [["1"], ["1.9"]]
+        assert labels(["01", "2", "2"])[0] == ["XXX"]
+
+    def test_internal_whitespace_survives(self, tmp_path):
+        src = person_table(tmp_path, ["1 x,1,1,1,30,1,1,A"])
+        assert read_table(src)[0][0] == "1 x"
 
 
 class TestAge:

@@ -473,27 +473,6 @@ class TestRunAggregate:
             run_aggregate(config, only=["income"])
 
 
-    def test_chief_flag_is_exact_string_match(self, tmp_path):
-        write_columns(tmp_path, **dict(ONE_HOUSEHOLD, poswrchief=["01", "2", " 1 "]))
-        run_aggregate(PipelineConfig(input_dir=tmp_path), only=["chief", "oxford"])
-        # " 1 " is read as "1": the child on line 3 is the chief, "01" is not
-        assert lines_of(tmp_path / "labelgender.txt") == ["1"]
-        assert lines_of(tmp_path / "scaleoxford.txt") == ["1.9"]
-        write_columns(tmp_path, **dict(ONE_HOUSEHOLD, poswrchief=["01", "2", "2"]))
-        run_aggregate(PipelineConfig(input_dir=tmp_path), only=["chief"])
-        assert lines_of(tmp_path / "labelgender.txt") == ["XXX"]
-
-    def test_missing_required_variable(self, tmp_path):
-        write_columns(tmp_path, **ONE_HOUSEHOLD)
-        files = {v: f"{v.value}.txt" for v in Variable if v is not Variable.INCOME}
-        del files[Variable.GENDER]
-        config = PipelineConfig(input_dir=tmp_path, column_files=files)
-        with pytest.raises(ConfigError) as info:
-            run_aggregate(config)
-        assert info.value.message == "no source supplies variable 'gender'"
-        assert run_identify(config).persons == 3
-
-
 def write_columns(directory, **columns):
     directory.mkdir(parents=True, exist_ok=True)
     for name, tokens in columns.items():
