@@ -12,14 +12,8 @@ is available from the shell:
 import tempfile
 from pathlib import Path
 
-from hdbprep import (
-    IncomeMode,
-    PipelineConfig,
-    SynthParams,
-    generate,
-    run_pipeline,
-    write_column_files,
-)
+from hdbprep import IncomeMode, PipelineConfig, run_pipeline
+from hdbprep.synth import SynthParams, generate, write_column_files
 
 with tempfile.TemporaryDirectory(prefix="hdbprep_demo_") as tmp:
     workdir = Path(tmp)

@@ -7,7 +7,8 @@ DMP), recoded and totalled incomes, household sizes and labels, all
 computed in one streaming pass over consecutively grouped households.
 
 The names below are the surface the command line, the demos and the README
-use; everything else is imported from its module.
+use; everything else, the synthetic generator in `hdbprep.synth` included,
+is imported from its module.
 """
 
 from .aggregate import AggregationSettings, aggregate_all
@@ -46,12 +47,6 @@ from .scales import (
     faofam_weight,
     oxford_weight,
 )
-from .synth import (
-    SynthParams,
-    generate,
-    write_column_files,
-    write_table,
-)
 
 __version__ = "0.1.0"
 
@@ -72,12 +67,10 @@ __all__ = [
     "PrefixScheme",
     "ScaleKind",
     "ScaleSpec",
-    "SynthParams",
     "aggregate_all",
     "dmp_scale",
     "elim1_default_map",
     "faofam_weight",
-    "generate",
     "income_from_letter",
     "load_config",
     "make_household_key",
@@ -87,6 +80,4 @@ __all__ = [
     "run_identify",
     "run_pipeline",
     "run_recode",
-    "write_column_files",
-    "write_table",
 ]

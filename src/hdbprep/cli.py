@@ -14,6 +14,7 @@ import configparser
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import HdbError, IoError
 from .identity import PrefixScheme
@@ -27,14 +28,9 @@ from .pipeline import (
     run_pipeline,
     run_recode,
 )
-from .synth import (
-    LETTER_INCOME_FILE,
-    NUMERIC_INCOME_FILE,
-    SynthParams,
-    generate,
-    write_column_files,
-    write_table,
-)
+
+if TYPE_CHECKING:
+    from .synth import SynthParams
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -126,6 +122,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _write_synth_config(out_dir: Path, params: SynthParams) -> Path:
     """Drop a ready-to-run config next to the generated files."""
+    from .synth import LETTER_INCOME_FILE, NUMERIC_INCOME_FILE
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser["input"] = {"mode": "columns", "dir": "."}
@@ -163,6 +161,9 @@ def _write_synth_config(out_dir: Path, params: SynthParams) -> Path:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # the generator is imported here alone, so the other commands start faster
+    from .synth import SynthParams, generate, write_column_files, write_table
+
     params = SynthParams(
         n_households=args.households,
         seed=args.seed,

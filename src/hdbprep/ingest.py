@@ -137,7 +137,7 @@ def read_column_sources(
 
     Every file must have as many tokens as the first in `Variable` order;
     a shorter or longer one means the files drifted apart and is a
-    LENGTH_MISMATCH error naming the variable.
+    LENGTH_MISMATCH error naming the variable and its file.
     """
     columns: dict[Variable, list[str]] = {}
     for source in sources:
@@ -146,11 +146,12 @@ def read_column_sources(
         columns[source.variable] = read_column_file(source, skip_header=skip_header)
     ordered = [columns[variable] for variable in Variable if variable in columns]
     expected = len(ordered[0])
-    for variable, tokens in columns.items():
-        if len(tokens) != expected:
+    for source in sources:
+        actual = len(columns[source.variable])
+        if actual != expected:
             raise LengthMismatchError(
-                variable.value, expected=expected, actual=len(tokens)
-            )
+                source.variable.value, expected=expected, actual=actual
+            ).at(source=str(source.path))
     return list(zip(*ordered))
 
 
@@ -181,9 +182,10 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
     column named in the column_map must appear in the header; every data
     row must have exactly as many cells as the header. An empty cell is an
     EMPTY_TOKEN error and a strata cell holding a line break a
-    BAD_STRATA_TOKEN error. Quoting follows the common convention (fields
-    wrapped in double quotes, embedded quotes doubled), which the csv
-    module implements.
+    BAD_STRATA_TOKEN error; these and a row of the wrong length name the
+    file and the row's last line. Quoting follows the common convention
+    (fields wrapped in double quotes, embedded quotes doubled), which the
+    csv module implements.
     """
     try:
         handle = source.path.open(encoding="utf-8-sig", newline="")
@@ -219,7 +221,10 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
                 person = tuple([row[i].strip() for i in indexes])
                 strata = "".join(person[:n_strata])
                 if "" in person or "\n" in strata or "\r" in strata:
-                    _check_cells(person, variables)
+                    try:
+                        _check_cells(person, variables)
+                    except DataError as exc:
+                        raise exc.at(source=str(source.path), line=reader.line_num)
                 persons.append(person)
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None

@@ -13,10 +13,11 @@ none of its outputs (an I/O failure part-way through the writes can still
 leave the files written before it).
 
 The per-person work is per distinct token: a household key is built once
-per run of lines with the same strata tokens, each income token is
-recoded once (per-run table), and each household value is rendered to
-text once, with each distinct number formatted once; the per-variable
-files and households.csv write the same text.
+per run of lines with the same strata tokens (once per household under
+--sort), each income token is recoded once (per-run table), and each
+household value is rendered to text once, with each distinct number
+formatted once; the per-variable files and households.csv write the same
+text, each file in one write.
 
 Person-level outputs keep input order; household-level files are aligned
 with each other row by row, one row per household run, in run order.
@@ -33,7 +34,6 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -53,7 +53,6 @@ from .ingest import (
 from .model import (
     AgeEncoding,
     GenderEncoding,
-    HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
     Member,
@@ -360,10 +359,12 @@ def dmp_file_name(c: float, s: float) -> str:
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> Path:
+    """Write each line followed by a newline, in one write."""
+    lines = list(lines)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as handle:
-            handle.writelines(f"{line}\n" for line in lines)
+            handle.write("\n".join(lines) + "\n" if lines else "")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -389,27 +390,19 @@ def _renderer() -> Callable[[object], str]:
     return cell
 
 
-#: One household's values, each rendered to the text every output writes.
-_RenderedRow = namedtuple("_RenderedRow", _TABLE_COLUMNS)
-
-
-def write_household_table(
-    aggregates: Sequence[HouseholdAggregate], path: Path
-) -> Path:
-    """Write the combined one-row-per-household table (header always
-    present; empty column where a statistic was not configured). Rows the
-    pass already rendered to text are written as they are."""
+def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
+    """Write the combined one-row-per-household table: the header (always
+    present), then each row of cells already rendered to text, in
+    `_TABLE_COLUMNS` order (an empty cell where a statistic was not
+    configured)."""
     import csv
 
-    cell = _renderer()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(_TABLE_COLUMNS)
-            writer.writerows(
-                [cell(getattr(a, name)) for name in _TABLE_COLUMNS] for a in aggregates
-            )
+            writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -476,10 +469,12 @@ def _run(
     Only the columns a selected output needs are read. Each person is
     handled in line order: key, then income, then member, each only when a
     selected output needs it; an error names the line of the first person
-    whose token fails, and a key error the first line of its household run.
-    Households are folded only for a household output, and the scaled
-    income is computed only for households.csv. Nothing is written before
-    every step has succeeded.
+    whose token fails. A household key is built at the first line of each
+    run of lines with the same strata; under ``config.sort`` every strata
+    tuple keeps its key, so a person-shuffled input builds one key per
+    household, at the household's first line. Households are folded only
+    for a household output, and the scaled income is computed only for
+    households.csv. Nothing is written before every step has succeeded.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {spec.kind.value for spec in config.scales} | {"size", "area", "chief"}
@@ -515,17 +510,25 @@ def _run(
     amount_lines: list[str] = []
     rows: list[tuple[HouseholdKey, Member]] = []
     strata = key = None
+    # under --sort a household's lines may lie anywhere, and every person is
+    # held until the sort anyway: each strata tuple keeps its key, so a key
+    # is built once per household; otherwise only the current run's is kept
+    known: dict[tuple[str, ...], HouseholdKey] | None = {} if config.sort else None
     # income token -> (amount, its text when the amount file is written);
     # a token that fails to parse is never stored
     incomes: dict[str, tuple[float, str | None]] = {}
     for line, person in enumerate(persons, 1):
-        # a household's members share one key, built at the first line of its run
+        # a household's members share one key, built at its first line
         if need_keys and person[:4] != strata:
             strata = person[:4]
-            try:
-                key = make_household_key(*strata, config.scheme)
-            except HdbError as exc:
-                raise exc.at(line=line, stage="identify")
+            key = None if known is None else known.get(strata)
+            if key is None:
+                try:
+                    key = make_household_key(*strata, config.scheme)
+                except HdbError as exc:
+                    raise exc.at(line=line, stage="identify")
+                if known is not None:
+                    known[strata] = key
         if keys:
             key_lines.append(key.canonical)
         income = None
@@ -569,9 +572,9 @@ def _run(
     # every value is rendered once; the per-variable files and
     # households.csv write the same text
     rendered = [
-        _RenderedRow._make([cell(getattr(a, name)) for name in _TABLE_COLUMNS])
-        for a in aggregates or ()
+        [cell(getattr(a, name)) for name in _TABLE_COLUMNS] for a in aggregates or ()
     ]
+    columns = dict(zip(_TABLE_COLUMNS, zip(*rendered)))
     out_dir = config.effective_out_dir
     outputs = []
     if keys:
@@ -581,7 +584,7 @@ def _run(
     dmp = config.dmp_spec()
     for _, file_name, attribute in plan:
         path = out_dir / (file_name or dmp_file_name(dmp.dmp_c, dmp.dmp_s))
-        outputs.append(_write_lines(path, (getattr(row, attribute) for row in rendered)))
+        outputs.append(_write_lines(path, columns[attribute]))
     if table:
         outputs.append(write_household_table(rendered, out_dir / TABLE_FILE))
     return RunReport(

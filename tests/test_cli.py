@@ -1,3 +1,7 @@
+import csv
+import math
+import random
+
 import pytest
 
 from hdbprep.cli import main
@@ -291,8 +295,8 @@ class TestErrorPrecedence:
     def test_carriage_return_in_a_column_file_ends_a_line(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (1, HOUSEHOLD, "1H"), (5, CLUSTER, "1\r2"))
         assert code == 1
-        assert err == ("error: [ingest] LENGTH_MISMATCH: column 'cluster' "
-                       "has 6 tokens, expected 5")
+        assert err == (f"error: [ingest] LENGTH_MISMATCH ({tmp_path / 'data' / 'cluster.txt'}): "
+                       "column 'cluster' has 6 tokens, expected 5")
 
     def test_later_prefix_collision_beats_early_bad_age(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"))
@@ -345,24 +349,29 @@ class TestErrorPrecedence:
         code, err = self.run_table(tmp_path, capsys, [
             "1,1,1,1,40,1,1,A", "1,1,1,1, ,2,2,B", "1,1,1,2,35,2,1,C", "1,1,1"])
         assert code == 1
-        assert err == "error: [ingest] EMPTY_TOKEN: field 'age_raw' is empty"
+        assert err == (f"error: [ingest] EMPTY_TOKEN ({tmp_path / 'data' / 'persons.csv'}:3): "
+                       "field 'age_raw' is empty")
 
     def test_late_line_break_in_strata_beats_early_prefix_collision(self, tmp_path, capsys):
         code, err = self.run_table(tmp_path, capsys, [
             "1,1,1,1H,40,1,1,A", "1,1,1,1,10,2,2,B", '1,1,"1\r2",2,35,2,1,C'])
         assert code == 1
-        assert err == ("error: [ingest] BAD_STRATA_TOKEN: field 'cluster' "
-                       "contains a line break: '1\\r2'")
+        # a quoted line break ends a line: the row's last line is named
+        assert err == (f"error: [ingest] BAD_STRATA_TOKEN ({tmp_path / 'data' / 'persons.csv'}:5): "
+                       "field 'cluster' contains a line break: '1\\r2'")
 
     def test_first_bad_cell_in_line_then_field_order_wins(self, tmp_path, capsys):
         rows = ["1,1,1,1,40,1,1,A", '1," ",1,"1\n3",10,2,2,B', '"1\r2",1,1,2,,2,1,C']
         code, err = self.run_table(tmp_path, capsys, rows)
-        assert (code, err) == (1, "error: [ingest] EMPTY_TOKEN: field 'milieu' is empty")
+        assert (code, err) == (1, f"error: [ingest] EMPTY_TOKEN "
+                                  f"({tmp_path / 'data' / 'persons.csv'}:4): "
+                                  "field 'milieu' is empty")
         rows[1] = '"1\n2",,1,1,10,2,2,B'
         code, err = self.run_table(tmp_path / "again", capsys, rows)
         assert code == 1
-        assert err == ("error: [ingest] BAD_STRATA_TOKEN: field 'region' "
-                       "contains a line break: '1\\n2'")
+        assert err == ("error: [ingest] BAD_STRATA_TOKEN "
+                       f"({tmp_path / 'again' / 'data' / 'persons.csv'}:4): "
+                       "field 'region' contains a line break: '1\\n2'")
 
 
 class TestIdentifyReadsOnlyStrata:
@@ -392,8 +401,9 @@ class TestIdentifyReadsOnlyStrata:
         identify, keys, (code, err) = self.commands(config, tmp_path, capsys)
         assert identify == (0, "")
         assert len(keys) == 5
-        assert (code, err) == (1, "error: [ingest] LENGTH_MISMATCH: column "
-                                  "'income' has 100 tokens, expected 5")
+        assert (code, err) == (1, "error: [ingest] LENGTH_MISMATCH "
+                                  f"({tmp_path / 'data' / 'monthlyincomeNT.txt'}): "
+                                  "column 'income' has 100 tokens, expected 5")
 
     def test_table_with_strata_columns_only(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -449,3 +459,90 @@ class TestTokenTableCap:
         assert self.outputs(data, tmp_path / "capped", capsys) == uncapped
         # ages, Oxford and FAO-OMS weights, income letters, rendered values
         assert [len(table) for table in tables] == [4] * 5
+
+
+def shuffled_table(source, target, seed):
+    """Copy a table-mode corpus with the data rows of persons.csv in a
+    seeded random order."""
+    target.mkdir(parents=True)
+    header, *rows = (source / "persons.csv").read_text().splitlines()
+    random.Random(seed).shuffle(rows)
+    (target / "persons.csv").write_text("".join(f"{line}\n" for line in [header, *rows]))
+    (target / "config.ini").write_text((source / "config.ini").read_text())
+    return target / "config.ini"
+
+
+class TestSortedShuffledTable:
+    """Under --sort a person-shuffled table builds one key per household,
+    still in line order."""
+
+    def test_one_key_per_household(self, tmp_path, capsys, monkeypatch):
+        from hdbprep import pipeline
+
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "6", "--households", "60", "--max-size", "12",
+                     "--income", "numeric", "--out-dir", str(data), "--table"]) == 0
+        config = data / "config.ini"
+        config.write_text(config.read_text().replace(
+            "mode = columns", "mode = table\ntable = persons.csv"))
+        shuffled = shuffled_table(data, tmp_path / "shuffled", seed=17)
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "a"),
+                     "--sort"]) == 0
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:4])
+            return real_make_household_key(*args)
+
+        real_make_household_key = pipeline.make_household_key
+        monkeypatch.setattr(pipeline, "make_household_key", counting)
+        assert main(["run", "--config", str(shuffled), "--out-dir", str(tmp_path / "b"),
+                     "--sort"]) == 0
+        assert "households: 60" in capsys.readouterr().out
+        assert len(calls) == len(set(calls)) == 60
+
+        def table(out):
+            with (out / "households.csv").open(newline="") as handle:
+                return list(csv.reader(handle))
+
+        expected, got = table(tmp_path / "a"), table(tmp_path / "b")
+        assert len(got) == len(expected) == 61
+        # the shuffled members are summed in another order
+        for want_row, got_row in zip(expected, got):
+            for want, cell in zip(want_row, got_row, strict=True):
+                assert cell == want or math.isclose(float(cell), float(want), rel_tol=1e-9)
+
+    #: FIVE_PERSONS in the line order 3, 1, 5, 4, 2: households 2, 1, 3, 2, 1.
+    ORDER = (2, 0, 4, 3, 1)
+
+    def run_shuffled(self, tmp_path, capsys, faults):
+        """Run --sort on FIVE_PERSONS as a shuffled letter-income table;
+        each fault is (1-based line of the shuffled table, column, token)."""
+        data = tmp_path / "data"
+        data.mkdir(parents=True)
+        rows = [list(FIVE_PERSONS[i]) for i in self.ORDER]
+        for line, column, token in faults:
+            rows[line - 1][column] = token
+        header = "region,milieu,cluster,household,age,gender,poswrchief,income\n"
+        (data / "persons.csv").write_text(header + "".join(f"{','.join(r)}\n" for r in rows))
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n"
+                          "[income]\nmode = letters\n")
+        return failure(capsys, ["run", "--config", str(config),
+                                "--out-dir", str(tmp_path / "out"), "--sort"])
+
+    def test_prefix_collision_names_the_first_line_of_its_household(self, tmp_path, capsys):
+        code, err = self.run_shuffled(
+            tmp_path, capsys, [(2, HOUSEHOLD, "1H"), (5, HOUSEHOLD, "1H"), (1, AGE, "x")])
+        assert code == 1
+        assert err == ("error: [identify] PREFIX_COLLISION (line 2): token '1H' contains "
+                       "prefix letter 'H'; the identifier would not parse back")
+        assert not (tmp_path / "out").exists()
+
+    def test_earlier_recode_error_beats_later_key_error(self, tmp_path, capsys):
+        code, err = self.run_shuffled(
+            tmp_path, capsys, [(3, HOUSEHOLD, "3H"), (2, INCOME, "Z")])
+        assert code == 1
+        assert err == ("error: [recode] UNKNOWN_INCOME_CODE (line 2): "
+                       "income code 'Z' is not in the range map")

@@ -7,7 +7,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 CASES = ["s3-letters-years-anomalies-continuous/run/plain",
-         "fault-unknown-letter-after-bad-age/aggregate/sentinel"]
+         "fault-unknown-letter-after-bad-age/aggregate/sentinel",
+         "shuffled-s3-numeric-years-clean-continuous/run/dmp"]
 
 spec = importlib.util.spec_from_file_location("output_grid", ROOT / "tools" / "output_grid.py")
 output_grid = importlib.util.module_from_spec(spec)
@@ -16,7 +17,7 @@ spec.loader.exec_module(output_grid)
 
 def test_source_tree_matches_itself(capsys):
     assert output_grid.main([str(SRC), str(SRC), *(f"--case={case}" for case in CASES)]) == 0
-    assert capsys.readouterr().out == "2 cases, 0 differ\n"
+    assert capsys.readouterr().out == "3 cases, 0 differ\n"
 
 
 def test_a_changed_output_byte_is_reported(tmp_path, capsys):

@@ -16,8 +16,6 @@ from hdbprep.ingest import Variable
 from hdbprep.model import (
     AgeEncoding,
     GenderEncoding,
-    HouseholdAggregate,
-    HouseholdKey,
     IncomeMode,
     MissingAgePolicy,
     ScaleKind,
@@ -141,41 +139,35 @@ class TestHouseholdTable:
         path = write_household_table([], tmp_path / "households.csv")
         assert path.read_text() == self.HEADER + "\n"
 
-    def test_unconfigured_columns_left_empty(self, tmp_path):
-        agg = HouseholdAggregate(
-            key=HouseholdKey("R1M1C1H1", ("1", "1", "1", "1")),
-            size=2,
-            n_adults=1,
-            n_children=1,
-            scale_oxford=None,
-            scale_faofam=None,
-            scale_dmp=None,
-            total_income=None,
-            label_area="1",
-            label_chief_gender="XXX",
-            scaled_income=None,
+    def run_one_household(self, tmp_path, **config):
+        """Run the pipeline on one household of three (chief man 40, woman
+        35, child 8) and return its households.csv data row as cells."""
+        write_columns(
+            tmp_path,
+            region=["1"] * 3,
+            milieu=["1"] * 3,
+            cluster=["1"] * 3,
+            household=["1"] * 3,
+            age=["40", "35", "8"],
+            gender=["1", "2", "1"],
+            poswrchief=config.pop("chiefs", ["1", "2", "2"]),
+            monthlyincome=["100000", "79000", "0"],
         )
-        path = write_household_table([agg], tmp_path / "households.csv")
-        lines = path.read_text().splitlines()
-        assert lines[1] == "R1M1C1H1,2,1,1,,,,,,1,XXX"
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(input_dir=tmp_path, out_dir=out, **config))
+        lines = lines_of(out / "households.csv")
+        assert len(lines) == 2
+        return lines[1].split(",")
+
+    def test_unconfigured_columns_left_empty(self, tmp_path):
+        row = self.run_one_household(tmp_path, scales=(), chiefs=["2", "2", "2"])
+        assert ",".join(row) == "R1M1C1H1,3,2,1,,,,,,1,XXX"
 
     def test_numbers_formatted(self, tmp_path):
-        agg = HouseholdAggregate(
-            key=HouseholdKey("R1M1C1H1", ("1", "1", "1", "1")),
-            size=3,
-            n_adults=2,
-            n_children=1,
-            scale_oxford=2.2,
-            scale_faofam=2.3,
-            scale_dmp=2.5 ** 0.7,
-            total_income=179000.0,
-            label_area="1",
-            label_chief_gender="2",
-            scaled_income=179000.0 / 2.2,
-        )
-        path = write_household_table([agg], tmp_path / "households.csv")
-        row = path.read_text().splitlines()[1].split(",")
+        row = self.run_one_household(tmp_path, income_mode=IncomeMode.NUMERIC)
         assert row[4] == "2.2"
+        assert row[5] == "2.3"
+        assert float(row[6]) == pytest.approx(2.5 ** 0.7)
         assert row[7] == "179000"
         assert float(row[8]) == pytest.approx(179000.0 / 2.2)
 

@@ -14,7 +14,12 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
   `--anomalies` and `--renumber`;
 * 12 table corpora: the seed-3 corpora without `--renumber`, read from
   one `persons.csv` in table mode;
-* 9 corpora with one injected fault each (FAULTS below).
+* 12 shuffled-table corpora: the same tables with their data rows in a
+  fixed random order (seed SHUFFLE_SEED), so that a household's members
+  lie apart; every case on them adds `--sort`;
+* 9 corpora with one injected fault each (FAULTS below), and one
+  shuffled table whose household tokens of one household hold the prefix
+  letter `H` (TABLE_FAULTS below).
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -29,7 +34,9 @@ when any case differs.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -56,6 +63,7 @@ FLAGS = {
     "dmp": ["--scale", "dmp", "--dmp-c", "0.3"],
 }
 CHILD_TIMEOUT_S = 120
+SHUFFLE_SEED = 20171229
 
 
 def _replace_line(path: Path, line: int, token: str) -> None:
@@ -109,8 +117,37 @@ FAULTS = {
 }
 
 
-def corpora() -> dict[str, tuple[list[str], bool, object]]:
-    """Corpus name -> (synth flags, table layout, fault or None)."""
+def _shuffle_table(data: Path) -> None:
+    """Put the data rows of persons.csv in a fixed random order."""
+    header, *rows = (data / "persons.csv").read_text(encoding="utf-8").splitlines()
+    random.Random(SHUFFLE_SEED).shuffle(rows)
+    (data / "persons.csv").write_text("".join(f"{row}\n" for row in [header, *rows]),
+                                      encoding="utf-8")
+
+
+def _collide_household(data: Path, row: int = 7) -> None:
+    """Append the prefix letter H to the household token of every member
+    of the household on the given data row of persons.csv."""
+    path = data / "persons.csv"
+    with path.open(encoding="utf-8", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    strata = rows[row - 1][:4]
+    for cells in rows:
+        if cells[:4] == strata:
+            cells[3] += "H"
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+
+
+#: One fault each, injected into the shuffled seed-3 letters/years table.
+TABLE_FAULTS = {
+    "prefix-letter-in-household": _collide_household,
+}
+
+
+def corpora() -> dict[str, tuple[list[str], str, object]]:
+    """Corpus name -> (synth flags, layout, fault or None); the layout is
+    "columns", "table" or "shuffled" (a shuffled table, run with --sort)."""
     specs = {}
     for seed in SEEDS:
         for income in ("letters", "numeric", "none"):
@@ -124,12 +161,15 @@ def corpora() -> dict[str, tuple[list[str], bool, object]]:
                         name = (f"s{seed}-{income}-{encoding}"
                                 f"-{'anomalies' if anomalies else 'clean'}"
                                 f"-{'renumber' if renumber else 'continuous'}")
-                        specs[name] = (flags, False, None)
+                        specs[name] = (flags, "columns", None)
                         if seed == SEEDS[0] and not renumber:
-                            specs[f"table-{name}"] = (flags, True, None)
+                            specs[f"table-{name}"] = (flags, "table", None)
+                            specs[f"shuffled-{name}"] = (flags, "shuffled", None)
     base = ["--seed", str(SEEDS[0]), "--income", "letters", "--age-encoding", "years"]
     for fault, inject in FAULTS.items():
-        specs[f"fault-{fault}"] = (base, False, inject)
+        specs[f"fault-{fault}"] = (base, "columns", inject)
+    for fault, inject in TABLE_FAULTS.items():
+        specs[f"fault-shuffled-{fault}"] = (base, "shuffled", inject)
     return specs
 
 
@@ -144,25 +184,31 @@ def _env(src: Path) -> dict:
 
 
 def build_corpus(src: Path, name: str, directory: Path) -> Path:
-    flags, table, inject = corpora()[name]
+    flags, layout, inject = corpora()[name]
+    table = layout != "columns"
     subprocess.run(
         [sys.executable, "-m", "hdbprep.cli", "synth", *flags, *FRAME,
          "--out-dir", str(directory)] + (["--table"] if table else []),
         env=_env(src), check=True, capture_output=True, timeout=CHILD_TIMEOUT_S)
     if table:
         _config_line(directory, "mode = columns", "mode = table\ntable = persons.csv")
+    if layout == "shuffled":
+        _shuffle_table(directory)
     if inject is not None:
         inject(directory)
     return directory
 
 
-def run_case(src: Path, corpus: Path, command: str, flag: str, out_dir: Path) -> tuple:
-    """(exit code, stdout, stderr, {file name: bytes}) of one case."""
+def run_case(src: Path, corpus: Path, command: str, flag: str, out_dir: Path,
+             sort: bool = False) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one case;
+    ``sort`` adds --sort to its flags."""
     out_dir.mkdir(parents=True)
     (out_dir / "households.csv").write_text("stale\n", encoding="utf-8")
+    flags = FLAGS[flag] + (["--sort"] if sort and "--sort" not in FLAGS[flag] else [])
     argv = [sys.executable, "-m", "hdbprep.cli", COMMANDS[command][0],
             "--config", str(corpus / "config.ini"), "--out-dir", str(out_dir),
-            *COMMANDS[command][1:], *FLAGS[flag]]
+            *COMMANDS[command][1:], *flags]
     done = subprocess.run(argv, env=_env(src), capture_output=True,
                           timeout=CHILD_TIMEOUT_S)
 
@@ -197,7 +243,9 @@ def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
     def one(index_case):
         index, case = index_case
         corpus, command, flag = case.split("/")
-        results = [run_case(src, paths[corpus], command, flag, work / "out" / f"{index}-{side}")
+        sort = corpora()[corpus][1] == "shuffled"
+        results = [run_case(src, paths[corpus], command, flag,
+                            work / "out" / f"{index}-{side}", sort)
                    for side, src in (("parent", parent_src), ("change", change_src))]
         return case, differences(*results), *results
 
