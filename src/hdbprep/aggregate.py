@@ -185,8 +185,9 @@ def aggregate_all(
     region token; the chief label is the raw gender token of the last
     member marked chief, or "XXX" when none is.
 
-    Raises NON_CONSECUTIVE_KEY (with the 1-based row position) when a key
-    that already closed a household reappears later in the stream.
+    Raises NON_CONSECUTIVE_KEY (at the line of the member that brings it
+    back) when a key that already closed a household reappears later in
+    the stream.
     """
     age_encoding = settings.age_encoding
     policy = settings.missing_age_policy
@@ -201,10 +202,10 @@ def aggregate_all(
     oxfords: dict[tuple[str, bool], float] = {}
     faofams: dict[tuple[str, str], float] = {}
 
-    for position, (key, member) in enumerate(rows, 1):
+    for key, member in rows:
         if household is None or key.canonical != household.key.canonical:
             if key.canonical in seen:
-                raise NonConsecutiveKeyError(key.canonical, line=position)
+                raise NonConsecutiveKeyError(key.canonical, line=member.line)
             seen.add(key.canonical)
             if household is not None:
                 yield household.finish(settings, warnings)

@@ -3,8 +3,9 @@
 Subcommands mirror the step-by-step preparation workflow: `identify`,
 `recode-income` and `aggregate` select one stage's outputs from the
 pipeline's single pass, `run` selects all of them, and `synth` generates a
-test database in the same layout. Every flag mirrors a config key and wins
-over the file.
+test database in the same layout. Every flag but --config and --out-dir
+sets the config key it mirrors: it is read and checked like the file's
+value, and wins over it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import HdbError, IoError
-from .identity import PrefixScheme
-from .model import AgeEncoding, GenderEncoding, IncomeMode, ScaleKind, ScaleSpec
+from .model import AgeEncoding, GenderEncoding, IncomeMode
 from .pipeline import (
     AGGREGATE_OUTPUTS,
     PipelineConfig,
@@ -34,70 +34,46 @@ if TYPE_CHECKING:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the processing commands; a flag's dest names the config
+    key it sets, as "section.option"."""
     parser.add_argument("--config", required=True, type=Path,
                         help="INI config file; relative paths resolve next to it")
     parser.add_argument("--out-dir", type=Path,
                         help="directory for outputs (default: the input directory)")
-    parser.add_argument("--skip-header", type=int, metavar="N",
+    parser.add_argument("--skip-header", dest="input.skip_header", type=int, metavar="N",
                         help="input lines to skip before data")
-    parser.add_argument("--scheme", metavar="LETTERS",
+    parser.add_argument("--scheme", dest="identify.scheme", metavar="LETTERS",
                         help="prefix letters of the canonical key, e.g. RMCH or DMCH")
-    parser.add_argument("--paper-literal", action="store_true",
+    parser.add_argument("--paper-literal", dest="income.paper_literal", action="store_true",
                         help="legacy income table verbatim: F recodes to 115000 "
                              "and unknown letters to 0")
-    parser.add_argument("--paper-sentinel", action="store_true",
+    parser.add_argument("--paper-sentinel", dest="output.paper_sentinel", action="store_true",
                         help="emit the legacy 0.99 weight for unparseable members "
                              "instead of stopping with an error")
-    parser.add_argument("--sort", action="store_true",
+    parser.add_argument("--sort", dest="output.sort", action="store_true",
                         help="stable-sort persons by canonical key before grouping")
-    parser.add_argument("--dmp-c", type=float, metavar="C",
+    parser.add_argument("--dmp-c", dest="scales.dmp_c", type=float, metavar="C",
                         help="DMP child discount, in [0,1]")
-    parser.add_argument("--dmp-s", type=float, metavar="S",
+    parser.add_argument("--dmp-s", dest="scales.dmp_s", type=float, metavar="S",
                         help="DMP economies-of-scale exponent, in [0,1]")
-    parser.add_argument("--scale", choices=["oxford", "faofam", "dmp", "none"],
+    parser.add_argument("--scale", dest="scales.scaled_by",
+                        choices=["oxford", "faofam", "dmp", "none"],
                         help="which scale divides total income in households.csv")
 
 
 def _configure(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config)
-    updates = {}
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
-    if args.skip_header is not None:
-        updates["skip_header"] = args.skip_header
-    if args.scheme:
-        updates["scheme"] = PrefixScheme.from_string(args.scheme)
-    if args.paper_literal:
-        updates["paper_literal"] = True
-    if args.paper_sentinel:
-        updates["paper_sentinel"] = True
-    if args.sort:
-        updates["sort"] = True
-    if args.scale:
-        updates["scaled_by"] = (
-            None if args.scale == "none" else ScaleKind.from_config(args.scale)
-        )
-    if args.dmp_c is not None or args.dmp_s is not None:
-        scales = []
-        seen_dmp = False
-        for spec in config.scales:
-            if spec.kind is ScaleKind.DMP:
-                seen_dmp = True
-                scales.append(ScaleSpec(
-                    ScaleKind.DMP,
-                    dmp_c=args.dmp_c if args.dmp_c is not None else spec.dmp_c,
-                    dmp_s=args.dmp_s if args.dmp_s is not None else spec.dmp_s,
-                ))
-            else:
-                scales.append(spec)
-        if not seen_dmp:
-            scales.append(ScaleSpec(
-                ScaleKind.DMP,
-                dmp_c=args.dmp_c if args.dmp_c is not None else 0.5,
-                dmp_s=args.dmp_s if args.dmp_s is not None else 0.7,
-            ))
-        updates["scales"] = tuple(scales)
-    return replace(config, **updates) if updates else config
+    # each given flag's text replaces the value of the key its dest names
+    overrides = {
+        tuple(dest.split(".")): str(value)
+        for dest, value in vars(args).items()
+        if "." in dest and value is not None and value is not False
+    }
+    # a DMP parameter turns the DMP scale on
+    if {("scales", "dmp_c"), ("scales", "dmp_s")} & overrides.keys():
+        overrides["scales", "dmp"] = "true"
+    config = load_config(args.config, overrides)
+    # --out-dir is no config key: it is relative to the working directory
+    return config if args.out_dir is None else replace(config, out_dir=args.out_dir)
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:

@@ -155,22 +155,16 @@ def read_column_sources(
     return list(zip(*ordered))
 
 
-#: A table cell's field name in EMPTY_TOKEN and BAD_STRATA_TOKEN messages.
-_FIELD_NAMES = {
-    variable: variable.value if variable in STRATA_VARIABLES else f"{variable.value}_raw"
-    for variable in Variable
-}
-
-
-def _check_cells(person: tuple[str, ...], variables: Sequence[Variable]) -> None:
+def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
+                 column_map: Mapping[Variable, str]) -> None:
     """Raise for the first bad cell of a person, in field order: an empty
     cell, or a strata cell holding a line break."""
     for variable, token in zip(variables, person):
-        name = _FIELD_NAMES[variable]
+        name = column_map[variable]
         if not token:
-            raise EmptyTokenError(f"field '{name}' is empty")
+            raise EmptyTokenError(f"column {name!r} is empty")
         if variable in STRATA_VARIABLES and ("\n" in token or "\r" in token):
-            raise BadStrataTokenError(f"field '{name}' contains a line break: {token!r}")
+            raise BadStrataTokenError(f"column {name!r} contains a line break: {token!r}")
 
 
 def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...]]:
@@ -182,8 +176,9 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
     column named in the column_map must appear in the header; every data
     row must have exactly as many cells as the header. An empty cell is an
     EMPTY_TOKEN error and a strata cell holding a line break a
-    BAD_STRATA_TOKEN error; these and a row of the wrong length name the
-    file and the row's last line. Quoting follows the common convention
+    BAD_STRATA_TOKEN error, each naming the cell's column by its header;
+    these and a row of the wrong length name the file and the row's first
+    line. Quoting follows the common convention
     (fields wrapped in double quotes, embedded quotes doubled), which the
     csv module implements.
     """
@@ -213,18 +208,21 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
             indexes = [positions[variable] for variable in variables]
             n_strata = sum(variable in STRATA_VARIABLES for variable in variables)
             persons: list[tuple[str, ...]] = []
+            last = reader.line_num
             for row in reader:
+                # the first line of the row: a quoted line break spans lines
+                first, last = last + 1, reader.line_num
                 if len(row) != len(names):
                     raise RowArityMismatchError(expected=len(names), actual=len(row)).at(
-                        source=str(source.path), line=reader.line_num
+                        source=str(source.path), line=first
                     )
                 person = tuple([row[i].strip() for i in indexes])
                 strata = "".join(person[:n_strata])
                 if "" in person or "\n" in strata or "\r" in strata:
                     try:
-                        _check_cells(person, variables)
+                        _check_cells(person, variables, source.column_map)
                     except DataError as exc:
-                        raise exc.at(source=str(source.path), line=reader.line_num)
+                        raise exc.at(source=str(source.path), line=first)
                 persons.append(person)
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None

@@ -167,7 +167,7 @@ class Member(NamedTuple):
     """One parsed household member as the aggregation stage sees it; a
     named tuple, because the pass builds one per person.
 
-    ``line`` is the 1-based line of the person in the input, used to locate
+    ``line`` is the person's 1-based line in its input file, used to locate
     errors and warnings. ``income`` is the numeric amount after any letter
     recoding, or None when income is not configured. ``gender_raw`` is the
     raw gender token; the chief's is exported verbatim as the household's
@@ -186,7 +186,8 @@ class HouseholdAggregate:
     """Per-household outputs of one aggregation pass.
 
     Scale and income fields are None when the corresponding computation was
-    not configured. ``size == n_adults + n_children`` always holds.
+    not configured. ``size == n_adults + n_children`` always holds. The
+    field order is the column order of households.csv.
     """
 
     key: HouseholdKey
@@ -197,9 +198,9 @@ class HouseholdAggregate:
     scale_faofam: float | None
     scale_dmp: float | None
     total_income: float | None
+    scaled_income: float | None
     label_area: str
     label_chief_gender: str
-    scaled_income: float | None
 
     def __post_init__(self):
         if self.size < 1:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -53,6 +53,7 @@ from .ingest import (
 from .model import (
     AgeEncoding,
     GenderEncoding,
+    HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
     Member,
@@ -80,29 +81,25 @@ IDENT_FILE = "identhousehold.txt"
 RECODED_INCOME_FILE = "monthlyincome.txt"
 TABLE_FILE = "households.csv"
 
-#: The per-variable household files in output order: (--only name, file
-#: name, HouseholdAggregate attribute). The DMP file's name embeds its
+#: The per-variable household files in output order: --only name ->
+#: (file name, HouseholdAggregate field). The DMP file's name embeds its
 #: parameters, so it is made by dmp_file_name.
-_HOUSEHOLD_FILES = (
-    ("oxford", "scaleoxford.txt", "scale_oxford"),
-    ("faofam", "scalefaofam.txt", "scale_faofam"),
-    ("dmp", None, "scale_dmp"),
-    ("size", "sizehousehold.txt", "size"),
-    ("income", "totalincome.txt", "total_income"),
-    ("area", "labelregion.txt", "label_area"),
-    ("chief", "labelgender.txt", "label_chief_gender"),
-)
+_HOUSEHOLD_FILES = {
+    "oxford": ("scaleoxford.txt", "scale_oxford"),
+    "faofam": ("scalefaofam.txt", "scale_faofam"),
+    "dmp": (None, "scale_dmp"),
+    "size": ("sizehousehold.txt", "size"),
+    "income": ("totalincome.txt", "total_income"),
+    "area": ("labelregion.txt", "label_area"),
+    "chief": ("labelgender.txt", "label_chief_gender"),
+}
 
 #: Selectable per-variable outputs of the aggregate stage.
-AGGREGATE_OUTPUTS = tuple(name for name, _, _ in _HOUSEHOLD_FILES)
+AGGREGATE_OUTPUTS = tuple(_HOUSEHOLD_FILES)
 
-#: The columns of households.csv: HouseholdAggregate attributes, which are
-#: also the header.
-_TABLE_COLUMNS = (
-    "key", "size", "n_adults", "n_children", "scale_oxford", "scale_faofam",
-    "scale_dmp", "total_income", "scaled_income", "label_area",
-    "label_chief_gender",
-)
+#: The columns of households.csv, which are also its header: every
+#: HouseholdAggregate field, in field order.
+_TABLE_COLUMNS = tuple(f.name for f in fields(HouseholdAggregate))
 
 _DEFAULT_SCALES = (
     ScaleSpec(ScaleKind.OXFORD),
@@ -111,7 +108,7 @@ _DEFAULT_SCALES = (
 )
 
 #: Table mode: the header name of each variable's column, by default its own.
-_DEFAULT_TABLE_COLUMNS = tuple((v.value, v.value) for v in Variable)
+_DEFAULT_TABLE_COLUMNS = {v: v.value for v in Variable}
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,9 @@ class PipelineConfig:
     ``input_dir`` anchors every relative path (input files and, unless
     ``out_dir`` is set, the outputs too, matching the one-folder workflow
     the file formats come from). ``column_files`` names the file of each
-    variable in columns mode; the income file follows the income mode
-    unless ``income_file`` names it.
+    variable in columns mode (the income file follows the income mode
+    unless ``income_file`` names it), ``table_columns`` its header in table
+    mode.
     """
 
     input_mode: str = "columns"
@@ -131,7 +129,7 @@ class PipelineConfig:
     income_file: str | None = None
     table_file: str | None = None
     table_delimiter: str = ","
-    table_columns: tuple[tuple[str, str], ...] = _DEFAULT_TABLE_COLUMNS
+    table_columns: Mapping[Variable, str] = field(default_factory=_DEFAULT_TABLE_COLUMNS.copy)
     skip_header: int = 0
     scheme: PrefixScheme = DEFAULT_SCHEME
     age_encoding: AgeEncoding = AgeEncoding.YEARS
@@ -213,11 +211,49 @@ class RunReport:
         return "\n".join(lines)
 
 
-def load_config(path: Path) -> PipelineConfig:
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+def _scale_or_none(text: str) -> ScaleKind | None:
+    return None if text.strip().lower() == "none" else ScaleKind.from_config(text)
+
+
+#: What a ValueError of each plain reader is called in a config error.
+_READER_KINDS = {_boolean: "boolean", float: "number", int: "integer"}
+
+#: The config keys that each set one PipelineConfig field: (section,
+#: option, field, reader of the key's text). A key the file leaves out
+#: keeps the field's default.
+_CONFIG_KEYS = (
+    ("input", "mode", "input_mode", str),
+    ("input", "income", "income_file", str),
+    ("input", "table", "table_file", str),
+    ("input", "delimiter", "table_delimiter", str),
+    ("input", "skip_header", "skip_header", int),
+    ("identify", "scheme", "scheme", PrefixScheme.from_string),
+    ("variables", "age_encoding", "age_encoding", AgeEncoding.from_config),
+    ("variables", "gender_encoding", "gender_encoding", GenderEncoding.from_config),
+    ("variables", "missing_age_policy", "missing_age_policy", MissingAgePolicy.from_config),
+    ("income", "mode", "income_mode", IncomeMode.from_config),
+    ("income", "paper_literal", "paper_literal", _boolean),
+    ("scales", "scaled_by", "scaled_by", _scale_or_none),
+    ("output", "paper_sentinel", "paper_sentinel", _boolean),
+    ("output", "sort", "sort", _boolean),
+)
+
+
+def load_config(
+    path: Path, overrides: Mapping[tuple[str, str], str] | None = None
+) -> PipelineConfig:
     """Read an INI config file; see the repository README for the grammar.
 
     Relative paths in the file resolve against the file's own directory, so
-    a config can travel with its data folder.
+    a config can travel with its data folder. ``overrides`` maps (section,
+    option) to text that replaces the file's value before any key is read.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -237,32 +273,23 @@ def load_config(path: Path) -> PipelineConfig:
         ) from None
     except configparser.Error as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
+    for (section, option), text in (overrides or {}).items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, option, text)
 
-    base = path.resolve().parent
-
-    def get(section: str, option: str, fallback: str | None = None) -> str | None:
-        return parser.get(section, option, fallback=fallback)
-
-    def getbool(section: str, option: str, fallback: bool) -> bool:
+    def read(section: str, option: str, reader: Callable[[str], object]):
         try:
-            return parser.getboolean(section, option, fallback=fallback)
+            return reader(parser.get(section, option))
         except ValueError as exc:
-            raise ConfigError(f"bad boolean for [{section}] {option}: {exc}") from exc
+            kind = _READER_KINDS[reader]
+            raise ConfigError(f"bad {kind} for [{section}] {option}: {exc}") from exc
 
-    def getfloat(section: str, option: str, fallback: float) -> float:
-        try:
-            return parser.getfloat(section, option, fallback=fallback)
-        except ValueError as exc:
-            raise ConfigError(f"bad number for [{section}] {option}: {exc}") from exc
-
-    def getint(section: str, option: str, fallback: int) -> int:
-        try:
-            return parser.getint(section, option, fallback=fallback)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer for [{section}] {option}: {exc}") from exc
-
-    input_dir = base / get("input", "dir", ".")
-    income_mode = IncomeMode.from_config(get("income", "mode", "none"))
+    values = {
+        name: read(section, option, reader)
+        for section, option, name, reader in _CONFIG_KEYS
+        if parser.has_option(section, option)
+    }
 
     income_map = None
     if parser.has_section("income_map"):
@@ -279,59 +306,35 @@ def load_config(path: Path) -> PipelineConfig:
                 entries[code] = value
         income_map = IncomeRangeMap(entries, default_amount)
 
+    # each scale is on unless its key says otherwise; the DMP parameters
+    # are read only for an enabled DMP scale
     scales = []
-    if getbool("scales", "oxford", True):
-        scales.append(ScaleSpec(ScaleKind.OXFORD))
-    if getbool("scales", "faofam", True):
-        scales.append(ScaleSpec(ScaleKind.FAOFAM))
-    if getbool("scales", "dmp", True):
-        scales.append(
-            ScaleSpec(
-                ScaleKind.DMP,
-                dmp_c=getfloat("scales", "dmp_c", 0.5),
-                dmp_s=getfloat("scales", "dmp_s", 0.7),
-            )
-        )
+    for spec in _DEFAULT_SCALES:
+        kind = spec.kind.value
+        if parser.has_option("scales", kind) and not read("scales", kind, _boolean):
+            continue
+        scales.append(replace(spec, **{
+            option: read("scales", option, float)
+            for option in ("dmp_c", "dmp_s")
+            if spec.kind is ScaleKind.DMP and parser.has_option("scales", option)
+        }))
 
-    scaled_by_token = get("scales", "scaled_by", "oxford")
-    scaled_by = (
-        None if scaled_by_token.strip().lower() == "none"
-        else ScaleKind.from_config(scaled_by_token)
-    )
-
-    out_dir_token = get("output", "dir", None)
-
+    base = path.resolve().parent
+    out_dir = parser.get("output", "dir", fallback=None)
     return PipelineConfig(
-        input_mode=get("input", "mode", "columns").strip(),
-        input_dir=input_dir,
+        input_dir=base / parser.get("input", "dir", fallback="."),
         column_files={
-            variable: get("input", variable.value, name)
+            variable: parser.get("input", variable.value, fallback=name)
             for variable, name in DEFAULT_COLUMN_FILES.items()
         },
-        income_file=get("input", "income", None),
-        table_file=get("input", "table", None),
-        table_delimiter=get("input", "delimiter", ","),
-        table_columns=tuple(
-            (name, get("input", f"{name}_column", header))
-            for name, header in _DEFAULT_TABLE_COLUMNS
-        ),
-        skip_header=getint("input", "skip_header", 0),
-        scheme=PrefixScheme.from_string(get("identify", "scheme", "RMCH")),
-        age_encoding=AgeEncoding.from_config(get("variables", "age_encoding", "years")),
-        gender_encoding=GenderEncoding.from_config(
-            get("variables", "gender_encoding", "male1_female2")
-        ),
-        missing_age_policy=MissingAgePolicy.from_config(
-            get("variables", "missing_age_policy", "paper-compat")
-        ),
-        income_mode=income_mode,
+        table_columns={
+            variable: parser.get("input", f"{variable.value}_column", fallback=header)
+            for variable, header in _DEFAULT_TABLE_COLUMNS.items()
+        },
         income_map=income_map,
-        paper_literal=getbool("income", "paper_literal", False),
         scales=tuple(scales),
-        scaled_by=scaled_by,
-        paper_sentinel=getbool("output", "paper_sentinel", False),
-        sort=getbool("output", "sort", False),
-        out_dir=(base / out_dir_token) if out_dir_token else None,
+        out_dir=base / out_dir if out_dir else None,
+        **values,
     )
 
 
@@ -417,7 +420,7 @@ def _read_persons(
     if config.input_mode == "columns":
         names = {**config.column_files, Variable.INCOME: config.effective_income_file}
     else:
-        names = {Variable(name): header for name, header in config.table_columns}
+        names = config.table_columns
     for variable in variables:
         if variable not in names:
             raise ConfigError(f"no source supplies variable '{variable.value}'")
@@ -468,11 +471,12 @@ def _run(
 
     Only the columns a selected output needs are read. Each person is
     handled in line order: key, then income, then member, each only when a
-    selected output needs it; an error names the line of the first person
-    whose token fails. A household key is built at the first line of each
-    run of lines with the same strata; under ``config.sort`` every strata
-    tuple keeps its key, so a person-shuffled input builds one key per
-    household, at the household's first line. Households are folded only
+    selected output needs it; an error names the input line of the first
+    person whose token fails (skipped lines and a table's header count). A
+    household key is built at the first line of each run of lines with the
+    same strata; under ``config.sort`` every strata tuple keeps its key, so
+    a person-shuffled input builds one key per household, at the
+    household's first line. Households are folded only
     for a household output, and the scaled income is computed only for
     households.csv. Nothing is written before every step has succeeded.
     """
@@ -480,19 +484,15 @@ def _run(
     enabled = {spec.kind.value for spec in config.scales} | {"size", "area", "chief"}
     if with_income:
         enabled.add("income")
-    plan = []
-    for name in (AGGREGATE_OUTPUTS if only is None else only) if files else ():
-        if name not in AGGREGATE_OUTPUTS:
+    selected = dict.fromkeys(AGGREGATE_OUTPUTS if only is None else only) if files else {}
+    for name in selected:
+        if name not in _HOUSEHOLD_FILES:
             raise ConfigError(
                 f"unknown aggregate output {name!r} (choose from {', '.join(AGGREGATE_OUTPUTS)})"
             )
-        if name not in enabled:
-            if only is None:
-                continue
+        if name not in enabled and only is not None:
             raise ConfigError(f"aggregate output {name!r} is not enabled by this config")
-        spec = _HOUSEHOLD_FILES[AGGREGATE_OUTPUTS.index(name)]
-        if spec not in plan:
-            plan.append(spec)
+    plan = [_HOUSEHOLD_FILES[name] for name in selected if name in enabled]
 
     fold = files or table
     need_keys = keys or fold
@@ -517,7 +517,9 @@ def _run(
     # income token -> (amount, its text when the amount file is written);
     # a token that fails to parse is never stored
     incomes: dict[str, tuple[float, str | None]] = {}
-    for line, person in enumerate(persons, 1):
+    # a person's line in its file, below the skipped lines and a table's header
+    first = config.skip_header + (1 if config.input_mode == "columns" else 2)
+    for line, person in enumerate(persons, first):
         # a household's members share one key, built at its first line
         if need_keys and person[:4] != strata:
             strata = person[:4]
@@ -582,7 +584,7 @@ def _run(
     if amounts:
         outputs.append(_write_lines(out_dir / RECODED_INCOME_FILE, amount_lines))
     dmp = config.dmp_spec()
-    for _, file_name, attribute in plan:
+    for file_name, attribute in plan:
         path = out_dir / (file_name or dmp_file_name(dmp.dmp_c, dmp.dmp_s))
         outputs.append(_write_lines(path, columns[attribute]))
     if table:

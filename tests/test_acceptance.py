@@ -264,8 +264,8 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
 
     # unsorted input must fail loudly, naming the offending row
     key = lambda h: make_household_key("1", "1", "1", h)
-    member = Member(line=0, age_raw="30", gender_raw="1", is_chief=False)
-    rows = [(key("1"), member), (key("2"), member), (key("1"), member)]
+    rows = [(key(h), Member(line=line, age_raw="30", gender_raw="1", is_chief=False))
+            for line, h in enumerate("121", 1)]
     with pytest.raises(NonConsecutiveKeyError) as info:
         list(aggregate_all(rows, settings))
     assert info.value.code == "NON_CONSECUTIVE_KEY"

@@ -1,10 +1,12 @@
 import csv
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from hdbprep.cli import main
+from hdbprep.cli import _configure, build_parser, main
+from hdbprep.pipeline import load_config
 
 
 @pytest.fixture()
@@ -350,28 +352,28 @@ class TestErrorPrecedence:
             "1,1,1,1,40,1,1,A", "1,1,1,1, ,2,2,B", "1,1,1,2,35,2,1,C", "1,1,1"])
         assert code == 1
         assert err == (f"error: [ingest] EMPTY_TOKEN ({tmp_path / 'data' / 'persons.csv'}:3): "
-                       "field 'age_raw' is empty")
+                       "column 'age' is empty")
 
     def test_late_line_break_in_strata_beats_early_prefix_collision(self, tmp_path, capsys):
         code, err = self.run_table(tmp_path, capsys, [
             "1,1,1,1H,40,1,1,A", "1,1,1,1,10,2,2,B", '1,1,"1\r2",2,35,2,1,C'])
         assert code == 1
-        # a quoted line break ends a line: the row's last line is named
-        assert err == (f"error: [ingest] BAD_STRATA_TOKEN ({tmp_path / 'data' / 'persons.csv'}:5): "
-                       "field 'cluster' contains a line break: '1\\r2'")
+        # a quoted line break ends a line: the row's first line is named
+        assert err == (f"error: [ingest] BAD_STRATA_TOKEN ({tmp_path / 'data' / 'persons.csv'}:4): "
+                       "column 'cluster' contains a line break: '1\\r2'")
 
     def test_first_bad_cell_in_line_then_field_order_wins(self, tmp_path, capsys):
         rows = ["1,1,1,1,40,1,1,A", '1," ",1,"1\n3",10,2,2,B', '"1\r2",1,1,2,,2,1,C']
         code, err = self.run_table(tmp_path, capsys, rows)
         assert (code, err) == (1, f"error: [ingest] EMPTY_TOKEN "
-                                  f"({tmp_path / 'data' / 'persons.csv'}:4): "
-                                  "field 'milieu' is empty")
+                                  f"({tmp_path / 'data' / 'persons.csv'}:3): "
+                                  "column 'milieu' is empty")
         rows[1] = '"1\n2",,1,1,10,2,2,B'
         code, err = self.run_table(tmp_path / "again", capsys, rows)
         assert code == 1
         assert err == ("error: [ingest] BAD_STRATA_TOKEN "
-                       f"({tmp_path / 'again' / 'data' / 'persons.csv'}:4): "
-                       "field 'region' contains a line break: '1\\n2'")
+                       f"({tmp_path / 'again' / 'data' / 'persons.csv'}:3): "
+                       "column 'region' contains a line break: '1\\n2'")
 
 
 class TestIdentifyReadsOnlyStrata:
@@ -536,7 +538,7 @@ class TestSortedShuffledTable:
         code, err = self.run_shuffled(
             tmp_path, capsys, [(2, HOUSEHOLD, "1H"), (5, HOUSEHOLD, "1H"), (1, AGE, "x")])
         assert code == 1
-        assert err == ("error: [identify] PREFIX_COLLISION (line 2): token '1H' contains "
+        assert err == ("error: [identify] PREFIX_COLLISION (line 3): token '1H' contains "
                        "prefix letter 'H'; the identifier would not parse back")
         assert not (tmp_path / "out").exists()
 
@@ -544,5 +546,98 @@ class TestSortedShuffledTable:
         code, err = self.run_shuffled(
             tmp_path, capsys, [(3, HOUSEHOLD, "3H"), (2, INCOME, "Z")])
         assert code == 1
-        assert err == ("error: [recode] UNKNOWN_INCOME_CODE (line 2): "
+        assert err == ("error: [recode] UNKNOWN_INCOME_CODE (line 3): "
                        "income code 'Z' is not in the range map")
+
+
+def write_ini(path, keys):
+    """Write a config file holding ``keys``, a {(section, option): text}."""
+    sections = {}
+    for (section, option), text in keys.items():
+        sections.setdefault(section, []).append(f"{option} = {text}\n")
+    path.write_text("".join(f"[{section}]\n" + "".join(lines)
+                            for section, lines in sections.items()))
+    return path
+
+
+class TestFlagsSetConfigKeys:
+    """Each flag sets the config key it mirrors: the flag's text replaces
+    the file's value before the file is read."""
+
+    #: A file that sets some keys the flags mirror, DMP turned off.
+    BASE = {("input", "skip_header"): "1", ("income", "mode"): "letters",
+            ("scales", "dmp"): "false", ("scales", "dmp_s"): "0.8",
+            ("scales", "scaled_by"): "faofam", ("output", "sort"): "false"}
+
+    @pytest.mark.parametrize("flags, keys", [
+        (["--skip-header", "0"], {("input", "skip_header"): "0"}),
+        (["--scheme", "DMCH"], {("identify", "scheme"): "DMCH"}),
+        (["--paper-literal"], {("income", "paper_literal"): "true"}),
+        (["--paper-sentinel"], {("output", "paper_sentinel"): "true"}),
+        (["--sort"], {("output", "sort"): "true"}),
+        (["--dmp-c", "0.3"], {("scales", "dmp"): "true", ("scales", "dmp_c"): "0.3"}),
+        (["--dmp-s", "0.9"], {("scales", "dmp"): "true", ("scales", "dmp_s"): "0.9"}),
+        (["--scale", "oxford"], {("scales", "scaled_by"): "oxford"}),
+        (["--scale", "none"], {("scales", "scaled_by"): "none"}),
+        (["--out-dir", "elsewhere"], {}),
+    ], ids=["skip-header", "scheme", "paper-literal", "paper-sentinel", "sort", "dmp-c",
+            "dmp-s", "scale", "scale-none", "out-dir"])
+    def test_flag_equals_its_key_in_the_file(self, flags, keys, tmp_path):
+        with_flags = write_ini(tmp_path / "flags.ini", self.BASE)
+        with_keys = write_ini(tmp_path / "keys.ini", {**self.BASE, **keys})
+        args = build_parser().parse_args(["run", "--config", str(with_flags), *flags])
+        configured = _configure(args)
+        assert replace(configured, out_dir=None) == load_config(with_keys)
+        assert configured.out_dir == args.out_dir
+
+    def test_dmp_flag_keeps_the_other_parameter_of_a_disabled_dmp(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        config.write_text(config.read_text() + "[scales]\ndmp = false\ndmp_s = 0.9\n")
+        out = tmp_path / "out"
+        assert main(["aggregate", "--config", str(config), "--out-dir", str(out),
+                     "--only", "dmp", "--dmp-c", "0.3"]) == 0
+        assert [path.name for path in out.iterdir()] == ["scaleDMP-0.3-0.9.txt"]
+
+    def test_flag_replaces_a_malformed_value_of_its_key(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        config.write_text(config.read_text() + "[input]\nskip_header = x\n")
+        argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert failure(capsys, argv) == (2, "error: ERROR: bad integer for [input] skip_header: "
+                                            "invalid literal for int() with base 10: 'x'")
+        assert main([*argv, "--skip-header", "0"]) == 0
+
+    def test_empty_scheme_flag_is_checked_like_an_empty_key(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        assert failure(capsys, ["identify", "--config", str(config), "--scheme", ""]) == (
+            2, "error: ERROR: prefix scheme must be 4 letters, got ''")
+
+
+class TestErrorLinesAreFileLines:
+    """An error after ingest names the person's line in its input file:
+    skipped lines and a table's header row count."""
+
+    def test_skipped_header_line_of_column_files(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data", [(2, AGE, "x")])
+        for name in COLUMN_NAMES:
+            path = tmp_path / "data" / name
+            path.write_text("header\n" + path.read_text())
+        assert failure(capsys, ["run", "--config", str(config), "--skip-header", "1",
+                                "--out-dir", str(tmp_path / "out")]) == (
+            1, "error: [aggregate] BAD_AGE_TOKEN (line 3): cannot read 'x' as an age")
+
+    def test_table_lines_count_the_header(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief\n"
+            "1,1,1,1,40,1,1\n1,1,1,2,x,1,1\n1,1,1,1,30,2,2\n")
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n")
+        argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert failure(capsys, argv) == (
+            1, "error: [aggregate] BAD_AGE_TOKEN (line 3): cannot read 'x' as an age")
+        (data / "persons.csv").write_text(
+            (data / "persons.csv").read_text().replace(",x,", ",35,"))
+        code, err = failure(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: [aggregate] NON_CONSECUTIVE_KEY (line 4): ")

@@ -80,13 +80,13 @@ class TestPersonRecord:
         src = person_table(tmp_path, ["1,1,1,1,30,1,1,A", "1,1,1,1,30,   ,1,A"])
         with pytest.raises(EmptyTokenError) as exc:
             read_table(src)
-        assert exc.value.message == "field 'gender_raw' is empty"
+        assert exc.value.message == "column 'gender' is empty"
 
     def test_linebreak_in_strata_rejected(self, tmp_path):
         src = person_table(tmp_path, ['1,1,"3\n4",1,30,1,1,A'])
         with pytest.raises(BadStrataTokenError) as exc:
             read_table(src)
-        assert exc.value.message == "field 'cluster' contains a line break: '3\\n4'"
+        assert exc.value.message == "column 'cluster' contains a line break: '3\\n4'"
 
     def test_income_optional(self, tmp_path):
         rows = ["1,1,1,1,30,1,1, A "]

@@ -19,11 +19,14 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
   lie apart; every case on them adds `--sort`;
 * 9 corpora with one injected fault each (FAULTS below), and one
   shuffled table whose household tokens of one household hold the prefix
-  letter `H` (TABLE_FAULTS below).
+  letter `H` (TABLE_FAULTS below);
+* 1 corpus whose config turns the DMP scale off (CONFIGS below), so that
+  a DMP flag turning it on is compared.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
-`--sort`, `--scale faofam` and `--scale dmp --dmp-c 0.3`. A case's
+`--sort`, `--scale faofam`, `--scale dmp --dmp-c 0.3` and the remaining
+override flags together (`overrides` in FLAGS). A case's
 output directory starts with a stale `households.csv` in it. The grid
 compares the exit code, stdout and stderr (output directory and source
 tree masked) and the name and bytes of every file in the output
@@ -61,6 +64,8 @@ FLAGS = {
     "sort": ["--sort"],
     "faofam": ["--scale", "faofam"],
     "dmp": ["--scale", "dmp", "--dmp-c", "0.3"],
+    "overrides": ["--skip-header", "0", "--scheme", "DMCH", "--paper-literal",
+                  "--dmp-s", "0.9", "--scale", "none"],
 }
 CHILD_TIMEOUT_S = 120
 SHUFFLE_SEED = 20171229
@@ -144,6 +149,11 @@ TABLE_FAULTS = {
     "prefix-letter-in-household": _collide_household,
 }
 
+#: One config edit each, made to the seed-3 letters/years corpus.
+CONFIGS = {
+    "dmp-disabled": lambda d: _config_line(d, "dmp = true", "dmp = false"),
+}
+
 
 def corpora() -> dict[str, tuple[list[str], str, object]]:
     """Corpus name -> (synth flags, layout, fault or None); the layout is
@@ -170,6 +180,8 @@ def corpora() -> dict[str, tuple[list[str], str, object]]:
         specs[f"fault-{fault}"] = (base, "columns", inject)
     for fault, inject in TABLE_FAULTS.items():
         specs[f"fault-shuffled-{fault}"] = (base, "shuffled", inject)
+    for name, edit in CONFIGS.items():
+        specs[f"config-{name}"] = (base, "columns", edit)
     return specs
 
 
