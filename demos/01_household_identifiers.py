@@ -8,11 +8,11 @@ tokens. Run this file directly to see the round trip and its guard rails.
 
 from hdbprep import (
     DEFAULT_SCHEME,
+    HdbError,
     PrefixScheme,
     make_household_key,
     parse_household_key,
 )
-from hdbprep.errors import MalformedKeyError, PrefixCollisionError
 
 key = make_household_key("1", "2", "3", "47")
 print("tokens (1, 2, 3, 47)  ->", key.canonical)
@@ -30,12 +30,12 @@ print("DMCH scheme           ->", make_household_key("1", "2", "3", "47", dmch).
 # so building one is an error rather than a corrupt key
 try:
     make_household_key("1", "2M", "3", "47")
-except PrefixCollisionError as exc:
+except HdbError as exc:
     print("collision rejected    ->", exc)
 
 try:
     parse_household_key("R1M2C3", DEFAULT_SCHEME)  # household part missing
-except MalformedKeyError as exc:
+except HdbError as exc:
     print("malformed rejected    ->", exc)
 
 # every person gets the key of its household, one per input line; the

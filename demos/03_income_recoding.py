@@ -9,8 +9,7 @@ bounds; the legacy table reproduces a historical implementation verbatim,
 including its quirks, for byte-compatible reprocessing of old outputs.
 """
 
-from hdbprep import IncomeRangeMap, elim1_default_map, income_from_letter
-from hdbprep.errors import UnknownIncomeCodeError
+from hdbprep import HdbError, IncomeRangeMap, elim1_default_map, income_from_letter
 
 corrected = elim1_default_map()
 legacy = elim1_default_map(paper_literal=True)
@@ -30,7 +29,7 @@ print("U ->", income_from_letter("U", corrected))
 # unknown letters: hard error by default, silent zero in the legacy table
 try:
     income_from_letter("Z", corrected)
-except UnknownIncomeCodeError as exc:
+except HdbError as exc:
     print("corrected table rejects Z:", exc)
 print("legacy table maps Z to", income_from_letter("Z", legacy))
 

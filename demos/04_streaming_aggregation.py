@@ -13,13 +13,13 @@ from hdbprep import (
     AggregationSettings,
     AgeEncoding,
     GenderEncoding,
+    HdbError,
     Member,
     ScaleKind,
     ScaleSpec,
     aggregate_all,
     make_household_key,
 )
-from hdbprep.errors import NonConsecutiveKeyError
 
 
 def person(line, household, age, gender, chief=False, income=0.0):
@@ -63,5 +63,5 @@ for w in warnings:
 unsorted_rows = [rows[0], rows[3], rows[1]]  # household 1 resumes after 2
 try:
     list(aggregate_all(unsorted_rows, settings))
-except NonConsecutiveKeyError as exc:
+except HdbError as exc:
     print("unsorted input ->", exc)

@@ -12,7 +12,7 @@ is imported from its module.
 """
 
 from .aggregate import AggregationSettings, aggregate_all
-from .errors import ConfigError, DataError, HdbError
+from .errors import HdbError
 from .identity import (
     DEFAULT_SCHEME,
     PrefixScheme,
@@ -54,9 +54,7 @@ __all__ = [
     "Age",
     "AgeEncoding",
     "AggregationSettings",
-    "ConfigError",
     "DEFAULT_SCHEME",
-    "DataError",
     "Gender",
     "GenderEncoding",
     "HdbError",

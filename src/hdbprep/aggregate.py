@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import HdbError, MissingIncomeError, NonConsecutiveKeyError, ZeroScaleError
+from .errors import HdbError
 from .ingest import parse_age, parse_gender
 from .model import (
     NO_CHIEF_LABEL,
@@ -38,6 +38,7 @@ from .model import (
     ScaleKind,
     ScaleSpec,
     WarningRecord,
+    check_scales,
     validate_weight_domain,
 )
 from .scales import (
@@ -95,17 +96,11 @@ class AggregationSettings:
     missing_age_policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT
 
     def __post_init__(self):
-        kinds = []
         for spec in self.scales:
             validate_weight_domain(spec)
-            kinds.append(spec.kind)
-        if len(set(kinds)) != len(kinds):
-            raise ValueError("each scale kind may be configured at most once")
-        if self.scaled_by is not None:
-            if not self.income_enabled:
-                raise ValueError("scaled_by requires income_enabled")
-            if self.scaled_by not in kinds:
-                raise ValueError(f"scaled_by {self.scaled_by.value} is not a configured scale")
+        check_scales(self.scales, self.scaled_by)
+        if self.scaled_by is not None and not self.income_enabled:
+            raise HdbError("ERROR", "scaled_by requires income_enabled")
 
     def spec_for(self, kind: ScaleKind) -> ScaleSpec | None:
         for spec in self.scales:
@@ -142,10 +137,8 @@ class _Household:
             divisor = {ScaleKind.OXFORD: self.oxford, ScaleKind.FAOFAM: self.faofam,
                        ScaleKind.DMP: scale_dmp}[settings.scaled_by]
             if not divisor > 0:
-                raise ZeroScaleError(
-                    f"household {self.key}: {settings.scaled_by.value} scale is "
-                    f"{divisor}, cannot scale income"
-                )
+                raise HdbError("ZERO_SCALE", f"household {self.key}: {settings.scaled_by.value} "
+                               f"scale is {divisor}, cannot scale income")
             scaled_income = self.income / divisor
         if self.chiefs > 1 and warnings is not None:
             warnings.append(
@@ -205,7 +198,9 @@ def aggregate_all(
     for key, member in rows:
         if household is None or key.canonical != household.key.canonical:
             if key.canonical in seen:
-                raise NonConsecutiveKeyError(key.canonical, line=member.line)
+                raise HdbError("NON_CONSECUTIVE_KEY", f"household {key.canonical!r} reappears "
+                               "after a different household; input is not grouped (use an "
+                               "explicit sort)", line=member.line)
             seen.add(key.canonical)
             if household is not None:
                 yield household.finish(settings, warnings)
@@ -266,7 +261,7 @@ def aggregate_all(
         if settings.income_enabled:
             income = member.income
             if income is None:
-                raise MissingIncomeError("member has no income amount").at(line=member.line)
+                raise HdbError("MISSING_INCOME", "member has no income amount", line=member.line)
 
         household.size += 1
         if household.size == 1:

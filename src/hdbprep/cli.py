@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HdbError, IoError
+from .errors import HdbError
 from .model import AgeEncoding, GenderEncoding, IncomeMode
 from .pipeline import (
     AGGREGATE_OUTPUTS,
@@ -132,7 +132,7 @@ def _write_synth_config(out_dir: Path, params: SynthParams) -> Path:
         with path.open("w", encoding="utf-8") as handle:
             parser.write(handle)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
     return path
 
 

@@ -1,27 +1,62 @@
-"""Typed errors with stable codes, split by process exit semantics.
+"""Error and warning codes, and the one error class that carries them.
 
-``DataError`` (exit code 1) marks a problem in the survey content itself,
-for example a bad token or misaligned columns. ``ConfigError`` (exit code 2)
-marks a problem with the configuration or the environment. Errors carry an
-optional source file, line number and pipeline stage so the CLI can point
-at the offending input.
+Every problem the toolkit reports has a stable code, and `CODES` is the
+one table of them: each code maps to the process exit code and a one-line
+meaning. Exit code 1 marks a problem in the survey content itself, for
+example a bad token or misaligned columns; exit code 2 a problem with the
+configuration or the environment; exit code 0 a warning, a non-fatal
+anomaly that the run report lists as a `WarningRecord` with its code.
+
+An `HdbError` carries one code and a message, plus an optional source
+file, line number and pipeline stage, so the CLI can point at the
+offending input.
 """
 
 from __future__ import annotations
 
+#: code -> (exit code, meaning); exit code 0 marks a warning.
+CODES: dict[str, tuple[int, str]] = {
+    "ERROR": (2, "bad configuration, parameter or config file"),
+    "IO_ERROR": (2, "a file cannot be read or written"),
+    "BAD_ENCODING": (2, "unknown encoding, missing-age policy, income mode or scale"),
+    "DMP_PARAM_OUT_OF_RANGE": (2, "a DMP parameter is not set or lies outside [0, 1]"),
+    "NOT_UTF8": (1, "an input file holds bytes that are not UTF-8"),
+    "EMPTY_FILE": (1, "an input file has no data lines, or a table no header row"),
+    "BLANK_LINE": (1, "a column file has a blank line before its end"),
+    "LENGTH_MISMATCH": (1, "a column file has more or fewer lines than the first"),
+    "MISSING_COLUMN": (1, "a configured column is not in the table's header row"),
+    "ROW_ARITY_MISMATCH": (1, "a table row has more or fewer cells than the header"),
+    "EMPTY_TOKEN": (1, "a table cell or a strata token is empty"),
+    "BAD_STRATA_TOKEN": (1, "a table cell holds a line break"),
+    "PREFIX_COLLISION": (1, "a strata token contains a prefix letter of the key"),
+    "MALFORMED_KEY": (1, "a string is not a canonical household key"),
+    "BAD_AGE_TOKEN": (1, "an age token is not a valid age under its encoding"),
+    "BAD_GENDER_TOKEN": (1, "a gender token is not one of its encoding's two codes"),
+    "BAD_INCOME_TOKEN": (1, "an income token is empty or not a finite amount"),
+    "UNKNOWN_INCOME_CODE": (1, "an income letter is not in the range map"),
+    "MISSING_INCOME": (1, "a member has no income amount while income is on"),
+    "NON_CONSECUTIVE_KEY": (1, "a household reappears after another; input not grouped"),
+    "EMPTY_HOUSEHOLD": (1, "a household has no members, or negative counts"),
+    "ZERO_SCALE": (1, "the scale that divides a household's income is not positive"),
+    "AGE_MISSING": (0, "the unknown-age code 99, read under the strict policy"),
+    "MULTIPLE_CHIEFS": (0, "a household marks more than one member as chief"),
+}
+
 
 class HdbError(Exception):
-    """Base class for all toolkit errors."""
+    """A coded toolkit error; its exit code is its code's row of CODES."""
 
-    code: str = "ERROR"
-    exit_code: int = 1
-
-    def __init__(self, message: str, *, source=None, line: int | None = None):
+    def __init__(self, code: str, message: str, *, source=None, line: int | None = None):
         super().__init__(message)
+        self.code = code
         self.message = message
         self.source = source
         self.line = line
         self.stage: str | None = None
+
+    @property
+    def exit_code(self) -> int:
+        return CODES[self.code][0]
 
     def at(self, *, source=None, line: int | None = None, stage: str | None = None):
         """Attach location or stage info if not already set; returns self."""
@@ -51,150 +86,3 @@ class HdbError(Exception):
         if loc:
             parts.append(f"({loc})")
         return " ".join(parts) + f": {self.message}"
-
-
-class DataError(HdbError):
-    """Problem located in the input data. Exit code 1."""
-
-    exit_code = 1
-
-
-class ConfigError(HdbError):
-    """Problem with configuration, parameters or I/O. Exit code 2."""
-
-    exit_code = 2
-
-
-class IoError(ConfigError):
-    code = "IO_ERROR"
-
-
-class EmptyFileError(DataError):
-    code = "EMPTY_FILE"
-
-
-class BlankLineError(DataError):
-    code = "BLANK_LINE"
-
-
-class EmptyTokenError(DataError):
-    code = "EMPTY_TOKEN"
-
-
-class BadStrataTokenError(DataError):
-    code = "BAD_STRATA_TOKEN"
-
-
-class LengthMismatchError(DataError):
-    code = "LENGTH_MISMATCH"
-
-    def __init__(self, variable, expected: int, actual: int, **kw):
-        super().__init__(
-            f"column '{variable}' has {actual} tokens, expected {expected}", **kw
-        )
-        self.variable = variable
-        self.expected = expected
-        self.actual = actual
-
-
-class MissingColumnError(DataError):
-    code = "MISSING_COLUMN"
-
-    def __init__(self, column_name: str, **kw):
-        super().__init__(f"column '{column_name}' not found in header row", **kw)
-        self.column_name = column_name
-
-
-class RowArityMismatchError(DataError):
-    code = "ROW_ARITY_MISMATCH"
-
-    def __init__(self, expected: int, actual: int, **kw):
-        super().__init__(f"row has {actual} fields, header has {expected}", **kw)
-        self.expected = expected
-        self.actual = actual
-
-
-class BadAgeTokenError(DataError):
-    code = "BAD_AGE_TOKEN"
-
-    def __init__(self, token: str, **kw):
-        super().__init__(f"cannot read {token!r} as an age", **kw)
-        self.token = token
-
-
-class BadGenderTokenError(DataError):
-    code = "BAD_GENDER_TOKEN"
-
-    def __init__(self, token: str, encoding, **kw):
-        super().__init__(
-            f"gender code {token!r} is not valid under encoding {encoding}", **kw
-        )
-        self.token = token
-        self.encoding = encoding
-
-
-class BadIncomeTokenError(DataError):
-    code = "BAD_INCOME_TOKEN"
-
-    def __init__(self, token: str, **kw):
-        super().__init__(f"cannot read {token!r} as an income amount", **kw)
-        self.token = token
-
-
-class BadEncodingError(ConfigError):
-    code = "BAD_ENCODING"
-
-
-class PrefixCollisionError(DataError):
-    code = "PREFIX_COLLISION"
-
-    def __init__(self, token: str, letter: str, **kw):
-        super().__init__(
-            f"token {token!r} contains prefix letter {letter!r}; "
-            "the identifier would not parse back", **kw
-        )
-        self.token = token
-        self.letter = letter
-
-
-class MalformedKeyError(DataError):
-    code = "MALFORMED_KEY"
-
-    def __init__(self, canonical: str, **kw):
-        super().__init__(f"cannot parse household key {canonical!r}", **kw)
-        self.canonical = canonical
-
-
-class NonConsecutiveKeyError(DataError):
-    code = "NON_CONSECUTIVE_KEY"
-
-    def __init__(self, canonical: str, line: int, **kw):
-        super().__init__(
-            f"household {canonical!r} reappears after a different household; "
-            "input is not grouped (use an explicit sort)", line=line, **kw
-        )
-        self.canonical = canonical
-
-
-class MissingIncomeError(DataError):
-    code = "MISSING_INCOME"
-
-
-class UnknownIncomeCodeError(DataError):
-    code = "UNKNOWN_INCOME_CODE"
-
-    def __init__(self, token: str, **kw):
-        super().__init__(f"income code {token!r} is not in the range map", **kw)
-        self.token = token
-
-
-class DmpParamOutOfRangeError(ConfigError):
-    code = "DMP_PARAM_OUT_OF_RANGE"
-
-
-class EmptyHouseholdError(DataError):
-    code = "EMPTY_HOUSEHOLD"
-
-
-class ZeroScaleError(DataError):
-    code = "ZERO_SCALE"

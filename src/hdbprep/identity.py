@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConfigError, EmptyTokenError, MalformedKeyError, PrefixCollisionError
+from .errors import HdbError
 from .model import HouseholdKey
 
 
@@ -36,9 +36,9 @@ class PrefixScheme:
     def __post_init__(self):
         for letter in self.letters:
             if len(letter) != 1 or not ("A" <= letter <= "Z"):
-                raise ConfigError(f"prefix {letter!r} is not a single uppercase letter")
+                raise HdbError("ERROR", f"prefix {letter!r} is not a single uppercase letter")
         if len(set(self.letters)) != 4:
-            raise ConfigError(f"prefix letters must be distinct, got {self.letters}")
+            raise HdbError("ERROR", f"prefix letters must be distinct, got {self.letters}")
 
     @property
     def letters(self) -> tuple[str, str, str, str]:
@@ -48,7 +48,7 @@ class PrefixScheme:
     def from_string(cls, token: str) -> "PrefixScheme":
         token = token.strip()
         if len(token) != 4:
-            raise ConfigError(f"prefix scheme must be 4 letters, got {token!r}")
+            raise HdbError("ERROR", f"prefix scheme must be 4 letters, got {token!r}")
         return cls(token[0], token[1], token[2], token[3])
 
 
@@ -72,10 +72,11 @@ def make_household_key(
     letters = scheme.letters
     for token in components:
         if not token:
-            raise EmptyTokenError("strata token is empty")
+            raise HdbError("EMPTY_TOKEN", "strata token is empty")
         for letter in letters:
             if letter in token:
-                raise PrefixCollisionError(token, letter)
+                raise HdbError("PREFIX_COLLISION", f"token {token!r} contains prefix letter "
+                               f"{letter!r}; the identifier would not parse back")
     canonical = "".join(letter + token for letter, token in zip(letters, components))
     return HouseholdKey(canonical, components)
 
@@ -99,6 +100,6 @@ def parse_household_key(
     """
     match = _key_pattern(scheme.letters).match(canonical)
     if match is None:
-        raise MalformedKeyError(canonical)
+        raise HdbError("MALFORMED_KEY", f"cannot parse household key {canonical!r}")
     region, milieu, cluster, household = match.groups()
     return region, milieu, cluster, household

@@ -17,21 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import (
-    BadAgeTokenError,
-    BadEncodingError,
-    BadGenderTokenError,
-    BadStrataTokenError,
-    BlankLineError,
-    ConfigError,
-    DataError,
-    EmptyFileError,
-    EmptyTokenError,
-    IoError,
-    LengthMismatchError,
-    MissingColumnError,
-    RowArityMismatchError,
-)
+from .errors import HdbError
 from .model import (
     UNKNOWN_AGE_YEARS,
     Age,
@@ -82,7 +68,7 @@ class TableSource:
     delimiter: str = ","
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> HdbError:
     """The error for an input that is not UTF-8, at the 1-based line of its
     first undecodable byte. A chunked read reports offsets within its
     chunk, so they are taken again from the whole file."""
@@ -91,9 +77,8 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
     except UnicodeDecodeError as whole:
         exc = whole
     bad = exc.object[exc.start : exc.end]
-    return DataError(f"bytes {bad!r} are not valid UTF-8").at(
-        source=str(path), line=exc.object[: exc.start].count(b"\n") + 1
-    )
+    return HdbError("NOT_UTF8", f"bytes {bad!r} are not valid UTF-8", source=str(path),
+                    line=exc.object[: exc.start].count(b"\n") + 1)
 
 
 def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
@@ -110,7 +95,7 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
         # utf-8-sig: strip a BOM if a spreadsheet export left one behind
         text = source.path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise IoError(f"cannot read {source.path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot read {source.path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None
     lines = text.split("\n")
@@ -118,11 +103,10 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
         lines.pop()
     tokens = [line.strip() for line in lines[skip_header:]]
     if "" in tokens:
-        raise BlankLineError("blank line in column file").at(
-            source=str(source.path), line=skip_header + tokens.index("") + 1
-        )
+        raise HdbError("BLANK_LINE", "blank line in column file", source=str(source.path),
+                       line=skip_header + tokens.index("") + 1)
     if not tokens:
-        raise EmptyFileError("no data lines").at(source=str(source.path))
+        raise HdbError("EMPTY_FILE", "no data lines", source=str(source.path))
     # a column has few distinct tokens: keep one string object for each
     distinct: dict[str, str] = {}
     return list(map(distinct.setdefault, tokens, tokens))
@@ -142,29 +126,28 @@ def read_column_sources(
     columns: dict[Variable, list[str]] = {}
     for source in sources:
         if source.variable in columns:
-            raise ConfigError(f"variable '{source.variable.value}' supplied twice")
+            raise HdbError("ERROR", f"variable '{source.variable.value}' supplied twice")
         columns[source.variable] = read_column_file(source, skip_header=skip_header)
     ordered = [columns[variable] for variable in Variable if variable in columns]
     expected = len(ordered[0])
     for source in sources:
         actual = len(columns[source.variable])
         if actual != expected:
-            raise LengthMismatchError(
-                source.variable.value, expected=expected, actual=actual
-            ).at(source=str(source.path))
+            raise HdbError("LENGTH_MISMATCH", f"column '{source.variable.value}' has {actual} "
+                           f"tokens, expected {expected}", source=str(source.path))
     return list(zip(*ordered))
 
 
 def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
                  column_map: Mapping[Variable, str]) -> None:
     """Raise for the first bad cell of a person, in field order: an empty
-    cell, or a strata cell holding a line break."""
+    cell, or a cell holding a line break."""
     for variable, token in zip(variables, person):
         name = column_map[variable]
         if not token:
-            raise EmptyTokenError(f"column {name!r} is empty")
-        if variable in STRATA_VARIABLES and ("\n" in token or "\r" in token):
-            raise BadStrataTokenError(f"column {name!r} contains a line break: {token!r}")
+            raise HdbError("EMPTY_TOKEN", f"column {name!r} is empty")
+        if "\n" in token or "\r" in token:
+            raise HdbError("BAD_STRATA_TOKEN", f"column {name!r} contains a line break: {token!r}")
 
 
 def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...]]:
@@ -175,7 +158,7 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
     ``skip_header`` lines are discarded before the header itself. Every
     column named in the column_map must appear in the header; every data
     row must have exactly as many cells as the header. An empty cell is an
-    EMPTY_TOKEN error and a strata cell holding a line break a
+    EMPTY_TOKEN error and a cell holding a line break a
     BAD_STRATA_TOKEN error, each naming the cell's column by its header;
     these and a row of the wrong length name the file and the row's first
     line. Quoting follows the common convention
@@ -185,7 +168,7 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
     try:
         handle = source.path.open(encoding="utf-8-sig", newline="")
     except OSError as exc:
-        raise IoError(f"cannot read {source.path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot read {source.path}: {exc}") from exc
     try:
         with handle:
             reader = csv.reader(handle, delimiter=source.delimiter)
@@ -194,40 +177,37 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
                     next(reader)
                 header = next(reader)
             except StopIteration:
-                raise EmptyFileError("no header row").at(source=str(source.path)) from None
+                raise HdbError("EMPTY_FILE", "no header row", source=str(source.path)) from None
             names = [cell.strip() for cell in header]
             positions: dict[Variable, int] = {}
             for variable, column_name in source.column_map.items():
                 try:
                     positions[variable] = names.index(column_name)
                 except ValueError:
-                    raise MissingColumnError(column_name).at(
-                        source=str(source.path)
-                    ) from None
+                    raise HdbError("MISSING_COLUMN", f"column '{column_name}' not found in "
+                                   "header row", source=str(source.path)) from None
             variables = [variable for variable in Variable if variable in positions]
             indexes = [positions[variable] for variable in variables]
-            n_strata = sum(variable in STRATA_VARIABLES for variable in variables)
             persons: list[tuple[str, ...]] = []
             last = reader.line_num
             for row in reader:
                 # the first line of the row: a quoted line break spans lines
                 first, last = last + 1, reader.line_num
                 if len(row) != len(names):
-                    raise RowArityMismatchError(expected=len(names), actual=len(row)).at(
-                        source=str(source.path), line=first
-                    )
+                    raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, header "
+                                   f"has {len(names)}", source=str(source.path), line=first)
                 person = tuple([row[i].strip() for i in indexes])
-                strata = "".join(person[:n_strata])
-                if "" in person or "\n" in strata or "\r" in strata:
+                cells = "".join(person)
+                if "" in person or "\n" in cells or "\r" in cells:
                     try:
                         _check_cells(person, variables, source.column_map)
-                    except DataError as exc:
+                    except HdbError as exc:
                         raise exc.at(source=str(source.path), line=first)
                 persons.append(person)
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None
     if not persons:
-        raise EmptyFileError("no data rows").at(source=str(source.path))
+        raise HdbError("EMPTY_FILE", "no data rows", source=str(source.path))
     return persons
 
 
@@ -248,22 +228,20 @@ def parse_age(
         try:
             value = float(token)
         except ValueError:
-            raise BadAgeTokenError(token) from None
-        if value != value or value in (float("inf"), float("-inf")):
-            raise BadAgeTokenError(token)
-        if value < 0:
-            raise BadAgeTokenError(token)
-        missing = policy is MissingAgePolicy.STRICT and value == UNKNOWN_AGE_YEARS
-        return Age(value, missing=missing)
-    if encoding is AgeEncoding.FIVE_YEAR_CLASSES:
+            value = float("nan")
+        if 0 <= value < float("inf"):  # NaN, junk included, fails both
+            missing = policy is MissingAgePolicy.STRICT and value == UNKNOWN_AGE_YEARS
+            return Age(value, missing=missing)
+    elif encoding is AgeEncoding.FIVE_YEAR_CLASSES:
         try:
             index = int(token)
         except ValueError:
-            raise BadAgeTokenError(token) from None
-        if index < 1:
-            raise BadAgeTokenError(token)
-        return Age(float(index))
-    raise BadEncodingError(f"unhandled age encoding {encoding!r}")  # pragma: no cover
+            index = 0
+        if index >= 1:
+            return Age(float(index))
+    else:  # pragma: no cover
+        raise HdbError("BAD_ENCODING", f"unhandled age encoding {encoding!r}")
+    raise HdbError("BAD_AGE_TOKEN", f"cannot read {token!r} as an age")
 
 
 _GENDER_TOKENS = {
@@ -276,10 +254,9 @@ def parse_gender(raw: str, encoding: GenderEncoding) -> Gender:
     """Parse a gender token; only the two exact tokens of the declared
     encoding are accepted."""
     token = raw.strip()
-    table = _GENDER_TOKENS.get(encoding)
-    if table is None:
-        raise BadGenderTokenError(token, str(encoding))
-    gender = table.get(token)
+    gender = _GENDER_TOKENS.get(encoding, {}).get(token)
     if gender is None:
-        raise BadGenderTokenError(token, encoding.name)
+        name = getattr(encoding, "name", encoding)
+        raise HdbError("BAD_GENDER_TOKEN",
+                       f"gender code {token!r} is not valid under encoding {name}")
     return gender

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import BadEncodingError, DmpParamOutOfRangeError
+from .errors import HdbError
 
 #: Age value reserved by some surveys for "age unknown" (years encoding only).
 UNKNOWN_AGE_YEARS = 99.0
@@ -35,7 +35,8 @@ class AgeEncoding(Enum):
             return cls.YEARS
         if t in ("2", "five_year_classes", "classes"):
             return cls.FIVE_YEAR_CLASSES
-        raise BadEncodingError(f"unknown age encoding {token!r} (use 1/years or 2/five_year_classes)")
+        raise HdbError("BAD_ENCODING",
+                       f"unknown age encoding {token!r} (use 1/years or 2/five_year_classes)")
 
 
 class GenderEncoding(Enum):
@@ -51,7 +52,8 @@ class GenderEncoding(Enum):
             return cls.MALE0_FEMALE1
         if t in ("2", "male1_female2"):
             return cls.MALE1_FEMALE2
-        raise BadEncodingError(f"unknown gender encoding {token!r} (use 1/male0_female1 or 2/male1_female2)")
+        raise HdbError("BAD_ENCODING", f"unknown gender encoding {token!r} "
+                       "(use 1/male0_female1 or 2/male1_female2)")
 
 
 class Gender(Enum):
@@ -76,7 +78,7 @@ class MissingAgePolicy(Enum):
         for member in cls:
             if member.value == t:
                 return member
-        raise BadEncodingError(f"unknown missing-age policy {token!r}")
+        raise HdbError("BAD_ENCODING", f"unknown missing-age policy {token!r}")
 
 
 class IncomeMode(Enum):
@@ -93,7 +95,7 @@ class IncomeMode(Enum):
         for member in cls:
             if member.value == t:
                 return member
-        raise BadEncodingError(f"unknown income mode {token!r}")
+        raise HdbError("BAD_ENCODING", f"unknown income mode {token!r}")
 
 
 class ScaleKind(Enum):
@@ -107,7 +109,7 @@ class ScaleKind(Enum):
         for member in cls:
             if member.value == t:
                 return member
-        raise BadEncodingError(f"unknown scale {token!r}")
+        raise HdbError("BAD_ENCODING", f"unknown scale {token!r}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,21 @@ def validate_weight_domain(spec: ScaleSpec) -> None:
         return
     for name, value in (("c", spec.dmp_c), ("s", spec.dmp_s)):
         if value is None:
-            raise DmpParamOutOfRangeError(f"DMP parameter {name} is not set")
+            raise HdbError("DMP_PARAM_OUT_OF_RANGE", f"DMP parameter {name} is not set")
         if not 0.0 <= value <= 1.0:
-            raise DmpParamOutOfRangeError(f"DMP parameter {name}={value} outside [0, 1]")
+            raise HdbError("DMP_PARAM_OUT_OF_RANGE",
+                           f"DMP parameter {name}={value} outside [0, 1]")
+
+
+def check_scales(scales: tuple[ScaleSpec, ...], scaled_by: ScaleKind | None) -> None:
+    """Check that no scale kind is configured twice and that ``scaled_by``,
+    when given, names a configured scale."""
+    kinds = [spec.kind for spec in scales]
+    if len(set(kinds)) != len(kinds):
+        raise HdbError("ERROR", "each scale may be configured at most once")
+    if scaled_by is not None and scaled_by not in kinds:
+        raise HdbError("ERROR", f"scaled income wants the {scaled_by.value} scale, "
+                       "which is not configured")
 
 
 class Member(NamedTuple):

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .aggregate import AggregationSettings, aggregate_all, remember
-from .errors import BadIncomeTokenError, ConfigError, HdbError, IoError
+from .errors import HdbError
 from .identity import DEFAULT_SCHEME, PrefixScheme, make_household_key
 from .ingest import (
     REQUIRED_VARIABLES,
@@ -61,6 +61,7 @@ from .model import (
     ScaleKind,
     ScaleSpec,
     WarningRecord,
+    check_scales,
 )
 from .recode import IncomeRangeMap, elim1_default_map, income_from_letter
 
@@ -149,22 +150,17 @@ class PipelineConfig:
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.input_mode not in ("columns", "table"):
-            raise ConfigError(f"input mode must be 'columns' or 'table', got {self.input_mode!r}")
+            raise HdbError("ERROR",
+                           f"input mode must be 'columns' or 'table', got {self.input_mode!r}")
         if self.input_mode == "table" and not self.table_file:
-            raise ConfigError("table input mode needs a table file")
+            raise HdbError("ERROR", "table input mode needs a table file")
         if self.skip_header < 0:
-            raise ConfigError("skip_header must be >= 0")
+            raise HdbError("ERROR", "skip_header must be >= 0")
         if len(self.table_delimiter) != 1:
-            raise ConfigError("delimiter must be a single character")
-        kinds = [spec.kind for spec in self.scales]
-        if len(set(kinds)) != len(kinds):
-            raise ConfigError("each scale may be configured at most once")
-        if self.income_mode is not IncomeMode.NONE and self.scaled_by is not None:
-            if self.scaled_by not in kinds:
-                raise ConfigError(
-                    f"scaled income wants the {self.scaled_by.value} scale, "
-                    "which is not configured"
-                )
+            raise HdbError("ERROR", "delimiter must be a single character")
+        # a scaled income is made only when there is an income to scale
+        with_income = self.income_mode is not IncomeMode.NONE
+        check_scales(self.scales, self.scaled_by if with_income else None)
 
     @property
     def effective_income_file(self) -> str:
@@ -261,18 +257,17 @@ def load_config(
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot read config {path}: {exc}") from exc
     try:
         # newline=None: the universal newlines of a file opened in text mode
         parser.read_file(
             io.StringIO(data.decode("utf-8"), newline=None), source=str(path)
         )
     except UnicodeDecodeError as exc:
-        raise ConfigError("config file is not valid UTF-8").at(
-            source=str(path), line=data[: exc.start].count(b"\n") + 1
-        ) from None
+        raise HdbError("ERROR", "config file is not valid UTF-8", source=str(path),
+                       line=data[: exc.start].count(b"\n") + 1) from None
     except configparser.Error as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+        raise HdbError("ERROR", f"bad config {path}: {exc}") from exc
     for (section, option), text in (overrides or {}).items():
         if not parser.has_section(section):
             parser.add_section(section)
@@ -283,7 +278,7 @@ def load_config(
             return reader(parser.get(section, option))
         except ValueError as exc:
             kind = _READER_KINDS[reader]
-            raise ConfigError(f"bad {kind} for [{section}] {option}: {exc}") from exc
+            raise HdbError("ERROR", f"bad {kind} for [{section}] {option}: {exc}") from exc
 
     values = {
         name: read(section, option, reader)
@@ -299,7 +294,8 @@ def load_config(
             try:
                 value = float(amount)
             except ValueError as exc:
-                raise ConfigError(f"bad amount for income code {code!r}: {amount!r}") from exc
+                raise HdbError("ERROR",
+                               f"bad amount for income code {code!r}: {amount!r}") from exc
             if code == "default":
                 default_amount = value
             else:
@@ -369,7 +365,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> Path:
         with path.open("w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(lines) + "\n" if lines else "")
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -407,7 +403,7 @@ def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
             writer.writerow(_TABLE_COLUMNS)
             writer.writerows(rows)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -423,7 +419,7 @@ def _read_persons(
         names = config.table_columns
     for variable in variables:
         if variable not in names:
-            raise ConfigError(f"no source supplies variable '{variable.value}'")
+            raise HdbError("ERROR", f"no source supplies variable '{variable.value}'")
     try:
         if config.input_mode == "columns":
             sources = [
@@ -449,9 +445,9 @@ def _parse_income(token: str, mapping: IncomeRangeMap | None) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise BadIncomeTokenError(token) from None
-    if math.isnan(value) or math.isinf(value):
-        raise BadIncomeTokenError(token)
+        value = math.nan
+    if not math.isfinite(value):
+        raise HdbError("BAD_INCOME_TOKEN", f"cannot read {token!r} as an income amount")
     return value
 
 
@@ -487,11 +483,10 @@ def _run(
     selected = dict.fromkeys(AGGREGATE_OUTPUTS if only is None else only) if files else {}
     for name in selected:
         if name not in _HOUSEHOLD_FILES:
-            raise ConfigError(
-                f"unknown aggregate output {name!r} (choose from {', '.join(AGGREGATE_OUTPUTS)})"
-            )
+            raise HdbError("ERROR", f"unknown aggregate output {name!r} "
+                           f"(choose from {', '.join(AGGREGATE_OUTPUTS)})")
         if name not in enabled and only is not None:
-            raise ConfigError(f"aggregate output {name!r} is not enabled by this config")
+            raise HdbError("ERROR", f"aggregate output {name!r} is not enabled by this config")
     plan = [_HOUSEHOLD_FILES[name] for name in selected if name in enabled]
 
     fold = files or table
@@ -608,7 +603,7 @@ def run_recode(config: PipelineConfig) -> RunReport:
     column (the one-pass workflow this mirrors does not need the other
     variables yet)."""
     if config.income_mode is not IncomeMode.LETTERS:
-        raise ConfigError("income recoding needs income mode 'letters'")
+        raise HdbError("ERROR", "income recoding needs income mode 'letters'")
     return _run(config, amounts=True)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import BadIncomeTokenError, ConfigError, UnknownIncomeCodeError
+from .errors import HdbError
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,15 @@ class IncomeRangeMap:
 
     def __post_init__(self):
         if not self.entries:
-            raise ConfigError("income map has no entries")
+            raise HdbError("ERROR", "income map has no entries")
         for code, amount in self.entries.items():
             if len(code) != 1 or code != code.strip() or not code:
-                raise ConfigError(f"income code {code!r} is not a single character")
+                raise HdbError("ERROR", f"income code {code!r} is not a single character")
             if not amount >= 0:
-                raise ConfigError(f"income amount for {code!r} must be >= 0, got {amount}")
+                raise HdbError("ERROR", f"income amount for {code!r} must be >= 0, got {amount}")
         if self.default_amount is not None and not self.default_amount >= 0:
-            raise ConfigError(f"default income amount must be >= 0, got {self.default_amount}")
+            raise HdbError("ERROR",
+                           f"default income amount must be >= 0, got {self.default_amount}")
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def codes(self) -> tuple[str, ...]:
@@ -102,10 +103,10 @@ def income_from_letter(raw: str, mapping: IncomeRangeMap) -> float:
     """
     token = raw.strip()
     if not token:
-        raise BadIncomeTokenError(raw)
+        raise HdbError("BAD_INCOME_TOKEN", f"cannot read {raw!r} as an income amount")
     amount = mapping.entries.get(token)
     if amount is not None:
         return amount
     if mapping.default_amount is not None:
         return mapping.default_amount
-    raise UnknownIncomeCodeError(token)
+    raise HdbError("UNKNOWN_INCOME_CODE", f"income code {token!r} is not in the range map")

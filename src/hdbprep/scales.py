@@ -26,11 +26,7 @@ is a strict ``age < threshold``, so 15.0 years (or class 4) is adult and
 
 from __future__ import annotations
 
-from .errors import (
-    BadEncodingError,
-    DmpParamOutOfRangeError,
-    EmptyHouseholdError,
-)
+from .errors import HdbError
 from .model import Age, AgeEncoding, Gender
 
 #: First adult age, in years.
@@ -47,12 +43,12 @@ WEIGHT_FULL = 1.0
 def classify_adult(age: Age, encoding: AgeEncoding) -> bool:
     """True when the age reaches the adult threshold of its encoding."""
     if not isinstance(age, Age):
-        raise BadEncodingError(f"expected Age, got {type(age).__name__}")
+        raise HdbError("BAD_ENCODING", f"expected Age, got {type(age).__name__}")
     if encoding is AgeEncoding.YEARS:
         return not age.value < ADULT_AGE_YEARS
     if encoding is AgeEncoding.FIVE_YEAR_CLASSES:
         return not age.value < ADULT_CLASS
-    raise BadEncodingError(f"unhandled age encoding {encoding!r}")
+    raise HdbError("BAD_ENCODING", f"unhandled age encoding {encoding!r}")
 
 
 def oxford_weight(age: Age, encoding: AgeEncoding, is_chief: bool) -> float:
@@ -76,7 +72,7 @@ def faofam_weight(age: Age, encoding: AgeEncoding, gender: Gender) -> float:
     if not classify_adult(age, encoding):
         return WEIGHT_CHILD
     if not isinstance(gender, Gender):
-        raise BadEncodingError(f"expected Gender, got {type(gender).__name__}")
+        raise HdbError("BAD_ENCODING", f"expected Gender, got {type(gender).__name__}")
     if gender is Gender.MALE:
         return WEIGHT_FULL
     return WEIGHT_ADULT_FEMALE
@@ -89,11 +85,11 @@ def dmp_scale(n_adults: int, n_children: int, c: float, s: float) -> float:
     is an EMPTY_HOUSEHOLD error; an all-children household with c = 0 is
     legal and yields 0.0 (the caller dividing by the scale handles that).
     """
-    if n_adults < 0 or n_children < 0:
-        raise EmptyHouseholdError(f"negative member counts ({n_adults}, {n_children})")
-    if n_adults == 0 and n_children == 0:
-        raise EmptyHouseholdError("household has no members")
+    if n_adults < 0 or n_children < 0 or n_adults + n_children == 0:
+        raise HdbError("EMPTY_HOUSEHOLD",
+                       f"cannot scale a household of {n_adults} adults, {n_children} children")
     for name, value in (("c", c), ("s", s)):
         if not 0.0 <= value <= 1.0:
-            raise DmpParamOutOfRangeError(f"DMP parameter {name}={value} outside [0, 1]")
+            raise HdbError("DMP_PARAM_OUT_OF_RANGE",
+                           f"DMP parameter {name}={value} outside [0, 1]")
     return float(n_adults + c * n_children) ** s

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import BadAgeTokenError, BadGenderTokenError, ConfigError, IoError
+from .errors import HdbError
 from .model import (
     NO_CHIEF_LABEL,
     AgeEncoding,
@@ -95,17 +95,15 @@ class SynthParams:
         for name in ("n_households", "n_regions", "max_milieux", "max_clusters",
                      "max_households_per_cluster", "max_household_size"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise HdbError("ERROR", f"{name} must be >= 1")
         capacity = (self.n_regions * self.max_milieux * self.max_clusters
                     * self.max_households_per_cluster)
         if self.n_households < self.n_regions:
-            raise ConfigError(
-                f"{self.n_households} households cannot fill {self.n_regions} regions"
-            )
+            raise HdbError("ERROR",
+                           f"{self.n_households} households cannot fill {self.n_regions} regions")
         if self.n_households > capacity:
-            raise ConfigError(
-                f"{self.n_households} households exceed frame capacity {capacity}"
-            )
+            raise HdbError("ERROR",
+                           f"{self.n_households} households exceed frame capacity {capacity}")
 
 
 class SynthPerson(NamedTuple):
@@ -353,7 +351,7 @@ def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
                     row.append(p.income_raw)
                 writer.writerow(row)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -402,7 +400,8 @@ def oracle_aggregate(
         try:
             age_value = float(member.age_raw)
         except ValueError:
-            raise BadAgeTokenError(member.age_raw).at(line=member.line) from None
+            raise HdbError("BAD_AGE_TOKEN", f"cannot read {member.age_raw!r} as an age",
+                           line=member.line) from None
         is_adult = not age_value < threshold
         if is_adult:
             acc.adults += 1
@@ -423,9 +422,8 @@ def oracle_aggregate(
         elif member.gender_raw == female_token:
             acc.faofam += 0.8
         else:
-            raise BadGenderTokenError(member.gender_raw, gender_encoding.name).at(
-                line=member.line
-            )
+            raise HdbError("BAD_GENDER_TOKEN", f"gender code {member.gender_raw!r} is not "
+                           f"valid under encoding {gender_encoding.name}", line=member.line)
         if income_enabled:
             acc.income += member.income
 

@@ -11,9 +11,9 @@ import random
 import mpmath
 import pytest
 
+from conftest import raises_code
 from hdbprep.aggregate import AggregationSettings, aggregate_all
 from hdbprep.cli import main
-from hdbprep.errors import NonConsecutiveKeyError
 from hdbprep.identity import PrefixScheme, make_household_key, parse_household_key
 from hdbprep.model import (
     Age,
@@ -266,7 +266,7 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
     key = lambda h: make_household_key("1", "1", "1", h)
     rows = [(key(h), Member(line=line, age_raw="30", gender_raw="1", is_chief=False))
             for line, h in enumerate("121", 1)]
-    with pytest.raises(NonConsecutiveKeyError) as info:
+    with raises_code("NON_CONSECUTIVE_KEY") as info:
         list(aggregate_all(rows, settings))
     assert info.value.code == "NON_CONSECUTIVE_KEY"
     assert info.value.line == 3

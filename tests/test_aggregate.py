@@ -1,15 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import raises_code
 import hdbprep.aggregate
 from hdbprep.aggregate import SENTINEL_WEIGHT, AggregationSettings, aggregate_all
-from hdbprep.errors import (
-    BadAgeTokenError,
-    BadGenderTokenError,
-    MissingIncomeError,
-    NonConsecutiveKeyError,
-    ZeroScaleError,
-)
 from hdbprep.identity import make_household_key
 from hdbprep.model import (
     AgeEncoding,
@@ -81,7 +75,7 @@ class TestGroupConsecutive:
             (key(2), member(2, 40)),
             (key(1), member(3, 8)),
         ]
-        with pytest.raises(NonConsecutiveKeyError) as info:
+        with raises_code("NON_CONSECUTIVE_KEY") as info:
             list(aggregate_all(rows, settings()))
         assert info.value.line == 3
         assert "R1M1C1H1" in str(info.value)
@@ -122,13 +116,13 @@ class TestOxfordSum:
 
     def test_bad_age_raises_with_line(self):
         rows = household(member(1, 34, chief=True), member(2, "??"))
-        with pytest.raises(BadAgeTokenError) as info:
+        with raises_code("BAD_AGE_TOKEN") as info:
             aggregate_one(rows, settings(OXFORD))
         assert info.value.line == 2
 
     def test_chief_age_is_still_parsed(self):
         # chief status must not skip age validation
-        with pytest.raises(BadAgeTokenError):
+        with raises_code("BAD_AGE_TOKEN"):
             aggregate_one(household(member(1, "abc", chief=True)), settings(OXFORD))
 
     def test_sentinel_mode_flags_instead(self):
@@ -149,7 +143,7 @@ class TestFaofamSum:
 
     def test_adult_bad_gender_raises_with_line(self):
         rows = household(member(1, 30, "1"), member(2, 41, "9"))
-        with pytest.raises(BadGenderTokenError) as info:
+        with raises_code("BAD_GENDER_TOKEN") as info:
             aggregate_one(rows, settings(FAOFAM))
         assert info.value.line == 2
 
@@ -180,7 +174,7 @@ class TestCounts:
 
     def test_strict_rejects_bad_token(self):
         rows = household(member(1, 34), member(2, "old"))
-        with pytest.raises(BadAgeTokenError) as info:
+        with raises_code("BAD_AGE_TOKEN") as info:
             aggregate_one(rows)
         assert info.value.line == 2
 
@@ -228,7 +222,7 @@ class TestIncome:
 
     def test_missing_amount_located(self):
         rows = household(member(1, 30, income=14500.0), member(2, 40))
-        with pytest.raises(MissingIncomeError) as info:
+        with raises_code("MISSING_INCOME") as info:
             aggregate_one(rows, settings(income_enabled=True))
         assert info.value.line == 2
 
@@ -264,7 +258,7 @@ class TestLabels:
 
 class TestSettings:
     def test_duplicate_scale_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with raises_code("ERROR"):
             AggregationSettings(
                 YEARS,
                 M1F2,
@@ -272,7 +266,7 @@ class TestSettings:
             )
 
     def test_scaled_by_requires_income(self):
-        with pytest.raises(ValueError):
+        with raises_code("ERROR"):
             AggregationSettings(
                 YEARS,
                 M1F2,
@@ -281,7 +275,7 @@ class TestSettings:
             )
 
     def test_scaled_by_must_be_configured(self):
-        with pytest.raises(ValueError):
+        with raises_code("ERROR"):
             AggregationSettings(
                 YEARS,
                 M1F2,
@@ -333,7 +327,7 @@ class TestAggregateRun:
             income_enabled=True,
             scaled_by=ScaleKind.DMP,
         )
-        with pytest.raises(ZeroScaleError):
+        with raises_code("ZERO_SCALE"):
             aggregate_one(rows, config)
 
     def test_missing_age_warning_deduplicated(self):
@@ -402,7 +396,7 @@ class TestOnePassPerMember:
     def test_first_bad_token_in_line_order_wins(self):
         # the adult on line 1 has a bad gender, line 2 a bad age
         rows = household(member(1, 30, "9"), member(2, "x"))
-        with pytest.raises(BadGenderTokenError) as info:
+        with raises_code("BAD_GENDER_TOKEN") as info:
             aggregate_one(rows, settings(*ALL_SCALES))
         assert info.value.line == 1
 

@@ -376,6 +376,24 @@ class TestErrorPrecedence:
                        "column 'region' contains a line break: '1\\n2'")
 
 
+    def test_line_break_in_the_chief_gender_cell(self, tmp_path, capsys):
+        # the chief's gender token is the household's label: a line break in
+        # it would add a line to labelgender.txt
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief\n"
+            '1,1,1,1,40,"1\n2",1\n1,1,1,2,35,2,1\n')
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n"
+                          "[scales]\nfaofam = false\n")
+        out = tmp_path / "out"
+        assert failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)]) == (
+            1, f"error: [ingest] BAD_STRATA_TOKEN ({data / 'persons.csv'}:2): "
+               "column 'gender' contains a line break: '1\\n2'")
+        assert not (out / "labelgender.txt").exists()
+
+
 class TestIdentifyReadsOnlyStrata:
     """`identify` reads the four strata columns and nothing else; `run`
     still needs every column."""

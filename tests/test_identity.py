@@ -1,12 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hdbprep.errors import (
-    ConfigError,
-    EmptyTokenError,
-    MalformedKeyError,
-    PrefixCollisionError,
-)
+from conftest import raises_code
 from hdbprep.identity import (
     DEFAULT_SCHEME,
     PrefixScheme,
@@ -27,7 +22,7 @@ class TestPrefixScheme:
 
     @pytest.mark.parametrize("token", ["RMC", "RMCHX", "rmch", "RMCC", "R2CH"])
     def test_invalid_schemes_rejected(self, token):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PrefixScheme.from_string(token)
 
 
@@ -43,19 +38,19 @@ class TestMakeHouseholdKey:
         assert key.canonical == "R01M1C12H007"
 
     def test_prefix_collision(self):
-        with pytest.raises(PrefixCollisionError):
+        with raises_code("PREFIX_COLLISION"):
             make_household_key("1R", "1", "1", "1")
-        with pytest.raises(PrefixCollisionError):
+        with raises_code("PREFIX_COLLISION"):
             make_household_key("1", "1", "H", "1")
 
     def test_collision_check_follows_scheme(self):
         # "R" is fine under DMCH, "D" is not
         assert make_household_key("1R", "2", "3", "4", DMCH).canonical == "D1RM2C3H4"
-        with pytest.raises(PrefixCollisionError):
+        with raises_code("PREFIX_COLLISION"):
             make_household_key("1D", "2", "3", "4", DMCH)
 
     def test_empty_token(self):
-        with pytest.raises(EmptyTokenError):
+        with raises_code("EMPTY_TOKEN"):
             make_household_key("", "2", "3", "4")
 
 
@@ -73,12 +68,12 @@ class TestParseHouseholdKey:
         "x1M2C3H4",   # wrong first prefix
     ])
     def test_malformed(self, canonical):
-        with pytest.raises(MalformedKeyError):
+        with raises_code("MALFORMED_KEY"):
             parse_household_key(canonical)
 
     def test_scheme_specific(self):
         assert parse_household_key("D1M2C3H4", DMCH) == ("1", "2", "3", "4")
-        with pytest.raises(MalformedKeyError):
+        with raises_code("MALFORMED_KEY"):
             parse_household_key("R1M2C3H4", DMCH)
 
 
@@ -112,7 +107,7 @@ class TestIdentifyStream:
 
     def test_error_carries_person_position(self, tmp_path):
         records = [make_record(), make_record(region="2H")]
-        with pytest.raises(PrefixCollisionError) as exc:
+        with raises_code("PREFIX_COLLISION") as exc:
             identify_records(tmp_path, records)
         assert exc.value.line == 2
 

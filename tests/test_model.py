@@ -1,11 +1,6 @@
 import pytest
 
-from hdbprep.errors import (
-    BadEncodingError,
-    BadStrataTokenError,
-    DmpParamOutOfRangeError,
-    EmptyTokenError,
-)
+from conftest import raises_code
 from hdbprep.ingest import TableSource, Variable, read_table
 from hdbprep.model import (
     Age,
@@ -32,27 +27,27 @@ class TestEnums:
         assert AgeEncoding.from_config("FIVE_YEAR_CLASSES") is AgeEncoding.FIVE_YEAR_CLASSES
 
     def test_age_encoding_rejects_junk(self):
-        with pytest.raises(BadEncodingError):
+        with raises_code("BAD_ENCODING"):
             AgeEncoding.from_config("3")
 
     def test_gender_encoding(self):
         assert GenderEncoding.from_config("1") is GenderEncoding.MALE0_FEMALE1
         assert GenderEncoding.from_config("male1_female2") is GenderEncoding.MALE1_FEMALE2
-        with pytest.raises(BadEncodingError):
+        with raises_code("BAD_ENCODING"):
             GenderEncoding.from_config("0")
 
     def test_missing_age_policy(self):
         assert MissingAgePolicy.from_config("strict") is MissingAgePolicy.STRICT
         assert MissingAgePolicy.from_config("paper_compat") is MissingAgePolicy.PAPER_COMPAT
-        with pytest.raises(BadEncodingError):
+        with raises_code("BAD_ENCODING"):
             MissingAgePolicy.from_config("lenient")
 
     def test_income_mode_and_scale_kind(self):
         assert IncomeMode.from_config("letters") is IncomeMode.LETTERS
         assert ScaleKind.from_config("DMP") is ScaleKind.DMP
-        with pytest.raises(BadEncodingError):
+        with raises_code("BAD_ENCODING"):
             IncomeMode.from_config("euros")
-        with pytest.raises(BadEncodingError):
+        with raises_code("BAD_ENCODING"):
             ScaleKind.from_config("oecd")
 
 
@@ -78,13 +73,13 @@ class TestPersonRecord:
 
     def test_empty_token_rejected(self, tmp_path):
         src = person_table(tmp_path, ["1,1,1,1,30,1,1,A", "1,1,1,1,30,   ,1,A"])
-        with pytest.raises(EmptyTokenError) as exc:
+        with raises_code("EMPTY_TOKEN") as exc:
             read_table(src)
         assert exc.value.message == "column 'gender' is empty"
 
     def test_linebreak_in_strata_rejected(self, tmp_path):
         src = person_table(tmp_path, ['1,1,"3\n4",1,30,1,1,A'])
-        with pytest.raises(BadStrataTokenError) as exc:
+        with raises_code("BAD_STRATA_TOKEN") as exc:
             read_table(src)
         assert exc.value.message == "column 'cluster' contains a line break: '3\\n4'"
 
@@ -143,9 +138,9 @@ class TestScaleSpec:
         validate_weight_domain(ScaleSpec(ScaleKind.FAOFAM))
 
     def test_dmp_needs_both_parameters(self):
-        with pytest.raises(DmpParamOutOfRangeError):
+        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
             validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_c=0.5))
-        with pytest.raises(DmpParamOutOfRangeError):
+        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
             validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_s=0.7))
 
     @pytest.mark.parametrize("c,s", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.7)])
@@ -154,7 +149,7 @@ class TestScaleSpec:
 
     @pytest.mark.parametrize("c,s", [(-0.1, 0.7), (1.1, 0.7), (0.5, -0.01), (0.5, 2.0)])
     def test_dmp_out_of_range_rejected(self, c, s):
-        with pytest.raises(DmpParamOutOfRangeError):
+        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
             validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s))
 
 

@@ -5,13 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from hdbprep.errors import (
-    ConfigError,
-    IoError,
-    NonConsecutiveKeyError,
-    UnknownIncomeCodeError,
-    ZeroScaleError,
-)
+from conftest import raises_code
 from hdbprep.ingest import Variable
 from hdbprep.model import (
     AgeEncoding,
@@ -118,7 +112,7 @@ class TestScaledIncome:
             scales=(ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),),
             scaled_by=ScaleKind.DMP,
         )
-        with pytest.raises(ZeroScaleError) as info:
+        with raises_code("ZERO_SCALE") as info:
             run_pipeline(config)
         assert info.value.stage == "aggregate"
         assert f"dmp scale is {scale}" in str(info.value)
@@ -174,27 +168,27 @@ class TestHouseholdTable:
 
 class TestConfigValidation:
     def test_unknown_input_mode(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PipelineConfig(input_mode="spreadsheet")
 
     def test_table_mode_needs_a_file(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PipelineConfig(input_mode="table")
 
     def test_negative_skip_header(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PipelineConfig(skip_header=-1)
 
     def test_multi_character_delimiter(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PipelineConfig(table_delimiter="||")
 
     def test_duplicate_scales(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PipelineConfig(scales=(ScaleSpec(ScaleKind.OXFORD),) * 2)
 
     def test_scaled_by_must_be_a_configured_scale(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             PipelineConfig(
                 income_mode=IncomeMode.LETTERS,
                 scales=(ScaleSpec(ScaleKind.FAOFAM),),
@@ -324,15 +318,15 @@ class TestLoadConfig:
         assert config.scaled_by is None
 
     def test_bad_boolean(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             load_config(write_config(tmp_path, "[scales]\noxford = maybe\n"))
 
     def test_bad_number(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             load_config(write_config(tmp_path, "[scales]\ndmp_c = half\n"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoError):
+        with raises_code("IO_ERROR"):
             load_config(tmp_path / "absent.ini")
 
 
@@ -391,7 +385,7 @@ class TestRunRecode:
 
     def test_needs_letter_mode(self, synth_data):
         _, data = synth_data
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             run_recode(letters_config(data, income_mode=IncomeMode.NUMERIC))
 
     def test_reads_only_the_income_column(self, tmp_path):
@@ -414,7 +408,7 @@ class TestRunRecode:
 
     def test_unknown_letter_is_an_error_by_default(self, tmp_path):
         (tmp_path / "monthlyincomeNT.txt").write_text("A\nZ\n", encoding="utf-8")
-        with pytest.raises(UnknownIncomeCodeError) as info:
+        with raises_code("UNKNOWN_INCOME_CODE") as info:
             run_recode(letters_config(tmp_path))
         assert info.value.line == 2
         assert info.value.stage == "recode"
@@ -455,13 +449,13 @@ class TestRunAggregate:
 
     def test_only_rejects_unknown_names(self, synth_data):
         _, data = synth_data
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             run_aggregate(letters_config(data), only=["median"])
 
     def test_only_rejects_disabled_outputs(self, synth_data):
         _, data = synth_data
         config = letters_config(data, income_mode=IncomeMode.NONE)
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             run_aggregate(config, only=["income"])
 
 
@@ -497,7 +491,7 @@ UNSORTED = dict(
 class TestSorting:
     def test_unsorted_input_aborts(self, tmp_path):
         write_columns(tmp_path, **UNSORTED)
-        with pytest.raises(NonConsecutiveKeyError) as info:
+        with raises_code("NON_CONSECUTIVE_KEY") as info:
             run_aggregate(PipelineConfig(input_dir=tmp_path))
         assert info.value.line == 3
         assert info.value.stage == "aggregate"

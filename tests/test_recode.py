@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hdbprep.errors import BadIncomeTokenError, UnknownIncomeCodeError
+from conftest import raises_code
 from hdbprep.model import IncomeMode
 from hdbprep.pipeline import PipelineConfig, run_recode
 from hdbprep.recode import IncomeRangeMap, elim1_default_map, income_from_letter
@@ -78,11 +78,11 @@ class TestDefaultMaps:
 
 class TestIncomeRangeMap:
     def test_codes_are_single_characters(self):
-        with pytest.raises(Exception):
+        with raises_code("ERROR"):
             IncomeRangeMap(entries={"AB": 100.0})
 
     def test_amounts_nonnegative(self):
-        with pytest.raises(Exception):
+        with raises_code("ERROR"):
             IncomeRangeMap(entries={"A": -5.0})
 
     def test_entries_frozen(self):
@@ -105,11 +105,11 @@ class TestIncomeFromLetter:
         assert income_from_letter("  B ", m) == 39500.0
 
     def test_empty_token(self):
-        with pytest.raises(BadIncomeTokenError):
+        with raises_code("BAD_INCOME_TOKEN"):
             income_from_letter("   ", elim1_default_map())
 
     def test_unknown_code_strict(self):
-        with pytest.raises(UnknownIncomeCodeError):
+        with raises_code("UNKNOWN_INCOME_CODE"):
             income_from_letter("Z", elim1_default_map())
 
     def test_unknown_code_with_default(self):
@@ -118,7 +118,7 @@ class TestIncomeFromLetter:
         assert income_from_letter("I", m) == 0.0  # literal map never had I
 
     def test_case_sensitive(self):
-        with pytest.raises(UnknownIncomeCodeError):
+        with raises_code("UNKNOWN_INCOME_CODE"):
             income_from_letter("b", elim1_default_map())
 
 
@@ -137,7 +137,7 @@ class TestRecodeStream:
         assert recode_column(tmp_path, ["A", "B", "A"]) == [14500.0, 39500.0, 14500.0]
 
     def test_error_carries_line(self, tmp_path):
-        with pytest.raises(UnknownIncomeCodeError) as info:
+        with raises_code("UNKNOWN_INCOME_CODE") as info:
             recode_column(tmp_path, ["A", "Z"])
         assert info.value.line == 2
 

@@ -3,10 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hdbprep.errors import (
-    DmpParamOutOfRangeError,
-    EmptyHouseholdError,
-)
+from conftest import raises_code
 from hdbprep.model import Age, AgeEncoding, Gender
 from hdbprep.scales import (
     ADULT_AGE_YEARS,
@@ -125,12 +122,12 @@ class TestDmpScale:
         assert dmp_scale(0, 4, 0.0, 0.7) == 0.0
 
     def test_empty_household(self):
-        with pytest.raises(EmptyHouseholdError):
+        with raises_code("EMPTY_HOUSEHOLD"):
             dmp_scale(0, 0, 0.5, 0.7)
 
     @pytest.mark.parametrize("c,s", [(-0.1, 0.7), (1.5, 0.7), (0.5, -1), (0.5, 1.2)])
     def test_parameters_outside_unit_interval(self, c, s):
-        with pytest.raises(DmpParamOutOfRangeError):
+        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
             dmp_scale(2, 2, c, s)
 
     @given(

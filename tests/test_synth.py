@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hdbprep.errors import ConfigError
+from conftest import raises_code
 from hdbprep.identity import make_household_key
 from hdbprep.ingest import ColumnSource, Variable, read_column_file, read_table
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, Member, ScaleKind
@@ -65,11 +65,11 @@ def assert_same_aggregate(a, b):
 
 class TestParams:
     def test_too_few_households_for_regions(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             SynthParams(n_households=2, seed=1, n_regions=4)
 
     def test_capacity_exceeded(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             SynthParams(
                 n_households=100,
                 seed=1,
@@ -80,7 +80,7 @@ class TestParams:
             )
 
     def test_counts_must_be_positive(self):
-        with pytest.raises(ConfigError):
+        with raises_code("ERROR"):
             SynthParams(n_households=0, seed=1)
 
 

@@ -17,9 +17,9 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 9 corpora with one injected fault each (FAULTS below), and one
-  shuffled table whose household tokens of one household hold the prefix
-  letter `H` (TABLE_FAULTS below);
+* 13 corpora with one injected fault each (FAULTS below), and 5
+  shuffled tables with one injected fault each (TABLE_FAULTS below), so
+  that every error code the CLI can reach is reached;
 * 1 corpus whose config turns the DMP scale off (CONFIGS below), so that
   a DMP flag turning it on is compared.
 
@@ -119,6 +119,10 @@ FAULTS = {
     "short-column-file": lambda d: _drop_last_line(d / "gender.txt"),
     "dmp-out-of-range": lambda d: _config_line(d, "dmp_c = 0.5", "dmp_c = 1.5"),
     "not-utf8-region": lambda d: _not_utf8(d / "region.txt", 6),
+    "blank-line-age": lambda d: _replace_line(d / "age.txt", 5, ""),
+    "empty-gender-file": lambda d: (d / "gender.txt").write_text("", encoding="utf-8"),
+    "missing-milieu-file": lambda d: (d / "milieu.txt").unlink(),
+    "age-encoding-3": lambda d: _config_line(d, "age_encoding = years", "age_encoding = 3"),
 }
 
 
@@ -130,23 +134,40 @@ def _shuffle_table(data: Path) -> None:
                                       encoding="utf-8")
 
 
-def _collide_household(data: Path, row: int = 7) -> None:
-    """Append the prefix letter H to the household token of every member
-    of the household on the given data row of persons.csv."""
+def _edit_table(data: Path, edit) -> None:
+    """Rewrite persons.csv after ``edit`` changed its list of rows, each a
+    list of cells, the header row first."""
     path = data / "persons.csv"
     with path.open(encoding="utf-8", newline="") as handle:
-        header, *rows = list(csv.reader(handle))
-    strata = rows[row - 1][:4]
-    for cells in rows:
+        rows = list(csv.reader(handle))
+    edit(rows)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _collide_household(rows: list[list[str]], row: int = 7) -> None:
+    """Append the prefix letter H to the household token of every member
+    of the household on the given data row."""
+    strata = rows[row][:4]
+    for cells in rows[1:]:
         if cells[:4] == strata:
             cells[3] += "H"
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+
+
+def _set_cell(row: int, column: int, text: str):
+    """An edit that sets one cell; row 0 is the header."""
+    def edit(rows: list[list[str]]) -> None:
+        rows[row][column] = text
+    return edit
 
 
 #: One fault each, injected into the shuffled seed-3 letters/years table.
 TABLE_FAULTS = {
-    "prefix-letter-in-household": _collide_household,
+    "prefix-letter-in-household": lambda d: _edit_table(d, _collide_household),
+    "missing-gender-column": lambda d: _edit_table(d, _set_cell(0, 5, "sex")),
+    "short-row": lambda d: _edit_table(d, lambda rows: rows[9].pop()),
+    "empty-age-cell": lambda d: _edit_table(d, _set_cell(11, 4, "")),
+    "line-break-in-cluster": lambda d: _edit_table(d, _set_cell(13, 2, "1\n2")),
 }
 
 #: One config edit each, made to the seed-3 letters/years corpus.
