@@ -2,15 +2,20 @@
 
 Survey files arrive sorted so that each household's members occupy one
 consecutive block of lines. Aggregation exploits that: `aggregate_all`
-walks the (key, member) rows once, keeps a single accumulator for the
+folds (key, member) rows as they come, from any iterable (the pipeline
+feeds it one person at a time), keeps the running totals of the one
 household whose block is open, and emits that household's aggregate when
-the key changes. It never builds a person-indexed table. Each member is
-folded once, and each distinct token is parsed once per run: per-run
-tables map an age token to its Age, (age token, chief flag) to the Oxford
-weight and (age token, gender token) to the FAO-OMS weight. A gender token
-is read only for adults, and only when the FAO-OMS scale is configured.
-A token that fails to parse is never stored, so it fails again at each
-occurrence and the first bad token in row order is the one an error names.
+the key changes. It never builds a person-indexed table.
+
+Each member costs one lookup: a per-run table maps the member's profile
+(age token, gender token, chief flag) to whether it is an adult, its
+Oxford and FAO-OMS weights, and whether its age is the unknown-age code.
+A gender token is read only for adults, and only when the FAO-OMS scale
+is configured. A profile that fails to parse is never stored, so it fails
+again at each occurrence and the first bad token in row order is the one
+an error names. Each household composition (adults, children) gets its
+DMP value once per run, from a second table; the DMP parameters and the
+scale that divides income are resolved once per run.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -28,7 +33,6 @@ from .errors import HdbError
 from .ingest import parse_age, parse_gender
 from .model import (
     NO_CHIEF_LABEL,
-    Age,
     AgeEncoding,
     GenderEncoding,
     HouseholdAggregate,
@@ -109,59 +113,6 @@ class AggregationSettings:
         return None
 
 
-class _Household:
-    """The running totals of the household whose block is open. The first
-    member seeds the Oxford, FAO-OMS and income sums and the rest add in
-    member order; a sum that is not configured stays None."""
-
-    __slots__ = ("key", "size", "adults", "children", "oxford", "faofam",
-                 "income", "chief_label", "chiefs")
-
-    def __init__(self, key: HouseholdKey):
-        self.key = key
-        self.size = self.adults = self.children = self.chiefs = 0
-        self.oxford = self.faofam = self.income = None
-        self.chief_label = NO_CHIEF_LABEL
-
-    def finish(
-        self, settings: AggregationSettings, warnings: list[WarningRecord] | None
-    ) -> HouseholdAggregate:
-        """Close the block: DMP, the scaled income, MULTIPLE_CHIEFS."""
-        dmp = settings.spec_for(ScaleKind.DMP)
-        scale_dmp = (
-            dmp_scale(self.adults, self.children, dmp.dmp_c, dmp.dmp_s)
-            if dmp is not None else None
-        )
-        scaled_income = None
-        if settings.scaled_by is not None:
-            divisor = {ScaleKind.OXFORD: self.oxford, ScaleKind.FAOFAM: self.faofam,
-                       ScaleKind.DMP: scale_dmp}[settings.scaled_by]
-            if not divisor > 0:
-                raise HdbError("ZERO_SCALE", f"household {self.key}: {settings.scaled_by.value} "
-                               f"scale is {divisor}, cannot scale income")
-            scaled_income = self.income / divisor
-        if self.chiefs > 1 and warnings is not None:
-            warnings.append(
-                WarningRecord(
-                    "MULTIPLE_CHIEFS",
-                    f"household {self.key} marks {self.chiefs} members as chief",
-                )
-            )
-        return HouseholdAggregate(
-            key=self.key,
-            size=self.size,
-            n_adults=self.adults,
-            n_children=self.children,
-            scale_oxford=self.oxford,
-            scale_faofam=self.faofam,
-            scale_dmp=scale_dmp,
-            total_income=self.income,
-            label_area=self.key.components[0],
-            label_chief_gender=self.chief_label,
-            scaled_income=scaled_income,
-        )
-
-
 def aggregate_all(
     rows: Iterable[tuple[HouseholdKey, Member]],
     settings: AggregationSettings,
@@ -183,99 +134,116 @@ def aggregate_all(
     the stream.
     """
     age_encoding = settings.age_encoding
-    policy = settings.missing_age_policy
     sentinel = settings.paper_sentinel
     threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
     with_oxford = settings.spec_for(ScaleKind.OXFORD) is not None
     with_faofam = settings.spec_for(ScaleKind.FAOFAM) is not None
-    seen: set[str] = set()
-    household: _Household | None = None
-    # per-run token tables; a parse that fails is never stored
-    ages: dict[str, Age] = {}
-    oxfords: dict[tuple[str, bool], float] = {}
-    faofams: dict[tuple[str, str], float] = {}
+    with_income = settings.income_enabled
+    dmp = settings.spec_for(ScaleKind.DMP)
+    scaled_by = settings.scaled_by
+    # the sum that divides income: an index into (Oxford, FAO-OMS, DMP)
+    divide_by = None if scaled_by is None else list(ScaleKind).index(scaled_by)
 
-    for key, member in rows:
-        if household is None or key.canonical != household.key.canonical:
-            if key.canonical in seen:
-                raise HdbError("NON_CONSECUTIVE_KEY", f"household {key.canonical!r} reappears "
-                               "after a different household; input is not grouped (use an "
-                               "explicit sort)", line=member.line)
-            seen.add(key.canonical)
-            if household is not None:
-                yield household.finish(settings, warnings)
-            household = _Household(key)
-
-        token = member.age_raw
-        age = ages.get(token)
+    def profile(age_token: str, gender_token: str, is_chief: bool) -> tuple:
+        """(adult, Oxford weight, FAO-OMS weight, age missing) of a member;
+        a weight that is not configured is 0.0."""
+        try:
+            age = parse_age(age_token, age_encoding, settings.missing_age_policy)
+        except HdbError:
+            if not sentinel:
+                raise
+            age = None
+        adult = not (_coerce_numeric_prefix(age_token) if sentinel else age.value) < threshold
         if age is None:
+            return adult, SENTINEL_WEIGHT, SENTINEL_WEIGHT, False
+        oxford = oxford_weight(age, age_encoding, is_chief) if with_oxford else 0.0
+        faofam = 0.0
+        if with_faofam and age.value < threshold:
+            faofam = WEIGHT_CHILD
+        elif with_faofam:
             try:
-                age = remember(ages, token, parse_age(token, age_encoding, policy))
-            except HdbError as exc:
+                gender = parse_gender(gender_token, settings.gender_encoding)
+            except HdbError:
                 if not sentinel:
-                    raise exc.at(line=member.line)
-        if age is not None and age.missing and warnings is not None:
-            warnings.append(
-                WarningRecord(
-                    "AGE_MISSING",
-                    f"unknown-age code {token!r} treated as adult",
-                    member.line,
-                )
-            )
-        value = _coerce_numeric_prefix(token) if sentinel else age.value
-        if value < threshold:
-            household.children += 1
-        else:
-            household.adults += 1
-
-        oxford = faofam = income = None
-        if with_oxford:
-            if age is None:
-                oxford = SENTINEL_WEIGHT
-            else:
-                pair = (token, member.is_chief)
-                oxford = oxfords.get(pair)
-                if oxford is None:
-                    oxford = remember(
-                        oxfords, pair, oxford_weight(age, age_encoding, member.is_chief)
-                    )
-        if with_faofam:
-            if age is None:
+                    raise
                 faofam = SENTINEL_WEIGHT
             else:
-                pair = (token, member.gender_raw)
-                faofam = faofams.get(pair)
-                if faofam is None and age.value < threshold:
-                    faofam = remember(faofams, pair, WEIGHT_CHILD)
-                elif faofam is None:
-                    try:
-                        gender = parse_gender(member.gender_raw, settings.gender_encoding)
-                    except HdbError as exc:
-                        if not sentinel:
-                            raise exc.at(line=member.line)
-                        faofam = SENTINEL_WEIGHT
-                    else:
-                        faofam = remember(
-                            faofams, pair, faofam_weight(age, age_encoding, gender)
-                        )
-        if settings.income_enabled:
-            income = member.income
-            if income is None:
-                raise HdbError("MISSING_INCOME", "member has no income amount", line=member.line)
+                faofam = faofam_weight(age, age_encoding, gender)
+        return adult, oxford, faofam, age.missing
 
-        household.size += 1
-        if household.size == 1:
-            household.oxford, household.faofam, household.income = oxford, faofam, income
+    # (adults, children) -> DMP value
+    dmps: dict[tuple[int, int], float] = {}
+
+    def close(key, adults, children, oxford, faofam, income, chief_label, chiefs):
+        """The aggregate of the household whose block ends."""
+        scale_dmp = None
+        if dmp is not None:
+            scale_dmp = dmps.get((adults, children))
+            if scale_dmp is None:
+                scale_dmp = remember(dmps, (adults, children),
+                                     dmp_scale(adults, children, dmp.dmp_c, dmp.dmp_s))
+        scaled_income = None
+        if divide_by is not None:
+            divisor = (oxford, faofam, scale_dmp)[divide_by]
+            if not divisor > 0:
+                raise HdbError("ZERO_SCALE", f"household {key}: {scaled_by.value} scale is "
+                               f"{divisor}, cannot scale income")
+            scaled_income = income / divisor
+        if chiefs > 1 and warnings is not None:
+            warnings.append(WarningRecord(
+                "MULTIPLE_CHIEFS", f"household {key} marks {chiefs} members as chief"))
+        return HouseholdAggregate(
+            key, adults + children, adults, children, oxford if with_oxford else None,
+            faofam if with_faofam else None, scale_dmp, income if with_income else None,
+            scaled_income, key.components[0], chief_label,
+        )
+
+    seen: set[str] = set()
+    # member profile -> (adult, Oxford, FAO-OMS, age missing); a profile
+    # that fails is never stored
+    profiles: dict[tuple[str, str, bool], tuple] = {}
+    household = canonical = None
+    for key, member in rows:
+        if key.canonical != canonical:
+            canonical = key.canonical
+            if canonical in seen:
+                raise HdbError("NON_CONSECUTIVE_KEY", f"household {canonical!r} reappears "
+                               "after a different household; input is not grouped (use an "
+                               "explicit sort)", line=member.line)
+            seen.add(canonical)
+            if household is not None:
+                yield close(household, adults, children, oxford, faofam, income,
+                            chief_label, chiefs)
+            household = key
+            adults = children = chiefs = 0
+            oxford = faofam = income = 0.0
+            chief_label = NO_CHIEF_LABEL
+
+        line, age_token, gender_token, is_chief, amount = member
+        traits = (age_token, gender_token, is_chief)
+        weights = profiles.get(traits)
+        if weights is None:
+            try:
+                weights = remember(profiles, traits, profile(*traits))
+            except HdbError as exc:
+                raise exc.at(line=line)
+        adult, weight_oxford, weight_faofam, missing = weights
+        if missing and warnings is not None:
+            warnings.append(WarningRecord(
+                "AGE_MISSING", f"unknown-age code {age_token!r} treated as adult", line))
+        if adult:
+            adults += 1
         else:
-            if with_oxford:
-                household.oxford += oxford
-            if with_faofam:
-                household.faofam += faofam
-            if income is not None:
-                household.income += income
-        if member.is_chief:
-            household.chief_label = member.gender_raw
-            household.chiefs += 1
+            children += 1
+        oxford += weight_oxford
+        faofam += weight_faofam
+        if with_income:
+            if amount is None:
+                raise HdbError("MISSING_INCOME", "member has no income amount", line=line)
+            income += amount
+        if is_chief:
+            chief_label = gender_token
+            chiefs += 1
 
     if household is not None:
-        yield household.finish(settings, warnings)
+        yield close(household, adults, children, oxford, faofam, income, chief_label, chiefs)

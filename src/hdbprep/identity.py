@@ -77,8 +77,8 @@ def make_household_key(
             if letter in token:
                 raise HdbError("PREFIX_COLLISION", f"token {token!r} contains prefix letter "
                                f"{letter!r}; the identifier would not parse back")
-    canonical = "".join(letter + token for letter, token in zip(letters, components))
-    return HouseholdKey(canonical, components)
+    r, m, c, h = letters
+    return HouseholdKey(f"{r}{region}{m}{milieu}{c}{cluster}{h}{household}", components)
 
 
 @lru_cache(maxsize=8)

@@ -150,7 +150,9 @@ def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
             raise HdbError("BAD_STRATA_TOKEN", f"column {name!r} contains a line break: {token!r}")
 
 
-def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...]]:
+def read_table(
+    source: TableSource, skip_header: int = 0, starts: dict[int, int] | None = None
+) -> list[tuple[str, ...]]:
     """Read a delimited table with a header row into one tuple per person,
     its stripped cells in `Variable` order, restricted to the variables of
     the source's column_map.
@@ -164,6 +166,10 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
     line. Quoting follows the common convention
     (fields wrapped in double quotes, embedded quotes doubled), which the
     csv module implements.
+
+    ``starts``, when given, receives the first line of the first row and of
+    every row after one that a quoted line break spans, by row index; every
+    other row starts on the line after the previous row's first line.
     """
     try:
         handle = source.path.open(encoding="utf-8-sig", newline="")
@@ -190,9 +196,13 @@ def read_table(source: TableSource, skip_header: int = 0) -> list[tuple[str, ...
             indexes = [positions[variable] for variable in variables]
             persons: list[tuple[str, ...]] = []
             last = reader.line_num
+            follows = None
             for row in reader:
                 # the first line of the row: a quoted line break spans lines
                 first, last = last + 1, reader.line_num
+                if first != follows and starts is not None:
+                    starts[len(persons)] = first
+                follows = first + 1
                 if len(row) != len(names):
                     raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, header "
                                    f"has {len(names)}", source=str(source.path), line=first)

@@ -8,7 +8,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -128,16 +128,15 @@ class Age:
             raise ValueError(f"age value must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True)
-class HouseholdKey:
-    """Canonical household identifier plus its strata components.
-
-    Equality and hashing use the canonical string only; under a fixed prefix
-    scheme that coincides with component-tuple equality.
+class HouseholdKey(NamedTuple):
+    """Canonical household identifier plus its strata components; a named
+    tuple, built once per household. Under one prefix scheme the canonical
+    string determines the components, so equal canonical strings mean
+    equal keys.
     """
 
     canonical: str
-    components: tuple[str, str, str, str] = field(compare=False)
+    components: tuple[str, str, str, str]
 
     def __str__(self) -> str:
         return self.canonical
@@ -195,13 +194,14 @@ class Member(NamedTuple):
     income: float | None = None
 
 
-@dataclass(frozen=True)
-class HouseholdAggregate:
-    """Per-household outputs of one aggregation pass.
+class HouseholdAggregate(NamedTuple):
+    """Per-household outputs of one aggregation pass; a named tuple, built
+    once per household.
 
     Scale and income fields are None when the corresponding computation was
-    not configured. ``size == n_adults + n_children`` always holds. The
-    field order is the column order of households.csv.
+    not configured. The fold counts each member as adult or child exactly
+    once, so ``size == n_adults + n_children``. The field order is the
+    column order of households.csv.
     """
 
     key: HouseholdKey
@@ -215,16 +215,6 @@ class HouseholdAggregate:
     scaled_income: float | None
     label_area: str
     label_chief_gender: str
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("household size must be >= 1")
-        if self.n_adults < 0 or self.n_children < 0:
-            raise ValueError("member counts must be >= 0")
-        if self.n_adults + self.n_children != self.size:
-            raise ValueError(
-                f"size {self.size} != adults {self.n_adults} + children {self.n_children}"
-            )
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ until every step has succeeded, so a run that stops on a data error writes
 none of its outputs (an I/O failure part-way through the writes can still
 leave the files written before it).
 
+The household fold is fed each person as the pass reads it, so no
+person-indexed rows are kept (--sort alone gathers and sorts them first).
 The per-person work is per distinct token: a household key is built once
 per run of lines with the same strata tokens (once per household under
---sort), each income token is recoded once (per-run table), and each
+--sort), each income token is recoded once, and the fold looks each
+member profile and each household composition up in per-run tables. Each
 household value is rendered to text once, with each distinct number
 formatted once; the per-variable files and households.csv write the same
 text, each file in one write.
@@ -34,9 +37,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregate import AggregationSettings, aggregate_all, remember
 from .errors import HdbError
@@ -100,7 +104,7 @@ AGGREGATE_OUTPUTS = tuple(_HOUSEHOLD_FILES)
 
 #: The columns of households.csv, which are also its header: every
 #: HouseholdAggregate field, in field order.
-_TABLE_COLUMNS = tuple(f.name for f in fields(HouseholdAggregate))
+_TABLE_COLUMNS = HouseholdAggregate._fields
 
 _DEFAULT_SCALES = (
     ScaleSpec(ScaleKind.OXFORD),
@@ -279,6 +283,9 @@ def load_config(
         except ValueError as exc:
             kind = _READER_KINDS[reader]
             raise HdbError("ERROR", f"bad {kind} for [{section}] {option}: {exc}") from exc
+        except HdbError as exc:
+            exc.message = f"bad value for [{section}] {option}: {exc.message}"
+            raise
 
     values = {
         name: read(section, option, reader)
@@ -369,24 +376,26 @@ def _write_lines(path: Path, lines: Iterable[str]) -> Path:
     return path
 
 
-def _renderer() -> Callable[[object], str]:
-    """A renderer of household values: None as an empty cell, a float
-    through format_number, anything else (a str as it is) as its str. It
-    keeps a table of the text of each float it rendered, so a value that
-    repeats is formatted once."""
-    texts: dict[float, str] = {}
+def _renderer() -> tuple[Callable[[float | None], str],
+                         Callable[[HouseholdAggregate], tuple[str, ...]]]:
+    """Renderers of a number (None as an empty cell, a float through
+    format_number) and of a household's row of cells in `_TABLE_COLUMNS`
+    order. They share a table of the text of each number rendered, so a
+    value that repeats is formatted once."""
+    texts: dict[float | None, str] = {None: ""}
 
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            text = texts.get(value)
-            if text is None:
-                text = remember(texts, value, format_number(value))
-            return text
-        return str(value)
+    def number(value: float | None) -> str:
+        text = texts.get(value)
+        if text is None:
+            text = remember(texts, value, format_number(value))
+        return text
 
-    return cell
+    def row(household: HouseholdAggregate) -> tuple[str, ...]:
+        key, size, adults, children, oxford, faofam, dmp, income, scaled, area, chief = household
+        return (key.canonical, str(size), str(adults), str(children), number(oxford),
+                number(faofam), number(dmp), number(income), number(scaled), area, chief)
+
+    return number, row
 
 
 def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
@@ -409,10 +418,11 @@ def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
 
 def _read_persons(
     config: PipelineConfig, variables: Sequence[Variable]
-) -> list[tuple[str, ...]]:
+) -> tuple[list[tuple[str, ...]], dict[int, int]]:
     """One tuple per person in line order, holding the tokens of
     ``variables`` (given in `Variable` order) and read from their columns
-    alone."""
+    alone, and the first line of the first person and of every person that
+    does not start on the line after the previous one, by person index."""
     if config.input_mode == "columns":
         names = {**config.column_files, Variable.INCOME: config.effective_income_file}
     else:
@@ -426,15 +436,26 @@ def _read_persons(
                 ColumnSource(config.input_dir / names[variable], variable)
                 for variable in variables
             ]
-            return read_column_sources(sources, skip_header=config.skip_header)
+            persons = read_column_sources(sources, skip_header=config.skip_header)
+            return persons, {0: config.skip_header + 1}
         source = TableSource(
             config.input_dir / config.table_file,
             {variable: names[variable] for variable in variables},
             delimiter=config.table_delimiter,
         )
-        return read_table(source, skip_header=config.skip_header)
+        starts: dict[int, int] = {}
+        return read_table(source, skip_header=config.skip_header, starts=starts), starts
     except HdbError as exc:
         raise exc.at(stage="ingest")
+
+
+def _line_numbers(starts: Mapping[int, int], count: int) -> Iterable[int]:
+    """Each of ``count`` persons' first line: from each person that
+    ``starts`` holds, the next line for every person up to the next one."""
+    bounds = sorted(starts) + [count]
+    return chain.from_iterable(
+        range(starts[i], starts[i] + j - i) for i, j in zip(bounds, bounds[1:])
+    )
 
 
 def _parse_income(token: str, mapping: IncomeRangeMap | None) -> float:
@@ -467,12 +488,15 @@ def _run(
 
     Only the columns a selected output needs are read. Each person is
     handled in line order: key, then income, then member, each only when a
-    selected output needs it; an error names the input line of the first
-    person whose token fails (skipped lines and a table's header count). A
-    household key is built at the first line of each run of lines with the
-    same strata; under ``config.sort`` every strata tuple keeps its key, so
-    a person-shuffled input builds one key per household, at the
-    household's first line. Households are folded only
+    selected output needs it, and the household fold takes each member as
+    the pass makes it (under ``config.sort``, once every member is made and
+    stably sorted by key). An error names the input line of the first
+    person whose token fails (skipped lines and a table's header count),
+    and a table's file; a key or income error wins over a fold error
+    wherever it lies. A household key is built at the first line of each
+    run of lines with the same strata; under ``config.sort`` every strata
+    tuple keeps its key, so a person-shuffled input builds one key per
+    household, at the household's first line. Households are folded only
     for a household output, and the scaled income is computed only for
     households.csv. Nothing is written before every step has succeeded.
     """
@@ -499,59 +523,60 @@ def _run(
     mapping = (
         config.active_income_map() if config.income_mode is IncomeMode.LETTERS else None
     )
-    persons = _read_persons(config, variables)
-    cell = _renderer()
+    persons, starts = _read_persons(config, variables)
+    n_persons = len(persons)
+    source = str(config.input_dir / config.table_file) if config.input_mode == "table" else None
+    number, render = _renderer()
     key_lines: list[str] = []
     amount_lines: list[str] = []
-    rows: list[tuple[HouseholdKey, Member]] = []
-    strata = key = None
-    # under --sort a household's lines may lie anywhere, and every person is
-    # held until the sort anyway: each strata tuple keeps its key, so a key
-    # is built once per household; otherwise only the current run's is kept
-    known: dict[tuple[str, ...], HouseholdKey] | None = {} if config.sort else None
-    # income token -> (amount, its text when the amount file is written);
-    # a token that fails to parse is never stored
-    incomes: dict[str, tuple[float, str | None]] = {}
-    # a person's line in its file, below the skipped lines and a table's header
-    first = config.skip_header + (1 if config.input_mode == "columns" else 2)
-    for line, person in enumerate(persons, first):
-        # a household's members share one key, built at its first line
-        if need_keys and person[:4] != strata:
-            strata = person[:4]
-            key = None if known is None else known.get(strata)
-            if key is None:
-                try:
-                    key = make_household_key(*strata, config.scheme)
-                except HdbError as exc:
-                    raise exc.at(line=line, stage="identify")
-                if known is not None:
-                    known[strata] = key
-        if keys:
-            key_lines.append(key.canonical)
-        income = None
-        if need_income:
-            token = person[-1]
-            entry = incomes.get(token)
-            if entry is None:
-                try:
-                    income = _parse_income(token, mapping)
-                except HdbError as exc:
-                    raise exc.at(line=line, stage="recode")
-                entry = remember(incomes, token, (income, cell(income) if amounts else None))
-            income, text = entry
-            if amounts:
-                amount_lines.append(text)
-        if fold:
-            member = Member(line, person[4], person[5], person[6] == "1", income)
-            rows.append((key, member))
 
-    n_persons = len(persons)
-    del persons  # the rows hold what the rest of the pass needs
-    aggregates = None
+    def members(persons) -> Iterator[tuple[HouseholdKey, Member]]:
+        strata = key = None
+        # under --sort a household's lines may lie anywhere, and every person
+        # is held until the sort anyway: each strata tuple keeps its key, so
+        # a key is built once per household; otherwise only the current
+        # run's is kept
+        known: dict[tuple[str, ...], HouseholdKey] | None = {} if config.sort else None
+        # income token -> (amount, its text when the amount file is written);
+        # a token that fails to parse is never stored
+        incomes: dict[str, tuple[float, str | None]] = {}
+        for line, person in zip(_line_numbers(starts, n_persons), persons):
+            # a household's members share one key, built at its first line
+            if need_keys and person[:4] != strata:
+                strata = person[:4]
+                key = None if known is None else known.get(strata)
+                if key is None:
+                    try:
+                        key = make_household_key(*strata, config.scheme)
+                    except HdbError as exc:
+                        raise exc.at(source=source, line=line, stage="identify")
+                    if known is not None:
+                        known[strata] = key
+            if keys:
+                key_lines.append(key.canonical)
+            income = None
+            if need_income:
+                token = person[-1]
+                entry = incomes.get(token)
+                if entry is None:
+                    try:
+                        income = _parse_income(token, mapping)
+                    except HdbError as exc:
+                        raise exc.at(source=source, line=line, stage="recode")
+                    entry = remember(incomes, token, (income, number(income) if amounts else None))
+                income, text = entry
+                if amounts:
+                    amount_lines.append(text)
+            if fold:
+                yield key, Member(line, person[4], person[5], person[6] == "1", income)
+
+    rows = members(persons)
+    del persons  # the pass holds them until it ends
+    rendered: list[tuple[str, ...]] = []
     warnings: list[WarningRecord] = []
     if fold:
         if config.sort:
-            rows.sort(key=lambda row: row[0].canonical)
+            rows = sorted(rows, key=lambda row: row[0].canonical)
         settings = AggregationSettings(
             age_encoding=config.age_encoding,
             gender_encoding=config.gender_encoding,
@@ -562,15 +587,18 @@ def _run(
             missing_age_policy=config.missing_age_policy,
         )
         try:
-            aggregates = list(aggregate_all(rows, settings, warnings))
+            rendered = [render(household)
+                        for household in aggregate_all(rows, settings, warnings)]
         except HdbError as exc:
-            raise exc.at(stage="aggregate")
+            for _ in rows:  # a later key or income error wins
+                pass
+            raise exc.at(source=source if exc.line is not None else None, stage="aggregate")
+    else:
+        for _ in rows:  # the pass folds no member
+            pass
 
     # every value is rendered once; the per-variable files and
     # households.csv write the same text
-    rendered = [
-        [cell(getattr(a, name)) for name in _TABLE_COLUMNS] for a in aggregates or ()
-    ]
     columns = dict(zip(_TABLE_COLUMNS, zip(*rendered)))
     out_dir = config.effective_out_dir
     outputs = []
@@ -586,7 +614,7 @@ def _run(
         outputs.append(write_household_table(rendered, out_dir / TABLE_FILE))
     return RunReport(
         persons=n_persons,
-        households=None if aggregates is None else len(aggregates),
+        households=len(rendered) if fold else None,
         outputs=tuple(outputs),
         warnings=tuple(warnings),
     )

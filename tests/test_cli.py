@@ -335,6 +335,26 @@ class TestErrorPrecedence:
             "R1M1C1H3,1,1,0,0.99,0.99,1,175000,176767.676768,1,1\n"
         )
 
+    def test_later_prefix_collision_beats_early_non_consecutive_key(self, tmp_path, capsys):
+        # household 1 comes back on line 4, closing household 2 early
+        code, err = self.run(tmp_path / "alone", capsys, (4, HOUSEHOLD, "1"))
+        assert code == 1
+        assert err.startswith("error: [aggregate] NON_CONSECUTIVE_KEY (line 4): ")
+        code, err = self.run(tmp_path, capsys, (4, HOUSEHOLD, "1"), (5, HOUSEHOLD, "3H"))
+        assert code == 1
+        assert err.startswith("error: [identify] PREFIX_COLLISION (line 5): ")
+
+    def test_later_unknown_letter_beats_early_zero_scale(self, tmp_path, capsys):
+        # with c = 0 the all-children household 1 has a DMP scale of 0
+        flags = ["--scale", "dmp", "--dmp-c", "0"]
+        code, err = self.run(tmp_path / "alone", capsys, (1, AGE, "5"), flags=flags)
+        assert code == 1
+        assert err == ("error: [aggregate] ZERO_SCALE: household R1M1C1H1: dmp scale is "
+                       "0.0, cannot scale income")
+        code, err = self.run(tmp_path, capsys, (1, AGE, "5"), (5, INCOME, "Z"), flags=flags)
+        assert (code, err) == (1, "error: [recode] UNKNOWN_INCOME_CODE (line 5): "
+                                  "income code 'Z' is not in the range map")
+
     def run_table(self, tmp_path, capsys, rows):
         """Run on a persons.csv of a header and the given data rows."""
         data = tmp_path / "data"
@@ -477,8 +497,8 @@ class TestTokenTableCap:
         monkeypatch.setattr(aggregate, "remember", spy)
         monkeypatch.setattr(pipeline, "remember", spy)
         assert self.outputs(data, tmp_path / "capped", capsys) == uncapped
-        # ages, Oxford and FAO-OMS weights, income letters, rendered values
-        assert [len(table) for table in tables] == [4] * 5
+        # member profiles, DMP compositions, income letters, rendered numbers
+        assert [len(table) for table in tables] == [4] * 4
 
 
 def shuffled_table(source, target, seed):
@@ -556,7 +576,8 @@ class TestSortedShuffledTable:
         code, err = self.run_shuffled(
             tmp_path, capsys, [(2, HOUSEHOLD, "1H"), (5, HOUSEHOLD, "1H"), (1, AGE, "x")])
         assert code == 1
-        assert err == ("error: [identify] PREFIX_COLLISION (line 3): token '1H' contains "
+        table = tmp_path / "data" / "persons.csv"
+        assert err == (f"error: [identify] PREFIX_COLLISION ({table}:3): token '1H' contains "
                        "prefix letter 'H'; the identifier would not parse back")
         assert not (tmp_path / "out").exists()
 
@@ -564,7 +585,8 @@ class TestSortedShuffledTable:
         code, err = self.run_shuffled(
             tmp_path, capsys, [(3, HOUSEHOLD, "3H"), (2, INCOME, "Z")])
         assert code == 1
-        assert err == ("error: [recode] UNKNOWN_INCOME_CODE (line 3): "
+        table = tmp_path / "data" / "persons.csv"
+        assert err == (f"error: [recode] UNKNOWN_INCOME_CODE ({table}:3): "
                        "income code 'Z' is not in the range map")
 
 
@@ -627,7 +649,8 @@ class TestFlagsSetConfigKeys:
     def test_empty_scheme_flag_is_checked_like_an_empty_key(self, tmp_path, capsys):
         config = write_persons(tmp_path / "data")
         assert failure(capsys, ["identify", "--config", str(config), "--scheme", ""]) == (
-            2, "error: ERROR: prefix scheme must be 4 letters, got ''")
+            2, "error: ERROR: bad value for [identify] scheme: "
+               "prefix scheme must be 4 letters, got ''")
 
 
 class TestErrorLinesAreFileLines:
@@ -653,9 +676,24 @@ class TestErrorLinesAreFileLines:
         config.write_text("[input]\nmode = table\ntable = persons.csv\n")
         argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]
         assert failure(capsys, argv) == (
-            1, "error: [aggregate] BAD_AGE_TOKEN (line 3): cannot read 'x' as an age")
+            1, f"error: [aggregate] BAD_AGE_TOKEN ({data / 'persons.csv'}:3): "
+               "cannot read 'x' as an age")
         (data / "persons.csv").write_text(
             (data / "persons.csv").read_text().replace(",x,", ",35,"))
         code, err = failure(capsys, argv)
         assert code == 1
-        assert err.startswith("error: [aggregate] NON_CONSECUTIVE_KEY (line 4): ")
+        assert err.startswith(
+            f"error: [aggregate] NON_CONSECUTIVE_KEY ({data / 'persons.csv'}:4): ")
+
+    def test_rows_after_a_multi_line_cell_keep_their_lines(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief,note\n"
+            '1,1,1,1,40,1,1,"multi\nline note"\n1,1,1,1,x,2,0,ok\n')
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n")
+        assert failure(capsys, ["run", "--config", str(config),
+                                "--out-dir", str(tmp_path / "out")]) == (
+            1, f"error: [aggregate] BAD_AGE_TOKEN ({data / 'persons.csv'}:4): "
+               "cannot read 'x' as an age")

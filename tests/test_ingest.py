@@ -158,6 +158,17 @@ class TestReadTable:
         assert records == [("1", "1", "1", "1", "30", "1", "1"),
                            ("1", "1", "1", "1", "7", "2", "2")]
 
+    def test_starts_hold_the_rows_after_multi_line_rows(self, tmp_path):
+        header = 'region,milieu,cluster,household,age,gender,poswrchief,"two\nlines"\n'
+        rows = ['1,1,1,1,30,1,1,"a\nb\nc"', "1,1,1,1,7,2,2,", '1,1,1,2,9,2,1,"d\ne"',
+                "1,1,1,2,8,2,2,", "1,1,1,2,6,1,2,"]
+        starts = {}
+        records = read_table(self.write(tmp_path, header + "\n".join(rows) + "\n"),
+                             skip_header=0, starts=starts)
+        assert len(records) == 5
+        # header on lines 1-2, rows on lines 3-5, 6, 7-8, 9 and 10
+        assert starts == {0: 3, 1: 6, 3: 9}
+
     def test_linebreak_outside_strata_rejected(self, tmp_path):
         src = self.write(tmp_path, self.HEADER + '1,1,1,1,30,1,"1\r1"\n')
         with raises_code("BAD_STRATA_TOKEN") as exc:

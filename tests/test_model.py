@@ -1,13 +1,16 @@
+import csv
+import random
+
 import pytest
 
 from conftest import raises_code
+from hdbprep.cli import main
+from hdbprep.identity import make_household_key
 from hdbprep.ingest import TableSource, Variable, read_table
 from hdbprep.model import (
     Age,
     AgeEncoding,
     GenderEncoding,
-    HouseholdAggregate,
-    HouseholdKey,
     IncomeMode,
     MissingAgePolicy,
     ScaleKind,
@@ -125,11 +128,14 @@ class TestAge:
 
 class TestHouseholdKey:
     def test_equality_and_hash_follow_canonical(self):
-        a = HouseholdKey("R1M2C3H4", ("1", "2", "3", "4"))
-        b = HouseholdKey("R1M2C3H4", ("x", "x", "x", "x"))
+        a = make_household_key("1", "2", "3", "4")
+        b = make_household_key("1", "2", "3", "4")
         assert a == b
         assert hash(a) == hash(b)
-        assert str(a) == "R1M2C3H4"
+        assert str(a) == f"{a}" == "R1M2C3H4"
+        assert a.components == ("1", "2", "3", "4")
+        other = make_household_key("1", "23", "4", "5")
+        assert other != a
 
 
 class TestScaleSpec:
@@ -153,24 +159,63 @@ class TestScaleSpec:
             validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s))
 
 
+def _shuffle_rows(data):
+    header, *rows = (data / "persons.csv").read_text().splitlines()
+    random.Random(5).shuffle(rows)
+    (data / "persons.csv").write_text("".join(f"{row}\n" for row in [header, *rows]))
+    config = data / "config.ini"
+    config.write_text(config.read_text().replace(
+        "mode = columns", "mode = table\ntable = persons.csv"))
+
+
+def _junk_ages(data):
+    ages = (data / "age.txt").read_text().splitlines()
+    ages[1::7] = ["25ans"] * len(ages[1::7])
+    ages[4::9] = ["x"] * len(ages[4::9])
+    (data / "age.txt").write_text("".join(f"{age}\n" for age in ages))
+
+
+#: Synth corpora: synth flags, an edit of the corpus, `run` flags.
+HOUSEHOLD_CORPORA = {
+    "clean": ([], None, []),
+    "anomalies": (["--anomalies"], None, []),
+    "renumber": (["--renumber", "--age-encoding", "classes"], None, []),
+    "paper-sentinel": (["--anomalies"], _junk_ages, ["--paper-sentinel"]),
+    "shuffled-sort": (["--table", "--income", "numeric"], _shuffle_rows, ["--sort"]),
+}
+
+
+@pytest.fixture(scope="class")
+def household_rows(tmp_path_factory):
+    """Corpus name -> the rows of households.csv that `hdbprep run` writes."""
+    rows = {}
+    for name, (synth_flags, edit, run_flags) in HOUSEHOLD_CORPORA.items():
+        data = tmp_path_factory.mktemp(name)
+        assert main(["synth", "--seed", "8", "--households", "80", "--max-size", "10",
+                     "--out-dir", str(data), *synth_flags]) == 0
+        if edit is not None:
+            edit(data)
+        out = data / "out"
+        assert main(["run", "--config", str(data / "config.ini"), "--out-dir", str(out),
+                     *run_flags]) == 0
+        with (out / "households.csv").open(newline="") as handle:
+            rows[name] = list(csv.DictReader(handle))
+        assert len(rows[name]) == 80
+    return rows
+
+
 class TestHouseholdAggregate:
-    def _aggregate(self, size, adults, children):
-        return HouseholdAggregate(
-            key=HouseholdKey("R1M1C1H1", ("1", "1", "1", "1")),
-            size=size, n_adults=adults, n_children=children,
-            scale_oxford=None, scale_faofam=None, scale_dmp=None,
-            total_income=None, label_area="1", label_chief_gender="1",
-            scaled_income=None,
-        )
+    """Every household row the CLI writes has at least one member, each
+    counted once as adult or child."""
 
-    def test_counts_must_add_up(self):
-        self._aggregate(3, 2, 1)
-        with pytest.raises(ValueError):
-            self._aggregate(3, 2, 2)
+    def test_counts_must_add_up(self, household_rows):
+        for name, rows in household_rows.items():
+            for row in rows:
+                assert int(row["size"]) == int(row["n_adults"]) + int(row["n_children"]), name
 
-    def test_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            self._aggregate(0, 0, 0)
+    def test_size_must_be_positive(self, household_rows):
+        for name, rows in household_rows.items():
+            assert all(int(row["size"]) >= 1 for row in rows), name
 
 
 def test_warning_record_rendering():

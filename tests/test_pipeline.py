@@ -325,6 +325,16 @@ class TestLoadConfig:
         with raises_code("ERROR"):
             load_config(write_config(tmp_path, "[scales]\ndmp_c = half\n"))
 
+    def test_reader_error_names_its_key(self, tmp_path):
+        with raises_code("BAD_ENCODING") as info:
+            load_config(write_config(tmp_path, "[variables]\nage_encoding = 3\n"))
+        assert str(info.value) == (
+            "BAD_ENCODING: bad value for [variables] age_encoding: unknown age encoding "
+            "'3' (use 1/years or 2/five_year_classes)")
+        with raises_code("BAD_ENCODING") as info:
+            load_config(write_config(tmp_path, "[scales]\nscaled_by = oecd\n"))
+        assert info.value.message == "bad value for [scales] scaled_by: unknown scale 'oecd'"
+
     def test_missing_file(self, tmp_path):
         with raises_code("IO_ERROR"):
             load_config(tmp_path / "absent.ini")

@@ -17,9 +17,10 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 13 corpora with one injected fault each (FAULTS below), and 5
-  shuffled tables with one injected fault each (TABLE_FAULTS below), so
-  that every error code the CLI can reach is reached;
+* 15 corpora with injected faults (FAULTS below), and 6 shuffled
+  tables with injected faults (TABLE_FAULTS below), so that every error
+  code the CLI can reach is reached, and a later key or income error
+  meets an earlier fold error;
 * 1 corpus whose config turns the DMP scale off (CONFIGS below), so that
   a DMP flag turning it on is compared.
 
@@ -82,11 +83,22 @@ def _first_adult_line(data: Path) -> int:
     return next(i for i, age in enumerate(ages, 1) if float(age) >= 15)
 
 
-def _move_household(data: Path) -> None:
-    """Give the last person the strata of the first household."""
+def _move_household(data: Path, line: int | None = None) -> None:
+    """Give the person on ``line`` (by default the last) the strata of the
+    first household."""
     for name in ("region.txt", "milieu.txt", "cluster.txt", "household.txt"):
         lines = (data / name).read_text(encoding="utf-8").split("\n")
-        _replace_line(data / name, len(lines) - 1, lines[0])
+        _replace_line(data / name, line or len(lines) - 1, lines[0])
+
+
+def _children_first_household(data: Path) -> None:
+    """Make every member of the first household a child, aged 5."""
+    columns = [(data / name).read_text(encoding="utf-8").split("\n")
+               for name in ("region.txt", "milieu.txt", "cluster.txt", "household.txt")]
+    strata = list(zip(*columns))
+    size = next(i for i, person in enumerate(strata) if person != strata[0])
+    for line in range(1, size + 1):
+        _replace_line(data / "age.txt", line, "5")
 
 
 def _drop_last_line(path: Path) -> None:
@@ -123,6 +135,14 @@ FAULTS = {
     "empty-gender-file": lambda d: (d / "gender.txt").write_text("", encoding="utf-8"),
     "missing-milieu-file": lambda d: (d / "milieu.txt").unlink(),
     "age-encoding-3": lambda d: _config_line(d, "age_encoding = years", "age_encoding = 3"),
+    "non-consecutive-then-prefix-letter": lambda d: (
+        _move_household(d, 50),
+        _replace_line(d / "region.txt", 100, "1R")),
+    "zero-scale-then-unknown-letter": lambda d: (
+        _children_first_household(d),
+        _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
+        _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
+        _replace_line(d / "monthlyincomeNT.txt", 100, "Z")),
 }
 
 
@@ -154,6 +174,16 @@ def _collide_household(rows: list[list[str]], row: int = 7) -> None:
             cells[3] += "H"
 
 
+def _note_then_bad_age(rows: list[list[str]]) -> None:
+    """Add a note column, a line break in the note of data row 2 and a bad
+    age on data row 6."""
+    for cells in rows:
+        cells.append("")
+    rows[0][-1] = "note"
+    rows[2][-1] = "multi\nline note"
+    rows[6][4] = "x"
+
+
 def _set_cell(row: int, column: int, text: str):
     """An edit that sets one cell; row 0 is the header."""
     def edit(rows: list[list[str]]) -> None:
@@ -168,6 +198,7 @@ TABLE_FAULTS = {
     "short-row": lambda d: _edit_table(d, lambda rows: rows[9].pop()),
     "empty-age-cell": lambda d: _edit_table(d, _set_cell(11, 4, "")),
     "line-break-in-cluster": lambda d: _edit_table(d, _set_cell(13, 2, "1\n2")),
+    "multi-line-note-then-bad-age": lambda d: _edit_table(d, _note_then_bad_age),
 }
 
 #: One config edit each, made to the seed-3 letters/years corpus.
