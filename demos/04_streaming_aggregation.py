@@ -10,11 +10,12 @@ half-households.
 """
 
 from hdbprep import (
-    AggregationSettings,
     AgeEncoding,
     GenderEncoding,
     HdbError,
+    IncomeMode,
     Member,
+    PipelineConfig,
     ScaleKind,
     ScaleSpec,
     aggregate_all,
@@ -37,21 +38,23 @@ rows = [
     person(5, "3", 44, "1", income=175000.0),  # nobody marked chief here
 ]
 
-settings = AggregationSettings(
+# the one run configuration; the fold reads its encodings, scales and
+# income mode, and scale_income asks for the Oxford-scaled income
+config = PipelineConfig(
     age_encoding=AgeEncoding.YEARS,
     gender_encoding=GenderEncoding.MALE1_FEMALE2,
+    income_mode=IncomeMode.NUMERIC,
     scales=(
         ScaleSpec(ScaleKind.OXFORD),
         ScaleSpec(ScaleKind.FAOFAM),
         ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
     ),
-    income_enabled=True,
     scaled_by=ScaleKind.OXFORD,
 )
 
 warnings = []
 print("aggregates:")
-for agg in aggregate_all(rows, settings, warnings):
+for agg in aggregate_all(rows, config, warnings, scale_income=True):
     print(f"  {agg.key.canonical}  area={agg.label_area}  size={agg.size}"
           f"  adults={agg.n_adults}  oxford={agg.scale_oxford:.2f}  income={agg.total_income:.0f}"
           f"  per-adult={agg.scaled_income:.0f}  chief={agg.label_chief_gender}")
@@ -62,6 +65,6 @@ for w in warnings:
 
 unsorted_rows = [rows[0], rows[3], rows[1]]  # household 1 resumes after 2
 try:
-    list(aggregate_all(unsorted_rows, settings))
+    list(aggregate_all(unsorted_rows, config))
 except HdbError as exc:
     print("unsorted input ->", exc)

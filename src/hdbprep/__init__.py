@@ -11,7 +11,7 @@ use; everything else, the synthetic generator in `hdbprep.synth` included,
 is imported from its module.
 """
 
-from .aggregate import AggregationSettings, aggregate_all
+from .aggregate import aggregate_all
 from .errors import HdbError
 from .identity import (
     DEFAULT_SCHEME,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Age",
     "AgeEncoding",
-    "AggregationSettings",
     "DEFAULT_SCHEME",
     "Gender",
     "GenderEncoding",

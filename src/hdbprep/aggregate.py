@@ -14,8 +14,12 @@ A gender token is read only for adults, and only when the FAO-OMS scale
 is configured. A profile that fails to parse is never stored, so it fails
 again at each occurrence and the first bad token in row order is the one
 an error names. Each household composition (adults, children) gets its
-DMP value once per run, from a second table; the DMP parameters and the
-scale that divides income are resolved once per run.
+DMP value once per run, from a second table.
+
+The fold reads the run's one `PipelineConfig`, which has checked the
+scales and the DMP parameters already; which scales, which income and
+which dividing scale apply is resolved from it once per run. An error or
+warning names the member's input line, and in table mode the table file.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -26,24 +30,19 @@ silently splitting the household into two output rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import HdbError
 from .ingest import parse_age, parse_gender
 from .model import (
     NO_CHIEF_LABEL,
     AgeEncoding,
-    GenderEncoding,
     HouseholdAggregate,
     HouseholdKey,
+    IncomeMode,
     Member,
-    MissingAgePolicy,
     ScaleKind,
-    ScaleSpec,
     WarningRecord,
-    check_scales,
-    validate_weight_domain,
 )
 from .scales import (
     ADULT_AGE_YEARS,
@@ -53,6 +52,9 @@ from .scales import (
     faofam_weight,
     oxford_weight,
 )
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 #: Weight the reference implementation emitted for an unparseable member
 #: token instead of failing; only used under the compatibility switch.
@@ -83,43 +85,18 @@ def remember(table: dict, token, value):
     return value
 
 
-@dataclass(frozen=True)
-class AggregationSettings:
-    """Everything one aggregation pass needs to know.
-
-    ``scales`` lists the scales to compute; ``scaled_by`` picks which of
-    them divides total income (requires ``income_enabled``).
-    """
-
-    age_encoding: AgeEncoding
-    gender_encoding: GenderEncoding
-    scales: tuple[ScaleSpec, ...] = ()
-    income_enabled: bool = False
-    scaled_by: ScaleKind | None = None
-    paper_sentinel: bool = False
-    missing_age_policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT
-
-    def __post_init__(self):
-        for spec in self.scales:
-            validate_weight_domain(spec)
-        check_scales(self.scales, self.scaled_by)
-        if self.scaled_by is not None and not self.income_enabled:
-            raise HdbError("ERROR", "scaled_by requires income_enabled")
-
-    def spec_for(self, kind: ScaleKind) -> ScaleSpec | None:
-        for spec in self.scales:
-            if spec.kind is kind:
-                return spec
-        return None
-
-
 def aggregate_all(
     rows: Iterable[tuple[HouseholdKey, Member]],
-    settings: AggregationSettings,
+    config: PipelineConfig,
     warnings: list[WarningRecord] | None = None,
+    *,
+    scale_income: bool = False,
 ) -> Iterator[HouseholdAggregate]:
     """Stream (key, member) rows into one HouseholdAggregate per household,
-    in input order, in a single pass.
+    in input order, in a single pass, as ``config`` sets it up: its
+    encodings, missing-age policy and paper sentinel, its scales, and its
+    income mode. The scaled income is computed only under
+    ``scale_income``, and only when income is on.
 
     Per member: strict mode raises BAD_AGE_TOKEN / BAD_GENDER_TOKEN at the
     member's line. Under ``paper_sentinel`` an unparseable token weighs
@@ -133,14 +110,16 @@ def aggregate_all(
     back) when a key that already closed a household reappears later in
     the stream.
     """
-    age_encoding = settings.age_encoding
-    sentinel = settings.paper_sentinel
+    age_encoding = config.age_encoding
+    sentinel = config.paper_sentinel
     threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
-    with_oxford = settings.spec_for(ScaleKind.OXFORD) is not None
-    with_faofam = settings.spec_for(ScaleKind.FAOFAM) is not None
-    with_income = settings.income_enabled
-    dmp = settings.spec_for(ScaleKind.DMP)
-    scaled_by = settings.scaled_by
+    kinds = {spec.kind for spec in config.scales}
+    with_oxford = ScaleKind.OXFORD in kinds
+    with_faofam = ScaleKind.FAOFAM in kinds
+    with_income = config.income_mode is not IncomeMode.NONE
+    dmp = config.dmp_spec()
+    scaled_by = config.scaled_by if scale_income and with_income else None
+    source = config.table_source
     # the sum that divides income: an index into (Oxford, FAO-OMS, DMP)
     divide_by = None if scaled_by is None else list(ScaleKind).index(scaled_by)
 
@@ -148,7 +127,7 @@ def aggregate_all(
         """(adult, Oxford weight, FAO-OMS weight, age missing) of a member;
         a weight that is not configured is 0.0."""
         try:
-            age = parse_age(age_token, age_encoding, settings.missing_age_policy)
+            age = parse_age(age_token, age_encoding, config.missing_age_policy)
         except HdbError:
             if not sentinel:
                 raise
@@ -162,7 +141,7 @@ def aggregate_all(
             faofam = WEIGHT_CHILD
         elif with_faofam:
             try:
-                gender = parse_gender(gender_token, settings.gender_encoding)
+                gender = parse_gender(gender_token, config.gender_encoding)
             except HdbError:
                 if not sentinel:
                     raise
@@ -209,7 +188,7 @@ def aggregate_all(
             if canonical in seen:
                 raise HdbError("NON_CONSECUTIVE_KEY", f"household {canonical!r} reappears "
                                "after a different household; input is not grouped (use an "
-                               "explicit sort)", line=member.line)
+                               "explicit sort)", source=source, line=member.line)
             seen.add(canonical)
             if household is not None:
                 yield close(household, adults, children, oxford, faofam, income,
@@ -226,11 +205,11 @@ def aggregate_all(
             try:
                 weights = remember(profiles, traits, profile(*traits))
             except HdbError as exc:
-                raise exc.at(line=line)
+                raise exc.at(source=source, line=line)
         adult, weight_oxford, weight_faofam, missing = weights
         if missing and warnings is not None:
             warnings.append(WarningRecord(
-                "AGE_MISSING", f"unknown-age code {age_token!r} treated as adult", line))
+                "AGE_MISSING", f"unknown-age code {age_token!r} treated as adult", line, source))
         if adult:
             adults += 1
         else:
@@ -239,7 +218,8 @@ def aggregate_all(
         faofam += weight_faofam
         if with_income:
             if amount is None:
-                raise HdbError("MISSING_INCOME", "member has no income amount", line=line)
+                raise HdbError("MISSING_INCOME", "member has no income amount", source=source,
+                               line=line)
             income += amount
         if is_chief:
             chief_label = gender_token

@@ -27,7 +27,7 @@ CODES: dict[str, tuple[int, str]] = {
     "MISSING_COLUMN": (1, "a configured column is not in the table's header row"),
     "ROW_ARITY_MISMATCH": (1, "a table row has more or fewer cells than the header"),
     "EMPTY_TOKEN": (1, "a table cell or a strata token is empty"),
-    "BAD_STRATA_TOKEN": (1, "a table cell holds a line break"),
+    "BAD_STRATA_TOKEN": (1, "a table cell or a column-file token holds a line break"),
     "PREFIX_COLLISION": (1, "a strata token contains a prefix letter of the key"),
     "MALFORMED_KEY": (1, "a string is not a canonical household key"),
     "BAD_AGE_TOKEN": (1, "an age token is not a valid age under its encoding"),

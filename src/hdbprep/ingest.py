@@ -86,14 +86,15 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
 
     A single trailing newline is tolerated; blank lines anywhere else are a
     BLANK_LINE error (they would silently shift every later person across
-    files). A file with no data lines is an EMPTY_FILE error. Error line
-    numbers are 1-based and count skipped header lines. The file is read
-    with universal newlines, so a carriage return ends a line and no token
-    holds a line break.
+    files). A file with no data lines is an EMPTY_FILE error. Only a line
+    feed ends a line: the carriage return of a CRLF is stripped with the
+    token's whitespace, and one inside a token is a BAD_STRATA_TOKEN error,
+    as a line break in a table cell is. Error line numbers are 1-based and
+    count skipped header lines.
     """
     try:
         # utf-8-sig: strip a BOM if a spreadsheet export left one behind
-        text = source.path.read_text(encoding="utf-8-sig")
+        text = source.path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise HdbError("IO_ERROR", f"cannot read {source.path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -107,6 +108,11 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
                        line=skip_header + tokens.index("") + 1)
     if not tokens:
         raise HdbError("EMPTY_FILE", "no data lines", source=str(source.path))
+    if "\r" in text and "\r" in "".join(tokens):
+        index = next(i for i, token in enumerate(tokens) if "\r" in token)
+        raise HdbError("BAD_STRATA_TOKEN", f"column {source.variable.value!r} contains a "
+                       f"line break: {tokens[index]!r}", source=str(source.path),
+                       line=skip_header + index + 1)
     # a column has few distinct tokens: keep one string object for each
     distinct: dict[str, str] = {}
     return list(map(distinct.setdefault, tokens, tokens))
@@ -242,15 +248,13 @@ def parse_age(
         if 0 <= value < float("inf"):  # NaN, junk included, fails both
             missing = policy is MissingAgePolicy.STRICT and value == UNKNOWN_AGE_YEARS
             return Age(value, missing=missing)
-    elif encoding is AgeEncoding.FIVE_YEAR_CLASSES:
+    else:
         try:
             index = int(token)
         except ValueError:
             index = 0
         if index >= 1:
             return Age(float(index))
-    else:  # pragma: no cover
-        raise HdbError("BAD_ENCODING", f"unhandled age encoding {encoding!r}")
     raise HdbError("BAD_AGE_TOKEN", f"cannot read {token!r} as an age")
 
 
@@ -264,9 +268,8 @@ def parse_gender(raw: str, encoding: GenderEncoding) -> Gender:
     """Parse a gender token; only the two exact tokens of the declared
     encoding are accepted."""
     token = raw.strip()
-    gender = _GENDER_TOKENS.get(encoding, {}).get(token)
+    gender = _GENDER_TOKENS[encoding].get(token)
     if gender is None:
-        name = getattr(encoding, "name", encoding)
         raise HdbError("BAD_GENDER_TOKEN",
-                       f"gender code {token!r} is not valid under encoding {name}")
+                       f"gender code {token!r} is not valid under encoding {encoding.name}")
     return gender

@@ -151,31 +151,6 @@ class ScaleSpec:
     dmp_s: float | None = None
 
 
-def validate_weight_domain(spec: ScaleSpec) -> None:
-    """Check a scale specification; raises DMP_PARAM_OUT_OF_RANGE when the
-    DMP parameters are absent or outside [0, 1]. Parameter-free scales
-    always pass."""
-    if spec.kind is not ScaleKind.DMP:
-        return
-    for name, value in (("c", spec.dmp_c), ("s", spec.dmp_s)):
-        if value is None:
-            raise HdbError("DMP_PARAM_OUT_OF_RANGE", f"DMP parameter {name} is not set")
-        if not 0.0 <= value <= 1.0:
-            raise HdbError("DMP_PARAM_OUT_OF_RANGE",
-                           f"DMP parameter {name}={value} outside [0, 1]")
-
-
-def check_scales(scales: tuple[ScaleSpec, ...], scaled_by: ScaleKind | None) -> None:
-    """Check that no scale kind is configured twice and that ``scaled_by``,
-    when given, names a configured scale."""
-    kinds = [spec.kind for spec in scales]
-    if len(set(kinds)) != len(kinds):
-        raise HdbError("ERROR", "each scale may be configured at most once")
-    if scaled_by is not None and scaled_by not in kinds:
-        raise HdbError("ERROR", f"scaled income wants the {scaled_by.value} scale, "
-                       "which is not configured")
-
-
 class Member(NamedTuple):
     """One parsed household member as the aggregation stage sees it; a
     named tuple, because the pass builds one per person.
@@ -219,12 +194,16 @@ class HouseholdAggregate(NamedTuple):
 
 @dataclass(frozen=True)
 class WarningRecord:
-    """A non-fatal data anomaly surfaced in the run report."""
+    """A non-fatal data anomaly surfaced in the run report, located like an
+    error: at its input line, in ``source`` when one file holds that line."""
 
     code: str
     message: str
     line: int | None = None
+    source: str | None = None
 
     def __str__(self) -> str:
-        where = f"line {self.line}: " if self.line is not None else ""
-        return f"{where}{self.code}: {self.message}"
+        if self.line is None:
+            return f"{self.code}: {self.message}"
+        where = f"line {self.line}" if self.source is None else f"{self.source}:{self.line}"
+        return f"{where}: {self.code}: {self.message}"

@@ -42,7 +42,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .aggregate import AggregationSettings, aggregate_all, remember
+from .aggregate import aggregate_all, remember
 from .errors import HdbError
 from .identity import DEFAULT_SCHEME, PrefixScheme, make_household_key
 from .ingest import (
@@ -65,7 +65,6 @@ from .model import (
     ScaleKind,
     ScaleSpec,
     WarningRecord,
-    check_scales,
 )
 from .recode import IncomeRangeMap, elim1_default_map, income_from_letter
 
@@ -116,6 +115,33 @@ _DEFAULT_SCALES = (
 _DEFAULT_TABLE_COLUMNS = {v: v.value for v in Variable}
 
 
+def _bad_value(section: str, option: str, problem: str) -> str:
+    """The message of an error for a config value that a check rejects,
+    naming its key."""
+    return f"bad value for [{section}] {option}: {problem}"
+
+
+def check_scales(scales: tuple[ScaleSpec, ...], scaled_by: ScaleKind | None) -> None:
+    """Check that no scale kind is configured twice, that the DMP scale has
+    both parameters and each lies in [0, 1], and that ``scaled_by``, when
+    given, names a configured scale."""
+    kinds = [spec.kind for spec in scales]
+    for spec in scales:
+        if kinds.count(spec.kind) > 1:
+            raise HdbError("ERROR", _bad_value(
+                "scales", spec.kind.value, "each scale may be configured at most once"))
+        if spec.kind is not ScaleKind.DMP:
+            continue
+        for name, value in (("c", spec.dmp_c), ("s", spec.dmp_s)):
+            if value is None or not 0.0 <= value <= 1.0:
+                problem = " is not set" if value is None else f"={value} outside [0, 1]"
+                raise HdbError("DMP_PARAM_OUT_OF_RANGE", _bad_value(
+                    "scales", f"dmp_{name}", f"DMP parameter {name}{problem}"))
+    if scaled_by is not None and scaled_by not in kinds:
+        raise HdbError("ERROR", _bad_value("scales", "scaled_by", "scaled income wants the "
+                                           f"{scaled_by.value} scale, which is not configured"))
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """One run's full configuration.
@@ -154,14 +180,18 @@ class PipelineConfig:
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.input_mode not in ("columns", "table"):
-            raise HdbError("ERROR",
-                           f"input mode must be 'columns' or 'table', got {self.input_mode!r}")
+            raise HdbError("ERROR", _bad_value(
+                "input", "mode", f"must be 'columns' or 'table', got {self.input_mode!r}"))
         if self.input_mode == "table" and not self.table_file:
-            raise HdbError("ERROR", "table input mode needs a table file")
+            raise HdbError("ERROR", _bad_value("input", "table", "table mode needs a table file"))
+        if self.income_file == "":
+            raise HdbError("ERROR", _bad_value("input", "income", "names no file"))
         if self.skip_header < 0:
-            raise HdbError("ERROR", "skip_header must be >= 0")
+            raise HdbError("ERROR", _bad_value(
+                "input", "skip_header", f"must be >= 0, got {self.skip_header}"))
         if len(self.table_delimiter) != 1:
-            raise HdbError("ERROR", "delimiter must be a single character")
+            raise HdbError("ERROR", _bad_value(
+                "input", "delimiter", f"must be one character, got {self.table_delimiter!r}"))
         # a scaled income is made only when there is an income to scale
         with_income = self.income_mode is not IncomeMode.NONE
         check_scales(self.scales, self.scaled_by if with_income else None)
@@ -178,11 +208,14 @@ class PipelineConfig:
     def effective_out_dir(self) -> Path:
         return self.out_dir if self.out_dir is not None else self.input_dir
 
+    @property
+    def table_source(self) -> str | None:
+        """The table file in table mode, which then locates every line an
+        error or warning names; None in columns mode."""
+        return str(self.input_dir / self.table_file) if self.input_mode == "table" else None
+
     def dmp_spec(self) -> ScaleSpec | None:
-        for spec in self.scales:
-            if spec.kind is ScaleKind.DMP:
-                return spec
-        return None
+        return next((spec for spec in self.scales if spec.kind is ScaleKind.DMP), None)
 
     def active_income_map(self) -> IncomeRangeMap:
         return self.income_map or elim1_default_map(self.paper_literal)
@@ -284,7 +317,7 @@ def load_config(
             kind = _READER_KINDS[reader]
             raise HdbError("ERROR", f"bad {kind} for [{section}] {option}: {exc}") from exc
         except HdbError as exc:
-            exc.message = f"bad value for [{section}] {option}: {exc.message}"
+            exc.message = _bad_value(section, option, exc.message)
             raise
 
     values = {
@@ -525,7 +558,6 @@ def _run(
     )
     persons, starts = _read_persons(config, variables)
     n_persons = len(persons)
-    source = str(config.input_dir / config.table_file) if config.input_mode == "table" else None
     number, render = _renderer()
     key_lines: list[str] = []
     amount_lines: list[str] = []
@@ -549,7 +581,7 @@ def _run(
                     try:
                         key = make_household_key(*strata, config.scheme)
                     except HdbError as exc:
-                        raise exc.at(source=source, line=line, stage="identify")
+                        raise exc.at(source=config.table_source, line=line, stage="identify")
                     if known is not None:
                         known[strata] = key
             if keys:
@@ -562,7 +594,7 @@ def _run(
                     try:
                         income = _parse_income(token, mapping)
                     except HdbError as exc:
-                        raise exc.at(source=source, line=line, stage="recode")
+                        raise exc.at(source=config.table_source, line=line, stage="recode")
                     entry = remember(incomes, token, (income, number(income) if amounts else None))
                 income, text = entry
                 if amounts:
@@ -577,22 +609,13 @@ def _run(
     if fold:
         if config.sort:
             rows = sorted(rows, key=lambda row: row[0].canonical)
-        settings = AggregationSettings(
-            age_encoding=config.age_encoding,
-            gender_encoding=config.gender_encoding,
-            scales=config.scales,
-            income_enabled=with_income,
-            scaled_by=config.scaled_by if table and with_income else None,
-            paper_sentinel=config.paper_sentinel,
-            missing_age_policy=config.missing_age_policy,
-        )
         try:
             rendered = [render(household)
-                        for household in aggregate_all(rows, settings, warnings)]
+                        for household in aggregate_all(rows, config, warnings, scale_income=table)]
         except HdbError as exc:
             for _ in rows:  # a later key or income error wins
                 pass
-            raise exc.at(source=source if exc.line is not None else None, stage="aggregate")
+            raise exc.at(stage="aggregate")
     else:
         for _ in rows:  # the pass folds no member
             pass

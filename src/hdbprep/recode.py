@@ -49,9 +49,6 @@ class IncomeRangeMap:
                            f"default income amount must be >= 0, got {self.default_amount}")
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
 
 def elim1_default_map(paper_literal: bool = False) -> IncomeRangeMap:
     """The standard 12-bracket monthly-income map (bracket midpoints)."""

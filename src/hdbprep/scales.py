@@ -42,13 +42,8 @@ WEIGHT_FULL = 1.0
 
 def classify_adult(age: Age, encoding: AgeEncoding) -> bool:
     """True when the age reaches the adult threshold of its encoding."""
-    if not isinstance(age, Age):
-        raise HdbError("BAD_ENCODING", f"expected Age, got {type(age).__name__}")
-    if encoding is AgeEncoding.YEARS:
-        return not age.value < ADULT_AGE_YEARS
-    if encoding is AgeEncoding.FIVE_YEAR_CLASSES:
-        return not age.value < ADULT_CLASS
-    raise HdbError("BAD_ENCODING", f"unhandled age encoding {encoding!r}")
+    threshold = ADULT_AGE_YEARS if encoding is AgeEncoding.YEARS else ADULT_CLASS
+    return not age.value < threshold
 
 
 def oxford_weight(age: Age, encoding: AgeEncoding, is_chief: bool) -> float:
@@ -71,8 +66,6 @@ def faofam_weight(age: Age, encoding: AgeEncoding, gender: Gender) -> float:
     child 0.5 (either gender)."""
     if not classify_adult(age, encoding):
         return WEIGHT_CHILD
-    if not isinstance(gender, Gender):
-        raise HdbError("BAD_ENCODING", f"expected Gender, got {type(gender).__name__}")
     if gender is Gender.MALE:
         return WEIGHT_FULL
     return WEIGHT_ADULT_FEMALE

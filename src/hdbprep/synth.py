@@ -307,26 +307,13 @@ def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
     layout; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = {
-        "region": [p.region for p in result.persons],
-        "milieu": [p.milieu for p in result.persons],
-        "cluster": [p.cluster for p in result.persons],
-        "household": [p.household for p in result.persons],
-        "age": [p.age_raw for p in result.persons],
-        "gender": [p.gender_raw for p in result.persons],
-        "poswrchief": [p.poswrchief_raw for p in result.persons],
-    }
-    paths = []
-    for variable, tokens in columns.items():
-        path = out_dir / COLUMN_FILE_NAMES[variable]
-        _write_lines(path, tokens)
-        paths.append(path)
+    # a person's tokens lie in COLUMN_FILE_NAMES order, the income last
+    paths = [_write_lines(out_dir / name, [p[i] for p in result.persons])
+             for i, name in enumerate(COLUMN_FILE_NAMES.values())]
     mode = result.params.income_mode
     if mode is not IncomeMode.NONE:
         name = LETTER_INCOME_FILE if mode is IncomeMode.LETTERS else NUMERIC_INCOME_FILE
-        path = out_dir / name
-        _write_lines(path, [p.income_raw for p in result.persons])
-        paths.append(path)
+        paths.append(_write_lines(out_dir / name, [p.income_raw for p in result.persons]))
     return paths
 
 

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from conftest import raises_code
-from hdbprep.aggregate import AggregationSettings, aggregate_all
+from hdbprep.aggregate import aggregate_all
 from hdbprep.cli import main
 from hdbprep.identity import PrefixScheme, make_household_key, parse_household_key
 from hdbprep.model import (
@@ -20,10 +20,12 @@ from hdbprep.model import (
     AgeEncoding,
     Gender,
     GenderEncoding,
+    IncomeMode,
     Member,
     ScaleKind,
     ScaleSpec,
 )
+from hdbprep.pipeline import PipelineConfig
 from hdbprep.recode import elim1_default_map, income_from_letter
 from hdbprep.scales import dmp_scale, faofam_weight, oxford_weight
 from hdbprep.synth import SynthParams, generate, oracle_aggregate
@@ -160,9 +162,9 @@ def assert_same_household(got, expected):
 
 def test_criterion_5_oracle_equivalence():
     income_map = elim1_default_map()
-    settings = AggregationSettings(
-        YEARS, M1F2, scales=ALL_SCALES, income_enabled=True,
-        scaled_by=ScaleKind.OXFORD,
+    config = PipelineConfig(
+        age_encoding=YEARS, gender_encoding=M1F2, scales=ALL_SCALES,
+        income_mode=IncomeMode.LETTERS, scaled_by=ScaleKind.OXFORD,
     )
     for renumber in (False, True):
         result = generate(
@@ -178,7 +180,7 @@ def test_criterion_5_oracle_equivalence():
         )
         assert len(result.ground_truth) == 1000
         rows = build_rows(result.persons, income_map)
-        streamed = list(aggregate_all(rows, settings))
+        streamed = list(aggregate_all(rows, config, scale_income=True))
         oracle = oracle_aggregate(
             rows,
             age_encoding=YEARS,
@@ -255,9 +257,9 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
 
     income_map = elim1_default_map()
     warnings = []
-    settings = AggregationSettings(YEARS, M1F2, scales=ALL_SCALES)
+    config = PipelineConfig(age_encoding=YEARS, gender_encoding=M1F2, scales=ALL_SCALES)
     streamed = list(aggregate_all(build_rows(result.persons, income_map),
-                                  settings, warnings))
+                                  config, warnings))
     assert streamed[0].label_chief_gender == "XXX"
     assert streamed[1].label_chief_gender == chiefs[-1].gender_raw
     assert any(w.code == "MULTIPLE_CHIEFS" for w in warnings)
@@ -267,7 +269,7 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
     rows = [(key(h), Member(line=line, age_raw="30", gender_raw="1", is_chief=False))
             for line, h in enumerate("121", 1)]
     with raises_code("NON_CONSECUTIVE_KEY") as info:
-        list(aggregate_all(rows, settings))
+        list(aggregate_all(rows, config))
     assert info.value.code == "NON_CONSECUTIVE_KEY"
     assert info.value.line == 3
     assert "R1M1C1H1" in str(info.value)

@@ -3,16 +3,18 @@ from hypothesis import given, strategies as st
 
 from conftest import raises_code
 import hdbprep.aggregate
-from hdbprep.aggregate import SENTINEL_WEIGHT, AggregationSettings, aggregate_all
+from hdbprep.aggregate import SENTINEL_WEIGHT, aggregate_all
 from hdbprep.identity import make_household_key
 from hdbprep.model import (
     AgeEncoding,
     GenderEncoding,
+    IncomeMode,
     Member,
     MissingAgePolicy,
     ScaleKind,
     ScaleSpec,
 )
+from hdbprep.pipeline import PipelineConfig
 
 YEARS = AgeEncoding.YEARS
 M1F2 = GenderEncoding.MALE1_FEMALE2
@@ -41,12 +43,16 @@ def household(*members, h=1):
     return [(key(h), m) for m in members]
 
 
-def settings(*scales, age=YEARS, gender=M1F2, **options):
-    return AggregationSettings(age, gender, scales=scales, **options)
+def settings(*scales, age=YEARS, gender=M1F2, income=False, scaled_by=None, **options):
+    """The config of a fold over the given scales: numeric income when
+    ``income`` is set, and no dividing scale unless one is given."""
+    mode = IncomeMode.NUMERIC if income else IncomeMode.NONE
+    return PipelineConfig(age_encoding=age, gender_encoding=gender, scales=scales,
+                          income_mode=mode, scaled_by=scaled_by, **options)
 
 
 def aggregate_one(rows, config=None, warnings=None):
-    (agg,) = aggregate_all(rows, config or settings(), warnings)
+    (agg,) = aggregate_all(rows, config or settings(), warnings, scale_income=True)
     return agg
 
 
@@ -93,7 +99,7 @@ class TestReducer:
             member(2, 34, chief=True, income=0.2),
             member(3, 30, "2", income=0.3),
         )
-        agg = aggregate_one(rows, settings(OXFORD, FAOFAM, income_enabled=True))
+        agg = aggregate_one(rows, settings(OXFORD, FAOFAM, income=True))
         assert agg.scale_oxford == 0.5 + 1.0 + 0.7
         assert agg.scale_faofam == 0.5 + 1.0 + 0.8
         assert agg.total_income == 0.1 + 0.2 + 0.3
@@ -217,13 +223,13 @@ class TestDmp:
 class TestIncome:
     def test_total(self):
         rows = household(member(1, 30, income=14500.0), member(2, 40, income=39500.0))
-        agg = aggregate_one(rows, settings(income_enabled=True))
+        agg = aggregate_one(rows, settings(income=True))
         assert agg.total_income == pytest.approx(54000.0)
 
     def test_missing_amount_located(self):
         rows = household(member(1, 30, income=14500.0), member(2, 40))
         with raises_code("MISSING_INCOME") as info:
-            aggregate_one(rows, settings(income_enabled=True))
+            aggregate_one(rows, settings(income=True))
         assert info.value.line == 2
 
 
@@ -257,38 +263,40 @@ class TestLabels:
 
 
 class TestSettings:
+    """The fold reads the scales, income and dividing scale of one
+    PipelineConfig, which checks them."""
+
     def test_duplicate_scale_kind_rejected(self):
-        with raises_code("ERROR"):
-            AggregationSettings(
-                YEARS,
-                M1F2,
-                scales=(ScaleSpec(ScaleKind.OXFORD), ScaleSpec(ScaleKind.OXFORD)),
-            )
+        with raises_code("ERROR") as info:
+            settings(ScaleSpec(ScaleKind.OXFORD), ScaleSpec(ScaleKind.OXFORD))
+        assert info.value.message == ("bad value for [scales] oxford: "
+                                      "each scale may be configured at most once")
 
     def test_scaled_by_requires_income(self):
-        with raises_code("ERROR"):
-            AggregationSettings(
-                YEARS,
-                M1F2,
-                scales=(ScaleSpec(ScaleKind.OXFORD),),
-                scaled_by=ScaleKind.OXFORD,
-            )
+        # without income there is nothing to scale: no scaled income, and
+        # no error for the dividing scale
+        config = settings(OXFORD, scaled_by=ScaleKind.OXFORD)
+        agg = aggregate_one(household(member(1, 34, chief=True)), config)
+        assert agg.total_income is None
+        assert agg.scaled_income is None
 
     def test_scaled_by_must_be_configured(self):
-        with raises_code("ERROR"):
-            AggregationSettings(
-                YEARS,
-                M1F2,
-                scales=(ScaleSpec(ScaleKind.OXFORD),),
-                income_enabled=True,
-                scaled_by=ScaleKind.DMP,
-            )
+        with raises_code("ERROR") as info:
+            settings(OXFORD, income=True, scaled_by=ScaleKind.DMP)
+        assert info.value.message == ("bad value for [scales] scaled_by: scaled income wants "
+                                      "the dmp scale, which is not configured")
 
     def test_spec_lookup(self):
         spec = ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7)
-        config = AggregationSettings(YEARS, M1F2, scales=(spec,))
-        assert config.spec_for(ScaleKind.DMP) is spec
-        assert config.spec_for(ScaleKind.OXFORD) is None
+        assert settings(spec).dmp_spec() is spec
+        assert settings(OXFORD).dmp_spec() is None
+
+    def test_scaled_income_only_when_asked(self):
+        rows = household(member(1, 34, chief=True, income=1000.0))
+        config = settings(OXFORD, income=True, scaled_by=ScaleKind.OXFORD)
+        (agg,) = aggregate_all(rows, config)
+        assert (agg.total_income, agg.scaled_income) == (1000.0, None)
+        assert aggregate_one(rows, config).scaled_income == 1000.0
 
 
 class TestAggregateRun:
@@ -298,7 +306,7 @@ class TestAggregateRun:
             member(2, 30, "2", income=39500.0),
             member(3, 10, "1", income=14500.0),
         )
-        config = settings(*ALL_SCALES, income_enabled=True, scaled_by=ScaleKind.OXFORD)
+        config = settings(*ALL_SCALES, income=True, scaled_by=ScaleKind.OXFORD)
         agg = aggregate_one(rows, config)
         assert agg.size == 3
         assert (agg.n_adults, agg.n_children) == (2, 1)
@@ -324,7 +332,7 @@ class TestAggregateRun:
         rows = household(member(1, 5, income=1000.0))
         config = settings(
             ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),
-            income_enabled=True,
+            income=True,
             scaled_by=ScaleKind.DMP,
         )
         with raises_code("ZERO_SCALE"):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from hdbprep.cli import _configure, build_parser, main
-from hdbprep.pipeline import load_config
+from hdbprep.pipeline import _CONFIG_KEYS, load_config
 
 
 @pytest.fixture()
@@ -295,10 +295,12 @@ class TestErrorPrecedence:
         assert err.split(" (")[1].startswith(f"{tmp_path / 'data' / 'age.txt'}:4)")
 
     def test_carriage_return_in_a_column_file_ends_a_line(self, tmp_path, capsys):
+        # only a line feed ends a line: a lone carriage return is a line
+        # break inside the token, an ingest error at its own line
         code, err = self.run(tmp_path, capsys, (1, HOUSEHOLD, "1H"), (5, CLUSTER, "1\r2"))
         assert code == 1
-        assert err == (f"error: [ingest] LENGTH_MISMATCH ({tmp_path / 'data' / 'cluster.txt'}): "
-                       "column 'cluster' has 6 tokens, expected 5")
+        assert err == (f"error: [ingest] BAD_STRATA_TOKEN ({tmp_path / 'data' / 'cluster.txt'}:5): "
+                       "column 'cluster' contains a line break: '1\\r2'")
 
     def test_later_prefix_collision_beats_early_bad_age(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"))
@@ -697,3 +699,106 @@ class TestErrorLinesAreFileLines:
                                 "--out-dir", str(tmp_path / "out")]) == (
             1, f"error: [aggregate] BAD_AGE_TOKEN ({data / 'persons.csv'}:4): "
                "cannot read 'x' as an age")
+
+
+PROCESSING_COMMANDS = ("identify", "recode-income", "aggregate", "run")
+
+#: A value each config key rejects, with any other key the case needs.
+BAD_VALUES = {
+    ("input", "mode"): ("colums", {}),
+    ("input", "income"): ("", {}),
+    ("input", "table"): ("", {("input", "mode"): "table"}),
+    ("input", "delimiter"): ("||", {}),
+    ("input", "skip_header"): ("-1", {}),
+    ("identify", "scheme"): ("RMC", {}),
+    ("variables", "age_encoding"): ("3", {}),
+    ("variables", "gender_encoding"): ("0", {}),
+    ("variables", "missing_age_policy"): ("lenient", {}),
+    ("income", "mode"): ("euros", {}),
+    ("income", "paper_literal"): ("maybe", {}),
+    ("scales", "scaled_by"): ("dmp", {("scales", "dmp"): "false"}),
+    ("output", "paper_sentinel"): ("maybe", {}),
+    ("output", "sort"): ("maybe", {}),
+    ("scales", "oxford"): ("maybe", {}),
+    ("scales", "faofam"): ("maybe", {}),
+    ("scales", "dmp"): ("maybe", {}),
+    ("scales", "dmp_c"): ("1.5", {}),
+    ("scales", "dmp_s"): ("-0.1", {}),
+}
+
+
+class TestConfigErrorsNameTheirKey:
+    """A config value that a check rejects stops every processing command
+    with exit code 2, before any input is read, and the message names the
+    key; a flag that sets the key gives the same message."""
+
+    def test_every_key_has_a_case(self):
+        scales = {("scales", option) for option in ("oxford", "faofam", "dmp", "dmp_c", "dmp_s")}
+        keys = {(section, option) for section, option, _, _ in _CONFIG_KEYS}
+        assert set(BAD_VALUES) == keys | scales
+
+    @pytest.mark.parametrize("command", PROCESSING_COMMANDS)
+    @pytest.mark.parametrize("key", BAD_VALUES, ids="{0[0]}.{0[1]}".format)
+    def test_bad_value_exits_two_naming_its_key(self, key, command, tmp_path, capsys):
+        value, others = BAD_VALUES[key]
+        config = write_ini(tmp_path / "config.ini",
+                           {("income", "mode"): "letters", **others, key: value})
+        code, err = failure(capsys, [command, "--config", str(config),
+                                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f" for [{key[0]}] {key[1]}: " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, key, value, message", [
+        (["--skip-header", "-1"], ("input", "skip_header"), "-1",
+         "ERROR: bad value for [input] skip_header: must be >= 0, got -1"),
+        (["--dmp-c", "1.5"], ("scales", "dmp_c"), "1.5",
+         "DMP_PARAM_OUT_OF_RANGE: bad value for [scales] dmp_c: "
+         "DMP parameter c=1.5 outside [0, 1]"),
+        (["--scale", "dmp"], ("scales", "scaled_by"), "dmp",
+         "ERROR: bad value for [scales] scaled_by: "
+         "scaled income wants the dmp scale, which is not configured"),
+    ], ids=["skip-header", "dmp-c", "scale"])
+    def test_flag_gives_the_key_message(self, flags, key, value, message, tmp_path, capsys):
+        base = {("income", "mode"): "letters"}
+        if key == ("scales", "scaled_by"):
+            base["scales", "dmp"] = "false"
+        for command in PROCESSING_COMMANDS:
+            in_file = write_ini(tmp_path / "file.ini", {**base, key: value})
+            by_flag = write_ini(tmp_path / "flag.ini", base)
+            assert failure(capsys, [command, "--config", str(in_file)]) == (2, f"error: {message}")
+            assert failure(capsys, [command, "--config", str(by_flag), *flags]) == (
+                2, f"error: {message}")
+
+    def test_input_mode_typo(self, tmp_path, capsys):
+        config = write_ini(tmp_path / "config.ini", {("input", "mode"): "colums"})
+        assert failure(capsys, ["identify", "--config", str(config)]) == (
+            2, "error: ERROR: bad value for [input] mode: "
+               "must be 'columns' or 'table', got 'colums'")
+
+
+class TestWarningsNameTheirFile:
+    """A warning names its input line, and in table mode the table file."""
+
+    def test_table_mode_warning_names_the_table(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief\n"
+            "1,1,1,1,99,1,1\n1,1,1,1,30,2,2\n")
+        config = write_ini(data / "config.ini", {
+            ("input", "mode"): "table", ("input", "table"): "persons.csv",
+            ("variables", "missing_age_policy"): "strict"})
+        assert main(["aggregate", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                     "--only", "size"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"warning: {data / 'persons.csv'}:2: AGE_MISSING: "
+            "unknown-age code '99' treated as adult")
+
+    def test_column_mode_warning_names_the_line(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data", [(3, AGE, "99")])
+        config.write_text(config.read_text() + "[variables]\nmissing_age_policy = strict\n")
+        assert main(["aggregate", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                     "--only", "size"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "warning: line 3: AGE_MISSING: unknown-age code '99' treated as adult")

@@ -41,6 +41,20 @@ class TestReadColumnFile:
         src = column(tmp_path, "a.txt", " 1 \r\n2\r\n")
         assert read_column_file(src) == ["1", "2"]
 
+    def test_lone_carriage_return_is_a_line_break_in_a_token(self, tmp_path):
+        # only a line feed ends a line, so the columns cannot drift apart
+        src = column(tmp_path, "a.txt", "header\n1\n1\r2\n3\n")
+        with raises_code("BAD_STRATA_TOKEN") as exc:
+            read_column_file(src, skip_header=1)
+        assert (exc.value.source, exc.value.line) == (str(src.path), 3)
+        assert exc.value.message == "column 'region' contains a line break: '1\\r2'"
+
+    def test_carriage_return_line_endings_fail_at_line_one(self, tmp_path):
+        src = column(tmp_path, "a.txt", "1\r2\r3\r")
+        with raises_code("BAD_STRATA_TOKEN") as exc:
+            read_column_file(src)
+        assert exc.value.line == 1
+
     def test_bom_stripped(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_bytes(b"\xef\xbb\xbf7\n8\n")

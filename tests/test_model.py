@@ -16,7 +16,6 @@ from hdbprep.model import (
     ScaleKind,
     ScaleSpec,
     WarningRecord,
-    validate_weight_domain,
 )
 from hdbprep.pipeline import PipelineConfig, run_aggregate
 
@@ -139,24 +138,30 @@ class TestHouseholdKey:
 
 
 class TestScaleSpec:
+    """A config checks its scale specifications once, as it is made."""
+
     def test_parameter_free_scales_pass(self):
-        validate_weight_domain(ScaleSpec(ScaleKind.OXFORD))
-        validate_weight_domain(ScaleSpec(ScaleKind.FAOFAM))
+        PipelineConfig(scales=(ScaleSpec(ScaleKind.OXFORD),), scaled_by=None)
+        PipelineConfig(scales=(ScaleSpec(ScaleKind.FAOFAM),), scaled_by=None)
 
     def test_dmp_needs_both_parameters(self):
+        with raises_code("DMP_PARAM_OUT_OF_RANGE") as info:
+            PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_c=0.5),))
+        assert info.value.message == "bad value for [scales] dmp_s: DMP parameter s is not set"
         with raises_code("DMP_PARAM_OUT_OF_RANGE"):
-            validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_c=0.5))
-        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
-            validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_s=0.7))
+            PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_s=0.7),))
 
     @pytest.mark.parametrize("c,s", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.7)])
     def test_dmp_interval_boundaries_pass(self, c, s):
-        validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s))
+        PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s),))
 
     @pytest.mark.parametrize("c,s", [(-0.1, 0.7), (1.1, 0.7), (0.5, -0.01), (0.5, 2.0)])
     def test_dmp_out_of_range_rejected(self, c, s):
-        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
-            validate_weight_domain(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s))
+        with raises_code("DMP_PARAM_OUT_OF_RANGE") as info:
+            PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s),))
+        name, value = ("c", c) if not 0 <= c <= 1 else ("s", s)
+        assert info.value.message == (f"bad value for [scales] dmp_{name}: "
+                                      f"DMP parameter {name}={value} outside [0, 1]")
 
 
 def _shuffle_rows(data):
@@ -224,3 +229,5 @@ def test_warning_record_rendering():
     assert "AGE_MISSING" in str(with_line)
     without = WarningRecord("MULTIPLE_CHIEFS", "two chiefs")
     assert str(without) == "MULTIPLE_CHIEFS: two chiefs"
+    in_file = WarningRecord("AGE_MISSING", "unknown age", 12, "data/persons.csv")
+    assert str(in_file) == "data/persons.csv:12: AGE_MISSING: unknown age"

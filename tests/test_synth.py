@@ -6,7 +6,8 @@ from conftest import raises_code
 from hdbprep.identity import make_household_key
 from hdbprep.ingest import ColumnSource, Variable, read_column_file, read_table
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, Member, ScaleKind
-from hdbprep.aggregate import AggregationSettings, aggregate_all
+from hdbprep.aggregate import aggregate_all
+from hdbprep.pipeline import PipelineConfig
 from hdbprep.synth import (
     COLUMN_FILE_NAMES,
     LETTER_INCOME_FILE,
@@ -214,18 +215,18 @@ class TestOracleEquivalence:
 
         result = generate(SynthParams(n_households=40, seed=78,
                                       income_mode=IncomeMode.NUMERIC))
-        settings = AggregationSettings(
-            YEARS,
-            M1F2,
+        config = PipelineConfig(
+            age_encoding=YEARS,
+            gender_encoding=M1F2,
             scales=(
                 ScaleSpec(ScaleKind.OXFORD),
                 ScaleSpec(ScaleKind.FAOFAM),
                 ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
             ),
-            income_enabled=True,
+            income_mode=IncomeMode.NUMERIC,
             scaled_by=ScaleKind.OXFORD,
         )
-        out = list(aggregate_all(rows_of(result), settings))
+        out = list(aggregate_all(rows_of(result), config, scale_income=True))
         assert len(out) == len(result.ground_truth)
         for got, expected in zip(out, result.ground_truth):
             assert_same_aggregate(got, expected)

@@ -17,12 +17,15 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 15 corpora with injected faults (FAULTS below), and 6 shuffled
+* 16 corpora with injected faults (FAULTS below), and 6 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
   code the CLI can reach is reached, and a later key or income error
   meets an earlier fold error;
-* 1 corpus whose config turns the DMP scale off (CONFIGS below), so that
-  a DMP flag turning it on is compared.
+* 3 corpora with one config edit each (CONFIGS below): the DMP scale
+  off, so that a DMP flag turning it on is compared; a misspelt input
+  mode; and income scaled by the DMP scale while it is off.
+
+That is 97 corpora and 2,910 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -135,6 +138,7 @@ FAULTS = {
     "empty-gender-file": lambda d: (d / "gender.txt").write_text("", encoding="utf-8"),
     "missing-milieu-file": lambda d: (d / "milieu.txt").unlink(),
     "age-encoding-3": lambda d: _config_line(d, "age_encoding = years", "age_encoding = 3"),
+    "lone-cr-in-cluster": lambda d: _replace_line(d / "cluster.txt", 5, "1\r2"),
     "non-consecutive-then-prefix-letter": lambda d: (
         _move_household(d, 50),
         _replace_line(d / "region.txt", 100, "1R")),
@@ -204,6 +208,10 @@ TABLE_FAULTS = {
 #: One config edit each, made to the seed-3 letters/years corpus.
 CONFIGS = {
     "dmp-disabled": lambda d: _config_line(d, "dmp = true", "dmp = false"),
+    "input-mode-typo": lambda d: _config_line(d, "mode = columns", "mode = colums"),
+    "scaled-by-disabled-scale": lambda d: (
+        _config_line(d, "dmp = true", "dmp = false"),
+        _config_line(d, "scaled_by = oxford", "scaled_by = dmp")),
 }
 
 
