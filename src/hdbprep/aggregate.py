@@ -29,6 +29,7 @@ silently splitting the household into two output rows.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -36,18 +37,15 @@ from .errors import HdbError
 from .ingest import parse_age, parse_gender
 from .model import (
     NO_CHIEF_LABEL,
-    AgeEncoding,
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
     Member,
     ScaleKind,
-    WarningRecord,
 )
 from .scales import (
-    ADULT_AGE_YEARS,
-    ADULT_CLASS,
     WEIGHT_CHILD,
+    _ADULT_THRESHOLD,
     dmp_scale,
     faofam_weight,
     oxford_weight,
@@ -88,7 +86,7 @@ def remember(table: dict, token, value):
 def aggregate_all(
     rows: Iterable[tuple[HouseholdKey, Member]],
     config: PipelineConfig,
-    warnings: list[WarningRecord] | None = None,
+    warnings: list[HdbError] | None = None,
     *,
     scale_income: bool = False,
 ) -> Iterator[HouseholdAggregate]:
@@ -108,11 +106,13 @@ def aggregate_all(
 
     Raises NON_CONSECUTIVE_KEY (at the line of the member that brings it
     back) when a key that already closed a household reappears later in
-    the stream.
+    the stream, and INCOME_OVERFLOW when a household's income total or
+    scaled income is not finite. The warnings AGE_MISSING and
+    MULTIPLE_CHIEFS are appended to ``warnings`` as HdbErrors.
     """
     age_encoding = config.age_encoding
     sentinel = config.paper_sentinel
-    threshold = ADULT_AGE_YEARS if age_encoding is AgeEncoding.YEARS else ADULT_CLASS
+    threshold = _ADULT_THRESHOLD[age_encoding]
     kinds = {spec.kind for spec in config.scales}
     with_oxford = ScaleKind.OXFORD in kinds
     with_faofam = ScaleKind.FAOFAM in kinds
@@ -161,6 +161,9 @@ def aggregate_all(
             if scale_dmp is None:
                 scale_dmp = remember(dmps, (adults, children),
                                      dmp_scale(adults, children, dmp.dmp_c, dmp.dmp_s))
+        if with_income and not math.isfinite(income):
+            raise HdbError("INCOME_OVERFLOW", f"household {key}: income total overflows "
+                           f"to {income}")
         scaled_income = None
         if divide_by is not None:
             divisor = (oxford, faofam, scale_dmp)[divide_by]
@@ -168,8 +171,11 @@ def aggregate_all(
                 raise HdbError("ZERO_SCALE", f"household {key}: {scaled_by.value} scale is "
                                f"{divisor}, cannot scale income")
             scaled_income = income / divisor
+            if not math.isfinite(scaled_income):
+                raise HdbError("INCOME_OVERFLOW", f"household {key}: income {income} "
+                               f"divided by its {scaled_by.value} scale {divisor} overflows")
         if chiefs > 1 and warnings is not None:
-            warnings.append(WarningRecord(
+            warnings.append(HdbError(
                 "MULTIPLE_CHIEFS", f"household {key} marks {chiefs} members as chief"))
         return HouseholdAggregate(
             key, adults + children, adults, children, oxford if with_oxford else None,
@@ -208,8 +214,8 @@ def aggregate_all(
                 raise exc.at(source=source, line=line)
         adult, weight_oxford, weight_faofam, missing = weights
         if missing and warnings is not None:
-            warnings.append(WarningRecord(
-                "AGE_MISSING", f"unknown-age code {age_token!r} treated as adult", line, source))
+            warnings.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} treated "
+                                     "as adult", source=source, line=line))
         if adult:
             adults += 1
         else:

@@ -18,10 +18,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import HdbError
-from .model import AgeEncoding, GenderEncoding, IncomeMode
+from .model import _SPELLINGS, AgeEncoding, GenderEncoding, IncomeMode, ScaleKind
 from .pipeline import (
     AGGREGATE_OUTPUTS,
     PipelineConfig,
+    _open_output,
     load_config,
     run_aggregate,
     run_identify,
@@ -31,6 +32,13 @@ from .pipeline import (
 
 if TYPE_CHECKING:
     from .synth import SynthParams
+
+
+def _written(enum: type) -> dict:
+    """The spelling a written config uses for each member of ``enum``, which
+    is also the flag's choice for it."""
+    spellings, _ = _SPELLINGS[enum]
+    return {member: names[0] for member, names in spellings.items()}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +65,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dmp-s", dest="scales.dmp_s", type=float, metavar="S",
                         help="DMP economies-of-scale exponent, in [0,1]")
     parser.add_argument("--scale", dest="scales.scaled_by",
-                        choices=["oxford", "faofam", "dmp", "none"],
+                        choices=list(_written(ScaleKind).values()),
                         help="which scale divides total income in households.csv")
 
 
@@ -98,41 +106,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _write_synth_config(out_dir: Path, params: SynthParams) -> Path:
     """Drop a ready-to-run config next to the generated files."""
-    from .synth import LETTER_INCOME_FILE, NUMERIC_INCOME_FILE
-
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser["input"] = {"mode": "columns", "dir": "."}
-    if params.income_mode is IncomeMode.LETTERS:
-        parser["input"]["income"] = LETTER_INCOME_FILE
-    elif params.income_mode is IncomeMode.NUMERIC:
-        parser["input"]["income"] = NUMERIC_INCOME_FILE
+    if params.income_mode is not IncomeMode.NONE:
+        default = PipelineConfig(income_mode=params.income_mode)
+        parser["input"]["income"] = default.effective_income_file
     parser["identify"] = {"scheme": "".join(params.scheme_letters)}
     parser["variables"] = {
-        "age_encoding": (
-            "years" if params.age_encoding is AgeEncoding.YEARS else "classes"
-        ),
-        "gender_encoding": (
-            "male0_female1"
-            if params.gender_encoding is GenderEncoding.MALE0_FEMALE1
-            else "male1_female2"
-        ),
+        "age_encoding": _written(AgeEncoding)[params.age_encoding],
+        "gender_encoding": _written(GenderEncoding)[params.gender_encoding],
     }
-    parser["income"] = {"mode": params.income_mode.value}
+    parser["income"] = {"mode": _written(IncomeMode)[params.income_mode]}
     parser["scales"] = {
         "oxford": "true",
         "faofam": "true",
         "dmp": "true",
         "dmp_c": repr(params.dmp_c),
         "dmp_s": repr(params.dmp_s),
-        "scaled_by": params.scaled_by.value,
+        "scaled_by": _written(ScaleKind)[params.scaled_by],
     }
     path = out_dir / "config.ini"
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            parser.write(handle)
-    except OSError as exc:
-        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
+    with _open_output(path) as handle:
+        parser.write(handle)
     return path
 
 
@@ -210,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-per-cluster", type=int, default=6)
     p.add_argument("--max-size", type=int, default=9,
                    help="largest household size to draw")
-    p.add_argument("--age-encoding", choices=["years", "classes"], default="years")
-    p.add_argument("--gender-encoding",
-                   choices=["male0_female1", "male1_female2"],
+    p.add_argument("--age-encoding", choices=list(_written(AgeEncoding).values()),
+                   default="years")
+    p.add_argument("--gender-encoding", choices=list(_written(GenderEncoding).values()),
                    default="male1_female2")
-    p.add_argument("--income", choices=["none", "numeric", "letters"],
+    p.add_argument("--income", choices=list(_written(IncomeMode).values()),
                    default="letters")
     p.add_argument("--renumber", action="store_true",
                    help="restart household numbering inside each cluster "

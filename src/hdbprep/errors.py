@@ -5,11 +5,12 @@ one table of them: each code maps to the process exit code and a one-line
 meaning. Exit code 1 marks a problem in the survey content itself, for
 example a bad token or misaligned columns; exit code 2 a problem with the
 configuration or the environment; exit code 0 a warning, a non-fatal
-anomaly that the run report lists as a `WarningRecord` with its code.
+anomaly.
 
 An `HdbError` carries one code and a message, plus an optional source
 file, line number and pipeline stage, so the CLI can point at the
-offending input.
+offending input. A warning is an `HdbError` too: the run collects it
+instead of raising it, and the run report lists it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ CODES: dict[str, tuple[int, str]] = {
     "NON_CONSECUTIVE_KEY": (1, "a household reappears after another; input not grouped"),
     "EMPTY_HOUSEHOLD": (1, "a household has no members, or negative counts"),
     "ZERO_SCALE": (1, "the scale that divides a household's income is not positive"),
+    "INCOME_OVERFLOW": (1, "a household's income total or scaled income is not finite"),
     "AGE_MISSING": (0, "the unknown-age code 99, read under the strict policy"),
     "MULTIPLE_CHIEFS": (0, "a household marks more than one member as chief"),
 }

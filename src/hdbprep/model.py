@@ -21,39 +21,35 @@ UNKNOWN_AGE_YEARS = 99.0
 NO_CHIEF_LABEL = "XXX"
 
 
-class AgeEncoding(Enum):
+class _ConfigEnum(Enum):
+    """An enum that a config key names, by one of its spellings in
+    `_SPELLINGS`."""
+
+    @classmethod
+    def from_config(cls, token: str):
+        """The member that ``token`` spells, in any letter case and with
+        surrounding spaces ignored; any other token is BAD_ENCODING."""
+        spellings, error = _SPELLINGS[cls]
+        text = token.strip().lower()
+        for member, names in spellings.items():
+            if text in names:
+                return member
+        raise HdbError("BAD_ENCODING", error.format(token))
+
+
+class AgeEncoding(_ConfigEnum):
     """How the raw age tokens are coded: real ages in years (possibly
     fractional for infants), or indices of five-year age classes."""
 
     YEARS = 1
     FIVE_YEAR_CLASSES = 2
 
-    @classmethod
-    def from_config(cls, token: str) -> "AgeEncoding":
-        t = token.strip().lower()
-        if t in ("1", "years"):
-            return cls.YEARS
-        if t in ("2", "five_year_classes", "classes"):
-            return cls.FIVE_YEAR_CLASSES
-        raise HdbError("BAD_ENCODING",
-                       f"unknown age encoding {token!r} (use 1/years or 2/five_year_classes)")
 
-
-class GenderEncoding(Enum):
+class GenderEncoding(_ConfigEnum):
     """How the raw gender tokens are coded: male/female as 0/1 or as 1/2."""
 
     MALE0_FEMALE1 = 1
     MALE1_FEMALE2 = 2
-
-    @classmethod
-    def from_config(cls, token: str) -> "GenderEncoding":
-        t = token.strip().lower()
-        if t in ("1", "male0_female1"):
-            return cls.MALE0_FEMALE1
-        if t in ("2", "male1_female2"):
-            return cls.MALE1_FEMALE2
-        raise HdbError("BAD_ENCODING", f"unknown gender encoding {token!r} "
-                       "(use 1/male0_female1 or 2/male1_female2)")
 
 
 class Gender(Enum):
@@ -61,7 +57,7 @@ class Gender(Enum):
     FEMALE = "female"
 
 
-class MissingAgePolicy(Enum):
+class MissingAgePolicy(_ConfigEnum):
     """What to do with the reserved unknown-age code 99 under YEARS.
 
     PAPER_COMPAT treats it as an ordinary (adult) age, which is what the
@@ -72,16 +68,8 @@ class MissingAgePolicy(Enum):
     PAPER_COMPAT = "paper-compat"
     STRICT = "strict"
 
-    @classmethod
-    def from_config(cls, token: str) -> "MissingAgePolicy":
-        t = token.strip().lower().replace("_", "-")
-        for member in cls:
-            if member.value == t:
-                return member
-        raise HdbError("BAD_ENCODING", f"unknown missing-age policy {token!r}")
 
-
-class IncomeMode(Enum):
+class IncomeMode(_ConfigEnum):
     """Whether person income is absent, a numeric column, or letter-coded
     income ranges that need recoding first."""
 
@@ -89,27 +77,31 @@ class IncomeMode(Enum):
     NUMERIC = "numeric"
     LETTERS = "letters"
 
-    @classmethod
-    def from_config(cls, token: str) -> "IncomeMode":
-        t = token.strip().lower()
-        for member in cls:
-            if member.value == t:
-                return member
-        raise HdbError("BAD_ENCODING", f"unknown income mode {token!r}")
 
-
-class ScaleKind(Enum):
+class ScaleKind(_ConfigEnum):
     OXFORD = "oxford"
     FAOFAM = "faofam"
     DMP = "dmp"
 
-    @classmethod
-    def from_config(cls, token: str) -> "ScaleKind":
-        t = token.strip().lower()
-        for member in cls:
-            if member.value == t:
-                return member
-        raise HdbError("BAD_ENCODING", f"unknown scale {token!r}")
+
+#: For each enum above: the lower-case spellings of each member that a
+#: config key may use, the first being the one a written config uses, and
+#: the BAD_ENCODING message for any other spelling. A scale spelled "none"
+#: reads as no scale.
+_SPELLINGS: dict[type[_ConfigEnum], tuple[dict, str]] = {
+    AgeEncoding: ({AgeEncoding.YEARS: ("years", "1"),
+                   AgeEncoding.FIVE_YEAR_CLASSES: ("classes", "2", "five_year_classes")},
+                  "unknown age encoding {!r} (use 1/years or 2/five_year_classes)"),
+    GenderEncoding: ({GenderEncoding.MALE0_FEMALE1: ("male0_female1", "1"),
+                      GenderEncoding.MALE1_FEMALE2: ("male1_female2", "2")},
+                     "unknown gender encoding {!r} (use 1/male0_female1 or 2/male1_female2)"),
+    MissingAgePolicy: ({MissingAgePolicy.PAPER_COMPAT: ("paper-compat", "paper_compat"),
+                        MissingAgePolicy.STRICT: ("strict",)},
+                       "unknown missing-age policy {!r}"),
+    IncomeMode: ({mode: (mode.value,) for mode in IncomeMode}, "unknown income mode {!r}"),
+    ScaleKind: ({**{kind: (kind.value,) for kind in ScaleKind}, None: ("none",)},
+                "unknown scale {!r}"),
+}
 
 
 @dataclass(frozen=True)
@@ -190,20 +182,3 @@ class HouseholdAggregate(NamedTuple):
     scaled_income: float | None
     label_area: str
     label_chief_gender: str
-
-
-@dataclass(frozen=True)
-class WarningRecord:
-    """A non-fatal data anomaly surfaced in the run report, located like an
-    error: at its input line, in ``source`` when one file holds that line."""
-
-    code: str
-    message: str
-    line: int | None = None
-    source: str | None = None
-
-    def __str__(self) -> str:
-        if self.line is None:
-            return f"{self.code}: {self.message}"
-        where = f"line {self.line}" if self.source is None else f"{self.source}:{self.line}"
-        return f"{where}: {self.code}: {self.message}"

@@ -37,10 +37,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .aggregate import aggregate_all, remember
 from .errors import HdbError
@@ -64,9 +65,8 @@ from .model import (
     MissingAgePolicy,
     ScaleKind,
     ScaleSpec,
-    WarningRecord,
 )
-from .recode import IncomeRangeMap, elim1_default_map, income_from_letter
+from .recode import IncomeRangeMap, _income_amount, elim1_default_map, income_from_letter
 
 #: Default column-file names, shared with the synthetic generator's layout.
 DEFAULT_COLUMN_FILES = {
@@ -228,7 +228,7 @@ class RunReport:
     persons: int
     households: int | None
     outputs: tuple[Path, ...] = ()
-    warnings: tuple[WarningRecord, ...] = ()
+    warnings: tuple[HdbError, ...] = ()
     skipped: tuple[str, ...] = ()
 
     def render(self) -> str:
@@ -240,7 +240,9 @@ class RunReport:
         for note in self.skipped:
             lines.append(f"skipped: {note}")
         for warning in self.warnings:
-            lines.append(f"warning: {warning}")
+            where = warning.location()
+            lines.append(f"warning: {where + ': ' if where else ''}{warning.code}: "
+                         f"{warning.message}")
         return "\n".join(lines)
 
 
@@ -251,12 +253,9 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"Not a boolean: {text}") from None
 
 
-def _scale_or_none(text: str) -> ScaleKind | None:
-    return None if text.strip().lower() == "none" else ScaleKind.from_config(text)
-
-
 #: What a ValueError of each plain reader is called in a config error.
-_READER_KINDS = {_boolean: "boolean", float: "number", int: "integer"}
+_READER_KINDS = {_boolean: "boolean", float: "number", int: "integer",
+                 _income_amount: "number"}
 
 #: The config keys that each set one PipelineConfig field: (section,
 #: option, field, reader of the key's text). A key the file leaves out
@@ -273,7 +272,7 @@ _CONFIG_KEYS = (
     ("variables", "missing_age_policy", "missing_age_policy", MissingAgePolicy.from_config),
     ("income", "mode", "income_mode", IncomeMode.from_config),
     ("income", "paper_literal", "paper_literal", _boolean),
-    ("scales", "scaled_by", "scaled_by", _scale_or_none),
+    ("scales", "scaled_by", "scaled_by", ScaleKind.from_config),
     ("output", "paper_sentinel", "paper_sentinel", _boolean),
     ("output", "sort", "sort", _boolean),
 )
@@ -310,9 +309,10 @@ def load_config(
             parser.add_section(section)
         parser.set(section, option, text)
 
-    def read(section: str, option: str, reader: Callable[[str], object]):
+    def read(section: str, option: str, reader: Callable[..., object], *args):
+        """``reader(*args, text)`` of the key's text, its errors naming the key."""
         try:
-            return reader(parser.get(section, option))
+            return reader(*args, parser.get(section, option))
         except ValueError as exc:
             kind = _READER_KINDS[reader]
             raise HdbError("ERROR", f"bad {kind} for [{section}] {option}: {exc}") from exc
@@ -328,18 +328,11 @@ def load_config(
 
     income_map = None
     if parser.has_section("income_map"):
-        entries = {}
-        default_amount = None
-        for code, amount in parser.items("income_map"):
-            try:
-                value = float(amount)
-            except ValueError as exc:
-                raise HdbError("ERROR",
-                               f"bad amount for income code {code!r}: {amount!r}") from exc
-            if code == "default":
-                default_amount = value
-            else:
-                entries[code] = value
+        # each letter, and the default, is a key read and checked like any other
+        entries = {code: read("income_map", code, _income_amount,
+                              None if code == "default" else code)
+                   for code in parser.options("income_map")}
+        default_amount = entries.pop("default", None)
         income_map = IncomeRangeMap(entries, default_amount)
 
     # each scale is on unless its key says otherwise; the DMP parameters
@@ -397,15 +390,24 @@ def dmp_file_name(c: float, s: float) -> str:
     return f"scaleDMP-{format_number(c)}-{format_number(s)}.txt"
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> Path:
-    """Write each line followed by a newline, in one write."""
-    lines = list(lines)
+@contextmanager
+def _open_output(path: Path) -> Iterator[TextIO]:
+    """Open an output file for UTF-8 text, its directory made first and
+    no newline translated; an OSError while opening or writing it is
+    IO_ERROR."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n" if lines else "")
+            yield handle
     except OSError as exc:
         raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> Path:
+    """Write each line followed by a newline, in one write."""
+    lines = list(lines)
+    with _open_output(path) as handle:
+        handle.write("\n".join(lines) + "\n" if lines else "")
     return path
 
 
@@ -438,14 +440,10 @@ def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
     configured)."""
     import csv
 
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_TABLE_COLUMNS)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
+    with _open_output(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_TABLE_COLUMNS)
+        writer.writerows(rows)
     return path
 
 
@@ -605,7 +603,7 @@ def _run(
     rows = members(persons)
     del persons  # the pass holds them until it ends
     rendered: list[tuple[str, ...]] = []
-    warnings: list[WarningRecord] = []
+    warnings: list[HdbError] = []
     if fold:
         if config.sort:
             rows = sorted(rows, key=lambda row: row[0].canonical)

@@ -18,6 +18,7 @@ Lookups are case-sensitive and exact after whitespace trimming.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -40,14 +41,23 @@ class IncomeRangeMap:
         if not self.entries:
             raise HdbError("ERROR", "income map has no entries")
         for code, amount in self.entries.items():
-            if len(code) != 1 or code != code.strip() or not code:
-                raise HdbError("ERROR", f"income code {code!r} is not a single character")
-            if not amount >= 0:
-                raise HdbError("ERROR", f"income amount for {code!r} must be >= 0, got {amount}")
-        if self.default_amount is not None and not self.default_amount >= 0:
-            raise HdbError("ERROR",
-                           f"default income amount must be >= 0, got {self.default_amount}")
+            _income_amount(code, amount)
+        if self.default_amount is not None:
+            _income_amount(None, self.default_amount)
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+
+
+def _income_amount(code: str | None, amount: str | float) -> float:
+    """``amount`` read as the amount of income code ``code``, or of the
+    default when ``code`` is None: a code is one character, and an amount
+    a finite number >= 0."""
+    if code is not None and (len(code) != 1 or not code.strip()):
+        raise HdbError("ERROR", f"income code {code!r} is not a single character")
+    value = float(amount)
+    if not 0 <= value < math.inf:
+        what = "default income amount" if code is None else f"income amount for {code!r}"
+        raise HdbError("ERROR", f"{what} must be finite and >= 0, got {value}")
+    return value
 
 
 def elim1_default_map(paper_literal: bool = False) -> IncomeRangeMap:

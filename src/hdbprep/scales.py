@@ -33,6 +33,8 @@ from .model import Age, AgeEncoding, Gender
 ADULT_AGE_YEARS = 15.0
 #: First adult five-year class index (class 4 is ages 15-19).
 ADULT_CLASS = 4.0
+#: The first adult age value under each age encoding.
+_ADULT_THRESHOLD = {AgeEncoding.YEARS: ADULT_AGE_YEARS, AgeEncoding.FIVE_YEAR_CLASSES: ADULT_CLASS}
 
 WEIGHT_CHILD = 0.5
 WEIGHT_ADULT_OTHER = 0.7
@@ -42,8 +44,7 @@ WEIGHT_FULL = 1.0
 
 def classify_adult(age: Age, encoding: AgeEncoding) -> bool:
     """True when the age reaches the adult threshold of its encoding."""
-    threshold = ADULT_AGE_YEARS if encoding is AgeEncoding.YEARS else ADULT_CLASS
-    return not age.value < threshold
+    return not age.value < _ADULT_THRESHOLD[encoding]
 
 
 def oxford_weight(age: Age, encoding: AgeEncoding, is_chief: bool) -> float:

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import HdbError
+from .ingest import REQUIRED_VARIABLES, Variable
 from .model import (
     NO_CHIEF_LABEL,
     AgeEncoding,
@@ -34,7 +35,11 @@ from .model import (
     Member,
     ScaleKind,
 )
-from .pipeline import _write_lines
+# the income-file names stay importable from here, for callers that write
+# the generated layout themselves
+from .pipeline import DEFAULT_LETTER_INCOME_FILE as LETTER_INCOME_FILE  # noqa: F401
+from .pipeline import DEFAULT_NUMERIC_INCOME_FILE as NUMERIC_INCOME_FILE  # noqa: F401
+from .pipeline import PipelineConfig, _open_output, _write_lines
 
 # Letter incomes the generator can draw, with the amounts the ground truth
 # assigns them. Literal on purpose: these must not come from the recode
@@ -55,19 +60,6 @@ _SYNTH_INCOME_AMOUNTS = {
     "L": 3000000.0,
 }
 _SYNTH_INCOME_CODES = tuple(sorted(_SYNTH_INCOME_AMOUNTS))
-
-#: Column-file names the generator writes, keyed by variable.
-COLUMN_FILE_NAMES = {
-    "region": "region.txt",
-    "milieu": "milieu.txt",
-    "cluster": "cluster.txt",
-    "household": "household.txt",
-    "age": "age.txt",
-    "gender": "gender.txt",
-    "poswrchief": "poswrchief.txt",
-}
-LETTER_INCOME_FILE = "monthlyincomeNT.txt"
-NUMERIC_INCOME_FILE = "monthlyincome.txt"
 
 
 @dataclass(frozen=True)
@@ -302,43 +294,34 @@ def generate(params: SynthParams) -> SynthResult:
     return SynthResult(params, tuple(persons), tuple(truth))
 
 
+def _layout(result: SynthResult) -> tuple[PipelineConfig, tuple[Variable, ...]]:
+    """The default config of the generated income mode, which reads the
+    files written here, and the variables written, in `Variable` order."""
+    config = PipelineConfig(income_mode=result.params.income_mode)
+    with_income = config.income_mode is not IncomeMode.NONE
+    return config, REQUIRED_VARIABLES + ((Variable.INCOME,) if with_income else ())
+
+
 def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
     """Write the generated persons as the standard one-column-per-file
     layout; returns the paths written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # a person's tokens lie in COLUMN_FILE_NAMES order, the income last
-    paths = [_write_lines(out_dir / name, [p[i] for p in result.persons])
-             for i, name in enumerate(COLUMN_FILE_NAMES.values())]
-    mode = result.params.income_mode
-    if mode is not IncomeMode.NONE:
-        name = LETTER_INCOME_FILE if mode is IncomeMode.LETTERS else NUMERIC_INCOME_FILE
-        paths.append(_write_lines(out_dir / name, [p.income_raw for p in result.persons]))
-    return paths
+    config, variables = _layout(result)
+    names = {**config.column_files, Variable.INCOME: config.effective_income_file}
+    # a person's tokens lie in Variable order
+    return [_write_lines(Path(out_dir) / names[variable], [p[i] for p in result.persons])
+            for i, variable in enumerate(variables)]
 
 
 def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
     """Write the generated persons as one delimited table with a header."""
     import csv
 
+    config, variables = _layout(result)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    has_income = result.params.income_mode is not IncomeMode.NONE
-    header = ["region", "milieu", "cluster", "household", "age", "gender", "poswrchief"]
-    if has_income:
-        header.append("income")
-    try:
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-            writer.writerow(header)
-            for p in result.persons:
-                row = [p.region, p.milieu, p.cluster, p.household,
-                       p.age_raw, p.gender_raw, p.poswrchief_raw]
-                if has_income:
-                    row.append(p.income_raw)
-                writer.writerow(row)
-    except OSError as exc:
-        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
+    with _open_output(path) as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(config.table_columns[variable] for variable in variables)
+        writer.writerows(p[: len(variables)] for p in result.persons)
     return path
 
 

@@ -1,11 +1,14 @@
 import csv
 import math
 import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from hdbprep.cli import _configure, build_parser, main
+from hdbprep.model import _SPELLINGS
 from hdbprep.pipeline import _CONFIG_KEYS, load_config
 
 
@@ -724,6 +727,10 @@ BAD_VALUES = {
     ("scales", "dmp"): ("maybe", {}),
     ("scales", "dmp_c"): ("1.5", {}),
     ("scales", "dmp_s"): ("-0.1", {}),
+    ("income_map", "AB"): ("5", {}),
+    ("income_map", "A"): ("inf", {}),
+    ("income_map", "B"): ("x", {}),
+    ("income_map", "default"): ("-1", {}),
 }
 
 
@@ -733,9 +740,10 @@ class TestConfigErrorsNameTheirKey:
     key; a flag that sets the key gives the same message."""
 
     def test_every_key_has_a_case(self):
+        # an [income_map] key is a letter of the map, so its cases are examples
         scales = {("scales", option) for option in ("oxford", "faofam", "dmp", "dmp_c", "dmp_s")}
         keys = {(section, option) for section, option, _, _ in _CONFIG_KEYS}
-        assert set(BAD_VALUES) == keys | scales
+        assert {key for key in BAD_VALUES if key[0] != "income_map"} == keys | scales
 
     @pytest.mark.parametrize("command", PROCESSING_COMMANDS)
     @pytest.mark.parametrize("key", BAD_VALUES, ids="{0[0]}.{0[1]}".format)
@@ -775,6 +783,134 @@ class TestConfigErrorsNameTheirKey:
         assert failure(capsys, ["identify", "--config", str(config)]) == (
             2, "error: ERROR: bad value for [input] mode: "
                "must be 'columns' or 'table', got 'colums'")
+
+    @pytest.mark.parametrize("code, amount, message", [
+        ("AB", "5", "bad value for [income_map] AB: income code 'AB' is not a single character"),
+        ("A", "inf", "bad value for [income_map] A: "
+                     "income amount for 'A' must be finite and >= 0, got inf"),
+        ("A", "-5", "bad value for [income_map] A: "
+                    "income amount for 'A' must be finite and >= 0, got -5.0"),
+        ("A", "x", "bad number for [income_map] A: could not convert string to float: 'x'"),
+        ("default", "nan", "bad value for [income_map] default: "
+                           "default income amount must be finite and >= 0, got nan"),
+    ], ids=["two-letters", "infinite", "negative", "not-a-number", "default-nan"])
+    def test_income_map_entry_names_its_key(self, code, amount, message, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        config.write_text(config.read_text() + f"[income_map]\nB = 1\n{code} = {amount}\n")
+        assert failure(capsys, ["run", "--config", str(config),
+                                "--out-dir", str(tmp_path / "out")]) == (2, f"error: ERROR: {message}")
+        assert not (tmp_path / "out").exists()
+
+
+class TestIncomeOverflow:
+    """A household income total or scaled income too large for a float is
+    a coded data error, not a traceback."""
+
+    TOTAL = ["1,1,1,1,40,1,1,1e308", "1,1,1,1,30,2,2,1e308"]
+    TOTAL_MESSAGE = "income total overflows to inf"
+
+    # only households.csv, which `run` writes, holds the scaled income
+    @pytest.mark.parametrize("command, rows, message", [
+        (["run"], TOTAL, TOTAL_MESSAGE),
+        (["aggregate", "--only", "size"], TOTAL, TOTAL_MESSAGE),
+        (["run"], ["1,1,1,1,4,1,1,1e308"],
+         "income 1e+308 divided by its oxford scale 0.5 overflows"),
+    ], ids=["run-total", "aggregate-total", "run-scaled"])
+    def test_overflow_exits_one(self, command, rows, message, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief,income\n"
+            + "".join(f"{row}\n" for row in rows))
+        config = write_ini(data / "config.ini", {
+            ("input", "mode"): "table", ("input", "table"): "persons.csv",
+            ("income", "mode"): "numeric"})
+        out = tmp_path / "out"
+        assert failure(capsys, [command[0], "--config", str(config), "--out-dir", str(out),
+                                *command[1:]]) == (
+            1, f"error: [aggregate] INCOME_OVERFLOW: household R1M1C1H1: {message}")
+        assert not out.exists()
+
+
+#: The config keys that name a member of an enum: (section, option) ->
+#: (PipelineConfig field, enum).
+ENUM_KEYS = {(section, option): (name, reader.__self__)
+             for section, option, name, reader in _CONFIG_KEYS
+             if getattr(reader, "__self__", None) in _SPELLINGS}
+
+#: The flag of each enum key, with the command that takes it; a synth flag
+#: sets the key of the config.ini that synth writes.
+ENUM_FLAGS = {
+    ("variables", "age_encoding"): ("synth", "--age-encoding"),
+    ("variables", "gender_encoding"): ("synth", "--gender-encoding"),
+    ("income", "mode"): ("synth", "--income"),
+    ("scales", "scaled_by"): ("run", "--scale"),
+}
+
+
+class TestEnumSpellings:
+    """One table holds the spellings of every enum key: each spelling reads
+    to the same member from the file and from the key's flag, and any other
+    is BAD_ENCODING naming the key."""
+
+    def test_every_enum_key_reads_the_table(self):
+        assert set(ENUM_KEYS) == {
+            ("variables", "age_encoding"), ("variables", "gender_encoding"),
+            ("variables", "missing_age_policy"), ("income", "mode"), ("scales", "scaled_by")}
+        assert {enum for _, enum in ENUM_KEYS.values()} == set(_SPELLINGS)
+
+    @pytest.mark.parametrize("key", ENUM_KEYS, ids="{0[0]}.{0[1]}".format)
+    def test_each_spelling_reads_to_its_member(self, key, tmp_path):
+        name, enum = ENUM_KEYS[key]
+        for member, names in _SPELLINGS[enum][0].items():
+            for spelling in names:
+                for text in (spelling, spelling.upper()):
+                    config = write_ini(tmp_path / "config.ini", {key: text})
+                    assert getattr(load_config(config), name) is member, text
+
+    @pytest.mark.parametrize("key", ENUM_FLAGS, ids="{0[0]}.{0[1]}".format)
+    def test_each_flag_choice_reads_like_the_file(self, key, tmp_path):
+        # a flag takes the first spelling of each member, the one synth writes
+        name, enum = ENUM_KEYS[key]
+        command, flag = ENUM_FLAGS[key]
+        for index, names in enumerate(_SPELLINGS[enum][0].values()):
+            choice = names[0]
+            in_file = load_config(write_ini(tmp_path / f"file{index}.ini", {key: choice}))
+            if command == "synth":
+                data = tmp_path / f"synth{index}"
+                assert main(["synth", "--seed", "1", "--households", "4",
+                             "--out-dir", str(data), flag, choice]) == 0
+                by_flag = load_config(data / "config.ini")
+            else:
+                empty = write_ini(tmp_path / "empty.ini", {})
+                by_flag = _configure(build_parser().parse_args(
+                    [command, "--config", str(empty), flag, choice]))
+            assert getattr(by_flag, name) is getattr(in_file, name), choice
+
+    @pytest.mark.parametrize("key, value, message", [
+        (("variables", "age_encoding"), "3",
+         "unknown age encoding '3' (use 1/years or 2/five_year_classes)"),
+        (("variables", "gender_encoding"), "0",
+         "unknown gender encoding '0' (use 1/male0_female1 or 2/male1_female2)"),
+        (("variables", "missing_age_policy"), "lenient", "unknown missing-age policy 'lenient'"),
+        (("income", "mode"), "Euros", "unknown income mode 'Euros'"),
+        (("scales", "scaled_by"), "oecd", "unknown scale 'oecd'"),
+    ], ids=["age_encoding", "gender_encoding", "missing_age_policy", "income.mode",
+            "scaled_by"])
+    def test_other_spellings_are_bad_encoding(self, key, value, message, tmp_path, capsys):
+        config = write_ini(tmp_path / "config.ini", {key: value})
+        assert failure(capsys, ["identify", "--config", str(config)]) == (
+            2, f"error: BAD_ENCODING: bad value for [{key[0]}] {key[1]}: {message}")
+
+    def test_readme_lists_every_spelling(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (.+) \|$", section, re.MULTILINE)
+        assert [(section, option, re.findall(r"`([^`]+)`", cell))
+                for section, option, cell in rows] == [
+            (section, option, list(names))
+            for (section, option), (_, enum) in ENUM_KEYS.items()
+            for names in _SPELLINGS[enum][0].values()]
 
 
 class TestWarningsNameTheirFile:

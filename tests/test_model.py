@@ -15,9 +15,9 @@ from hdbprep.model import (
     MissingAgePolicy,
     ScaleKind,
     ScaleSpec,
-    WarningRecord,
 )
-from hdbprep.pipeline import PipelineConfig, run_aggregate
+from hdbprep.errors import HdbError
+from hdbprep.pipeline import PipelineConfig, RunReport, run_aggregate
 
 
 class TestEnums:
@@ -224,10 +224,15 @@ class TestHouseholdAggregate:
 
 
 def test_warning_record_rendering():
-    with_line = WarningRecord("AGE_MISSING", "unknown age", 12)
-    assert "line 12" in str(with_line)
-    assert "AGE_MISSING" in str(with_line)
-    without = WarningRecord("MULTIPLE_CHIEFS", "two chiefs")
-    assert str(without) == "MULTIPLE_CHIEFS: two chiefs"
-    in_file = WarningRecord("AGE_MISSING", "unknown age", 12, "data/persons.csv")
-    assert str(in_file) == "data/persons.csv:12: AGE_MISSING: unknown age"
+    # a warning is an HdbError of exit code 0 that the run collects; the
+    # report lists it at its location()
+    def listed(warning):
+        assert warning.exit_code == 0
+        return RunReport(1, None, warnings=(warning,)).render().splitlines()[-1]
+
+    assert listed(HdbError("AGE_MISSING", "unknown age", line=12)) == (
+        "warning: line 12: AGE_MISSING: unknown age")
+    assert listed(HdbError("MULTIPLE_CHIEFS", "two chiefs")) == (
+        "warning: MULTIPLE_CHIEFS: two chiefs")
+    in_file = HdbError("AGE_MISSING", "unknown age", source="data/persons.csv", line=12)
+    assert listed(in_file) == "warning: data/persons.csv:12: AGE_MISSING: unknown age"

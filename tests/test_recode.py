@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -78,12 +79,16 @@ class TestDefaultMaps:
 
 class TestIncomeRangeMap:
     def test_codes_are_single_characters(self):
-        with raises_code("ERROR"):
-            IncomeRangeMap(entries={"AB": 100.0})
+        for code in ("AB", "default", " "):
+            with raises_code("ERROR"):
+                IncomeRangeMap(entries={code: 100.0})
 
     def test_amounts_nonnegative(self):
-        with raises_code("ERROR"):
-            IncomeRangeMap(entries={"A": -5.0})
+        # and finite: an infinite amount would make every total infinite
+        for entries, default in (({"A": -5.0}, None), ({"A": math.inf}, None),
+                                 ({"A": 1.0}, math.inf), ({"A": 1.0}, -1.0)):
+            with raises_code("ERROR"):
+                IncomeRangeMap(entries=entries, default_amount=default)
 
     def test_entries_frozen(self):
         m = IncomeRangeMap(entries={"A": 10.0})

@@ -7,9 +7,8 @@ from hdbprep.identity import make_household_key
 from hdbprep.ingest import ColumnSource, Variable, read_column_file, read_table
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, Member, ScaleKind
 from hdbprep.aggregate import aggregate_all
-from hdbprep.pipeline import PipelineConfig
+from hdbprep.pipeline import DEFAULT_COLUMN_FILES, PipelineConfig
 from hdbprep.synth import (
-    COLUMN_FILE_NAMES,
     LETTER_INCOME_FILE,
     NUMERIC_INCOME_FILE,
     SynthParams,
@@ -254,7 +253,7 @@ class TestFileOutput:
         result = generate(SynthParams(n_households=12, seed=4))
         paths = write_column_files(result, tmp_path)
         names = {p.name for p in paths}
-        assert set(COLUMN_FILE_NAMES.values()) <= names
+        assert set(DEFAULT_COLUMN_FILES.values()) <= names
         assert LETTER_INCOME_FILE in names
         ages = read_column_file(ColumnSource(tmp_path / "age.txt", Variable.AGE))
         assert ages == [p.age_raw for p in result.persons]

@@ -21,11 +21,13 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
   tables with injected faults (TABLE_FAULTS below), so that every error
   code the CLI can reach is reached, and a later key or income error
   meets an earlier fold error;
-* 3 corpora with one config edit each (CONFIGS below): the DMP scale
+* 6 corpora with one config edit each (CONFIGS below): the DMP scale
   off, so that a DMP flag turning it on is compared; a misspelt input
-  mode; and income scaled by the DMP scale while it is off.
+  mode; income scaled by the DMP scale while it is off; an `[income_map]`
+  code of two letters; an infinite `[income_map]` amount; and every
+  letter recoded to 1e308, so that household incomes overflow.
 
-That is 97 corpora and 2,910 cases.
+That is 100 corpora and 3,000 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -113,6 +115,11 @@ def _config_line(data: Path, old: str, new: str) -> None:
     config = data / "config.ini"
     config.write_text(config.read_text(encoding="utf-8").replace(old, new),
                       encoding="utf-8")
+
+
+def _add_income_map(data: Path, entries: str) -> None:
+    with (data / "config.ini").open("a", encoding="utf-8") as config:
+        config.write(f"[income_map]\n{entries}")
 
 
 def _not_utf8(path: Path, line: int) -> None:
@@ -212,6 +219,9 @@ CONFIGS = {
     "scaled-by-disabled-scale": lambda d: (
         _config_line(d, "dmp = true", "dmp = false"),
         _config_line(d, "scaled_by = oxford", "scaled_by = dmp")),
+    "income-map-two-letter-code": lambda d: _add_income_map(d, "AB = 5\n"),
+    "income-map-infinite-amount": lambda d: _add_income_map(d, "A = inf\ndefault = 0\n"),
+    "income-overflow": lambda d: _add_income_map(d, "Z = 0\ndefault = 1e308\n"),
 }
 
 
