@@ -17,7 +17,6 @@ from hdbprep import (
     Member,
     PipelineConfig,
     ScaleKind,
-    ScaleSpec,
     aggregate_all,
     make_household_key,
 )
@@ -38,17 +37,16 @@ rows = [
     person(5, "3", 44, "1", income=175000.0),  # nobody marked chief here
 ]
 
-# the one run configuration; the fold reads its encodings, scales and
-# income mode, and scale_income asks for the Oxford-scaled income
+# the one run configuration; the fold reads its encodings, its enabled
+# scales with the DMP parameters, and its income mode, and scale_income
+# asks for the Oxford-scaled income
 config = PipelineConfig(
     age_encoding=AgeEncoding.YEARS,
     gender_encoding=GenderEncoding.MALE1_FEMALE2,
     income_mode=IncomeMode.NUMERIC,
-    scales=(
-        ScaleSpec(ScaleKind.OXFORD),
-        ScaleSpec(ScaleKind.FAOFAM),
-        ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
-    ),
+    scales={ScaleKind.OXFORD, ScaleKind.FAOFAM, ScaleKind.DMP},
+    dmp_c=0.5,
+    dmp_s=0.7,
     scaled_by=ScaleKind.OXFORD,
 )
 

@@ -27,7 +27,6 @@ from .model import (
     IncomeMode,
     Member,
     ScaleKind,
-    ScaleSpec,
 )
 from .pipeline import (
     PipelineConfig,
@@ -63,7 +62,6 @@ __all__ = [
     "PipelineConfig",
     "PrefixScheme",
     "ScaleKind",
-    "ScaleSpec",
     "aggregate_all",
     "dmp_scale",
     "elim1_default_map",

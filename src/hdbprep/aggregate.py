@@ -19,7 +19,8 @@ DMP value once per run, from a second table.
 The fold reads the run's one `PipelineConfig`, which has checked the
 scales and the DMP parameters already; which scales, which income and
 which dividing scale apply is resolved from it once per run. An error or
-warning names the member's input line, and in table mode the table file.
+warning names the member's input line (a household's error, the line of
+its first member), and in table mode the table file.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -106,18 +107,18 @@ def aggregate_all(
 
     Raises NON_CONSECUTIVE_KEY (at the line of the member that brings it
     back) when a key that already closed a household reappears later in
-    the stream, and INCOME_OVERFLOW when a household's income total or
-    scaled income is not finite. The warnings AGE_MISSING and
+    the stream, and ZERO_SCALE or INCOME_OVERFLOW (at the household's
+    first line) when its dividing scale is not positive or its income
+    total or scaled income is not finite. The warnings AGE_MISSING and
     MULTIPLE_CHIEFS are appended to ``warnings`` as HdbErrors.
     """
     age_encoding = config.age_encoding
     sentinel = config.paper_sentinel
     threshold = _ADULT_THRESHOLD[age_encoding]
-    kinds = {spec.kind for spec in config.scales}
-    with_oxford = ScaleKind.OXFORD in kinds
-    with_faofam = ScaleKind.FAOFAM in kinds
+    with_oxford = ScaleKind.OXFORD in config.scales
+    with_faofam = ScaleKind.FAOFAM in config.scales
+    with_dmp = ScaleKind.DMP in config.scales
     with_income = config.income_mode is not IncomeMode.NONE
-    dmp = config.dmp_spec()
     scaled_by = config.scaled_by if scale_income and with_income else None
     source = config.table_source
     # the sum that divides income: an index into (Oxford, FAO-OMS, DMP)
@@ -153,27 +154,29 @@ def aggregate_all(
     # (adults, children) -> DMP value
     dmps: dict[tuple[int, int], float] = {}
 
-    def close(key, adults, children, oxford, faofam, income, chief_label, chiefs):
-        """The aggregate of the household whose block ends."""
+    def close(key, line, adults, children, oxford, faofam, income, chief_label, chiefs):
+        """The aggregate of the household whose block ends; ``line`` is its
+        first member's, which its errors name."""
         scale_dmp = None
-        if dmp is not None:
+        if with_dmp:
             scale_dmp = dmps.get((adults, children))
             if scale_dmp is None:
                 scale_dmp = remember(dmps, (adults, children),
-                                     dmp_scale(adults, children, dmp.dmp_c, dmp.dmp_s))
+                                     dmp_scale(adults, children, config.dmp_c, config.dmp_s))
         if with_income and not math.isfinite(income):
             raise HdbError("INCOME_OVERFLOW", f"household {key}: income total overflows "
-                           f"to {income}")
+                           f"to {income}", source=source, line=line)
         scaled_income = None
         if divide_by is not None:
             divisor = (oxford, faofam, scale_dmp)[divide_by]
             if not divisor > 0:
                 raise HdbError("ZERO_SCALE", f"household {key}: {scaled_by.value} scale is "
-                               f"{divisor}, cannot scale income")
+                               f"{divisor}, cannot scale income", source=source, line=line)
             scaled_income = income / divisor
             if not math.isfinite(scaled_income):
                 raise HdbError("INCOME_OVERFLOW", f"household {key}: income {income} "
-                               f"divided by its {scaled_by.value} scale {divisor} overflows")
+                               f"divided by its {scaled_by.value} scale {divisor} overflows",
+                               source=source, line=line)
         if chiefs > 1 and warnings is not None:
             warnings.append(HdbError(
                 "MULTIPLE_CHIEFS", f"household {key} marks {chiefs} members as chief"))
@@ -197,9 +200,9 @@ def aggregate_all(
                                "explicit sort)", source=source, line=member.line)
             seen.add(canonical)
             if household is not None:
-                yield close(household, adults, children, oxford, faofam, income,
+                yield close(household, first_line, adults, children, oxford, faofam, income,
                             chief_label, chiefs)
-            household = key
+            household, first_line = key, member.line
             adults = children = chiefs = 0
             oxford = faofam = income = 0.0
             chief_label = NO_CHIEF_LABEL
@@ -232,4 +235,5 @@ def aggregate_all(
             chiefs += 1
 
     if household is not None:
-        yield close(household, adults, children, oxford, faofam, income, chief_label, chiefs)
+        yield close(household, first_line, adults, children, oxford, faofam, income,
+                    chief_label, chiefs)

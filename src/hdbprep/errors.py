@@ -20,7 +20,7 @@ CODES: dict[str, tuple[int, str]] = {
     "ERROR": (2, "bad configuration, parameter or config file"),
     "IO_ERROR": (2, "a file cannot be read or written"),
     "BAD_ENCODING": (2, "unknown encoding, missing-age policy, income mode or scale"),
-    "DMP_PARAM_OUT_OF_RANGE": (2, "a DMP parameter is not set or lies outside [0, 1]"),
+    "DMP_PARAM_OUT_OF_RANGE": (2, "a DMP parameter lies outside [0, 1]"),
     "NOT_UTF8": (1, "an input file holds bytes that are not UTF-8"),
     "EMPTY_FILE": (1, "an input file has no data lines, or a table no header row"),
     "BLANK_LINE": (1, "a column file has a blank line before its end"),

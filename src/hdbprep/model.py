@@ -134,15 +134,6 @@ class HouseholdKey(NamedTuple):
         return self.canonical
 
 
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Which equivalence scale to compute; DMP carries its two parameters."""
-
-    kind: ScaleKind
-    dmp_c: float | None = None
-    dmp_s: float | None = None
-
-
 class Member(NamedTuple):
     """One parsed household member as the aggregation stage sees it; a
     named tuple, because the pass builds one per person.

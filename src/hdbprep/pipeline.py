@@ -64,7 +64,6 @@ from .model import (
     Member,
     MissingAgePolicy,
     ScaleKind,
-    ScaleSpec,
 )
 from .recode import IncomeRangeMap, _income_amount, elim1_default_map, income_from_letter
 
@@ -105,12 +104,6 @@ AGGREGATE_OUTPUTS = tuple(_HOUSEHOLD_FILES)
 #: HouseholdAggregate field, in field order.
 _TABLE_COLUMNS = HouseholdAggregate._fields
 
-_DEFAULT_SCALES = (
-    ScaleSpec(ScaleKind.OXFORD),
-    ScaleSpec(ScaleKind.FAOFAM),
-    ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
-)
-
 #: Table mode: the header name of each variable's column, by default its own.
 _DEFAULT_TABLE_COLUMNS = {v: v.value for v in Variable}
 
@@ -119,27 +112,6 @@ def _bad_value(section: str, option: str, problem: str) -> str:
     """The message of an error for a config value that a check rejects,
     naming its key."""
     return f"bad value for [{section}] {option}: {problem}"
-
-
-def check_scales(scales: tuple[ScaleSpec, ...], scaled_by: ScaleKind | None) -> None:
-    """Check that no scale kind is configured twice, that the DMP scale has
-    both parameters and each lies in [0, 1], and that ``scaled_by``, when
-    given, names a configured scale."""
-    kinds = [spec.kind for spec in scales]
-    for spec in scales:
-        if kinds.count(spec.kind) > 1:
-            raise HdbError("ERROR", _bad_value(
-                "scales", spec.kind.value, "each scale may be configured at most once"))
-        if spec.kind is not ScaleKind.DMP:
-            continue
-        for name, value in (("c", spec.dmp_c), ("s", spec.dmp_s)):
-            if value is None or not 0.0 <= value <= 1.0:
-                problem = " is not set" if value is None else f"={value} outside [0, 1]"
-                raise HdbError("DMP_PARAM_OUT_OF_RANGE", _bad_value(
-                    "scales", f"dmp_{name}", f"DMP parameter {name}{problem}"))
-    if scaled_by is not None and scaled_by not in kinds:
-        raise HdbError("ERROR", _bad_value("scales", "scaled_by", "scaled income wants the "
-                                           f"{scaled_by.value} scale, which is not configured"))
 
 
 @dataclass(frozen=True)
@@ -151,7 +123,9 @@ class PipelineConfig:
     the file formats come from). ``column_files`` names the file of each
     variable in columns mode (the income file follows the income mode
     unless ``income_file`` names it), ``table_columns`` its header in table
-    mode.
+    mode. ``scales`` is the set of enabled scales (any iterable of
+    `ScaleKind`); ``dmp_c`` and ``dmp_s`` are checked only while the DMP
+    scale is enabled.
     """
 
     input_mode: str = "columns"
@@ -169,7 +143,9 @@ class PipelineConfig:
     income_mode: IncomeMode = IncomeMode.NONE
     income_map: IncomeRangeMap | None = None
     paper_literal: bool = False
-    scales: tuple[ScaleSpec, ...] = _DEFAULT_SCALES
+    scales: frozenset[ScaleKind] = frozenset(ScaleKind)
+    dmp_c: float = 0.5
+    dmp_s: float = 0.7
     scaled_by: ScaleKind | None = ScaleKind.OXFORD
     paper_sentinel: bool = False
     sort: bool = False
@@ -177,6 +153,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "input_dir", Path(self.input_dir))
+        object.__setattr__(self, "scales", frozenset(self.scales))
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.input_mode not in ("columns", "table"):
@@ -192,9 +169,16 @@ class PipelineConfig:
         if len(self.table_delimiter) != 1:
             raise HdbError("ERROR", _bad_value(
                 "input", "delimiter", f"must be one character, got {self.table_delimiter!r}"))
+        if ScaleKind.DMP in self.scales:
+            for name, value in (("c", self.dmp_c), ("s", self.dmp_s)):
+                if not 0.0 <= value <= 1.0:
+                    raise HdbError("DMP_PARAM_OUT_OF_RANGE", _bad_value(
+                        "scales", f"dmp_{name}", f"DMP parameter {name}={value} outside [0, 1]"))
         # a scaled income is made only when there is an income to scale
-        with_income = self.income_mode is not IncomeMode.NONE
-        check_scales(self.scales, self.scaled_by if with_income else None)
+        scaled_by = self.scaled_by if self.income_mode is not IncomeMode.NONE else None
+        if scaled_by is not None and scaled_by not in self.scales:
+            raise HdbError("ERROR", _bad_value("scales", "scaled_by", "scaled income wants the "
+                                               f"{scaled_by.value} scale, which is not configured"))
 
     @property
     def effective_income_file(self) -> str:
@@ -213,9 +197,6 @@ class PipelineConfig:
         """The table file in table mode, which then locates every line an
         error or warning names; None in columns mode."""
         return str(self.input_dir / self.table_file) if self.input_mode == "table" else None
-
-    def dmp_spec(self) -> ScaleSpec | None:
-        return next((spec for spec in self.scales if spec.kind is ScaleKind.DMP), None)
 
     def active_income_map(self) -> IncomeRangeMap:
         return self.income_map or elim1_default_map(self.paper_literal)
@@ -272,6 +253,8 @@ _CONFIG_KEYS = (
     ("variables", "missing_age_policy", "missing_age_policy", MissingAgePolicy.from_config),
     ("income", "mode", "income_mode", IncomeMode.from_config),
     ("income", "paper_literal", "paper_literal", _boolean),
+    ("scales", "dmp_c", "dmp_c", float),
+    ("scales", "dmp_s", "dmp_s", float),
     ("scales", "scaled_by", "scaled_by", ScaleKind.from_config),
     ("output", "paper_sentinel", "paper_sentinel", _boolean),
     ("output", "sort", "sort", _boolean),
@@ -333,20 +316,10 @@ def load_config(
                               None if code == "default" else code)
                    for code in parser.options("income_map")}
         default_amount = entries.pop("default", None)
+        if not entries:
+            raise HdbError("ERROR", "bad value for [income_map]: the section maps no "
+                           "income code")
         income_map = IncomeRangeMap(entries, default_amount)
-
-    # each scale is on unless its key says otherwise; the DMP parameters
-    # are read only for an enabled DMP scale
-    scales = []
-    for spec in _DEFAULT_SCALES:
-        kind = spec.kind.value
-        if parser.has_option("scales", kind) and not read("scales", kind, _boolean):
-            continue
-        scales.append(replace(spec, **{
-            option: read("scales", option, float)
-            for option in ("dmp_c", "dmp_s")
-            if spec.kind is ScaleKind.DMP and parser.has_option("scales", option)
-        }))
 
     base = path.resolve().parent
     out_dir = parser.get("output", "dir", fallback=None)
@@ -361,7 +334,9 @@ def load_config(
             for variable, header in _DEFAULT_TABLE_COLUMNS.items()
         },
         income_map=income_map,
-        scales=tuple(scales),
+        # each scale is on unless its key says otherwise
+        scales={kind for kind in ScaleKind if not parser.has_option("scales", kind.value)
+                or read("scales", kind.value, _boolean)},
         out_dir=base / out_dir if out_dir else None,
         **values,
     )
@@ -532,7 +507,7 @@ def _run(
     households.csv. Nothing is written before every step has succeeded.
     """
     with_income = config.income_mode is not IncomeMode.NONE
-    enabled = {spec.kind.value for spec in config.scales} | {"size", "area", "chief"}
+    enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
     if with_income:
         enabled.add("income")
     selected = dict.fromkeys(AGGREGATE_OUTPUTS if only is None else only) if files else {}
@@ -627,9 +602,8 @@ def _run(
         outputs.append(_write_lines(out_dir / IDENT_FILE, key_lines))
     if amounts:
         outputs.append(_write_lines(out_dir / RECODED_INCOME_FILE, amount_lines))
-    dmp = config.dmp_spec()
     for file_name, attribute in plan:
-        path = out_dir / (file_name or dmp_file_name(dmp.dmp_c, dmp.dmp_s))
+        path = out_dir / (file_name or dmp_file_name(config.dmp_c, config.dmp_s))
         outputs.append(_write_lines(path, columns[attribute]))
     if table:
         outputs.append(write_household_table(rendered, out_dir / TABLE_FILE))

@@ -61,44 +61,29 @@ def _income_amount(code: str | None, amount: str | float) -> float:
 
 
 def elim1_default_map(paper_literal: bool = False) -> IncomeRangeMap:
-    """The standard 12-bracket monthly-income map (bracket midpoints)."""
-    if paper_literal:
-        return IncomeRangeMap(
-            entries={
-                "A": 14500.0,
-                "B": 39500.0,
-                "C": 75000.0,
-                "D": 125000.0,
-                "E": 175000.0,
-                # (200000 + 30000) / 2: the missing zero is reproduced on purpose
-                "F": 115000.0,
-                "G": 400000.0,
-                "H": 625000.0,
-                "U": 875000.0,
-                "J": 1250000.0,
-                "K": 2000000.0,
-                "L": 3000000.0,
-            },
-            default_amount=0.0,
-        )
-    return IncomeRangeMap(
-        entries={
-            "A": 14500.0,
-            "B": 39500.0,
-            "C": 75000.0,
-            "D": 125000.0,
-            "E": 175000.0,
-            "F": 250000.0,
-            "G": 400000.0,
-            "H": 625000.0,
-            "I": 875000.0,
-            "U": 875000.0,  # legacy alias for the ninth bracket
-            "J": 1250000.0,
-            "K": 2000000.0,
-            "L": 3000000.0,
-        },
-        default_amount=None,
-    )
+    """The standard 12-bracket monthly-income map (bracket midpoints); the
+    paper-literal table is the corrected one with its two quirks."""
+    entries = {
+        "A": 14500.0,
+        "B": 39500.0,
+        "C": 75000.0,
+        "D": 125000.0,
+        "E": 175000.0,
+        "F": 250000.0,
+        "G": 400000.0,
+        "H": 625000.0,
+        "I": 875000.0,
+        "U": 875000.0,  # legacy alias for the ninth bracket
+        "J": 1250000.0,
+        "K": 2000000.0,
+        "L": 3000000.0,
+    }
+    if not paper_literal:
+        return IncomeRangeMap(entries)
+    del entries["I"]
+    # (200000 + 30000) / 2: the missing zero is reproduced on purpose
+    entries["F"] = 115000.0
+    return IncomeRangeMap(entries, default_amount=0.0)
 
 
 def income_from_letter(raw: str, mapping: IncomeRangeMap) -> float:

@@ -23,7 +23,6 @@ from hdbprep.model import (
     IncomeMode,
     Member,
     ScaleKind,
-    ScaleSpec,
 )
 from hdbprep.pipeline import PipelineConfig
 from hdbprep.recode import elim1_default_map, income_from_letter
@@ -34,11 +33,7 @@ YEARS = AgeEncoding.YEARS
 CLASSES = AgeEncoding.FIVE_YEAR_CLASSES
 M1F2 = GenderEncoding.MALE1_FEMALE2
 
-ALL_SCALES = (
-    ScaleSpec(ScaleKind.OXFORD),
-    ScaleSpec(ScaleKind.FAOFAM),
-    ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
-)
+ALL_SCALES = (ScaleKind.OXFORD, ScaleKind.FAOFAM, ScaleKind.DMP)
 
 
 def report(n, title):

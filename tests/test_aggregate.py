@@ -12,15 +12,14 @@ from hdbprep.model import (
     Member,
     MissingAgePolicy,
     ScaleKind,
-    ScaleSpec,
 )
 from hdbprep.pipeline import PipelineConfig
 
 YEARS = AgeEncoding.YEARS
 M1F2 = GenderEncoding.MALE1_FEMALE2
-OXFORD = ScaleSpec(ScaleKind.OXFORD)
-FAOFAM = ScaleSpec(ScaleKind.FAOFAM)
-DMP = ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7)
+OXFORD = ScaleKind.OXFORD
+FAOFAM = ScaleKind.FAOFAM
+DMP = ScaleKind.DMP
 ALL_SCALES = (OXFORD, FAOFAM, DMP)
 
 
@@ -266,12 +265,6 @@ class TestSettings:
     """The fold reads the scales, income and dividing scale of one
     PipelineConfig, which checks them."""
 
-    def test_duplicate_scale_kind_rejected(self):
-        with raises_code("ERROR") as info:
-            settings(ScaleSpec(ScaleKind.OXFORD), ScaleSpec(ScaleKind.OXFORD))
-        assert info.value.message == ("bad value for [scales] oxford: "
-                                      "each scale may be configured at most once")
-
     def test_scaled_by_requires_income(self):
         # without income there is nothing to scale: no scaled income, and
         # no error for the dividing scale
@@ -285,11 +278,6 @@ class TestSettings:
             settings(OXFORD, income=True, scaled_by=ScaleKind.DMP)
         assert info.value.message == ("bad value for [scales] scaled_by: scaled income wants "
                                       "the dmp scale, which is not configured")
-
-    def test_spec_lookup(self):
-        spec = ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7)
-        assert settings(spec).dmp_spec() is spec
-        assert settings(OXFORD).dmp_spec() is None
 
     def test_scaled_income_only_when_asked(self):
         rows = household(member(1, 34, chief=True, income=1000.0))
@@ -330,11 +318,7 @@ class TestAggregateRun:
     def test_zero_scale_cannot_divide(self):
         # c=0 erases a children-only household from the DMP count
         rows = household(member(1, 5, income=1000.0))
-        config = settings(
-            ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),
-            income=True,
-            scaled_by=ScaleKind.DMP,
-        )
+        config = settings(DMP, dmp_c=0.0, income=True, scaled_by=ScaleKind.DMP)
         with raises_code("ZERO_SCALE"):
             aggregate_one(rows, config)
 

@@ -354,8 +354,8 @@ class TestErrorPrecedence:
         flags = ["--scale", "dmp", "--dmp-c", "0"]
         code, err = self.run(tmp_path / "alone", capsys, (1, AGE, "5"), flags=flags)
         assert code == 1
-        assert err == ("error: [aggregate] ZERO_SCALE: household R1M1C1H1: dmp scale is "
-                       "0.0, cannot scale income")
+        assert err == ("error: [aggregate] ZERO_SCALE (line 1): household R1M1C1H1: dmp "
+                       "scale is 0.0, cannot scale income")
         code, err = self.run(tmp_path, capsys, (1, AGE, "5"), (5, INCOME, "Z"), flags=flags)
         assert (code, err) == (1, "error: [recode] UNKNOWN_INCOME_CODE (line 5): "
                                   "income code 'Z' is not in the range map")
@@ -784,39 +784,59 @@ class TestConfigErrorsNameTheirKey:
             2, "error: ERROR: bad value for [input] mode: "
                "must be 'columns' or 'table', got 'colums'")
 
-    @pytest.mark.parametrize("code, amount, message", [
-        ("AB", "5", "bad value for [income_map] AB: income code 'AB' is not a single character"),
-        ("A", "inf", "bad value for [income_map] A: "
-                     "income amount for 'A' must be finite and >= 0, got inf"),
-        ("A", "-5", "bad value for [income_map] A: "
-                    "income amount for 'A' must be finite and >= 0, got -5.0"),
-        ("A", "x", "bad number for [income_map] A: could not convert string to float: 'x'"),
-        ("default", "nan", "bad value for [income_map] default: "
-                           "default income amount must be finite and >= 0, got nan"),
-    ], ids=["two-letters", "infinite", "negative", "not-a-number", "default-nan"])
-    def test_income_map_entry_names_its_key(self, code, amount, message, tmp_path, capsys):
+    @pytest.mark.parametrize("entries, message", [
+        ("B = 1\nAB = 5\n",
+         "bad value for [income_map] AB: income code 'AB' is not a single character"),
+        ("B = 1\nA = inf\n", "bad value for [income_map] A: "
+                              "income amount for 'A' must be finite and >= 0, got inf"),
+        ("B = 1\nA = -5\n", "bad value for [income_map] A: "
+                             "income amount for 'A' must be finite and >= 0, got -5.0"),
+        ("B = 1\nA = x\n",
+         "bad number for [income_map] A: could not convert string to float: 'x'"),
+        ("B = 1\ndefault = nan\n", "bad value for [income_map] default: "
+                                    "default income amount must be finite and >= 0, got nan"),
+        ("default = 5\n", "bad value for [income_map]: the section maps no income code"),
+    ], ids=["two-letters", "infinite", "negative", "not-a-number", "default-nan",
+            "only-default"])
+    def test_income_map_entry_names_its_key(self, entries, message, tmp_path, capsys):
         config = write_persons(tmp_path / "data")
-        config.write_text(config.read_text() + f"[income_map]\nB = 1\n{code} = {amount}\n")
+        config.write_text(config.read_text() + f"[income_map]\n{entries}")
         assert failure(capsys, ["run", "--config", str(config),
                                 "--out-dir", str(tmp_path / "out")]) == (2, f"error: ERROR: {message}")
         assert not (tmp_path / "out").exists()
 
+    def test_dmp_parameters_are_numbers_while_dmp_is_off(self, tmp_path, capsys):
+        # out of range is accepted while the DMP scale is off; not a number is not
+        config = write_persons(tmp_path / "data")
+        text = config.read_text() + "[scales]\ndmp = false\ndmp_s = 2\n"
+        config.write_text(text + "dmp_c = 1.5\n")
+        argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        config.write_text(text + "dmp_c = half\n")
+        assert failure(capsys, argv) == (2, "error: ERROR: bad number for [scales] dmp_c: "
+                                            "could not convert string to float: 'half'")
+
 
 class TestIncomeOverflow:
     """A household income total or scaled income too large for a float is
-    a coded data error, not a traceback."""
+    a coded data error, not a traceback; it names the household's first
+    line in the table."""
 
     TOTAL = ["1,1,1,1,40,1,1,1e308", "1,1,1,1,30,2,2,1e308"]
     TOTAL_MESSAGE = "income total overflows to inf"
+    # household 1's members lie on lines 3 and 5, apart
+    SHUFFLED = ["1,1,1,2,30,1,1,5", "1,1,1,1,40,1,1,1e308", "1,1,1,2,31,2,2,5",
+                "1,1,1,1,30,2,2,1e308"]
 
     # only households.csv, which `run` writes, holds the scaled income
-    @pytest.mark.parametrize("command, rows, message", [
-        (["run"], TOTAL, TOTAL_MESSAGE),
-        (["aggregate", "--only", "size"], TOTAL, TOTAL_MESSAGE),
-        (["run"], ["1,1,1,1,4,1,1,1e308"],
+    @pytest.mark.parametrize("command, rows, line, message", [
+        (["run"], TOTAL, 2, TOTAL_MESSAGE),
+        (["aggregate", "--only", "size"], TOTAL, 2, TOTAL_MESSAGE),
+        (["run"], ["1,1,1,1,4,1,1,1e308"], 2,
          "income 1e+308 divided by its oxford scale 0.5 overflows"),
-    ], ids=["run-total", "aggregate-total", "run-scaled"])
-    def test_overflow_exits_one(self, command, rows, message, tmp_path, capsys):
+        (["run", "--sort"], SHUFFLED, 3, TOTAL_MESSAGE),
+    ], ids=["run-total", "aggregate-total", "run-scaled", "sorted-total"])
+    def test_overflow_exits_one(self, command, rows, line, message, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
         (data / "persons.csv").write_text(
@@ -828,7 +848,8 @@ class TestIncomeOverflow:
         out = tmp_path / "out"
         assert failure(capsys, [command[0], "--config", str(config), "--out-dir", str(out),
                                 *command[1:]]) == (
-            1, f"error: [aggregate] INCOME_OVERFLOW: household R1M1C1H1: {message}")
+            1, f"error: [aggregate] INCOME_OVERFLOW ({data / 'persons.csv'}:{line}): "
+               f"household R1M1C1H1: {message}")
         assert not out.exists()
 
 
@@ -911,6 +932,22 @@ class TestEnumSpellings:
             (section, option, list(names))
             for (section, option), (_, enum) in ENUM_KEYS.items()
             for names in _SPELLINGS[enum][0].values()]
+
+
+class TestReadmeConfig:
+    """The README's INI example is a config that runs as it stands."""
+
+    def test_readme_ini_block_runs_next_to_a_database(self, synth_dir, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        config = synth_dir / "config.ini"
+        config.write_text(block, encoding="utf-8")
+        loaded = load_config(config)
+        assert (loaded.input_mode, loaded.table_delimiter, loaded.scaled_by.value) == (
+            "columns", ",", "oxford")
+        assert dict(loaded.income_map.entries) == {"A": 14500.0, "B": 39500.0}
+        assert main(["run", "--config", str(config)]) == 0
+        assert (synth_dir / "out" / "households.csv").is_file()
 
 
 class TestWarningsNameTheirFile:

@@ -14,7 +14,6 @@ from hdbprep.model import (
     IncomeMode,
     MissingAgePolicy,
     ScaleKind,
-    ScaleSpec,
 )
 from hdbprep.errors import HdbError
 from hdbprep.pipeline import PipelineConfig, RunReport, run_aggregate
@@ -138,27 +137,24 @@ class TestHouseholdKey:
 
 
 class TestScaleSpec:
-    """A config checks its scale specifications once, as it is made."""
+    """A config checks its scale settings once, as it is made: the set of
+    enabled scales and, while DMP is among them, its two parameters."""
 
     def test_parameter_free_scales_pass(self):
-        PipelineConfig(scales=(ScaleSpec(ScaleKind.OXFORD),), scaled_by=None)
-        PipelineConfig(scales=(ScaleSpec(ScaleKind.FAOFAM),), scaled_by=None)
-
-    def test_dmp_needs_both_parameters(self):
-        with raises_code("DMP_PARAM_OUT_OF_RANGE") as info:
-            PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_c=0.5),))
-        assert info.value.message == "bad value for [scales] dmp_s: DMP parameter s is not set"
-        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
-            PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_s=0.7),))
+        config = PipelineConfig(scales=[ScaleKind.OXFORD, ScaleKind.OXFORD], scaled_by=None)
+        assert config.scales == frozenset({ScaleKind.OXFORD})
+        PipelineConfig(scales=(ScaleKind.FAOFAM,), scaled_by=None)
+        # the DMP parameters are not checked while the DMP scale is off
+        PipelineConfig(scales=(ScaleKind.FAOFAM,), scaled_by=None, dmp_c=1.5, dmp_s=-1.0)
 
     @pytest.mark.parametrize("c,s", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.7)])
     def test_dmp_interval_boundaries_pass(self, c, s):
-        PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s),))
+        PipelineConfig(scales=(ScaleKind.DMP,), dmp_c=c, dmp_s=s)
 
     @pytest.mark.parametrize("c,s", [(-0.1, 0.7), (1.1, 0.7), (0.5, -0.01), (0.5, 2.0)])
     def test_dmp_out_of_range_rejected(self, c, s):
         with raises_code("DMP_PARAM_OUT_OF_RANGE") as info:
-            PipelineConfig(scales=(ScaleSpec(ScaleKind.DMP, dmp_c=c, dmp_s=s),))
+            PipelineConfig(scales=(ScaleKind.DMP,), dmp_c=c, dmp_s=s)
         name, value = ("c", c) if not 0 <= c <= 1 else ("s", s)
         assert info.value.message == (f"bad value for [scales] dmp_{name}: "
                                       f"DMP parameter {name}={value} outside [0, 1]")

@@ -13,7 +13,6 @@ from hdbprep.model import (
     IncomeMode,
     MissingAgePolicy,
     ScaleKind,
-    ScaleSpec,
 )
 from hdbprep.pipeline import (
     PipelineConfig,
@@ -109,7 +108,8 @@ class TestScaledIncome:
         config = PipelineConfig(
             input_dir=tmp_path,
             income_mode=IncomeMode.NUMERIC,
-            scales=(ScaleSpec(ScaleKind.DMP, dmp_c=0.0, dmp_s=0.7),),
+            scales=(ScaleKind.DMP,),
+            dmp_c=0.0,
             scaled_by=ScaleKind.DMP,
         )
         with raises_code("ZERO_SCALE") as info:
@@ -183,15 +183,11 @@ class TestConfigValidation:
         with raises_code("ERROR"):
             PipelineConfig(table_delimiter="||")
 
-    def test_duplicate_scales(self):
-        with raises_code("ERROR"):
-            PipelineConfig(scales=(ScaleSpec(ScaleKind.OXFORD),) * 2)
-
     def test_scaled_by_must_be_a_configured_scale(self):
         with raises_code("ERROR"):
             PipelineConfig(
                 income_mode=IncomeMode.LETTERS,
-                scales=(ScaleSpec(ScaleKind.FAOFAM),),
+                scales=(ScaleKind.FAOFAM,),
                 scaled_by=ScaleKind.OXFORD,
             )
 
@@ -231,9 +227,8 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path, ""))
         assert config.input_mode == "columns"
         assert config.income_mode is IncomeMode.NONE
-        assert [s.kind for s in config.scales] == [
-            ScaleKind.OXFORD, ScaleKind.FAOFAM, ScaleKind.DMP
-        ]
+        assert config.scales == {ScaleKind.OXFORD, ScaleKind.FAOFAM, ScaleKind.DMP}
+        assert (config.dmp_c, config.dmp_s) == (0.5, 0.7)
         assert config.scaled_by is ScaleKind.OXFORD
         assert config.scheme.letters == ("R", "M", "C", "H")
         assert config.input_dir == tmp_path.resolve()
@@ -285,10 +280,8 @@ class TestLoadConfig:
         assert config.missing_age_policy is MissingAgePolicy.STRICT
         assert config.income_mode is IncomeMode.LETTERS
         assert config.paper_literal is True
-        kinds = [s.kind for s in config.scales]
-        assert kinds == [ScaleKind.FAOFAM, ScaleKind.DMP]
-        dmp = config.dmp_spec()
-        assert (dmp.dmp_c, dmp.dmp_s) == (0.6, 0.9)
+        assert config.scales == {ScaleKind.FAOFAM, ScaleKind.DMP}
+        assert (config.dmp_c, config.dmp_s) == (0.6, 0.9)
         assert config.scaled_by is ScaleKind.FAOFAM
         assert config.out_dir == tmp_path.resolve() / "out"
         assert config.sort is True

@@ -210,18 +210,14 @@ class TestOracleEquivalence:
             assert_same_aggregate(oracle[expected.key.canonical], expected)
 
     def test_streaming_pass_matches_truth(self):
-        from hdbprep.model import ScaleSpec
-
         result = generate(SynthParams(n_households=40, seed=78,
                                       income_mode=IncomeMode.NUMERIC))
         config = PipelineConfig(
             age_encoding=YEARS,
             gender_encoding=M1F2,
-            scales=(
-                ScaleSpec(ScaleKind.OXFORD),
-                ScaleSpec(ScaleKind.FAOFAM),
-                ScaleSpec(ScaleKind.DMP, dmp_c=0.5, dmp_s=0.7),
-            ),
+            scales=(ScaleKind.OXFORD, ScaleKind.FAOFAM, ScaleKind.DMP),
+            dmp_c=0.5,
+            dmp_s=0.7,
             income_mode=IncomeMode.NUMERIC,
             scaled_by=ScaleKind.OXFORD,
         )

@@ -21,13 +21,15 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
   tables with injected faults (TABLE_FAULTS below), so that every error
   code the CLI can reach is reached, and a later key or income error
   meets an earlier fold error;
-* 6 corpora with one config edit each (CONFIGS below): the DMP scale
-  off, so that a DMP flag turning it on is compared; a misspelt input
-  mode; income scaled by the DMP scale while it is off; an `[income_map]`
-  code of two letters; an infinite `[income_map]` amount; and every
-  letter recoded to 1e308, so that household incomes overflow.
+* 8 corpora with one config edit each (CONFIGS below): the DMP scale
+  off, so that a DMP flag turning it on is compared; the DMP scale off
+  with a `dmp_c` that is not a number; a misspelt input mode; income
+  scaled by the DMP scale while it is off; an `[income_map]` code of two
+  letters; an infinite `[income_map]` amount; an `[income_map]` that
+  holds only a default; and every letter recoded to 1e308, so that
+  household incomes overflow.
 
-That is 100 corpora and 3,000 cases.
+That is 102 corpora and 3,060 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -215,12 +217,16 @@ TABLE_FAULTS = {
 #: One config edit each, made to the seed-3 letters/years corpus.
 CONFIGS = {
     "dmp-disabled": lambda d: _config_line(d, "dmp = true", "dmp = false"),
+    "dmp-disabled-dmp-c-not-a-number": lambda d: (
+        _config_line(d, "dmp = true", "dmp = false"),
+        _config_line(d, "dmp_c = 0.5", "dmp_c = half")),
     "input-mode-typo": lambda d: _config_line(d, "mode = columns", "mode = colums"),
     "scaled-by-disabled-scale": lambda d: (
         _config_line(d, "dmp = true", "dmp = false"),
         _config_line(d, "scaled_by = oxford", "scaled_by = dmp")),
     "income-map-two-letter-code": lambda d: _add_income_map(d, "AB = 5\n"),
     "income-map-infinite-amount": lambda d: _add_income_map(d, "A = inf\ndefault = 0\n"),
+    "income-map-only-default": lambda d: _add_income_map(d, "default = 5\n"),
     "income-overflow": lambda d: _add_income_map(d, "Z = 0\ndefault = 1e308\n"),
 }
 
