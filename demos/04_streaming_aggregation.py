@@ -24,6 +24,8 @@ from hdbprep import (
 
 def person(line, household, age, gender, chief=False, income=0.0):
     key = make_household_key("1", "1", "2", household)
+    # a Member names its fields; a plain tuple in the same field order,
+    # which is what the pipeline feeds the fold, folds the same
     member = Member(line=line, age_raw=str(age), gender_raw=gender,
                     is_chief=chief, income=income)
     return key, member

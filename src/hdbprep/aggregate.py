@@ -92,7 +92,8 @@ def aggregate_all(
     scale_income: bool = False,
 ) -> Iterator[HouseholdAggregate]:
     """Stream (key, member) rows into one HouseholdAggregate per household,
-    in input order, in a single pass, as ``config`` sets it up: its
+    in input order, in a single pass; a member may be a `Member` or a plain
+    tuple in its field order. The fold runs as ``config`` sets it up: its
     encodings, missing-age policy and paper sentinel, its scales, and its
     income mode. The scaled income is computed only under
     ``scale_income``, and only when income is on.
@@ -192,22 +193,22 @@ def aggregate_all(
     profiles: dict[tuple[str, str, bool], tuple] = {}
     household = canonical = None
     for key, member in rows:
+        line, age_token, gender_token, is_chief, amount = member
         if key.canonical != canonical:
             canonical = key.canonical
             if canonical in seen:
                 raise HdbError("NON_CONSECUTIVE_KEY", f"household {canonical!r} reappears "
                                "after a different household; input is not grouped (use an "
-                               "explicit sort)", source=source, line=member.line)
+                               "explicit sort)", source=source, line=line)
             seen.add(canonical)
             if household is not None:
                 yield close(household, first_line, adults, children, oxford, faofam, income,
                             chief_label, chiefs)
-            household, first_line = key, member.line
+            household, first_line = key, line
             adults = children = chiefs = 0
             oxford = faofam = income = 0.0
             chief_label = NO_CHIEF_LABEL
 
-        line, age_token, gender_token, is_chief, amount = member
         traits = (age_token, gender_token, is_chief)
         weights = profiles.get(traits)
         if weights is None:

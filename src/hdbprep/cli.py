@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -81,7 +80,7 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
         overrides["scales", "dmp"] = "true"
     config = load_config(args.config, overrides)
     # --out-dir is no config key: it is relative to the working directory
-    return config if args.out_dir is None else replace(config, out_dir=args.out_dir)
+    return config if args.out_dir is None else config._replace(out_dir=args.out_dir)
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:

@@ -12,15 +12,21 @@ aliasing two households.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import HdbError
-from .model import HouseholdKey
+from .model import HouseholdKey, _Checked
 
 
-@dataclass(frozen=True)
-class PrefixScheme:
+class _PrefixFields(NamedTuple):
+    region: str = "R"
+    milieu: str = "M"
+    cluster: str = "C"
+    household: str = "H"
+
+
+class PrefixScheme(_Checked, _PrefixFields):
     """The four single-letter prefixes used to build canonical keys.
 
     Letters must be distinct uppercase ASCII. The default spells R, M, C, H
@@ -28,21 +34,20 @@ class PrefixScheme:
     older exports and is one from_string call away.
     """
 
-    region: str = "R"
-    milieu: str = "M"
-    cluster: str = "C"
-    household: str = "H"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for letter in self.letters:
+    def __new__(cls, *letters: str, **named: str):
+        scheme = super().__new__(cls, *letters, **named)
+        for letter in scheme:
             if len(letter) != 1 or not ("A" <= letter <= "Z"):
                 raise HdbError("ERROR", f"prefix {letter!r} is not a single uppercase letter")
-        if len(set(self.letters)) != 4:
-            raise HdbError("ERROR", f"prefix letters must be distinct, got {self.letters}")
+        if len(set(scheme)) != 4:
+            raise HdbError("ERROR", f"prefix letters must be distinct, got {scheme.letters}")
+        return scheme
 
     @property
     def letters(self) -> tuple[str, str, str, str]:
-        return (self.region, self.milieu, self.cluster, self.household)
+        return tuple(self)
 
     @classmethod
     def from_string(cls, token: str) -> "PrefixScheme":

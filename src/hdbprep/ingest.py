@@ -12,10 +12,9 @@ variables they were asked for; nothing is parsed here.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import HdbError
 from .model import (
@@ -48,24 +47,24 @@ REQUIRED_VARIABLES = tuple(v for v in Variable if v is not Variable.INCOME)
 STRATA_VARIABLES = REQUIRED_VARIABLES[:4]
 
 
-@dataclass(frozen=True)
-class ColumnSource:
+class ColumnSource(NamedTuple):
     """One single-column text file supplying one variable."""
 
     path: Path
     variable: Variable
 
 
-@dataclass(frozen=True)
 class TableSource:
     """One delimited file with a header row supplying several variables.
 
-    ``column_map`` maps a variable onto the header name of its column.
+    ``column_map`` maps a variable onto the header name of its column. Not
+    a tuple, so that it is never taken for a sequence of sources.
     """
 
-    path: Path
-    column_map: Mapping[Variable, str]
-    delimiter: str = ","
+    def __init__(self, path: Path, column_map: Mapping[Variable, str], delimiter: str = ","):
+        self.path = path
+        self.column_map = column_map
+        self.delimiter = delimiter
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> HdbError:
@@ -99,23 +98,24 @@ def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
         raise HdbError("IO_ERROR", f"cannot read {source.path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None
-    lines = text.split("\n")
+    lines = text.split("\n")[skip_header:]
     if lines and lines[-1] == "":
         lines.pop()
-    tokens = [line.strip() for line in lines[skip_header:]]
-    if "" in tokens:
+    # a column has few distinct lines: strip each once, one string per token
+    distinct: dict[str, str] = {}
+    stripped = {line: distinct.setdefault(token := line.strip(), token) for line in set(lines)}
+    tokens = list(map(stripped.__getitem__, lines))
+    if "" in distinct:
         raise HdbError("BLANK_LINE", "blank line in column file", source=str(source.path),
                        line=skip_header + tokens.index("") + 1)
     if not tokens:
         raise HdbError("EMPTY_FILE", "no data lines", source=str(source.path))
-    if "\r" in text and "\r" in "".join(tokens):
+    if "\r" in text and "\r" in "".join(distinct):
         index = next(i for i, token in enumerate(tokens) if "\r" in token)
         raise HdbError("BAD_STRATA_TOKEN", f"column {source.variable.value!r} contains a "
                        f"line break: {tokens[index]!r}", source=str(source.path),
                        line=skip_header + index + 1)
-    # a column has few distinct tokens: keep one string object for each
-    distinct: dict[str, str] = {}
-    return list(map(distinct.setdefault, tokens, tokens))
+    return tokens
 
 
 def read_column_sources(

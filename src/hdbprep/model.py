@@ -3,12 +3,11 @@
 Raw survey tokens stay strings until a stage explicitly parses them; strata
 codes in particular are never interpreted as numbers, because real exports
 mix zero-padded and alphanumeric codes. All types are immutable after
-construction.
+construction; the records are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -104,20 +103,32 @@ _SPELLINGS: dict[type[_ConfigEnum], tuple[dict, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Age:
+class _Checked:
+    """Base of a named tuple whose ``__new__`` checks its fields: ``_make``,
+    and so ``_replace``, build through ``__new__`` too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
+class _AgeFields(NamedTuple):
+    value: float
+    missing: bool = False
+
+
+class Age(_Checked, _AgeFields):
     """A parsed age: years (possibly fractional) or a five-year class index.
 
     ``missing`` is set only under the strict missing-age policy when the
     reserved unknown-age code was read.
     """
 
-    value: float
-    missing: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"age value must be >= 0, got {self.value}")
+    def __new__(cls, value: float, missing: bool = False):
+        if value < 0:
+            raise ValueError(f"age value must be >= 0, got {value}")
+        return super().__new__(cls, value, missing)
 
 
 class HouseholdKey(NamedTuple):
@@ -135,8 +146,9 @@ class HouseholdKey(NamedTuple):
 
 
 class Member(NamedTuple):
-    """One parsed household member as the aggregation stage sees it; a
-    named tuple, because the pass builds one per person.
+    """One parsed household member as the aggregation stage sees it. The
+    pass hands the fold a plain tuple in this field order per person,
+    which the fold reads the same way.
 
     ``line`` is the person's 1-based line in its input file, used to locate
     errors and warnings. ``income`` is the numeric amount after any letter

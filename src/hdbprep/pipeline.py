@@ -38,10 +38,10 @@ import configparser
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .aggregate import aggregate_all, remember
 from .errors import HdbError
@@ -61,14 +61,15 @@ from .model import (
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
-    Member,
     MissingAgePolicy,
     ScaleKind,
+    _Checked,
 )
 from .recode import IncomeRangeMap, _income_amount, elim1_default_map, income_from_letter
 
-#: Default column-file names, shared with the synthetic generator's layout.
-DEFAULT_COLUMN_FILES = {
+#: Default column-file names, shared with the synthetic generator's layout;
+#: read-only, as every config that keeps the default shares this mapping.
+DEFAULT_COLUMN_FILES = MappingProxyType({
     Variable.REGION: "region.txt",
     Variable.MILIEU: "milieu.txt",
     Variable.CLUSTER: "cluster.txt",
@@ -76,7 +77,7 @@ DEFAULT_COLUMN_FILES = {
     Variable.AGE: "age.txt",
     Variable.GENDER: "gender.txt",
     Variable.POSWRCHIEF: "poswrchief.txt",
-}
+})
 DEFAULT_LETTER_INCOME_FILE = "monthlyincomeNT.txt"
 DEFAULT_NUMERIC_INCOME_FILE = "monthlyincome.txt"
 
@@ -105,7 +106,7 @@ AGGREGATE_OUTPUTS = tuple(_HOUSEHOLD_FILES)
 _TABLE_COLUMNS = HouseholdAggregate._fields
 
 #: Table mode: the header name of each variable's column, by default its own.
-_DEFAULT_TABLE_COLUMNS = {v: v.value for v in Variable}
+_DEFAULT_TABLE_COLUMNS = MappingProxyType({v: v.value for v in Variable})
 
 
 def _bad_value(section: str, option: str, problem: str) -> str:
@@ -114,27 +115,14 @@ def _bad_value(section: str, option: str, problem: str) -> str:
     return f"bad value for [{section}] {option}: {problem}"
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """One run's full configuration.
-
-    ``input_dir`` anchors every relative path (input files and, unless
-    ``out_dir`` is set, the outputs too, matching the one-folder workflow
-    the file formats come from). ``column_files`` names the file of each
-    variable in columns mode (the income file follows the income mode
-    unless ``income_file`` names it), ``table_columns`` its header in table
-    mode. ``scales`` is the set of enabled scales (any iterable of
-    `ScaleKind`); ``dmp_c`` and ``dmp_s`` are checked only while the DMP
-    scale is enabled.
-    """
-
+class _ConfigFields(NamedTuple):
     input_mode: str = "columns"
     input_dir: Path | str = Path(".")
-    column_files: Mapping[Variable, str] = field(default_factory=DEFAULT_COLUMN_FILES.copy)
+    column_files: Mapping[Variable, str] = DEFAULT_COLUMN_FILES
     income_file: str | None = None
     table_file: str | None = None
     table_delimiter: str = ","
-    table_columns: Mapping[Variable, str] = field(default_factory=_DEFAULT_TABLE_COLUMNS.copy)
+    table_columns: Mapping[Variable, str] = _DEFAULT_TABLE_COLUMNS
     skip_header: int = 0
     scheme: PrefixScheme = DEFAULT_SCHEME
     age_encoding: AgeEncoding = AgeEncoding.YEARS
@@ -151,11 +139,28 @@ class PipelineConfig:
     sort: bool = False
     out_dir: Path | str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_dir", Path(self.input_dir))
-        object.__setattr__(self, "scales", frozenset(self.scales))
-        if self.out_dir is not None:
-            object.__setattr__(self, "out_dir", Path(self.out_dir))
+
+class PipelineConfig(_Checked, _ConfigFields):
+    """One run's full configuration.
+
+    ``input_dir`` anchors every relative path (input files and, unless
+    ``out_dir`` is set, the outputs too, matching the one-folder workflow
+    the file formats come from). ``column_files`` names the file of each
+    variable in columns mode (the income file follows the income mode
+    unless ``income_file`` names it), ``table_columns`` its header in table
+    mode. ``scales`` is the set of enabled scales (any iterable of
+    `ScaleKind`); ``dmp_c`` and ``dmp_s`` are checked only while the DMP
+    scale is enabled.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)._asdict()
+        fields.update(input_dir=Path(fields["input_dir"]), scales=frozenset(fields["scales"]))
+        if fields["out_dir"] is not None:
+            fields["out_dir"] = Path(fields["out_dir"])
+        self = super().__new__(cls, **fields)
         if self.input_mode not in ("columns", "table"):
             raise HdbError("ERROR", _bad_value(
                 "input", "mode", f"must be 'columns' or 'table', got {self.input_mode!r}"))
@@ -179,6 +184,7 @@ class PipelineConfig:
         if scaled_by is not None and scaled_by not in self.scales:
             raise HdbError("ERROR", _bad_value("scales", "scaled_by", "scaled income wants the "
                                                f"{scaled_by.value} scale, which is not configured"))
+        return self
 
     @property
     def effective_income_file(self) -> str:
@@ -202,8 +208,7 @@ class PipelineConfig:
         return self.income_map or elim1_default_map(self.paper_literal)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """What one run did: counts, outputs written, warnings, skipped steps."""
 
     persons: int
@@ -351,13 +356,12 @@ def format_number(value: float) -> str:
         raise ValueError(f"cannot format {value}")
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    # repr is the shortest decimal that reads back, so no precision below
-    # its digit count can; at that count %g may still round the other way
-    digits = len(repr(value).partition("e")[0].lstrip("-0.").replace(".", ""))
-    for precision in range(digits, 13):
-        text = f"{value:.{precision}g}"
-        if float(text) == value:
-            return text
+    # repr is the shortest decimal that reads back, and %g at its digit count
+    # spells the same text (the tests try every power of two, the only doubles
+    # whose neighbours lie unequally far, where the two could differ)
+    text = repr(value)
+    if len(text.partition("e")[0].lstrip("-0.").replace(".", "")) <= 12:
+        return text
     return f"{value:.12g}"
 
 
@@ -535,7 +539,7 @@ def _run(
     key_lines: list[str] = []
     amount_lines: list[str] = []
 
-    def members(persons) -> Iterator[tuple[HouseholdKey, Member]]:
+    def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
         strata = key = None
         # under --sort a household's lines may lie anywhere, and every person
         # is held until the sort anyway: each strata tuple keeps its key, so
@@ -573,7 +577,7 @@ def _run(
                 if amounts:
                     amount_lines.append(text)
             if fold:
-                yield key, Member(line, person[4], person[5], person[6] == "1", income)
+                yield key, (line, person[4], person[5], person[6] == "1", income)
 
     rows = members(persons)
     del persons  # the pass holds them until it ends
@@ -654,4 +658,4 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         skipped = ("scaled income: no scale chosen",)
     else:
         skipped = ()
-    return replace(report, skipped=skipped)
+    return report._replace(skipped=skipped)

@@ -19,32 +19,35 @@ Lookups are case-sensitive and exact after whitespace trimming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import HdbError
+from .model import _Checked
 
 
-@dataclass(frozen=True)
-class IncomeRangeMap:
+class _IncomeRangeFields(NamedTuple):
+    entries: Mapping[str, float]
+    default_amount: float | None = None
+
+
+class IncomeRangeMap(_Checked, _IncomeRangeFields):
     """An ordered letter-to-amount map with an optional fallback amount.
 
     ``default_amount`` is what an unmapped token recodes to; None means an
     unmapped token raises UNKNOWN_INCOME_CODE.
     """
 
-    entries: Mapping[str, float]
-    default_amount: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries:
+    def __new__(cls, entries: Mapping[str, float], default_amount: float | None = None):
+        if not entries:
             raise HdbError("ERROR", "income map has no entries")
-        for code, amount in self.entries.items():
+        for code, amount in entries.items():
             _income_amount(code, amount)
-        if self.default_amount is not None:
-            _income_amount(None, self.default_amount)
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        if default_amount is not None:
+            _income_amount(None, default_amount)
+        return super().__new__(cls, MappingProxyType(dict(entries)), default_amount)
 
 
 def _income_amount(code: str | None, amount: str | float) -> float:

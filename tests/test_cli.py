@@ -2,7 +2,6 @@ import csv
 import math
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -632,7 +631,7 @@ class TestFlagsSetConfigKeys:
         with_keys = write_ini(tmp_path / "keys.ini", {**self.BASE, **keys})
         args = build_parser().parse_args(["run", "--config", str(with_flags), *flags])
         configured = _configure(args)
-        assert replace(configured, out_dir=None) == load_config(with_keys)
+        assert configured._replace(out_dir=None) == load_config(with_keys)
         assert configured.out_dir == args.out_dir
 
     def test_dmp_flag_keeps_the_other_parameter_of_a_disabled_dmp(self, tmp_path, capsys):

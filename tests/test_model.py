@@ -1,11 +1,12 @@
 import csv
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import raises_code
 from hdbprep.cli import main
-from hdbprep.identity import make_household_key
+from hdbprep.identity import PrefixScheme, make_household_key
 from hdbprep.ingest import TableSource, Variable, read_table
 from hdbprep.model import (
     Age,
@@ -16,7 +17,8 @@ from hdbprep.model import (
     ScaleKind,
 )
 from hdbprep.errors import HdbError
-from hdbprep.pipeline import PipelineConfig, RunReport, run_aggregate
+from hdbprep.pipeline import DEFAULT_COLUMN_FILES, PipelineConfig, RunReport, run_aggregate
+from hdbprep.recode import elim1_default_map
 
 
 class TestEnums:
@@ -158,6 +160,49 @@ class TestScaleSpec:
         name, value = ("c", c) if not 0 <= c <= 1 else ("s", s)
         assert info.value.message == (f"bad value for [scales] dmp_{name}: "
                                       f"DMP parameter {name}={value} outside [0, 1]")
+
+
+class TestRecordsKeepTheirChecks:
+    """The checked records are named tuples: `_replace` checks and
+    normalises the new record as the constructor does."""
+
+    def test_config_replace(self):
+        config = PipelineConfig()
+        with raises_code("DMP_PARAM_OUT_OF_RANGE"):
+            config._replace(dmp_c=1.5)
+        with raises_code("ERROR"):
+            config._replace(input_mode="table")
+        moved = config._replace(out_dir="elsewhere", scales=[ScaleKind.OXFORD])
+        assert moved.out_dir == Path("elsewhere")
+        assert moved.scales == frozenset({ScaleKind.OXFORD})
+
+    def test_income_map_replace(self):
+        mapping = elim1_default_map()
+        with raises_code("ERROR"):
+            mapping._replace(default_amount=-1.0)
+        with raises_code("ERROR"):
+            mapping._replace(entries={"AB": 1.0})
+        with pytest.raises(TypeError):
+            mapping._replace(entries={"A": 1.0}).entries["A"] = 2.0
+
+    def test_prefix_scheme_replace(self):
+        with raises_code("ERROR"):
+            PrefixScheme()._replace(region="M")
+        with raises_code("ERROR"):
+            PrefixScheme()._replace(household="h")
+        assert PrefixScheme()._replace(region="D") == PrefixScheme.from_string("DMCH")
+
+    def test_age_replace(self):
+        with pytest.raises(ValueError):
+            Age(30.0)._replace(value=-1.0)
+
+    def test_config_maps_are_not_shared_mutable_state(self):
+        config = PipelineConfig()
+        with pytest.raises(TypeError):
+            config.column_files[Variable.AGE] = "other.txt"
+        with pytest.raises(TypeError):
+            config.table_columns[Variable.AGE] = "other"
+        assert PipelineConfig().column_files == DEFAULT_COLUMN_FILES
 
 
 def _shuffle_rows(data):

@@ -1,4 +1,5 @@
 import csv
+import math
 import textwrap
 from pathlib import Path
 
@@ -84,6 +85,33 @@ class TestFormatNumberMatchesLoop:
     def test_rounded_decimals(self, value, digits):
         value = round(value, digits)
         assert format_number(value) == twelve_digit_loop(value)
+
+    @given(st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+    def test_subnormals_and_their_negatives(self, value):
+        assert format_number(value) == twelve_digit_loop(value)
+
+    @given(st.floats(9e15, 2e16), st.booleans())
+    def test_around_1e16(self, value, negative):
+        value = -value if negative else value
+        assert format_number(value) == twelve_digit_loop(value)
+
+    @given(st.integers(10**11, 10**13 - 1), st.integers(-330, 290))
+    def test_twelve_and_thirteen_significant_digits(self, digits, exponent):
+        value = float(f"{digits}e{exponent}")
+        assert format_number(value) == twelve_digit_loop(value)
+
+    @given(st.integers(1, 10**13), st.one_of(st.integers(-322, -4), st.integers(17, 308)))
+    def test_repr_with_an_exponent(self, digits, exponent):
+        value = float(f"0.{digits}e{exponent}")
+        assert "e" in repr(value)
+        assert format_number(value) == twelve_digit_loop(value)
+
+    def test_every_power_of_two(self):
+        # the doubles whose neighbours lie at unequal distances, where the
+        # shortest decimal that reads back need not be the nearest one
+        for exponent in range(-1074, 1024):
+            for value in (math.ldexp(1.0, exponent), math.ldexp(-1.0, exponent)):
+                assert format_number(value) == twelve_digit_loop(value)
 
 
 class TestScaledIncome:

@@ -6,8 +6,9 @@ example the person count as the `len()` of the reader's result. A
 refactor that renames such a function or changes such a result turns a
 benchmark metric into null without failing anything else. These tests run
 the CLI in process under that tracer on small synthetic databases and
-check that no metric of `bench/run.py`'s `layer_metrics` is None. They
-skip when the tracer is gone.
+check that no metric of `bench/run.py`'s `layer_metrics` is None, and
+that the persons, input bytes and households it counts are those of the
+run. They skip when the tracer is gone.
 """
 
 import dataclasses
@@ -64,11 +65,13 @@ def traced(layertrace, argv):
     return tracer.as_dict(), wall
 
 
+STRATA_FILES = ("region.txt", "milieu.txt", "cluster.txt", "household.txt")
+
+
 @pytest.fixture(scope="module")
 def databases(tmp_path_factory):
-    """The person counts of a letter-income database written as column
-    files and of a numeric one written as a person-shuffled table, and the
-    config of each."""
+    """(persons, households, config) of a letter-income database written as
+    column files and of a numeric one written as a person-shuffled table."""
     data = tmp_path_factory.mktemp("trace")
     letters = generate(SynthParams(n_households=40, seed=5))
     write_column_files(letters, data / "columns")
@@ -82,18 +85,25 @@ def databases(tmp_path_factory):
     table = data / "table" / "config.ini"
     table.write_text("[input]\nmode = table\ntable = persons.csv\n[income]\nmode = numeric\n",
                      encoding="utf-8")
-    return len(letters.persons), len(numeric.persons), columns, table
+    return {"columns": (len(letters.persons), len(letters.ground_truth), columns),
+            "table": (len(numeric.persons), len(numeric.ground_truth), table)}
 
 
-@pytest.mark.parametrize("command", [["run"], ["identify"], ["run", "--sort"]],
-                         ids=["run-columns", "identify", "run-sorted-table"])
-def test_every_layer_metric_is_a_number(command, bench, databases, tmp_path):
+@pytest.mark.parametrize("command, reads", [
+    (["run"], STRATA_FILES + ("age.txt", "gender.txt", "poswrchief.txt", "monthlyincomeNT.txt")),
+    (["identify"], STRATA_FILES),
+    (["run", "--sort"], ("persons.csv",)),
+], ids=["run-columns", "identify", "run-sorted-table"])
+def test_every_layer_metric_is_a_number(command, reads, bench, databases, tmp_path):
     layertrace, run = bench
-    letters, numeric, columns, table = databases
-    config, persons = (table, numeric) if "--sort" in command else (columns, letters)
+    persons, households, config = databases["table" if "--sort" in command else "columns"]
     trace, wall = traced(layertrace, [command[0], "--config", str(config),
                                       "--out-dir", str(tmp_path), *command[1:]])
     assert trace["missing"] == []
     metrics = run.layer_metrics(trace, wall)
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["ingest.persons"] == persons
+    # a count that reads 0 where work was done is as wrong as a missing one
+    assert metrics["ingest.bytes_in"] == sum((config.parent / name).stat().st_size
+                                             for name in reads)
+    assert metrics["aggregate.households"] == (households if command[0] == "run" else 0)
