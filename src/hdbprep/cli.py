@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -40,9 +41,11 @@ def _written(enum: type) -> dict:
     return {member: names[0] for member, names in spellings.items()}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of the processing commands; a flag's dest names the config
-    key it sets, as "section.option"."""
+def _config_flags() -> argparse.ArgumentParser:
+    """The flags of the processing commands, as a parent parser that each
+    of them takes them from; a flag's dest names the config key it sets,
+    as "section.option"."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", required=True, type=Path,
                         help="INI config file; relative paths resolve next to it")
     parser.add_argument("--out-dir", type=Path,
@@ -66,6 +69,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", dest="scales.scaled_by",
                         choices=list(_written(ScaleKind).values()),
                         help="which scale divides total income in households.csv")
+    return parser
 
 
 def _configure(args: argparse.Namespace) -> PipelineConfig:
@@ -170,27 +174,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "streaming household-level aggregation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags = [_config_flags()]
 
-    p = sub.add_parser("identify", help="write one canonical household key per person")
-    _add_config_flags(p)
+    p = sub.add_parser("identify", parents=config_flags,
+                       help="write one canonical household key per person")
     p.set_defaults(handler=_cmd_identify)
 
-    p = sub.add_parser("recode-income",
+    p = sub.add_parser("recode-income", parents=config_flags,
                        help="recode letter-coded incomes to bracket amounts")
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_recode)
 
-    p = sub.add_parser("aggregate",
+    p = sub.add_parser("aggregate", parents=config_flags,
                        help="write per-household statistic files")
-    _add_config_flags(p)
     p.add_argument("--only", nargs="+", choices=AGGREGATE_OUTPUTS, metavar="WHAT",
                    help="write only these outputs "
                         f"(any of: {', '.join(AGGREGATE_OUTPUTS)})")
     p.set_defaults(handler=_cmd_aggregate)
 
-    p = sub.add_parser("run", help="full pipeline: identify, recode, aggregate, "
-                                   "combined table")
-    _add_config_flags(p)
+    p = sub.add_parser("run", parents=config_flags,
+                       help="full pipeline: identify, recode, aggregate, combined table")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic database with a "
@@ -233,5 +235,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
 
 
+def entry() -> int:
+    """The `hdbprep` process: `main` on the command line, after moving every
+    object made while importing out of the cyclic garbage collector. Those
+    objects live until the process exits, so no collection, the ones run
+    at exit included, needs to walk them. `main` called in a longer-lived
+    process does not freeze them."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -27,6 +27,8 @@ CODES: dict[str, tuple[int, str]] = {
     "LENGTH_MISMATCH": (1, "a column file has more or fewer lines than the first"),
     "MISSING_COLUMN": (1, "a configured column is not in the table's header row"),
     "ROW_ARITY_MISMATCH": (1, "a table row has more or fewer cells than the header"),
+    "BAD_TABLE_ROW": (1, "a table row cannot be parsed, such as a cell over the csv "
+                         "field size limit"),
     "EMPTY_TOKEN": (1, "a table cell or a strata token is empty"),
     "BAD_STRATA_TOKEN": (1, "a table cell or a column-file token holds a line break"),
     "PREFIX_COLLISION": (1, "a strata token contains a prefix letter of the key"),

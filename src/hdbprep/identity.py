@@ -74,15 +74,19 @@ def make_household_key(
     concatenation and raises PREFIX_COLLISION.
     """
     components = (region, milieu, cluster, household)
-    letters = scheme.letters
-    for token in components:
-        if not token:
-            raise HdbError("EMPTY_TOKEN", "strata token is empty")
-        for letter in letters:
-            if letter in token:
-                raise HdbError("PREFIX_COLLISION", f"token {token!r} contains prefix letter "
-                               f"{letter!r}; the identifier would not parse back")
-    r, m, c, h = letters
+    r, m, c, h = scheme
+    # a letter lies in the concatenation exactly when it lies in some token:
+    # the tokens are walked, in order, only to name the first fault
+    joined = region + milieu + cluster + household
+    if (r in joined or m in joined or c in joined or h in joined
+            or not (region and milieu and cluster and household)):
+        for token in components:
+            if not token:
+                raise HdbError("EMPTY_TOKEN", "strata token is empty")
+            for letter in scheme:
+                if letter in token:
+                    raise HdbError("PREFIX_COLLISION", f"token {token!r} contains prefix "
+                                   f"letter {letter!r}; the identifier would not parse back")
     return HouseholdKey(f"{r}{region}{m}{milieu}{c}{cluster}{h}{household}", components)
 
 

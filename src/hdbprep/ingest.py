@@ -169,7 +169,9 @@ def read_table(
     EMPTY_TOKEN error and a cell holding a line break a
     BAD_STRATA_TOKEN error, each naming the cell's column by its header;
     these and a row of the wrong length name the file and the row's first
-    line. Quoting follows the common convention
+    line. A row the csv module cannot parse, such as one with a cell over
+    its field size limit, is a BAD_TABLE_ROW error naming the line it
+    stopped on. Quoting follows the common convention
     (fields wrapped in double quotes, embedded quotes doubled), which the
     csv module implements.
 
@@ -220,6 +222,11 @@ def read_table(
                     except HdbError as exc:
                         raise exc.at(source=str(source.path), line=first)
                 persons.append(person)
+    except csv.Error as exc:
+        # a row the csv module refuses, such as one with a cell over its field
+        # size limit (a process-wide setting, left as it is)
+        raise HdbError("BAD_TABLE_ROW", f"cannot parse the row: {exc}",
+                       source=str(source.path), line=reader.line_num) from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(source.path, exc) from None
     if not persons:

@@ -38,7 +38,7 @@ import configparser
 import io
 import math
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -173,7 +173,8 @@ class PipelineConfig(_Checked, _ConfigFields):
                 "input", "skip_header", f"must be >= 0, got {self.skip_header}"))
         if len(self.table_delimiter) != 1:
             raise HdbError("ERROR", _bad_value(
-                "input", "delimiter", f"must be one character, got {self.table_delimiter!r}"))
+                "input", "delimiter",
+                f"must be one character or 'tab', got {self.table_delimiter!r}"))
         if ScaleKind.DMP in self.scales:
             for name, value in (("c", self.dmp_c), ("s", self.dmp_s)):
                 if not 0.0 <= value <= 1.0:
@@ -239,6 +240,13 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"Not a boolean: {text}") from None
 
 
+def _delimiter(text: str) -> str:
+    """A table delimiter: the spelling ``tab``, in any letter case, for a
+    tab, which a config value cannot hold as itself (its surrounding
+    whitespace is stripped); any other text as it is."""
+    return "\t" if text.lower() == "tab" else text
+
+
 #: What a ValueError of each plain reader is called in a config error.
 _READER_KINDS = {_boolean: "boolean", float: "number", int: "integer",
                  _income_amount: "number"}
@@ -250,7 +258,7 @@ _CONFIG_KEYS = (
     ("input", "mode", "input_mode", str),
     ("input", "income", "income_file", str),
     ("input", "table", "table_file", str),
-    ("input", "delimiter", "table_delimiter", str),
+    ("input", "delimiter", "table_delimiter", _delimiter),
     ("input", "skip_header", "skip_header", int),
     ("identify", "scheme", "scheme", PrefixScheme.from_string),
     ("variables", "age_encoding", "age_encoding", AgeEncoding.from_config),
@@ -468,6 +476,39 @@ def _line_numbers(starts: Mapping[int, int], count: int) -> Iterable[int]:
     )
 
 
+def _key_lines(
+    persons: list[tuple[str, ...]], starts: Mapping[int, int], config: PipelineConfig
+) -> list[str]:
+    """The canonical key of every person, in line order, from persons that
+    hold their four strata tokens alone. A key is built at the first line
+    of each run of lines with the same strata, and is repeated over the
+    run; under ``config.sort`` every strata tuple keeps its key, so one is
+    built per household, at the household's first line. A failing build
+    names that line."""
+
+    def canonical(strata: tuple[str, ...]) -> str:
+        try:
+            return make_household_key(*strata, config.scheme).canonical
+        except HdbError as exc:
+            # a build fails at the first line of its strata: no earlier run
+            # of them was built without failing
+            line = next(islice(_line_numbers(starts, len(persons)),
+                               persons.index(strata), None))
+            raise exc.at(source=config.table_source, line=line, stage="identify")
+
+    if config.sort:
+        # the strata of a household may lie anywhere: each keeps its key, built
+        # in the order of the households' first lines
+        known = dict.fromkeys(persons)
+        for strata in known:
+            known[strata] = canonical(strata)
+        return list(map(known.__getitem__, persons))
+    lines: list[str] = []
+    for strata, run in groupby(persons):
+        lines += repeat(canonical(strata), len(list(run)))
+    return lines
+
+
 def _parse_income(token: str, mapping: IncomeRangeMap | None) -> float:
     """A letter token recoded through ``mapping``, or without one a numeric
     token read as a finite amount."""
@@ -579,7 +620,12 @@ def _run(
             if fold:
                 yield key, (line, person[4], person[5], person[6] == "1", income)
 
-    rows = members(persons)
+    if keys and not (fold or need_income):
+        # nothing per person but the key: no member is made
+        key_lines = _key_lines(persons, starts, config)
+        rows = ()
+    else:
+        rows = members(persons)
     del persons  # the pass holds them until it ends
     rendered: list[tuple[str, ...]] = []
     warnings: list[HdbError] = []

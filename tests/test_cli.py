@@ -1,14 +1,21 @@
 import csv
+import dataclasses
+import gc
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hdbprep
 from hdbprep.cli import _configure, build_parser, main
 from hdbprep.model import _SPELLINGS
 from hdbprep.pipeline import _CONFIG_KEYS, load_config
+from hdbprep.synth import SynthParams, generate, write_table
 
 
 @pytest.fixture()
@@ -285,9 +292,9 @@ class TestErrorPrecedence:
     """With several faults in one input, the code, line and stage that an
     error names."""
 
-    def run(self, tmp_path, capsys, *faults, flags=()):
+    def run(self, tmp_path, capsys, *faults, flags=(), command="run"):
         config = write_persons(tmp_path / "data", faults)
-        return failure(capsys, ["run", "--config", str(config),
+        return failure(capsys, [command, "--config", str(config),
                                 "--out-dir", str(tmp_path / "out"), *flags])
 
     def test_late_blank_line_beats_early_prefix_collision(self, tmp_path, capsys):
@@ -308,6 +315,16 @@ class TestErrorPrecedence:
         code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"))
         assert code == 1
         assert err.startswith("error: [identify] PREFIX_COLLISION (line 5): ")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--sort"]), ("identify", []), ("identify", ["--sort"])])
+    def test_prefix_collision_line_on_every_key_pass(self, command, flags, tmp_path, capsys):
+        # identify reads no age, and makes its keys without members
+        code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"),
+                             flags=flags, command=command)
+        assert (code, err) == (1, "error: [identify] PREFIX_COLLISION (line 5): token '3H' "
+                                  "contains prefix letter 'H'; the identifier would not "
+                                  "parse back")
 
     def test_later_unknown_letter_beats_early_bad_age(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, INCOME, "Z"))
@@ -557,12 +574,39 @@ class TestSortedShuffledTable:
             for want, cell in zip(want_row, got_row, strict=True):
                 assert cell == want or math.isclose(float(cell), float(want), rel_tol=1e-9)
 
+    def test_identify_builds_one_key_per_household(self, tmp_path, capsys, monkeypatch):
+        from hdbprep import pipeline
+
+        result = generate(SynthParams(n_households=60, seed=6, max_household_size=12))
+        persons = list(result.persons)
+        random.Random(17).shuffle(persons)
+        data = tmp_path / "data"
+        write_table(dataclasses.replace(result, persons=tuple(persons)), data / "persons.csv")
+        config = write_ini(data / "config.ini", {("input", "mode"): "table",
+                                                 ("input", "table"): "persons.csv"})
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:4])
+            return real_make_household_key(*args)
+
+        real_make_household_key = pipeline.make_household_key
+        monkeypatch.setattr(pipeline, "make_household_key", counting)
+        assert main(["identify", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                     "--sort"]) == 0
+        assert len(calls) == len(set(calls)) == len(result.ground_truth) == 60
+        truth = {household.key.components: household.key.canonical
+                 for household in result.ground_truth}
+        assert (tmp_path / "out" / "identhousehold.txt").read_text().splitlines() == [
+            truth[person[:4]] for person in persons]
+
     #: FIVE_PERSONS in the line order 3, 1, 5, 4, 2: households 2, 1, 3, 2, 1.
     ORDER = (2, 0, 4, 3, 1)
 
-    def run_shuffled(self, tmp_path, capsys, faults):
-        """Run --sort on FIVE_PERSONS as a shuffled letter-income table;
-        each fault is (1-based line of the shuffled table, column, token)."""
+    def run_shuffled(self, tmp_path, capsys, faults, command="run"):
+        """Run ``command`` --sort on FIVE_PERSONS as a shuffled letter-income
+        table; each fault is (1-based line of the shuffled table, column,
+        token)."""
         data = tmp_path / "data"
         data.mkdir(parents=True)
         rows = [list(FIVE_PERSONS[i]) for i in self.ORDER]
@@ -573,7 +617,7 @@ class TestSortedShuffledTable:
         config = data / "config.ini"
         config.write_text("[input]\nmode = table\ntable = persons.csv\n"
                           "[income]\nmode = letters\n")
-        return failure(capsys, ["run", "--config", str(config),
+        return failure(capsys, [command, "--config", str(config),
                                 "--out-dir", str(tmp_path / "out"), "--sort"])
 
     def test_prefix_collision_names_the_first_line_of_its_household(self, tmp_path, capsys):
@@ -583,6 +627,17 @@ class TestSortedShuffledTable:
         table = tmp_path / "data" / "persons.csv"
         assert err == (f"error: [identify] PREFIX_COLLISION ({table}:3): token '1H' contains "
                        "prefix letter 'H'; the identifier would not parse back")
+        assert not (tmp_path / "out").exists()
+
+    def test_identify_names_the_first_line_of_the_household(self, tmp_path, capsys):
+        # two households fail; the one whose first line comes first is named
+        code, err = self.run_shuffled(
+            tmp_path, capsys, [(4, HOUSEHOLD, "2H"), (2, HOUSEHOLD, "1H"),
+                               (5, HOUSEHOLD, "1H")], command="identify")
+        table = tmp_path / "data" / "persons.csv"
+        assert (code, err) == (1, f"error: [identify] PREFIX_COLLISION ({table}:3): token "
+                                  "'1H' contains prefix letter 'H'; the identifier would "
+                                  "not parse back")
         assert not (tmp_path / "out").exists()
 
     def test_earlier_recode_error_beats_later_key_error(self, tmp_path, capsys):
@@ -974,3 +1029,114 @@ class TestWarningsNameTheirFile:
                      "--only", "size"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "warning: line 3: AGE_MISSING: unknown-age code '99' treated as adult")
+
+
+class TestTableRowsTheCsvModuleRefuses:
+    """A row the csv module cannot parse ends in a coded error naming the
+    table and the line, not a traceback."""
+
+    def test_cell_over_the_field_size_limit(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief,notes\n"
+            "1,1,1,1,40,1,1,\n"
+            f"1,1,1,1,10,2,2,{'x' * 140_000}\n"
+            "1,1,1,2,35,2,1,\n")
+        config = write_ini(data / "config.ini", {("input", "mode"): "table",
+                                                 ("input", "table"): "persons.csv"})
+        # identify reads the strata alone, yet every cell of a row is parsed
+        for command in ("run", "identify"):
+            assert failure(capsys, [command, "--config", str(config),
+                                    "--out-dir", str(tmp_path / "out")]) == (
+                1, f"error: [ingest] BAD_TABLE_ROW ({data / 'persons.csv'}:3): cannot parse "
+                   f"the row: field larger than field limit ({csv.field_size_limit()})")
+        assert not (tmp_path / "out").exists()
+
+
+class TestTabDelimitedTable:
+    """A config value cannot hold a tab, whose whitespace is stripped; the
+    spelling `tab` names it."""
+
+    def test_tab_spelling_reads_the_table_the_comma_one_does(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "4", "--households", "30", "--out-dir", str(data),
+                     "--table"]) == 0
+        config = data / "config.ini"
+        text = config.read_text()
+        config.write_text(text.replace("mode = columns", "mode = table\ntable = persons.csv"))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "comma")]) == 0
+        with (data / "persons.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        with (data / "persons.csv").open("w", newline="") as handle:
+            csv.writer(handle, delimiter="\t", lineterminator="\n").writerows(rows)
+        assert "\t" in (data / "persons.csv").read_text()
+
+        def outputs(out):
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        for spelling in ("tab", "TAB", "Tab"):
+            config.write_text(text.replace(
+                "mode = columns", f"mode = table\ntable = persons.csv\ndelimiter = {spelling}"))
+            out = tmp_path / spelling
+            assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+            assert outputs(out) == outputs(tmp_path / "comma")
+
+    def test_a_blank_delimiter_names_the_spelling(self, tmp_path, capsys):
+        config = write_ini(tmp_path / "config.ini", {("input", "delimiter"): ""})
+        assert failure(capsys, ["identify", "--config", str(config)]) == (
+            2, "error: ERROR: bad value for [input] delimiter: must be one character or "
+               "'tab', got ''")
+
+
+class TestProcessEntry:
+    """The `hdbprep` process moves its start-up objects out of the cyclic
+    garbage collector before the command runs; `main` called in process
+    leaves the collector as it found it."""
+
+    #: A child that runs the CLI as START does, with its argv, and reports
+    #: the frozen object count when it exits.
+    CHILD = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+             "sys.argv[0] = 'hdbprep'\n")
+
+    def frozen_at_exit(self, start, synth_dir, tmp_path):
+        argv = ["identify", "--config", str(synth_dir / "config.ini"),
+                "--out-dir", str(tmp_path / "out")]
+        src = str(Path(hdbprep.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", self.CHILD + start, *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "persons read: " in done.stdout
+        (count,) = re.findall(r"^frozen (\d+)$", done.stderr, re.MULTILINE)
+        return int(count)
+
+    def test_main_block_freezes(self, synth_dir, tmp_path):
+        start = "import runpy\nrunpy.run_module('hdbprep.cli', run_name='__main__')\n"
+        assert self.frozen_at_exit(start, synth_dir, tmp_path) > 0
+
+    def test_console_script_freezes(self, synth_dir, tmp_path):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        (target,) = re.findall(r'^hdbprep = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+        start = (f"import importlib\n"
+                 f"sys.exit(importlib.import_module({target[0]!r}).{target[1]}())\n")
+        assert self.frozen_at_exit(start, synth_dir, tmp_path) > 0
+
+    def test_main_alone_does_not_freeze(self, synth_dir, tmp_path, capsys):
+        start = "from hdbprep.cli import main\nsys.exit(main())\n"
+        assert self.frozen_at_exit(start, synth_dir, tmp_path / "child") == 0
+        frozen = gc.get_freeze_count()
+        assert main(["identify", "--config", str(synth_dir / "config.ini"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+
+def test_processing_commands_take_the_same_flags():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action.choices, dict)]
+    flags = {name: set(commands[name]._option_string_actions) for name in PROCESSING_COMMANDS}
+    assert "--config" in flags["run"]
+    assert flags["identify"] == flags["recode-income"] == flags["run"]
+    assert flags["aggregate"] - flags["run"] == {"--only"}
+    assert flags["run"] <= flags["aggregate"]

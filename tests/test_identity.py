@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import raises_code
+from hdbprep.errors import HdbError
 from hdbprep.identity import (
     DEFAULT_SCHEME,
     PrefixScheme,
     make_household_key,
     parse_household_key,
 )
+from hdbprep.model import HouseholdKey
 from hdbprep.pipeline import PipelineConfig, run_identify
 
 DMCH = PrefixScheme.from_string("DMCH")
@@ -138,3 +140,37 @@ def test_injectivity_property(a, b):
 def test_round_trip_under_dmch(components):
     key = make_household_key(*components, DMCH)
     assert parse_household_key(key.canonical, DMCH) == components
+
+
+def per_token_key(region, milieu, cluster, household, scheme=DEFAULT_SCHEME):
+    """The key build as a loop over the tokens and the prefix letters, in
+    order, each tested on its own: the reference that make_household_key's
+    one test per letter over the joined tokens must agree with."""
+    components = (region, milieu, cluster, household)
+    for token in components:
+        if not token:
+            raise HdbError("EMPTY_TOKEN", "strata token is empty")
+        for letter in scheme.letters:
+            if letter in token:
+                raise HdbError("PREFIX_COLLISION", f"token {token!r} contains prefix letter "
+                               f"{letter!r}; the identifier would not parse back")
+    r, m, c, h = scheme.letters
+    return HouseholdKey(f"{r}{region}{m}{milieu}{c}{cluster}{h}{household}", components)
+
+
+def outcome(build, strata, scheme):
+    """The key a build returns, or the code and message of its error."""
+    try:
+        return build(*strata, scheme)
+    except HdbError as exc:
+        return exc.code, exc.message
+
+
+# both schemes' letters, a letter of neither, and the empty token
+any_token = st.one_of(st.just(""), st.text(alphabet="RMCHD01x", max_size=4))
+
+
+@given(st.tuples(any_token, any_token, any_token, any_token),
+       st.sampled_from([DEFAULT_SCHEME, DMCH]))
+def test_key_or_error_equals_the_per_token_loop(strata, scheme):
+    assert outcome(make_household_key, strata, scheme) == outcome(per_token_key, strata, scheme)

@@ -17,7 +17,7 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 16 corpora with injected faults (FAULTS below), and 6 shuffled
+* 16 corpora with injected faults (FAULTS below), and 7 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
   code the CLI can reach is reached, and a later key or income error
   meets an earlier fold error;
@@ -29,7 +29,7 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow.
 
-That is 102 corpora and 3,060 cases.
+That is 103 corpora and 3,090 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -187,13 +187,18 @@ def _collide_household(rows: list[list[str]], row: int = 7) -> None:
             cells[3] += "H"
 
 
-def _note_then_bad_age(rows: list[list[str]]) -> None:
-    """Add a note column, a line break in the note of data row 2 and a bad
-    age on data row 6."""
+def _add_note(rows: list[list[str]], row: int, text: str) -> None:
+    """Add a note column, empty but for ``text`` on the given data row."""
     for cells in rows:
         cells.append("")
     rows[0][-1] = "note"
-    rows[2][-1] = "multi\nline note"
+    rows[row][-1] = text
+
+
+def _note_then_bad_age(rows: list[list[str]]) -> None:
+    """Add a note column, a line break in the note of data row 2 and a bad
+    age on data row 6."""
+    _add_note(rows, 2, "multi\nline note")
     rows[6][4] = "x"
 
 
@@ -212,6 +217,8 @@ TABLE_FAULTS = {
     "empty-age-cell": lambda d: _edit_table(d, _set_cell(11, 4, "")),
     "line-break-in-cluster": lambda d: _edit_table(d, _set_cell(13, 2, "1\n2")),
     "multi-line-note-then-bad-age": lambda d: _edit_table(d, _note_then_bad_age),
+    # over the csv module's default field size limit of 131,072 characters
+    "oversized-note": lambda d: _edit_table(d, lambda rows: _add_note(rows, 2, "x" * 140_000)),
 }
 
 #: One config edit each, made to the seed-3 letters/years corpus.
