@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import HdbError
 from .ingest import REQUIRED_VARIABLES, Variable
@@ -126,48 +127,65 @@ class SynthResult:
     ground_truth: tuple[HouseholdAggregate, ...]
 
 
-def _composition(rng: random.Random, total: int, parts: int, cap: int) -> list[int]:
-    # split total into `parts` counts, each in [1, cap]
+def _drawer(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: a uniform int in [0, n), drawn from the stream exactly
+    as ``rng.randrange(n)`` draws it (the fewest bits that hold n, redrawn
+    until the value lies below n), in one Python call instead of three.
+    ``randint(a, b)`` is ``a + below(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[below(len(seq))]``, so a seed gives the same database as through
+    those methods."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        if n < 1:  # no draw lies below n, so the redraw would never end
+            raise ValueError(f"empty range for below({n})")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _composition(below: Callable[[int], int], total: int, parts: int,
+                 cap: int) -> list[int]:
+    # split total into `parts` counts, each in [1, cap]: each added unit
+    # goes to a uniform pick among the parts still below cap, in part order
     counts = [1] * parts
+    open_parts = list(range(parts))
     for _ in range(total - parts):
-        open_parts = [i for i in range(parts) if counts[i] < cap]
-        counts[rng.choice(open_parts)] += 1
+        i = below(len(open_parts))
+        part = open_parts[i]
+        counts[part] += 1
+        if counts[part] == cap:
+            del open_parts[i]
     return counts
 
 
-def _plan_frame(rng: random.Random, params: SynthParams):
+def _plan_frame(below: Callable[[int], int], params: SynthParams):
     """Lay out households into (region, milieu, cluster) cells.
 
     Yields (region_idx, milieu_idx, cluster_idx, n_households_in_cluster);
     milieu indices restart per region and cluster indices per milieu, the
     way real survey numbering does.
     """
-    per_region_cap = (params.max_milieux * params.max_clusters
-                      * params.max_households_per_cluster)
-    region_counts = _composition(rng, params.n_households, params.n_regions, per_region_cap)
+    per_cluster_cap = params.max_households_per_cluster
+    per_milieu_cap = params.max_clusters * per_cluster_cap
+    per_region_cap = params.max_milieux * per_milieu_cap
+    region_counts = _composition(below, params.n_households, params.n_regions, per_region_cap)
     for r, region_total in enumerate(region_counts, 1):
-        per_milieu_cap = params.max_clusters * params.max_households_per_cluster
         lo = max(1, math.ceil(region_total / per_milieu_cap))
         hi = min(params.max_milieux, region_total)
-        milieu_counts = _composition(rng, region_total, rng.randint(lo, hi), per_milieu_cap)
+        milieu_counts = _composition(below, region_total, lo + below(hi - lo + 1),
+                                     per_milieu_cap)
         for m, milieu_total in enumerate(milieu_counts, 1):
-            lo = max(1, math.ceil(milieu_total / params.max_households_per_cluster))
+            lo = max(1, math.ceil(milieu_total / per_cluster_cap))
             hi = min(params.max_clusters, milieu_total)
-            cluster_counts = _composition(rng, milieu_total, rng.randint(lo, hi),
-                                          params.max_households_per_cluster)
+            cluster_counts = _composition(below, milieu_total, lo + below(hi - lo + 1),
+                                          per_cluster_cap)
             for c, cluster_total in enumerate(cluster_counts, 1):
                 yield r, m, c, cluster_total
-
-
-def _draw_income(rng: random.Random, mode: IncomeMode) -> tuple[str | None, float | None]:
-    if mode is IncomeMode.LETTERS:
-        code = rng.choice(_SYNTH_INCOME_CODES)
-        return code, _SYNTH_INCOME_AMOUNTS[code]
-    if mode is IncomeMode.NUMERIC:
-        amount = float(rng.randint(0, 5000) * 100)
-        # numeric tokens print without a fractional part
-        return str(int(amount)), amount
-    return None, None
 
 
 def generate(params: SynthParams) -> SynthResult:
@@ -177,41 +195,56 @@ def generate(params: SynthParams) -> SynthResult:
     household has none, the second has two, and the third carries a dirty
     region token (an internal space), so the warning and verbatim-token
     paths get exercised by file-level tests too.
+
+    Each person draws, in order: an age, a gender (``rng.random()``) and,
+    unless incomes are off, an income.
     """
     rng = random.Random(params.seed)
-    years = params.age_encoding is AgeEncoding.YEARS
+    below = _drawer(rng)
+    uniform = rng.random
+    # (first age, number of ages, first adult age): years stop at 90, so
+    # 99 stays reserved; five-year classes run 1..18
+    age_base, n_ages, adult_age = (
+        (0, 91, 15) if params.age_encoding is AgeEncoding.YEARS else (1, 18, 4)
+    )
     male_token, female_token = (
         ("0", "1") if params.gender_encoding is GenderEncoding.MALE0_FEMALE1 else ("1", "2")
     )
+    letters = params.income_mode is IncomeMode.LETTERS
+    numeric = params.income_mode is IncomeMode.NUMERIC
+    has_income = letters or numeric
+    codes, n_codes = _SYNTH_INCOME_CODES, len(_SYNTH_INCOME_CODES)
+    amounts = _SYNTH_INCOME_AMOUNTS
+    anomalies = params.anomalies
     sch = params.scheme_letters
 
     persons: list[SynthPerson] = []
+    add_person = persons.append
     truth: list[HouseholdAggregate] = []
-    household_counter = 0
-    person_line = 0
+    household_index = -1
 
-    for region_idx, milieu_idx, cluster_idx, n_in_cluster in _plan_frame(rng, params):
+    for region_idx, milieu_idx, cluster_idx, n_in_cluster in _plan_frame(below, params):
+        region_tok = str(region_idx)
+        milieu_tok = str(milieu_idx)
+        cluster_tok = str(cluster_idx)
         for within_cluster in range(1, n_in_cluster + 1):
-            household_counter += 1
-            household_index = household_counter - 1
-            region_tok = str(region_idx)
-            if params.anomalies and household_index == 2:
-                region_tok = region_tok + " x"  # dirty but legal token
-            milieu_tok = str(milieu_idx)
-            cluster_tok = str(cluster_idx)
+            household_index += 1
+            household_region = region_tok
+            if anomalies and household_index == 2:
+                household_region = region_tok + " x"  # dirty but legal token
             household_tok = str(within_cluster if params.renumber_households
-                                else household_counter)
+                                else household_index + 1)
 
-            size = rng.randint(1, params.max_household_size)
-            chief_positions = {rng.randrange(size)}
-            if params.anomalies and household_index == 0:
+            size = 1 + below(params.max_household_size)
+            chief_positions = {below(size)}
+            if anomalies and household_index == 0:
                 chief_positions = set()
-            elif params.anomalies and household_index == 1:
+            elif anomalies and household_index == 1:
                 size = max(size, 2)
-                first = rng.randrange(size)
-                second = rng.randrange(size)
+                first = below(size)
+                second = below(size)
                 while second == first:
-                    second = rng.randrange(size)
+                    second = below(size)
                 chief_positions = {first, second}
 
             # per-member draws plus the ground-truth arithmetic, inline
@@ -219,77 +252,53 @@ def generate(params: SynthParams) -> SynthResult:
             oxford = faofam = 0.0
             total_income = 0.0
             chief_label = NO_CHIEF_LABEL
+            income_tok = None
             for position in range(size):
-                person_line += 1
-                if years:
-                    age_value = rng.randint(0, 90)  # 99 stays reserved
-                    is_adult = age_value >= 15
-                else:
-                    age_value = rng.randint(1, 18)
-                    is_adult = age_value >= 4
-                male = rng.random() < 0.5
+                age_value = age_base + below(n_ages)
+                is_adult = age_value >= adult_age
+                male = uniform() < 0.5
                 gender_tok = male_token if male else female_token
                 is_chief = position in chief_positions
-                income_tok, income_amount = _draw_income(rng, params.income_mode)
+                if letters:
+                    income_tok = codes[below(n_codes)]
+                    total_income += amounts[income_tok]
+                elif numeric:
+                    amount = below(5001) * 100
+                    # numeric tokens print without a fractional part
+                    income_tok = str(amount)
+                    total_income += amount
 
-                if is_adult:
-                    adults += 1
-                else:
-                    children += 1
                 if is_chief:
                     chief_label = gender_tok
                 # child weight beats chief status, age decides first
                 if not is_adult:
+                    children += 1
                     oxford += 0.5
-                elif is_chief:
-                    oxford += 1.0
-                else:
-                    oxford += 0.7
-                if not is_adult:
                     faofam += 0.5
-                elif male:
-                    faofam += 1.0
                 else:
-                    faofam += 0.8
-                if income_amount is not None:
-                    total_income += income_amount
+                    adults += 1
+                    oxford += 1.0 if is_chief else 0.7
+                    faofam += 1.0 if male else 0.8
 
-                persons.append(
-                    SynthPerson(
-                        region=region_tok,
-                        milieu=milieu_tok,
-                        cluster=cluster_tok,
-                        household=household_tok,
-                        age_raw=str(age_value),
-                        gender_raw=gender_tok,
-                        poswrchief_raw="1" if is_chief else "2",
-                        income_raw=income_tok,
-                    )
-                )
+                add_person(SynthPerson(household_region, milieu_tok, cluster_tok,
+                                       household_tok, str(age_value), gender_tok,
+                                       "1" if is_chief else "2", income_tok))
 
-            canonical = (f"{sch[0]}{region_tok}{sch[1]}{milieu_tok}"
+            canonical = (f"{sch[0]}{household_region}{sch[1]}{milieu_tok}"
                          f"{sch[2]}{cluster_tok}{sch[3]}{household_tok}")
             dmp = (adults + params.dmp_c * children) ** params.dmp_s
-            has_income = params.income_mode is not IncomeMode.NONE
-            scale_for_income = {ScaleKind.OXFORD: oxford,
-                                ScaleKind.FAOFAM: faofam,
-                                ScaleKind.DMP: dmp}[params.scaled_by]
-            truth.append(
-                HouseholdAggregate(
-                    key=HouseholdKey(canonical,
-                                     (region_tok, milieu_tok, cluster_tok, household_tok)),
-                    size=size,
-                    n_adults=adults,
-                    n_children=children,
-                    scale_oxford=oxford,
-                    scale_faofam=faofam,
-                    scale_dmp=dmp,
-                    total_income=total_income if has_income else None,
-                    label_area=region_tok,
-                    label_chief_gender=chief_label,
-                    scaled_income=(total_income / scale_for_income) if has_income else None,
-                )
-            )
+            if has_income:
+                scaled_by = params.scaled_by
+                scaled_income = total_income / (oxford if scaled_by is ScaleKind.OXFORD
+                                                else faofam if scaled_by is ScaleKind.FAOFAM
+                                                else dmp)
+            else:
+                total_income = scaled_income = None
+            truth.append(HouseholdAggregate(
+                HouseholdKey(canonical,
+                             (household_region, milieu_tok, cluster_tok, household_tok)),
+                size, adults, children, oxford, faofam, dmp, total_income, scaled_income,
+                household_region, chief_label))
 
     return SynthResult(params, tuple(persons), tuple(truth))
 
@@ -308,7 +317,7 @@ def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
     config, variables = _layout(result)
     names = {**config.column_files, Variable.INCOME: config.effective_income_file}
     # a person's tokens lie in Variable order
-    return [_write_lines(Path(out_dir) / names[variable], [p[i] for p in result.persons])
+    return [_write_lines(Path(out_dir) / names[variable], map(itemgetter(i), result.persons))
             for i, variable in enumerate(variables)]
 
 

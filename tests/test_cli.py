@@ -480,6 +480,38 @@ class TestIdentifyReadsOnlyStrata:
         assert err.startswith("error: [ingest] MISSING_COLUMN (")
         assert err.endswith("column 'age' not found in header row")
 
+    def table(self, tmp_path, second_row):
+        """A letter-income persons.csv of three rows, the second given, and
+        its config."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "persons.csv").write_text(
+            "region,milieu,cluster,household,age,gender,poswrchief,income\n"
+            f"1,1,1,1,40,1,1,A\n{second_row}\n1,1,1,2,35,2,1,C\n")
+        config = data / "config.ini"
+        config.write_text("[input]\nmode = table\ntable = persons.csv\n"
+                          "[income]\nmode = letters\n")
+        return config
+
+    def test_empty_age_cell_in_a_table(self, tmp_path, capsys):
+        config = self.table(tmp_path, "1,1,1,1,,2,2,B")
+        identify, keys, (code, err) = self.commands(config, tmp_path, capsys)
+        assert identify == (0, "")
+        assert keys == ["R1M1C1H1"] * 2 + ["R1M1C1H2"]
+        assert (code, err) == (1, "error: [ingest] EMPTY_TOKEN "
+                                  f"({tmp_path / 'data' / 'persons.csv'}:3): column 'age' is empty")
+
+    def test_table_rows_must_match_the_header(self, tmp_path, capsys):
+        # a row short of its poswrchief cell stops identify too: in table
+        # mode every row is checked against the header, read or not
+        config = self.table(tmp_path, "1,1,1,1,10,2,B")
+        code, err = failure(capsys, ["identify", "--config", str(config),
+                                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith("error: [ingest] ROW_ARITY_MISMATCH "
+                              f"({tmp_path / 'data' / 'persons.csv'}:3)")
+        assert not (tmp_path / "out" / "identhousehold.txt").exists()
+
 
 class TestTokenTableCap:
     """Past TOKEN_TABLE_SIZE entries a token table stops growing and

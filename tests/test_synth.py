@@ -1,8 +1,11 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import raises_code
+from hdbprep.cli import main
 from hdbprep.identity import make_household_key
 from hdbprep.ingest import ColumnSource, Variable, read_column_file, read_table
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, Member, ScaleKind
@@ -12,6 +15,8 @@ from hdbprep.synth import (
     LETTER_INCOME_FILE,
     NUMERIC_INCOME_FILE,
     SynthParams,
+    _composition,
+    _drawer,
     generate,
     oracle_aggregate,
     write_column_files,
@@ -278,3 +283,86 @@ class TestFileOutput:
         column_map = {v: v.value for v in Variable}
         records = read_table(TableSource(path, column_map))
         assert records == list(result.persons)
+
+
+#: The benchmark's survey frame and the output grid's (tools/output_grid.py).
+BENCH_FRAME = ["--regions", "20", "--max-milieux", "10", "--max-clusters", "50",
+               "--max-per-cluster", "200"]
+GRID_FRAME = ["--households", "400", "--regions", "6", "--max-clusters", "8",
+              "--max-per-cluster", "12", "--max-size", "12"]
+
+#: `hdbprep synth` flags -> sha256 over the name and bytes of every file
+#: written, in name order. A seed fixes every byte, so any change to how
+#: the generator draws shows here.
+SYNTH_BYTES = {
+    "default": (
+        ["--seed", "7", "--households", "25"],
+        "69c7bcf5a8c7d72de9389be4aad40091c66557edfd40900f47dcd49ea71b7d5e"),
+    "grid_anomalies_renumber": (
+        ["--seed", "3", *GRID_FRAME, "--anomalies", "--renumber"],
+        "065b77682d3697f8fd8b1a70b560988413f0b698c6029c56819736088466e863"),
+    "classes_male0_numeric_table": (
+        ["--seed", "5", "--households", "40", "--age-encoding", "classes",
+         "--gender-encoding", "male0_female1", "--income", "numeric", "--table"],
+        "e180567c7b42be238f69b13ad692a443883ab775bcc228eeeb88fb05bc8c1224"),
+    "no_income_table": (
+        ["--seed", "9", "--households", "30", "--income", "none", "--table"],
+        "2f78b968b07f3951a8d6e45b3d7fa41b568f0b80ba0e12826776ae1e6221b52a"),
+    "bench_frame": (
+        ["--seed", "1", "--households", "3000", *BENCH_FRAME],
+        "5381f3ae24e791230a44589fba2804024a183afe909b5d3fa17b36c19e7975d8"),
+    "full_default_frame": (
+        ["--seed", "11", "--households", "288"],
+        "3c01687132e036b6f789a19d2ae288687fa3d6c0e54edba4e6b17b7c1ab82fa9"),
+}
+
+
+class TestBytes:
+    @pytest.mark.parametrize("case", sorted(SYNTH_BYTES))
+    def test_seed_fixes_every_byte(self, case, tmp_path, capsys):
+        flags, expected = SYNTH_BYTES[case]
+        assert main(["synth", *flags, "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2017, 123456789])
+    def test_below_draws_what_randrange_draws(self, seed):
+        sizes = (1, 2, 3, 13, 18, 91, 128, 129, 5001)
+        for n in sizes:
+            below, reference = _drawer(random.Random(seed)), random.Random(seed)
+            assert [below(n) for _ in range(300)] == [reference.randrange(n) for _ in range(300)]
+        # sizes mixed in one stream, as the generator mixes them
+        below, reference = _drawer(random.Random(seed)), random.Random(seed)
+        assert ([below(n) for n in sizes * 30]
+                == [reference.randrange(n) for n in sizes * 30])
+
+
+class TestFramePlan:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_frame_fills_every_cluster(self, seed):
+        params = SynthParams(n_households=288, seed=seed)
+        clusters = params.n_regions * params.max_milieux * params.max_clusters
+        assert clusters * params.max_households_per_cluster == 288  # the frame's capacity
+        per_cluster = {}
+        for household in generate(params).ground_truth:
+            cluster = household.key.components[:3]
+            per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
+        assert len(per_cluster) == clusters
+        assert set(per_cluster.values()) == {params.max_households_per_cluster}
+
+    def test_one_cell_frame(self):
+        params = SynthParams(n_households=1, seed=5, n_regions=1, max_milieux=1,
+                             max_clusters=1, max_households_per_cluster=1)
+        (household,) = generate(params).ground_truth
+        assert household.key.components == ("1", "1", "1", "1")
+
+    @given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 10**6), st.data())
+    def test_composition_counts_lie_within_cap(self, parts, cap, seed, data):
+        total = data.draw(st.integers(parts, parts * cap))
+        counts = _composition(_drawer(random.Random(seed)), total, parts, cap)
+        assert len(counts) == parts
+        assert sum(counts) == total
+        assert all(1 <= count <= cap for count in counts)

@@ -5,8 +5,9 @@ compare everything each case leaves behind.
 
 PARENT_SRC and CHANGE_SRC are directories holding the `hdbprep` package,
 for example the `src` of a clean checkout of the parent commit and this
-checkout's `src`. The corpora are generated once, by PARENT_SRC's
-`hdbprep synth`:
+checkout's `src`. Each corpus is generated twice, once by each tree's
+`hdbprep synth`, and each tree's cases run on the corpus its own synth
+made:
 
 * 48 clean corpora: synth seeds 3 and 11, 400 households, `--regions 6
   --max-clusters 8 --max-per-cluster 12 --max-size 12`, with letter,
@@ -29,17 +30,19 @@ checkout's `src`. The corpora are generated once, by PARENT_SRC's
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow.
 
-That is 103 corpora and 3,090 cases.
+That is 103 corpora, each built once per tree, and 3,090 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
 `--sort`, `--scale faofam`, `--scale dmp --dmp-c 0.3` and the remaining
 override flags together (`overrides` in FLAGS). A case's
 output directory starts with a stale `households.csv` in it. The grid
-compares the exit code, stdout and stderr (output directory and source
-tree masked) and the name and bytes of every file in the output
-directory, prints each case that differs with what differs, and exits 1
-when any case differs.
+compares the name and bytes of every file of the two builds of each
+corpus, faults and config edits included, and of each case the exit
+code, stdout and stderr (output, corpus and source directories masked)
+and the name and bytes of every file in the output directory. It prints
+each corpus and each case that differs with what differs, and exits 1
+when any differs.
 """
 
 from __future__ import annotations
@@ -309,43 +312,59 @@ def run_case(src: Path, corpus: Path, command: str, flag: str, out_dir: Path,
 
     def mask(text: bytes) -> bytes:
         return (text.replace(str(out_dir).encode(), b"<OUT>")
+                .replace(str(corpus).encode(), b"<DATA>")
                 .replace(str(src).encode(), b"<SRC>"))
 
-    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    files = _files(out_dir)
     shutil.rmtree(out_dir)
     return done.returncode, mask(done.stdout), mask(done.stderr), files
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _differing_files(files_a: dict[str, bytes], files_b: dict[str, bytes]) -> list[str]:
+    return [f"file {name}" for name in sorted(set(files_a) | set(files_b))
+            if files_a.get(name) != files_b.get(name)]
 
 
 def differences(parent: tuple, change: tuple) -> list[str]:
     """What differs between the results of one case on the two trees."""
     found = [what for what, a, b in zip(("exit code", "stdout", "stderr"), parent, change)
              if a != b]
-    files_a, files_b = parent[3], change[3]
-    found += [f"file {name}" for name in sorted(set(files_a) | set(files_b))
-              if files_a.get(name) != files_b.get(name)]
-    return found
+    return found + _differing_files(parent[3], change[3])
+
+
+SIDES = ("parent", "change")
 
 
 def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
-            jobs: int = 2) -> list[tuple[str, list[str], tuple, tuple]]:
-    """Run the selected cases on both trees; returns the cases that differ
-    as (case id, what differs, parent result, change result)."""
-    parent_src, change_src = parent_src.resolve(), change_src.resolve()
+            jobs: int = 2) -> tuple[list[tuple[str, list[str]]],
+                                    list[tuple[str, list[str], tuple, tuple]]]:
+    """Build the corpora of the selected cases and run the cases, each on
+    both trees; returns the corpora that differ as (corpus, what differs)
+    and the cases that differ as (case id, what differs, parent result,
+    change result)."""
+    trees = dict(zip(SIDES, (parent_src.resolve(), change_src.resolve())))
     names = sorted({case.split("/")[0] for case in selected})
-    paths = {name: build_corpus(parent_src, name, work / "corpora" / name)
-             for name in names}
+    paths = {(name, side): build_corpus(src, name, work / "corpora" / side / name)
+             for name in names for side, src in trees.items()}
+    corpus_diffs = [(name, what) for name in names
+                    if (what := _differing_files(*(_files(paths[name, side])
+                                                   for side in SIDES)))]
 
     def one(index_case):
         index, case = index_case
         corpus, command, flag = case.split("/")
         sort = corpora()[corpus][1] == "shuffled"
-        results = [run_case(src, paths[corpus], command, flag,
+        results = [run_case(src, paths[corpus, side], command, flag,
                             work / "out" / f"{index}-{side}", sort)
-                   for side, src in (("parent", parent_src), ("change", change_src))]
+                   for side, src in trees.items()]
         return case, differences(*results), *results
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return [row for row in pool.map(one, enumerate(selected)) if row[1]]
+        return corpus_diffs, [row for row in pool.map(one, enumerate(selected)) if row[1]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -362,15 +381,19 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown case {unknown[0]!r}")
     with tempfile.TemporaryDirectory(prefix="output_grid_") as work:
-        differing = compare(args.parent_src, args.change_src, selected, Path(work),
-                            jobs=args.jobs)
+        differing_corpora, differing = compare(args.parent_src, args.change_src, selected,
+                                               Path(work), jobs=args.jobs)
+    for corpus, what in differing_corpora:
+        print(f"DIFF corpus {corpus}: {', '.join(what)}")
     for case, what, parent, change in differing:
         print(f"DIFF {case}: {', '.join(what)} (exit {parent[0]} -> {change[0]})")
         for label, result in (("parent", parent), ("change", change)):
             if result[2]:
                 print(f"  {label} stderr: {result[2].decode(errors='replace').strip()}")
-    print(f"{len(selected)} cases, {len(differing)} differ")
-    return 1 if differing else 0
+    n_corpora = len({case.split("/")[0] for case in selected})
+    print(f"{n_corpora} corpora, {len(differing_corpora)} differ; "
+          f"{len(selected)} cases, {len(differing)} differ")
+    return 1 if differing_corpora or differing else 0
 
 
 if __name__ == "__main__":
