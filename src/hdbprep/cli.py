@@ -61,7 +61,7 @@ def _config_flags() -> argparse.ArgumentParser:
                         help="emit the legacy 0.99 weight for unparseable members "
                              "instead of stopping with an error")
     parser.add_argument("--sort", dest="output.sort", action="store_true",
-                        help="stable-sort persons by canonical key before grouping")
+                        help="group members by household in line order, households in key order")
     parser.add_argument("--dmp-c", dest="scales.dmp_c", type=float, metavar="C",
                         help="DMP child discount, in [0,1]")
     parser.add_argument("--dmp-s", dest="scales.dmp_s", type=float, metavar="S",

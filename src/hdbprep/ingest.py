@@ -215,8 +215,8 @@ def read_table(
                     raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, header "
                                    f"has {len(names)}", source=str(source.path), line=first)
                 person = tuple([row[i].strip() for i in indexes])
-                cells = "".join(person)
-                if "" in person or "\n" in cells or "\r" in cells:
+                # with newline="", only a row that spans lines holds a line break
+                if "" in person or last != first:
                     try:
                         _check_cells(person, variables, source.column_map)
                     except HdbError as exc:

@@ -13,7 +13,8 @@ none of its outputs (an I/O failure part-way through the writes can still
 leave the files written before it).
 
 The household fold is fed each person as the pass reads it, so no
-person-indexed rows are kept (--sort alone gathers and sorts them first).
+person-indexed rows are kept (--sort alone groups each household's members
+in line order, then orders households by key, as a stable sort would).
 The per-person work is per distinct token: a household key is built once
 per run of lines with the same strata tokens (once per household under
 --sort), each income token is recoded once, and the fold looks each
@@ -37,6 +38,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 from contextlib import contextmanager
 from itertools import chain, groupby, islice, repeat
 from pathlib import Path
@@ -364,12 +366,13 @@ def format_number(value: float) -> str:
         raise ValueError(f"cannot format {value}")
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    # repr is the shortest decimal that reads back, and %g at its digit count
-    # spells the same text (the tests try every power of two, the only doubles
-    # whose neighbours lie unequally far, where the two could differ)
-    text = repr(value)
-    if len(text.partition("e")[0].lstrip("-0.").replace(".", "")) <= 12:
-        return text
+    # a normal double's shortest decimal of at most 12 digits lies within an
+    # ulp (2e-16 relative) of it on the 12-digit grid (1e-12 apart), so %.12g
+    # lands on it; a subnormal has fewer bits, and only repr is sure to
+    if abs(value) < sys.float_info.min:
+        text = repr(value)
+        if len(text.partition("e")[0].lstrip("-0.").replace(".", "")) <= 12:
+            return text
     return f"{value:.12g}"
 
 
@@ -540,16 +543,17 @@ def _run(
     Only the columns a selected output needs are read. Each person is
     handled in line order: key, then income, then member, each only when a
     selected output needs it, and the household fold takes each member as
-    the pass makes it (under ``config.sort``, once every member is made and
-    stably sorted by key). An error names the input line of the first
-    person whose token fails (skipped lines and a table's header count),
-    and a table's file; a key or income error wins over a fold error
-    wherever it lies. A household key is built at the first line of each
-    run of lines with the same strata; under ``config.sort`` every strata
-    tuple keeps its key, so a person-shuffled input builds one key per
-    household, at the household's first line. Households are folded only
-    for a household output, and the scaled income is computed only for
-    households.csv. Nothing is written before every step has succeeded.
+    the pass makes it (under ``config.sort``, once every member is made:
+    each household's members in line order, the households in key order).
+    An error names the input line of the first person whose token fails
+    (skipped lines and a table's header count), and a table's file; a key
+    or income error wins over a fold error wherever it lies. A household
+    key is built at the first line of each run of lines with the same
+    strata; under ``config.sort`` every strata tuple keeps its key, so a
+    person-shuffled input builds one key per household, at the household's
+    first line. Households are folded only for a household output, and the
+    scaled income is computed only for households.csv. Nothing is written
+    before every step has succeeded.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
@@ -579,14 +583,12 @@ def _run(
     number, render = _renderer()
     key_lines: list[str] = []
     amount_lines: list[str] = []
+    # under --sort a household's lines may lie anywhere: each strata tuple
+    # keeps its key and its members, in line order, until every line is read
+    known: dict[tuple[str, ...], tuple[HouseholdKey, list[tuple]]] = {}
 
     def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
-        strata = key = None
-        # under --sort a household's lines may lie anywhere, and every person
-        # is held until the sort anyway: each strata tuple keeps its key, so
-        # a key is built once per household; otherwise only the current
-        # run's is kept
-        known: dict[tuple[str, ...], HouseholdKey] | None = {} if config.sort else None
+        strata = key = group = None
         # income token -> (amount, its text when the amount file is written);
         # a token that fails to parse is never stored
         incomes: dict[str, tuple[float, str | None]] = {}
@@ -594,14 +596,14 @@ def _run(
             # a household's members share one key, built at its first line
             if need_keys and person[:4] != strata:
                 strata = person[:4]
-                key = None if known is None else known.get(strata)
+                key, group = known.get(strata, (None, None))
                 if key is None:
                     try:
                         key = make_household_key(*strata, config.scheme)
                     except HdbError as exc:
                         raise exc.at(source=config.table_source, line=line, stage="identify")
-                    if known is not None:
-                        known[strata] = key
+                    if config.sort:
+                        known[strata] = key, (group := [])
             if keys:
                 key_lines.append(key.canonical)
             income = None
@@ -618,7 +620,11 @@ def _run(
                 if amounts:
                     amount_lines.append(text)
             if fold:
-                yield key, (line, person[4], person[5], person[6] == "1", income)
+                member = (line, person[4], person[5], person[6] == "1", income)
+                if group is None:
+                    yield key, member
+                else:
+                    group.append(member)
 
     if keys and not (fold or need_income):
         # nothing per person but the key: no member is made
@@ -627,11 +633,17 @@ def _run(
     else:
         rows = members(persons)
     del persons  # the pass holds them until it ends
+    if not fold or config.sort:
+        for _ in rows:  # the pass folds no member, or under --sort groups them all
+            pass
     rendered: list[tuple[str, ...]] = []
     warnings: list[HdbError] = []
     if fold:
         if config.sort:
-            rows = sorted(rows, key=lambda row: row[0].canonical)
+            # households in key order, each member in line order: a stable sort
+            # of the persons by key, as distinct strata give distinct keys
+            rows = chain.from_iterable(zip(repeat(key), group) for key, group in sorted(
+                known.values(), key=lambda entry: entry[0].canonical))
         try:
             rendered = [render(household)
                         for household in aggregate_all(rows, config, warnings, scale_income=table)]
@@ -639,9 +651,6 @@ def _run(
             for _ in rows:  # a later key or income error wins
                 pass
             raise exc.at(stage="aggregate")
-    else:
-        for _ in rows:  # the pass folds no member
-            pass
 
     # every value is rendered once; the per-variable files and
     # households.csv write the same text

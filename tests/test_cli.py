@@ -13,7 +13,8 @@ import pytest
 
 import hdbprep
 from hdbprep.cli import _configure, build_parser, main
-from hdbprep.model import _SPELLINGS
+from hdbprep.identity import make_household_key
+from hdbprep.model import _SPELLINGS, IncomeMode
 from hdbprep.pipeline import _CONFIG_KEYS, load_config
 from hdbprep.synth import SynthParams, generate, write_table
 
@@ -631,6 +632,42 @@ class TestSortedShuffledTable:
                  for household in result.ground_truth}
         assert (tmp_path / "out" / "identhousehold.txt").read_text().splitlines() == [
             truth[person[:4]] for person in persons]
+
+    @pytest.mark.parametrize("income", ["letters", "numeric"])
+    def test_households_come_out_as_a_stable_sort_of_the_persons(self, tmp_path, income):
+        result = generate(SynthParams(n_households=60, seed=9, max_household_size=12,
+                                      anomalies=True, income_mode=IncomeMode(income)))
+        persons = list(result.persons)
+        random.Random(31).shuffle(persons)
+        canonical = [make_household_key(*person[:4]).canonical for person in persons]
+        order = sorted(range(len(persons)), key=canonical.__getitem__)
+        # the two chiefs of the second household differ, so its chief label
+        # shows the order of its members
+        two_chiefs = [p.gender_raw for p in persons if p.poswrchief_raw == "1"
+                      and p[:4] == result.ground_truth[1].key.components]
+        assert len(set(two_chiefs)) == 2
+        files = {}
+        for name, rows, flags in (("sorted", persons, ["--sort"]),
+                                  ("presorted", [persons[i] for i in order], [])):
+            data = tmp_path / name
+            write_table(dataclasses.replace(result, persons=tuple(rows)), data / "persons.csv")
+            config = write_ini(data / "config.ini", {
+                ("input", "mode"): "table", ("input", "table"): "persons.csv",
+                ("income", "mode"): income})
+            assert main(["run", "--config", str(config), "--out-dir", str(data / "out"),
+                         *flags]) == 0
+            files[name] = {path.name: path.read_bytes()
+                           for path in sorted((data / "out").iterdir())}
+        got, want = files["sorted"], files["presorted"]
+        # person-level files keep the shuffled input order
+        keys = got["identhousehold.txt"].decode().splitlines()
+        assert keys == canonical
+        for name in ("identhousehold.txt", "monthlyincome.txt"):
+            if name in want:
+                lines = got.pop(name).decode().splitlines()
+                assert [lines[i] for i in order] == want.pop(name).decode().splitlines()
+        assert "households.csv" in got and "labelgender.txt" in got
+        assert got == want
 
     #: FIVE_PERSONS in the line order 3, 1, 5, 4, 2: households 2, 1, 3, 2, 1.
     ORDER = (2, 0, 4, 3, 1)

@@ -1,7 +1,12 @@
 """Smoke test of tools/output_grid.py, the byte-identity grid."""
 
 import importlib.util
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +48,22 @@ def test_a_changed_corpus_byte_is_reported(tmp_path, capsys):
                           f"DIFF {CASES[0]}: file households.csv, file identhousehold.txt, "
                           "file labelregion.txt (exit 0 -> 0)\n")
     assert out.endswith("1 corpora, 1 differ; 1 cases, 1 differ\n")
+
+
+def test_a_stopped_grid_removes_its_work_directory(tmp_path):
+    argv = [sys.executable, str(ROOT / "tools" / "output_grid.py"), str(SRC), str(SRC),
+            f"--case={CASES[0]}"]
+    with subprocess.Popen(argv, env=dict(os.environ, TMPDIR=str(tmp_path)),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as grid:
+        try:
+            # the grid is building its first corpus inside its work directory
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("output_grid_*/corpora")):
+                assert grid.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            grid.send_signal(signal.SIGTERM)
+            assert grid.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            if grid.poll() is None:
+                grid.kill()
+    assert not list(tmp_path.glob("output_grid_*"))

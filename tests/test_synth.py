@@ -174,6 +174,16 @@ class TestGenerate:
         result = generate(SynthParams(n_households=10, seed=2))
         assert all(p.income_raw in set("ABCDEFGHIUJKL") for p in result.persons)
 
+    def test_numeric_incomes_span_their_whole_range(self):
+        # about 60,000 draws, where each end (1 in 5,001) is drawn about 12 times
+        result = generate(SynthParams(n_households=12_000, seed=4, n_regions=10,
+                                      max_milieux=5, max_clusters=20,
+                                      max_households_per_cluster=50,
+                                      income_mode=IncomeMode.NUMERIC))
+        amounts = {int(p.income_raw) for p in result.persons}
+        assert all(amount % 100 == 0 and 0 <= amount <= 500_000 for amount in amounts)
+        assert {0, 500_000} <= amounts
+
 
 class TestAnomalies:
     def test_flagged_households(self):

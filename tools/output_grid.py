@@ -52,6 +52,7 @@ import csv
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -397,4 +398,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # a stopped grid leaves through its `with` blocks, which remove its work
+    # directory; installed here, so that a caller of main keeps its own handler
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     raise SystemExit(main())
