@@ -15,13 +15,13 @@ leave the files written before it).
 The household fold is fed each person as the pass reads it, so no
 person-indexed rows are kept (--sort alone groups each household's members
 in line order, then orders households by key, as a stable sort would).
-The per-person work is per distinct token: a household key is built once
-per run of lines with the same strata tokens (once per household under
---sort), each income token is recoded once, and the fold looks each
-member profile and each household composition up in per-run tables. Each
-household value is rendered to text once, with each distinct number
-formatted once; the per-variable files and households.csv write the same
-text, each file in one write.
+The per-person work is per distinct token, numeric incomes aside: a
+household key is built once per run of lines with the same strata tokens
+(once per household under --sort), each letter income code is recoded
+once, and the fold looks each member profile and each household
+composition up in per-run tables. Each household value is rendered to
+text once, with each distinct number formatted once; the per-variable
+files and households.csv write the same text, each file in one write.
 
 Person-level outputs keep input order; household-level files are aligned
 with each other row by row, one row per household run, in run order.
@@ -589,8 +589,8 @@ def _run(
 
     def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
         strata = key = group = None
-        # income token -> (amount, its text when the amount file is written);
-        # a token that fails to parse is never stored
+        # letter code -> (amount, its text for the amount file), never a code
+        # that fails; numeric tokens, too many to table, are parsed each time
         incomes: dict[str, tuple[float, str | None]] = {}
         for line, person in zip(_line_numbers(starts, n_persons), persons):
             # a household's members share one key, built at its first line
@@ -609,16 +609,20 @@ def _run(
             income = None
             if need_income:
                 token = person[-1]
-                entry = incomes.get(token)
-                if entry is None:
-                    try:
-                        income = _parse_income(token, mapping)
-                    except HdbError as exc:
-                        raise exc.at(source=config.table_source, line=line, stage="recode")
-                    entry = remember(incomes, token, (income, number(income) if amounts else None))
-                income, text = entry
-                if amounts:
-                    amount_lines.append(text)
+                try:
+                    if mapping is None:
+                        income = _parse_income(token, None)
+                    else:
+                        entry = incomes.get(token)
+                        if entry is None:
+                            income = _parse_income(token, mapping)
+                            entry = remember(incomes, token,
+                                             (income, number(income) if amounts else None))
+                        income, text = entry
+                        if amounts:  # only letter mode writes the amount file
+                            amount_lines.append(text)
+                except HdbError as exc:
+                    raise exc.at(source=config.table_source, line=line, stage="recode")
             if fold:
                 member = (line, person[4], person[5], person[6] == "1", income)
                 if group is None:

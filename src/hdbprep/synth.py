@@ -62,6 +62,8 @@ _SYNTH_INCOME_AMOUNTS = {
 }
 _SYNTH_INCOME_CODES = tuple(sorted(_SYNTH_INCOME_AMOUNTS))
 
+_TABLE_CHUNK = 1024  # persons that `write_table` joins into one text per write
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -133,7 +135,8 @@ def _drawer(rng: random.Random) -> Callable[[int], int]:
     until the value lies below n), in one Python call instead of three.
     ``randint(a, b)`` is ``a + below(b - a + 1)`` and ``choice(seq)`` is
     ``seq[below(len(seq))]``, so a seed gives the same database as through
-    those methods."""
+    those methods. It makes the frame, size and chief draws; `generate`
+    draws each person's age and income inline, taking the same words."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -197,24 +200,35 @@ def generate(params: SynthParams) -> SynthResult:
     paths get exercised by file-level tests too.
 
     Each person draws, in order: an age, a gender (``rng.random()``) and,
-    unless incomes are off, an income.
+    unless incomes are off, an income. Ages and incomes are drawn inline,
+    from the same ``getrandbits`` words as ``below`` takes, and their tokens
+    come from per-run tables that the persons share.
     """
     rng = random.Random(params.seed)
     below = _drawer(rng)
+    getrandbits = rng.getrandbits
     uniform = rng.random
+    new = tuple.__new__  # builds each record in C, fields in order
     # (first age, number of ages, first adult age): years stop at 90, so
     # 99 stays reserved; five-year classes run 1..18
     age_base, n_ages, adult_age = (
         (0, 91, 15) if params.age_encoding is AgeEncoding.YEARS else (1, 18, 4)
     )
+    age_tokens = [str(age_base + i) for i in range(n_ages)]
+    adult = [age_base + i >= adult_age for i in range(n_ages)]
     male_token, female_token = (
         ("0", "1") if params.gender_encoding is GenderEncoding.MALE0_FEMALE1 else ("1", "2")
     )
-    letters = params.income_mode is IncomeMode.LETTERS
-    numeric = params.income_mode is IncomeMode.NUMERIC
-    has_income = letters or numeric
-    codes, n_codes = _SYNTH_INCOME_CODES, len(_SYNTH_INCOME_CODES)
-    amounts = _SYNTH_INCOME_AMOUNTS
+    has_income = params.income_mode is not IncomeMode.NONE
+    if params.income_mode is IncomeMode.NUMERIC:
+        # numeric tokens print without a fractional part
+        income_tokens = [str(100 * i) for i in range(5001)]
+        income_values = range(0, 500001, 100)
+    else:
+        income_tokens = _SYNTH_INCOME_CODES
+        income_values = [_SYNTH_INCOME_AMOUNTS[code] for code in income_tokens]
+    n_incomes = len(income_tokens)
+    age_bits, income_bits = n_ages.bit_length(), n_incomes.bit_length()
     anomalies = params.anomalies
     sch = params.scheme_letters
 
@@ -254,24 +268,23 @@ def generate(params: SynthParams) -> SynthResult:
             chief_label = NO_CHIEF_LABEL
             income_tok = None
             for position in range(size):
-                age_value = age_base + below(n_ages)
-                is_adult = age_value >= adult_age
+                age = getrandbits(age_bits)
+                while age >= n_ages:
+                    age = getrandbits(age_bits)
                 male = uniform() < 0.5
                 gender_tok = male_token if male else female_token
                 is_chief = position in chief_positions
-                if letters:
-                    income_tok = codes[below(n_codes)]
-                    total_income += amounts[income_tok]
-                elif numeric:
-                    amount = below(5001) * 100
-                    # numeric tokens print without a fractional part
-                    income_tok = str(amount)
-                    total_income += amount
+                if has_income:
+                    income = getrandbits(income_bits)
+                    while income >= n_incomes:
+                        income = getrandbits(income_bits)
+                    income_tok = income_tokens[income]
+                    total_income += income_values[income]
 
                 if is_chief:
                     chief_label = gender_tok
                 # child weight beats chief status, age decides first
-                if not is_adult:
+                if not adult[age]:
                     children += 1
                     oxford += 0.5
                     faofam += 0.5
@@ -280,9 +293,9 @@ def generate(params: SynthParams) -> SynthResult:
                     oxford += 1.0 if is_chief else 0.7
                     faofam += 1.0 if male else 0.8
 
-                add_person(SynthPerson(household_region, milieu_tok, cluster_tok,
-                                       household_tok, str(age_value), gender_tok,
-                                       "1" if is_chief else "2", income_tok))
+                add_person(new(SynthPerson, (household_region, milieu_tok, cluster_tok,
+                                             household_tok, age_tokens[age], gender_tok,
+                                             "1" if is_chief else "2", income_tok)))
 
             canonical = (f"{sch[0]}{household_region}{sch[1]}{milieu_tok}"
                          f"{sch[2]}{cluster_tok}{sch[3]}{household_tok}")
@@ -294,11 +307,11 @@ def generate(params: SynthParams) -> SynthResult:
                                                 else dmp)
             else:
                 total_income = scaled_income = None
-            truth.append(HouseholdAggregate(
-                HouseholdKey(canonical,
-                             (household_region, milieu_tok, cluster_tok, household_tok)),
-                size, adults, children, oxford, faofam, dmp, total_income, scaled_income,
-                household_region, chief_label))
+            key = new(HouseholdKey,
+                      (canonical, (household_region, milieu_tok, cluster_tok, household_tok)))
+            truth.append(new(HouseholdAggregate, (
+                key, size, adults, children, oxford, faofam, dmp, total_income, scaled_income,
+                household_region, chief_label)))
 
     return SynthResult(params, tuple(persons), tuple(truth))
 
@@ -322,15 +335,28 @@ def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
 
 
 def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
-    """Write the generated persons as one delimited table with a header."""
+    """Write the generated persons as one delimited table with a header,
+    byte for byte as ``csv.writer`` writes them: each chunk of rows is
+    joined with the delimiter, unless a cell needs quoting, and then the
+    chunk goes through the writer."""
     import csv
 
     config, variables = _layout(result)
+    cells = itemgetter(*range(len(variables)))
+    persons = result.persons
     path = Path(path)
     with _open_output(path) as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(config.table_columns[variable] for variable in variables)
-        writer.writerows(p[: len(variables)] for p in result.persons)
+        for start in range(0, len(persons), _TABLE_CHUNK):
+            rows = persons[start:start + _TABLE_CHUNK]
+            text = "\n".join(map(delimiter.join, map(cells, rows))) + "\n"
+            # the writer may quote a cell holding a quote, a line break or the delimiter
+            if ('"' in text or "\r" in text or text.count("\n") != len(rows)
+                    or text.count(delimiter) != len(rows) * (len(variables) - 1)):
+                writer.writerows(map(cells, rows))
+            else:
+                handle.write(text)
     return path
 
 

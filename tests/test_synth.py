@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import random
 
 import pytest
@@ -7,14 +10,30 @@ from hypothesis import given, strategies as st
 from conftest import raises_code
 from hdbprep.cli import main
 from hdbprep.identity import make_household_key
-from hdbprep.ingest import ColumnSource, Variable, read_column_file, read_table
-from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, Member, ScaleKind
+from hdbprep import synth
+from hdbprep.ingest import (
+    REQUIRED_VARIABLES,
+    ColumnSource,
+    Variable,
+    read_column_file,
+    read_table,
+)
+from hdbprep.model import (
+    AgeEncoding,
+    GenderEncoding,
+    HouseholdAggregate,
+    HouseholdKey,
+    IncomeMode,
+    Member,
+    ScaleKind,
+)
 from hdbprep.aggregate import aggregate_all
 from hdbprep.pipeline import DEFAULT_COLUMN_FILES, PipelineConfig
 from hdbprep.synth import (
     LETTER_INCOME_FILE,
     NUMERIC_INCOME_FILE,
     SynthParams,
+    SynthPerson,
     _composition,
     _drawer,
     generate,
@@ -294,6 +313,49 @@ class TestFileOutput:
         records = read_table(TableSource(path, column_map))
         assert records == list(result.persons)
 
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "1"])
+    def test_table_is_what_the_csv_module_writes(self, delimiter, tmp_path, monkeypatch):
+        result = generate(SynthParams(n_households=12, seed=4, anomalies=True))
+        assert " " in result.persons[result.ground_truth[0].size
+                                     + result.ground_truth[1].size].region
+        # cells the writer may quote, each in a chunk of its own
+        persons = list(result.persons)
+        persons[-1] = persons[-1]._replace(age_raw='4"0')
+        persons[-9] = persons[-9]._replace(age_raw="4\r0")
+        persons[-17] = persons[-17]._replace(age_raw="4\n0")
+        monkeypatch.setattr(synth, "_TABLE_CHUNK", 4)
+        chunks = [persons[i:i + 4] for i in range(0, len(persons), 4)]
+        quoted = [any(delimiter in cell or '"' in cell or "\r" in cell or "\n" in cell
+                      for person in chunk for cell in person) for chunk in chunks]
+        assert any(quoted) and (delimiter == "1" or not all(quoted))
+
+        path = write_table(dataclasses.replace(result, persons=tuple(persons)),
+                           tmp_path / "persons.csv", delimiter)
+        variables = (*REQUIRED_VARIABLES, Variable.INCOME)
+        expected = io.StringIO()
+        writer = csv.writer(expected, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(PipelineConfig().table_columns[v] for v in variables)
+        writer.writerows(person[:len(variables)] for person in persons)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+
+class TestRecordShape:
+    @pytest.mark.parametrize("income_mode", list(IncomeMode))
+    @pytest.mark.parametrize("seed, anomalies", [(2, False), (3, True), (2017, True)])
+    def test_records_have_their_type_and_every_cell(self, income_mode, seed, anomalies):
+        # records are built without the named tuples' arity check
+        result = generate(SynthParams(n_households=50, seed=seed, income_mode=income_mode,
+                                      anomalies=anomalies, max_household_size=12))
+        for person in result.persons:
+            assert type(person) is SynthPerson
+            assert len(person) == len(SynthPerson._fields)
+        for household in result.ground_truth:
+            assert type(household) is HouseholdAggregate
+            assert len(household) == len(HouseholdAggregate._fields)
+            assert type(household.key) is HouseholdKey
+            assert len(household.key) == len(HouseholdKey._fields)
+            assert len(household.key.components) == 4
+
 
 #: The benchmark's survey frame and the output grid's (tools/output_grid.py).
 BENCH_FRAME = ["--regions", "20", "--max-milieux", "10", "--max-clusters", "50",
@@ -321,6 +383,10 @@ SYNTH_BYTES = {
     "bench_frame": (
         ["--seed", "1", "--households", "3000", *BENCH_FRAME],
         "5381f3ae24e791230a44589fba2804024a183afe909b5d3fa17b36c19e7975d8"),
+    "bench_table_frame": (
+        ["--seed", "1", "--households", "1500", "--max-size", "20", "--income", "numeric",
+         "--table", *BENCH_FRAME],
+        "5eb1e1ab5e848ac84d7264cf287a9e031c42612135cb67f9c54c8319d4559a98"),
     "full_default_frame": (
         ["--seed", "11", "--households", "288"],
         "3c01687132e036b6f789a19d2ae288687fa3d6c0e54edba4e6b17b7c1ab82fa9"),
