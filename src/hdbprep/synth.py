@@ -62,8 +62,6 @@ _SYNTH_INCOME_AMOUNTS = {
 }
 _SYNTH_INCOME_CODES = tuple(sorted(_SYNTH_INCOME_AMOUNTS))
 
-_TABLE_CHUNK = 1024  # persons that `write_table` joins into one text per write
-
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -335,28 +333,16 @@ def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
 
 
 def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
-    """Write the generated persons as one delimited table with a header,
-    byte for byte as ``csv.writer`` writes them: each chunk of rows is
-    joined with the delimiter, unless a cell needs quoting, and then the
-    chunk goes through the writer."""
+    """Write the generated persons as one delimited table with a header."""
     import csv
 
     config, variables = _layout(result)
     cells = itemgetter(*range(len(variables)))
-    persons = result.persons
     path = Path(path)
     with _open_output(path) as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(config.table_columns[variable] for variable in variables)
-        for start in range(0, len(persons), _TABLE_CHUNK):
-            rows = persons[start:start + _TABLE_CHUNK]
-            text = "\n".join(map(delimiter.join, map(cells, rows))) + "\n"
-            # the writer may quote a cell holding a quote, a line break or the delimiter
-            if ('"' in text or "\r" in text or text.count("\n") != len(rows)
-                    or text.count(delimiter) != len(rows) * (len(variables) - 1)):
-                writer.writerows(map(cells, rows))
-            else:
-                handle.write(text)
+        writer.writerows(map(cells, result.persons))
     return path
 
 
