@@ -4,13 +4,13 @@ writes the selected outputs.
 
 The pipeline owns configuration (an INI file, every key mirrored by a CLI
 flag) and the on-disk output contract. Every command is a selection of
-outputs from the same pass, and the pass does only the work its selection
-needs: `identify` reads the four strata columns and builds keys,
-`recode-income` reads and recodes the income column alone, and households
-are folded only when a household output is selected. Nothing is written
-until every step has succeeded, so a run that stops on a data error writes
-none of its outputs (an I/O failure part-way through the writes can still
-leave the files written before it).
+outputs from the same pass, whose one per-person loop does only the work
+its selection needs: `identify` reads the four strata columns and builds
+keys, `recode-income` reads and recodes the income column alone, and
+households are folded only when a household output is selected. Nothing
+is written until every step has succeeded, so a run that stops on a data
+error writes none of its outputs (an I/O failure part-way through the
+writes can still leave the files written before it).
 
 The household fold is fed each person as the pass reads it, so no
 person-indexed rows are kept (--sort alone groups each household's members
@@ -40,7 +40,7 @@ import io
 import math
 import sys
 from contextlib import contextmanager
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -479,44 +479,8 @@ def _line_numbers(starts: Mapping[int, int], count: int) -> Iterable[int]:
     )
 
 
-def _key_lines(
-    persons: list[tuple[str, ...]], starts: Mapping[int, int], config: PipelineConfig
-) -> list[str]:
-    """The canonical key of every person, in line order, from persons that
-    hold their four strata tokens alone. A key is built at the first line
-    of each run of lines with the same strata, and is repeated over the
-    run; under ``config.sort`` every strata tuple keeps its key, so one is
-    built per household, at the household's first line. A failing build
-    names that line."""
-
-    def canonical(strata: tuple[str, ...]) -> str:
-        try:
-            return make_household_key(*strata, config.scheme).canonical
-        except HdbError as exc:
-            # a build fails at the first line of its strata: no earlier run
-            # of them was built without failing
-            line = next(islice(_line_numbers(starts, len(persons)),
-                               persons.index(strata), None))
-            raise exc.at(source=config.table_source, line=line, stage="identify")
-
-    if config.sort:
-        # the strata of a household may lie anywhere: each keeps its key, built
-        # in the order of the households' first lines
-        known = dict.fromkeys(persons)
-        for strata in known:
-            known[strata] = canonical(strata)
-        return list(map(known.__getitem__, persons))
-    lines: list[str] = []
-    for strata, run in groupby(persons):
-        lines += repeat(canonical(strata), len(list(run)))
-    return lines
-
-
-def _parse_income(token: str, mapping: IncomeRangeMap | None) -> float:
-    """A letter token recoded through ``mapping``, or without one a numeric
-    token read as a finite amount."""
-    if mapping is not None:
-        return income_from_letter(token, mapping)
+def _parse_amount(token: str) -> float:
+    """A numeric income token read as a finite amount."""
     try:
         value = float(token)
     except ValueError:
@@ -540,9 +504,10 @@ def _run(
     the per-variable household files (``only`` picks a subset; default
     every file the config enables) and ``table`` households.csv.
 
-    Only the columns a selected output needs are read. Each person is
-    handled in line order: key, then income, then member, each only when a
-    selected output needs it, and the household fold takes each member as
+    Only the columns a selected output needs are read. Every selection
+    goes through the one per-person loop, which handles each person in
+    line order: key, then income, then member, each only when a selected
+    output needs it, and the household fold takes each member as
     the pass makes it (under ``config.sort``, once every member is made:
     each household's members in line order, the households in key order).
     An error names the input line of the first person whose token fails
@@ -584,8 +549,9 @@ def _run(
     key_lines: list[str] = []
     amount_lines: list[str] = []
     # under --sort a household's lines may lie anywhere: each strata tuple
-    # keeps its key and its members, in line order, until every line is read
-    known: dict[tuple[str, ...], tuple[HouseholdKey, list[tuple]]] = {}
+    # keeps its key and, for the fold, its members, in line order, until
+    # every line is read
+    known: dict[tuple[str, ...], tuple[HouseholdKey, list[tuple] | None]] = {}
 
     def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
         strata = key = group = None
@@ -603,7 +569,7 @@ def _run(
                     except HdbError as exc:
                         raise exc.at(source=config.table_source, line=line, stage="identify")
                     if config.sort:
-                        known[strata] = key, (group := [])
+                        known[strata] = key, (group := [] if fold else None)
             if keys:
                 key_lines.append(key.canonical)
             income = None
@@ -611,11 +577,11 @@ def _run(
                 token = person[-1]
                 try:
                     if mapping is None:
-                        income = _parse_income(token, None)
+                        income = _parse_amount(token)
                     else:
                         entry = incomes.get(token)
                         if entry is None:
-                            income = _parse_income(token, mapping)
+                            income = income_from_letter(token, mapping)
                             entry = remember(incomes, token,
                                              (income, number(income) if amounts else None))
                         income, text = entry
@@ -630,12 +596,7 @@ def _run(
                 else:
                     group.append(member)
 
-    if keys and not (fold or need_income):
-        # nothing per person but the key: no member is made
-        key_lines = _key_lines(persons, starts, config)
-        rows = ()
-    else:
-        rows = members(persons)
+    rows = members(persons)
     del persons  # the pass holds them until it ends
     if not fold or config.sort:
         for _ in rows:  # the pass folds no member, or under --sort groups them all

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import gc
-import math
 import os
 import random
 import re
@@ -16,7 +15,7 @@ from hdbprep.cli import _configure, build_parser, main
 from hdbprep.identity import make_household_key
 from hdbprep.model import _SPELLINGS, IncomeMode
 from hdbprep.pipeline import _CONFIG_KEYS, load_config
-from hdbprep.synth import SynthParams, generate, write_table
+from hdbprep.synth import SynthParams, generate, write_column_files, write_table
 
 
 @pytest.fixture()
@@ -555,68 +554,31 @@ class TestTokenTableCap:
         assert [len(table) for table in tables] == [4] * 4
 
 
-def shuffled_table(source, target, seed):
-    """Copy a table-mode corpus with the data rows of persons.csv in a
-    seeded random order."""
-    target.mkdir(parents=True)
-    header, *rows = (source / "persons.csv").read_text().splitlines()
-    random.Random(seed).shuffle(rows)
-    (target / "persons.csv").write_text("".join(f"{line}\n" for line in [header, *rows]))
-    (target / "config.ini").write_text((source / "config.ini").read_text())
-    return target / "config.ini"
-
-
 class TestSortedShuffledTable:
     """Under --sort a person-shuffled table builds one key per household,
     still in line order."""
 
-    def test_one_key_per_household(self, tmp_path, capsys, monkeypatch):
-        from hdbprep import pipeline
-
-        data = tmp_path / "data"
-        assert main(["synth", "--seed", "6", "--households", "60", "--max-size", "12",
-                     "--income", "numeric", "--out-dir", str(data), "--table"]) == 0
-        config = data / "config.ini"
-        config.write_text(config.read_text().replace(
-            "mode = columns", "mode = table\ntable = persons.csv"))
-        shuffled = shuffled_table(data, tmp_path / "shuffled", seed=17)
-        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "a"),
-                     "--sort"]) == 0
-
-        calls = []
-
-        def counting(*args):
-            calls.append(args[:4])
-            return real_make_household_key(*args)
-
-        real_make_household_key = pipeline.make_household_key
-        monkeypatch.setattr(pipeline, "make_household_key", counting)
-        assert main(["run", "--config", str(shuffled), "--out-dir", str(tmp_path / "b"),
-                     "--sort"]) == 0
-        assert "households: 60" in capsys.readouterr().out
-        assert len(calls) == len(set(calls)) == 60
-
-        def table(out):
-            with (out / "households.csv").open(newline="") as handle:
-                return list(csv.reader(handle))
-
-        expected, got = table(tmp_path / "a"), table(tmp_path / "b")
-        assert len(got) == len(expected) == 61
-        # the shuffled members are summed in another order
-        for want_row, got_row in zip(expected, got):
-            for want, cell in zip(want_row, got_row, strict=True):
-                assert cell == want or math.isclose(float(cell), float(want), rel_tol=1e-9)
-
-    def test_identify_builds_one_key_per_household(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("layout", ["household-order-columns", "shuffled-table-sort"])
+    @pytest.mark.parametrize("command", ["identify", "run"])
+    def test_one_key_build_per_household(self, tmp_path, capsys, monkeypatch, command, layout):
+        """Each selection that builds keys builds one per household: at the
+        first line of each run of equal strata in household order, and
+        once per strata tuple on a shuffled table under --sort."""
         from hdbprep import pipeline
 
         result = generate(SynthParams(n_households=60, seed=6, max_household_size=12))
         persons = list(result.persons)
-        random.Random(17).shuffle(persons)
         data = tmp_path / "data"
-        write_table(dataclasses.replace(result, persons=tuple(persons)), data / "persons.csv")
-        config = write_ini(data / "config.ini", {("input", "mode"): "table",
-                                                 ("input", "table"): "persons.csv"})
+        keys = {("income", "mode"): "letters"}
+        if layout == "household-order-columns":
+            write_column_files(result, data)
+            flags = []
+        else:
+            random.Random(17).shuffle(persons)
+            write_table(dataclasses.replace(result, persons=tuple(persons)), data / "persons.csv")
+            keys.update({("input", "mode"): "table", ("input", "table"): "persons.csv"})
+            flags = ["--sort"]
+        config = write_ini(data / "config.ini", keys)
         calls = []
 
         def counting(*args):
@@ -625,8 +587,9 @@ class TestSortedShuffledTable:
 
         real_make_household_key = pipeline.make_household_key
         monkeypatch.setattr(pipeline, "make_household_key", counting)
-        assert main(["identify", "--config", str(config), "--out-dir", str(tmp_path / "out"),
-                     "--sort"]) == 0
+        assert main([command, "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                     *flags]) == 0
+        assert ("households: 60" in capsys.readouterr().out) == (command == "run")
         assert len(calls) == len(set(calls)) == len(result.ground_truth) == 60
         truth = {household.key.components: household.key.canonical
                  for household in result.ground_truth}
@@ -813,18 +776,35 @@ class TestErrorLinesAreFileLines:
         assert err.startswith(
             f"error: [aggregate] NON_CONSECUTIVE_KEY ({data / 'persons.csv'}:4): ")
 
-    def test_rows_after_a_multi_line_cell_keep_their_lines(self, tmp_path, capsys):
+    #: Data rows 1 and 3 span two and three lines; the household token of
+    #: row 4, on line 8, holds the prefix letter H.
+    PREFIX_AFTER_NOTES = ('1,1,1,1,40,1,1,"multi\nline note"\n1,1,1,2,30,2,1,ok\n'
+                          '1,1,1,2,10,1,0,"a\nb\nc"\n1,1,1,4H,50,1,1,ok\n')
+    PREFIX_COLLISION = ("[identify] PREFIX_COLLISION ({}:8): token '4H' contains prefix "
+                        "letter 'H'; the identifier would not parse back")
+
+    @pytest.mark.parametrize("argv, rows, error", [
+        pytest.param(["run"], '1,1,1,1,40,1,1,"multi\nline note"\n1,1,1,1,x,2,0,ok\n',
+                     "[aggregate] BAD_AGE_TOKEN ({}:4): cannot read 'x' as an age",
+                     id="run-bad-age"),
+        pytest.param(["identify"], PREFIX_AFTER_NOTES, PREFIX_COLLISION,
+                     id="identify-prefix-collision"),
+        pytest.param(["identify", "--sort"], PREFIX_AFTER_NOTES, PREFIX_COLLISION,
+                     id="identify-sort-prefix-collision"),
+        pytest.param(["run"], PREFIX_AFTER_NOTES, PREFIX_COLLISION,
+                     id="run-prefix-collision"),
+    ])
+    def test_rows_after_a_multi_line_cell_keep_their_lines(self, tmp_path, capsys,
+                                                           argv, rows, error):
         data = tmp_path / "data"
         data.mkdir()
         (data / "persons.csv").write_text(
-            "region,milieu,cluster,household,age,gender,poswrchief,note\n"
-            '1,1,1,1,40,1,1,"multi\nline note"\n1,1,1,1,x,2,0,ok\n')
+            "region,milieu,cluster,household,age,gender,poswrchief,note\n" + rows)
         config = data / "config.ini"
         config.write_text("[input]\nmode = table\ntable = persons.csv\n")
-        assert failure(capsys, ["run", "--config", str(config),
+        assert failure(capsys, [*argv, "--config", str(config),
                                 "--out-dir", str(tmp_path / "out")]) == (
-            1, f"error: [aggregate] BAD_AGE_TOKEN ({data / 'persons.csv'}:4): "
-               "cannot read 'x' as an age")
+            1, "error: " + error.format(data / "persons.csv"))
 
 
 PROCESSING_COMMANDS = ("identify", "recode-income", "aggregate", "run")

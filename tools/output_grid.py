@@ -18,7 +18,7 @@ made:
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 16 corpora with injected faults (FAULTS below), and 7 shuffled
+* 16 corpora with injected faults (FAULTS below), and 8 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
   code the CLI can reach is reached, and a later key or income error
   meets an earlier fold error;
@@ -30,7 +30,7 @@ made:
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow.
 
-That is 103 corpora, each built once per tree, and 3,090 cases.
+That is 104 corpora, each built once per tree, and 3,120 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -206,6 +206,13 @@ def _note_then_bad_age(rows: list[list[str]]) -> None:
     rows[6][4] = "x"
 
 
+def _note_then_prefix_letter(rows: list[list[str]]) -> None:
+    """Add a note column, a line break in the note of data row 2 and the
+    prefix letter H in the household of data row 6."""
+    _add_note(rows, 2, "multi\nline note")
+    _collide_household(rows, 6)
+
+
 def _set_cell(row: int, column: int, text: str):
     """An edit that sets one cell; row 0 is the header."""
     def edit(rows: list[list[str]]) -> None:
@@ -221,6 +228,7 @@ TABLE_FAULTS = {
     "empty-age-cell": lambda d: _edit_table(d, _set_cell(11, 4, "")),
     "line-break-in-cluster": lambda d: _edit_table(d, _set_cell(13, 2, "1\n2")),
     "multi-line-note-then-bad-age": lambda d: _edit_table(d, _note_then_bad_age),
+    "multi-line-note-then-prefix-letter": lambda d: _edit_table(d, _note_then_prefix_letter),
     # over the csv module's default field size limit of 131,072 characters
     "oversized-note": lambda d: _edit_table(d, lambda rows: _add_note(rows, 2, "x" * 140_000)),
 }
