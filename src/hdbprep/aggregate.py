@@ -3,24 +3,24 @@
 Survey files arrive sorted so that each household's members occupy one
 consecutive block of lines. Aggregation exploits that: `aggregate_all`
 folds (key, member) rows as they come, from any iterable (the pipeline
-feeds it one person at a time), keeps the running totals of the one
-household whose block is open, and emits that household's aggregate when
-the key changes. It never builds a person-indexed table.
+feeds it one person at a time), one run of equal keys at a time. A run's
+totals live for one loop iteration, and its household's aggregate is
+emitted after its last member. It never builds a person-indexed table.
 
-Each member costs one lookup: a per-run table maps the member's profile
-(age token, gender token, chief flag) to whether it is an adult, its
-Oxford and FAO-OMS weights, and whether its age is the unknown-age code.
-A gender token is read only for adults, and only when the FAO-OMS scale
-is configured. A profile that fails to parse is never stored, so it fails
-again at each occurrence and the first bad token in row order is the one
-an error names. Each household composition (adults, children) gets its
-DMP value once per run, from a second table.
+Each member costs one lookup: a per-run `TokenTable` maps the member's
+profile (age token, gender token, chief flag) to whether it is an adult,
+its Oxford and FAO-OMS weights, and whether its age is the unknown-age
+code. A gender token is read only for adults, and only when the FAO-OMS
+scale is configured. A profile that fails to parse is never stored, so it
+fails again at each occurrence and the first bad token in row order is
+the one an error names. Each household composition (adults, children)
+gets its DMP value once per run, from a second table.
 
 The fold reads the run's one `PipelineConfig`, which has checked the
 scales and the DMP parameters already; which scales, which income and
 which dividing scale apply is resolved from it once per run. An error or
-warning names the member's input line (a household's error, the line of
-its first member), and in table mode the table file.
+warning names the member's input line (a household's error, raised after
+its last member, the line of its first), and in table mode the table file.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import HdbError
 from .ingest import parse_age, parse_gender
@@ -76,12 +78,23 @@ def _coerce_numeric_prefix(token: str) -> float:
 TOKEN_TABLE_SIZE = 4096
 
 
-def remember(table: dict, token, value):
-    """Store ``value`` under ``token`` while ``table`` holds fewer than
-    TOKEN_TABLE_SIZE entries; return ``value``."""
-    if len(table) < TOKEN_TABLE_SIZE:
-        table[token] = value
-    return value
+class TokenTable(dict):
+    """A per-run table of the value of each token: a token it does not
+    hold is computed by ``compute`` and stored while the table holds fewer
+    than TOKEN_TABLE_SIZE entries. A computation that raises stores
+    nothing."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, token):
+        value = self.compute(token)
+        if len(self) < TOKEN_TABLE_SIZE:
+            self[token] = value
+        return value
 
 
 def aggregate_all(
@@ -93,10 +106,11 @@ def aggregate_all(
 ) -> Iterator[HouseholdAggregate]:
     """Stream (key, member) rows into one HouseholdAggregate per household,
     in input order, in a single pass; a member may be a `Member` or a plain
-    tuple in its field order. The fold runs as ``config`` sets it up: its
-    encodings, missing-age policy and paper sentinel, its scales, and its
-    income mode. The scaled income is computed only under
-    ``scale_income``, and only when income is on.
+    tuple in its field order. A household is a run of rows with equal keys
+    (equal canonical text: a fresh key object per row still groups). The
+    fold runs as ``config`` sets it up: its encodings, missing-age policy
+    and paper sentinel, its scales, and its income mode. The scaled income
+    is computed only under ``scale_income``, and only when income is on.
 
     Per member: strict mode raises BAD_AGE_TOKEN / BAD_GENDER_TOKEN at the
     member's line. Under ``paper_sentinel`` an unparseable token weighs
@@ -106,12 +120,14 @@ def aggregate_all(
     region token; the chief label is the raw gender token of the last
     member marked chief, or "XXX" when none is.
 
-    Raises NON_CONSECUTIVE_KEY (at the line of the member that brings it
-    back) when a key that already closed a household reappears later in
-    the stream, and ZERO_SCALE or INCOME_OVERFLOW (at the household's
-    first line) when its dividing scale is not positive or its income
-    total or scaled income is not finite. The warnings AGE_MISSING and
-    MULTIPLE_CHIEFS are appended to ``warnings`` as HdbErrors.
+    Errors come in line order. NON_CONSECUTIVE_KEY is raised at the first
+    line of a run whose key already closed a household, before that member
+    is read. ZERO_SCALE (a dividing scale that is not positive) and
+    INCOME_OVERFLOW (an income total or scaled income that is not finite)
+    name the household's first line but are raised after its last member,
+    so they win over the next run's NON_CONSECUTIVE_KEY. The warnings
+    AGE_MISSING and MULTIPLE_CHIEFS are appended to ``warnings`` as
+    HdbErrors.
     """
     age_encoding = config.age_encoding
     sentinel = config.paper_sentinel
@@ -125,9 +141,11 @@ def aggregate_all(
     # the sum that divides income: an index into (Oxford, FAO-OMS, DMP)
     divide_by = None if scaled_by is None else list(ScaleKind).index(scaled_by)
 
-    def profile(age_token: str, gender_token: str, is_chief: bool) -> tuple:
-        """(adult, Oxford weight, FAO-OMS weight, age missing) of a member;
-        a weight that is not configured is 0.0."""
+    def profile(traits: tuple[str, str, bool]) -> tuple:
+        """(adult, Oxford weight, FAO-OMS weight, age missing) of a member's
+        (age token, gender token, chief flag); a weight that is not
+        configured is 0.0."""
+        age_token, gender_token, is_chief = traits
         try:
             age = parse_age(age_token, age_encoding, config.missing_age_policy)
         except HdbError:
@@ -152,89 +170,68 @@ def aggregate_all(
                 faofam = faofam_weight(age, age_encoding, gender)
         return adult, oxford, faofam, age.missing
 
+    # member profile -> (adult, Oxford, FAO-OMS, age missing)
+    profiles = TokenTable(profile)
     # (adults, children) -> DMP value
-    dmps: dict[tuple[int, int], float] = {}
+    dmps = TokenTable(lambda composition: dmp_scale(*composition, config.dmp_c, config.dmp_s))
+    seen: set[str] = set()
+    for key, run in groupby(rows, itemgetter(0)):
+        first_line = None
+        adults = children = chiefs = 0
+        oxford = faofam = income = 0.0
+        chief_label = NO_CHIEF_LABEL
+        for _, (line, age_token, gender_token, is_chief, amount) in run:
+            if first_line is None:
+                first_line = line
+                if key.canonical in seen:
+                    raise HdbError("NON_CONSECUTIVE_KEY", f"household {key.canonical!r} "
+                                   "reappears after a different household; input is not "
+                                   "grouped (use an explicit sort)", source=source, line=line)
+                seen.add(key.canonical)
+            try:
+                adult, weight_oxford, weight_faofam, missing = profiles[
+                    age_token, gender_token, is_chief]
+            except HdbError as exc:
+                raise exc.at(source=source, line=line)
+            if missing and warnings is not None:
+                warnings.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} "
+                                         "treated as adult", source=source, line=line))
+            if adult:
+                adults += 1
+            else:
+                children += 1
+            oxford += weight_oxford
+            faofam += weight_faofam
+            if with_income:
+                if amount is None:
+                    raise HdbError("MISSING_INCOME", "member has no income amount",
+                                   source=source, line=line)
+                income += amount
+            if is_chief:
+                chief_label = gender_token
+                chiefs += 1
 
-    def close(key, line, adults, children, oxford, faofam, income, chief_label, chiefs):
-        """The aggregate of the household whose block ends; ``line`` is its
-        first member's, which its errors name."""
-        scale_dmp = None
-        if with_dmp:
-            scale_dmp = dmps.get((adults, children))
-            if scale_dmp is None:
-                scale_dmp = remember(dmps, (adults, children),
-                                     dmp_scale(adults, children, config.dmp_c, config.dmp_s))
+        # the household's own errors name its first line
+        scale_dmp = dmps[adults, children] if with_dmp else None
         if with_income and not math.isfinite(income):
             raise HdbError("INCOME_OVERFLOW", f"household {key}: income total overflows "
-                           f"to {income}", source=source, line=line)
+                           f"to {income}", source=source, line=first_line)
         scaled_income = None
         if divide_by is not None:
             divisor = (oxford, faofam, scale_dmp)[divide_by]
             if not divisor > 0:
                 raise HdbError("ZERO_SCALE", f"household {key}: {scaled_by.value} scale is "
-                               f"{divisor}, cannot scale income", source=source, line=line)
+                               f"{divisor}, cannot scale income", source=source, line=first_line)
             scaled_income = income / divisor
             if not math.isfinite(scaled_income):
                 raise HdbError("INCOME_OVERFLOW", f"household {key}: income {income} "
                                f"divided by its {scaled_by.value} scale {divisor} overflows",
-                               source=source, line=line)
+                               source=source, line=first_line)
         if chiefs > 1 and warnings is not None:
             warnings.append(HdbError(
                 "MULTIPLE_CHIEFS", f"household {key} marks {chiefs} members as chief"))
-        return HouseholdAggregate(
+        yield HouseholdAggregate(
             key, adults + children, adults, children, oxford if with_oxford else None,
             faofam if with_faofam else None, scale_dmp, income if with_income else None,
             scaled_income, key.components[0], chief_label,
         )
-
-    seen: set[str] = set()
-    # member profile -> (adult, Oxford, FAO-OMS, age missing); a profile
-    # that fails is never stored
-    profiles: dict[tuple[str, str, bool], tuple] = {}
-    household = canonical = None
-    for key, member in rows:
-        line, age_token, gender_token, is_chief, amount = member
-        if key.canonical != canonical:
-            canonical = key.canonical
-            if canonical in seen:
-                raise HdbError("NON_CONSECUTIVE_KEY", f"household {canonical!r} reappears "
-                               "after a different household; input is not grouped (use an "
-                               "explicit sort)", source=source, line=line)
-            seen.add(canonical)
-            if household is not None:
-                yield close(household, first_line, adults, children, oxford, faofam, income,
-                            chief_label, chiefs)
-            household, first_line = key, line
-            adults = children = chiefs = 0
-            oxford = faofam = income = 0.0
-            chief_label = NO_CHIEF_LABEL
-
-        traits = (age_token, gender_token, is_chief)
-        weights = profiles.get(traits)
-        if weights is None:
-            try:
-                weights = remember(profiles, traits, profile(*traits))
-            except HdbError as exc:
-                raise exc.at(source=source, line=line)
-        adult, weight_oxford, weight_faofam, missing = weights
-        if missing and warnings is not None:
-            warnings.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} treated "
-                                     "as adult", source=source, line=line))
-        if adult:
-            adults += 1
-        else:
-            children += 1
-        oxford += weight_oxford
-        faofam += weight_faofam
-        if with_income:
-            if amount is None:
-                raise HdbError("MISSING_INCOME", "member has no income amount", source=source,
-                               line=line)
-            income += amount
-        if is_chief:
-            chief_label = gender_token
-            chiefs += 1
-
-    if household is not None:
-        yield close(household, first_line, adults, children, oxford, faofam, income,
-                    chief_label, chiefs)

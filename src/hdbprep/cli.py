@@ -87,23 +87,11 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
     return config if args.out_dir is None else config._replace(out_dir=args.out_dir)
 
 
-def _cmd_identify(args: argparse.Namespace) -> int:
-    print(run_identify(_configure(args)).render())
-    return 0
-
-
-def _cmd_recode(args: argparse.Namespace) -> int:
-    print(run_recode(_configure(args)).render())
-    return 0
-
-
-def _cmd_aggregate(args: argparse.Namespace) -> int:
-    print(run_aggregate(_configure(args), only=args.only).render())
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    print(run_pipeline(_configure(args)).render())
+def _cmd_process(args: argparse.Namespace) -> int:
+    """A processing command: the pipeline entry point its subparser sets,
+    read from this module when `main` builds the parser."""
+    extra = {"only": args.only} if args.command == "aggregate" else {}
+    print(args.run(_configure(args), **extra).render())
     return 0
 
 
@@ -178,22 +166,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", parents=config_flags,
                        help="write one canonical household key per person")
-    p.set_defaults(handler=_cmd_identify)
+    p.set_defaults(handler=_cmd_process, run=run_identify)
 
     p = sub.add_parser("recode-income", parents=config_flags,
                        help="recode letter-coded incomes to bracket amounts")
-    p.set_defaults(handler=_cmd_recode)
+    p.set_defaults(handler=_cmd_process, run=run_recode)
 
     p = sub.add_parser("aggregate", parents=config_flags,
                        help="write per-household statistic files")
     p.add_argument("--only", nargs="+", choices=AGGREGATE_OUTPUTS, metavar="WHAT",
                    help="write only these outputs "
                         f"(any of: {', '.join(AGGREGATE_OUTPUTS)})")
-    p.set_defaults(handler=_cmd_aggregate)
+    p.set_defaults(handler=_cmd_process, run=run_aggregate)
 
     p = sub.add_parser("run", parents=config_flags,
                        help="full pipeline: identify, recode, aggregate, combined table")
-    p.set_defaults(handler=_cmd_run)
+    p.set_defaults(handler=_cmd_process, run=run_pipeline)
 
     p = sub.add_parser("synth", help="generate a synthetic database with a "
                                      "ready-to-run config")

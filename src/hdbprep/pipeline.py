@@ -45,7 +45,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
-from .aggregate import aggregate_all, remember
+from .aggregate import TokenTable, aggregate_all
 from .errors import HdbError
 from .identity import DEFAULT_SCHEME, PrefixScheme, make_household_key
 from .ingest import (
@@ -407,13 +407,9 @@ def _renderer() -> tuple[Callable[[float | None], str],
     format_number) and of a household's row of cells in `_TABLE_COLUMNS`
     order. They share a table of the text of each number rendered, so a
     value that repeats is formatted once."""
-    texts: dict[float | None, str] = {None: ""}
-
-    def number(value: float | None) -> str:
-        text = texts.get(value)
-        if text is None:
-            text = remember(texts, value, format_number(value))
-        return text
+    texts = TokenTable(format_number)
+    texts[None] = ""
+    number = texts.__getitem__
 
     def row(household: HouseholdAggregate) -> tuple[str, ...]:
         key, size, adults, children, oxford, faofam, dmp, income, scaled, area, chief = household
@@ -555,9 +551,10 @@ def _run(
 
     def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
         strata = key = group = None
-        # letter code -> (amount, its text for the amount file), never a code
-        # that fails; numeric tokens, too many to table, are parsed each time
-        incomes: dict[str, tuple[float, str | None]] = {}
+        # letter code -> (amount, its text for the amount file); numeric
+        # tokens, too many to table, are parsed each time
+        incomes = TokenTable(lambda token: (amount := income_from_letter(token, mapping),
+                                            number(amount) if amounts else None))
         for line, person in zip(_line_numbers(starts, n_persons), persons):
             # a household's members share one key, built at its first line
             if need_keys and person[:4] != strata:
@@ -579,12 +576,7 @@ def _run(
                     if mapping is None:
                         income = _parse_amount(token)
                     else:
-                        entry = incomes.get(token)
-                        if entry is None:
-                            income = income_from_letter(token, mapping)
-                            entry = remember(incomes, token,
-                                             (income, number(income) if amounts else None))
-                        income, text = entry
+                        income, text = incomes[token]
                         if amounts:  # only letter mode writes the amount file
                             amount_lines.append(text)
                 except HdbError as exc:

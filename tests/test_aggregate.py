@@ -88,6 +88,29 @@ class TestGroupConsecutive:
     def test_empty_stream(self):
         assert list(aggregate_all([], settings())) == []
 
+    def test_household_error_beats_next_run_reappearing_key(self):
+        # errors come in line order: household 2's zero DMP scale, raised
+        # after its last member, wins over household 1 coming back
+        rows = [
+            (key(1), member(1, 30, income=1.0)),
+            (key(2), member(2, 5, income=1.0)),
+            (key(1), member(3, 40, income=1.0)),
+        ]
+        config = settings(DMP, dmp_c=0.0, income=True, scaled_by=DMP)
+        with raises_code("ZERO_SCALE") as info:
+            list(aggregate_all(rows, config, scale_income=True))
+        assert info.value.line == 2
+
+    def test_reappearing_key_beats_its_first_member_bad_age(self):
+        rows = [
+            (key(1), member(1, 30)),
+            (key(2), member(2, 40)),
+            (key(1), member(3, "x")),
+        ]
+        with raises_code("NON_CONSECUTIVE_KEY") as info:
+            list(aggregate_all(rows, settings(*ALL_SCALES)))
+        assert info.value.line == 3
+
 
 class TestReducer:
     def test_seed_step_finish(self):

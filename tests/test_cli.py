@@ -517,14 +517,27 @@ class TestTokenTableCap:
     """Past TOKEN_TABLE_SIZE entries a token table stops growing and
     tokens it does not hold are parsed again: same output bytes."""
 
-    def outputs(self, data, out, capsys):
-        assert main(["run", "--config", str(data / "config.ini"),
-                     "--out-dir", str(out)]) == 0
+    def outputs(self, data, out, capsys, monkeypatch):
+        """The stdout and output files of one run, and how often each
+        tabled computation was called."""
+        from hdbprep import aggregate, pipeline
+
+        calls = {}
+        with monkeypatch.context() as patch:
+            for module, name in ((aggregate, "parse_age"), (aggregate, "dmp_scale"),
+                                 (pipeline, "format_number"), (pipeline, "income_from_letter")):
+                def counting(*args, name=name, real=getattr(module, name)):
+                    calls[name] = calls.get(name, 0) + 1
+                    return real(*args)
+
+                patch.setattr(module, name, counting)
+            assert main(["run", "--config", str(data / "config.ini"),
+                         "--out-dir", str(out)]) == 0
         stdout = capsys.readouterr().out.replace(str(out), "<OUT>")
-        return stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+        return (stdout, {path.name: path.read_bytes() for path in out.iterdir()}), calls
 
     def test_capped_tables_give_the_same_bytes(self, tmp_path, capsys, monkeypatch):
-        from hdbprep import aggregate, pipeline
+        from hdbprep import aggregate
 
         data = tmp_path / "data"
         assert main(["synth", "--seed", "4", "--households", "60",
@@ -536,22 +549,16 @@ class TestTokenTableCap:
         assert len(set(ages)) > 4 and any("." in age for age in ages)
         (data / "age.txt").write_text("".join(f"{a}\n" for a in ages))
         capsys.readouterr()
-        uncapped = self.outputs(data, tmp_path / "uncapped", capsys)
+        uncapped, uncapped_calls = self.outputs(data, tmp_path / "uncapped", capsys, monkeypatch)
 
-        tables = []
-
-        def spy(table, token, value):
-            if not any(table is seen for seen in tables):
-                tables.append(table)
-            return real_remember(table, token, value)
-
-        real_remember = aggregate.remember
         monkeypatch.setattr(aggregate, "TOKEN_TABLE_SIZE", 4)
-        monkeypatch.setattr(aggregate, "remember", spy)
-        monkeypatch.setattr(pipeline, "remember", spy)
-        assert self.outputs(data, tmp_path / "capped", capsys) == uncapped
+        capped, capped_calls = self.outputs(data, tmp_path / "capped", capsys, monkeypatch)
+        assert capped == uncapped
         # member profiles, DMP compositions, income letters, rendered numbers
-        assert [len(table) for table in tables] == [4] * 4
+        assert capped_calls.keys() == uncapped_calls.keys() == {
+            "parse_age", "dmp_scale", "format_number", "income_from_letter"}
+        for name, count in uncapped_calls.items():
+            assert capped_calls[name] > count, name
 
 
 class TestSortedShuffledTable:

@@ -18,7 +18,7 @@ made:
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 16 corpora with injected faults (FAULTS below), and 8 shuffled
+* 17 corpora with injected faults (FAULTS below), and 8 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
   code the CLI can reach is reached, and a later key or income error
   meets an earlier fold error;
@@ -30,7 +30,7 @@ made:
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow.
 
-That is 104 corpora, each built once per tree, and 3,120 cases.
+That is 105 corpora, each built once per tree, and 3,150 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -102,13 +102,20 @@ def _move_household(data: Path, line: int | None = None) -> None:
         _replace_line(data / name, line or len(lines) - 1, lines[0])
 
 
-def _children_first_household(data: Path) -> None:
-    """Make every member of the first household a child, aged 5."""
+def _household_lines(data: Path, index: int) -> range:
+    """The lines of the household at ``index`` (0 for the first) in
+    line order."""
     columns = [(data / name).read_text(encoding="utf-8").split("\n")
                for name in ("region.txt", "milieu.txt", "cluster.txt", "household.txt")]
     strata = list(zip(*columns))
-    size = next(i for i, person in enumerate(strata) if person != strata[0])
-    for line in range(1, size + 1):
+    starts = [line for line in range(1, len(strata))
+              if line == 1 or strata[line - 1] != strata[line - 2]]
+    return range(starts[index], starts[index + 1])
+
+
+def _children_household(data: Path, index: int = 0) -> None:
+    """Make every member of the household at ``index`` a child, aged 5."""
+    for line in _household_lines(data, index):
         _replace_line(data / "age.txt", line, "5")
 
 
@@ -156,10 +163,15 @@ FAULTS = {
         _move_household(d, 50),
         _replace_line(d / "region.txt", 100, "1R")),
     "zero-scale-then-unknown-letter": lambda d: (
-        _children_first_household(d),
+        _children_household(d),
         _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
         _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
         _replace_line(d / "monthlyincomeNT.txt", 100, "Z")),
+    "zero-scale-then-returning-household": lambda d: (
+        _children_household(d, 1),
+        _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
+        _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
+        _move_household(d, _household_lines(d, 2)[0])),
 }
 
 
