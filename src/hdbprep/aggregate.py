@@ -4,8 +4,11 @@ Survey files arrive sorted so that each household's members occupy one
 consecutive block of lines. Aggregation exploits that: `aggregate_all`
 folds (key, member) rows as they come, from any iterable (the pipeline
 feeds it one person at a time), one run of equal keys at a time. A run's
-totals live for one loop iteration, and its household's aggregate is
-emitted after its last member. It never builds a person-indexed table.
+totals are locals of the loop, and its household's aggregate is emitted
+after its last member. It never builds a person-indexed table. Under the
+config's ``sort`` a household's members may lie anywhere: each is folded as
+it arrives into its household's small state, never kept, and the
+households come out at the end in canonical-key order.
 
 Each member costs one lookup: a per-run `TokenTable` maps the member's
 profile (age token, gender token, chief flag) to whether it is an adult,
@@ -19,8 +22,9 @@ gets its DMP value once per run, from a second table.
 The fold reads the run's one `PipelineConfig`, which has checked the
 scales and the DMP parameters already; which scales, which income and
 which dividing scale apply is resolved from it once per run. An error or
-warning names the member's input line (a household's error, raised after
-its last member, the line of its first), and in table mode the table file.
+warning names the member's input line (a household's error the line of
+its first member), and in table mode the table file. A member's warnings
+and first error wait until its household closes.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -122,12 +126,15 @@ def aggregate_all(
 
     Errors come in line order. NON_CONSECUTIVE_KEY is raised at the first
     line of a run whose key already closed a household, before that member
-    is read. ZERO_SCALE (a dividing scale that is not positive) and
-    INCOME_OVERFLOW (an income total or scaled income that is not finite)
-    name the household's first line but are raised after its last member,
-    so they win over the next run's NON_CONSECUTIVE_KEY. The warnings
-    AGE_MISSING and MULTIPLE_CHIEFS are appended to ``warnings`` as
-    HdbErrors.
+    is read. A member's error names its line; ZERO_SCALE (a dividing scale
+    that is not positive) and INCOME_OVERFLOW (an income total or scaled
+    income that is not finite) name the household's first line. Both are
+    raised when the household closes, after its last member, so they win
+    over the next run's NON_CONSECUTIVE_KEY. The warnings AGE_MISSING and
+    MULTIPLE_CHIEFS are appended to ``warnings`` as HdbErrors when their
+    household closes. Under ``config.sort`` the rows need not be grouped:
+    households close in canonical-key order once the rows are spent, each
+    output, error and warning as from the rows sorted stably by key.
     """
     age_encoding = config.age_encoding
     sentinel = config.paper_sentinel
@@ -174,44 +181,15 @@ def aggregate_all(
     profiles = TokenTable(profile)
     # (adults, children) -> DMP value
     dmps = TokenTable(lambda composition: dmp_scale(*composition, config.dmp_c, config.dmp_s))
-    seen: set[str] = set()
-    for key, run in groupby(rows, itemgetter(0)):
-        first_line = None
-        adults = children = chiefs = 0
-        oxford = faofam = income = 0.0
-        chief_label = NO_CHIEF_LABEL
-        for _, (line, age_token, gender_token, is_chief, amount) in run:
-            if first_line is None:
-                first_line = line
-                if key.canonical in seen:
-                    raise HdbError("NON_CONSECUTIVE_KEY", f"household {key.canonical!r} "
-                                   "reappears after a different household; input is not "
-                                   "grouped (use an explicit sort)", source=source, line=line)
-                seen.add(key.canonical)
-            try:
-                adult, weight_oxford, weight_faofam, missing = profiles[
-                    age_token, gender_token, is_chief]
-            except HdbError as exc:
-                raise exc.at(source=source, line=line)
-            if missing and warnings is not None:
-                warnings.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} "
-                                         "treated as adult", source=source, line=line))
-            if adult:
-                adults += 1
-            else:
-                children += 1
-            oxford += weight_oxford
-            faofam += weight_faofam
-            if with_income:
-                if amount is None:
-                    raise HdbError("MISSING_INCOME", "member has no income amount",
-                                   source=source, line=line)
-                income += amount
-            if is_chief:
-                chief_label = gender_token
-                chiefs += 1
 
-        # the household's own errors name its first line
+    def close(key, first_line, adults, children, chiefs, oxford, faofam, income, chief_label,
+              notes, error) -> HouseholdAggregate:
+        """A household's aggregate, after its members' warnings and first
+        error; its own errors name its first line."""
+        if notes:
+            warnings.extend(notes)
+        if error is not None:
+            raise error
         scale_dmp = dmps[adults, children] if with_dmp else None
         if with_income and not math.isfinite(income):
             raise HdbError("INCOME_OVERFLOW", f"household {key}: income total overflows "
@@ -230,8 +208,66 @@ def aggregate_all(
         if chiefs > 1 and warnings is not None:
             warnings.append(HdbError(
                 "MULTIPLE_CHIEFS", f"household {key} marks {chiefs} members as chief"))
-        yield HouseholdAggregate(
+        return HouseholdAggregate(
             key, adults + children, adults, children, oxford if with_oxford else None,
             faofam if with_faofam else None, scale_dmp, income if with_income else None,
             scaled_income, key.components[0], chief_label,
         )
+
+    # a household's state: [key, first line, adults, children, chiefs, Oxford,
+    # FAO-OMS and income sums, chief label, warnings, first member error], in
+    # locals while current; under sort ``opened`` holds all, swapped on any new key
+    sort, opened, seen, key = config.sort, {}, set(), None
+    for row_key, (line, age_token, gender_token, is_chief, amount) in rows:
+        if row_key is not key and (sort or row_key != key):
+            if key is not None:
+                state[1:] = (first_line, adults, children, chiefs, oxford, faofam, income,
+                             chief_label, notes, error)
+                if not sort:
+                    yield close(*state)
+            key = row_key
+            state = opened.get(key.canonical)
+            if state is None:
+                if key.canonical in seen:
+                    raise HdbError("NON_CONSECUTIVE_KEY", f"household {key.canonical!r} "
+                                   "reappears after a different household; input is not "
+                                   "grouped (use an explicit sort)", source=source, line=line)
+                state = [key, line, 0, 0, 0, 0.0, 0.0, 0.0, NO_CHIEF_LABEL, None, None]
+                if sort:
+                    opened[key.canonical] = state
+                else:
+                    seen.add(key.canonical)
+            (_, first_line, adults, children, chiefs, oxford, faofam, income, chief_label, notes,
+             error) = state
+        try:
+            adult, weight_oxford, weight_faofam, missing = profiles[
+                age_token, gender_token, is_chief]
+        except HdbError as exc:
+            error = error or exc.at(source=source, line=line)
+            continue
+        if missing and warnings is not None and error is None:
+            if notes is None:
+                notes = []
+            notes.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} "
+                                  "treated as adult", source=source, line=line))
+        if adult:
+            adults += 1
+        else:
+            children += 1
+        oxford += weight_oxford
+        faofam += weight_faofam
+        if with_income:
+            if amount is None:
+                error = error or HdbError("MISSING_INCOME", "member has no income amount",
+                                          source=source, line=line)
+                continue
+            income += amount
+        if is_chief:
+            chief_label = gender_token
+            chiefs += 1
+    if key is not None:
+        state[1:] = (first_line, adults, children, chiefs, oxford, faofam, income, chief_label,
+                     notes, error)
+        opened[key.canonical] = state
+    for canonical in sorted(opened):
+        yield close(*opened.pop(canonical))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 from enum import Enum
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -144,16 +146,23 @@ def read_column_sources(
     return list(zip(*ordered))
 
 
+#: The data rows of a table read and checked as one block: few enough that
+#: rows alive together cost the cyclic garbage collector no extra passes.
+TABLE_BLOCK_ROWS = 64
+
+
 def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
-                 column_map: Mapping[Variable, str]) -> None:
+                 source: TableSource, line: int) -> None:
     """Raise for the first bad cell of a person, in field order: an empty
     cell, or a cell holding a line break."""
     for variable, token in zip(variables, person):
-        name = column_map[variable]
+        name = source.column_map[variable]
         if not token:
-            raise HdbError("EMPTY_TOKEN", f"column {name!r} is empty")
+            raise HdbError("EMPTY_TOKEN", f"column {name!r} is empty", source=str(source.path),
+                           line=line)
         if "\n" in token or "\r" in token:
-            raise HdbError("BAD_STRATA_TOKEN", f"column {name!r} contains a line break: {token!r}")
+            raise HdbError("BAD_STRATA_TOKEN", f"column {name!r} contains a line break: "
+                           f"{token!r}", source=str(source.path), line=line)
 
 
 def read_table(
@@ -166,14 +175,17 @@ def read_table(
     ``skip_header`` lines are discarded before the header itself. Every
     column named in the column_map must appear in the header; every data
     row must have exactly as many cells as the header. An empty cell is an
-    EMPTY_TOKEN error and a cell holding a line break a
-    BAD_STRATA_TOKEN error, each naming the cell's column by its header;
-    these and a row of the wrong length name the file and the row's first
-    line. A row the csv module cannot parse, such as one with a cell over
-    its field size limit, is a BAD_TABLE_ROW error naming the line it
-    stopped on. Quoting follows the common convention
-    (fields wrapped in double quotes, embedded quotes doubled), which the
-    csv module implements.
+    EMPTY_TOKEN error and a cell holding a line break a BAD_STRATA_TOKEN
+    error, each naming the cell's column by its header; these and a row of
+    the wrong length name the file and the row's first line. A row the csv
+    module cannot parse, such as one with a cell over its field size limit,
+    is a BAD_TABLE_ROW error naming the line it stopped on, once the rows
+    before it are checked. Quoting follows the common convention (fields
+    wrapped in double quotes, embedded quotes doubled), which the csv
+    module implements.
+
+    Rows are read TABLE_BLOCK_ROWS at a time and checked by column; a block
+    that fails or holds a multi-line row is checked row by row instead.
 
     ``starts``, when given, receives the first line of the first row and of
     every row after one that a quoted line break spans, by row index; every
@@ -203,25 +215,43 @@ def read_table(
             variables = [variable for variable in Variable if variable in positions]
             indexes = [positions[variable] for variable in variables]
             persons: list[tuple[str, ...]] = []
-            last = reader.line_num
-            follows = None
-            for row in reader:
-                # the first line of the row: a quoted line break spans lines
-                first, last = last + 1, reader.line_num
-                if first != follows and starts is not None:
-                    starts[len(persons)] = first
-                follows = first + 1
-                if len(row) != len(names):
-                    raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, header "
-                                   f"has {len(names)}", source=str(source.path), line=first)
-                person = tuple([row[i].strip() for i in indexes])
+            follows = None  # the first line of a row when the one before spans one line
+            while True:
+                before, rows, failure = reader.line_num, [], None
+                try:
+                    rows.extend(islice(reader, TABLE_BLOCK_ROWS))
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    failure = exc  # raised once the rows before it are checked
+                columns = []
                 # with newline="", only a row that spans lines holds a line break
-                if "" in person or last != first:
-                    try:
-                        _check_cells(person, variables, source.column_map)
-                    except HdbError as exc:
-                        raise exc.at(source=str(source.path), line=first)
-                persons.append(person)
+                if (failure is None and reader.line_num - before == len(rows)
+                        and set(map(len, rows)) <= {len(names)}):
+                    columns = [list(map(str.strip, map(itemgetter(i), rows))) for i in indexes]
+                if columns and not any("" in column for column in columns):
+                    if rows and before + 1 != follows and starts is not None:
+                        starts[len(persons)] = before + 1
+                    follows = reader.line_num + 1
+                    persons.extend(zip(*columns))
+                else:
+                    first = before + 1
+                    for row in rows:  # the first bad row, and each row's first line
+                        if first != follows and starts is not None:
+                            starts[len(persons)] = first
+                        follows = first + 1
+                        if len(row) != len(names):
+                            raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, "
+                                           f"header has {len(names)}", source=str(source.path),
+                                           line=first)
+                        person = tuple([row[i].strip() for i in indexes])
+                        breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+                        if "" in person or breaks:
+                            _check_cells(person, variables, source, first)
+                        persons.append(person)
+                        first += 1 + breaks
+                    if failure is not None:
+                        raise failure
+                if len(rows) < TABLE_BLOCK_ROWS:
+                    break
     except csv.Error as exc:
         # a row the csv module refuses, such as one with a cell over its field
         # size limit (a process-wide setting, left as it is)

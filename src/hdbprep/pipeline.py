@@ -13,8 +13,8 @@ error writes none of its outputs (an I/O failure part-way through the
 writes can still leave the files written before it).
 
 The household fold is fed each person as the pass reads it, so no
-person-indexed rows are kept (--sort alone groups each household's members
-in line order, then orders households by key, as a stable sort would).
+person-indexed rows are kept (under --sort it keeps a small state per
+household, not its members, and orders households by key at the end).
 The per-person work is per distinct token, numeric incomes aside: a
 household key is built once per run of lines with the same strata tokens
 (once per household under --sort), each letter income code is recoded
@@ -40,7 +40,7 @@ import io
 import math
 import sys
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -504,8 +504,8 @@ def _run(
     goes through the one per-person loop, which handles each person in
     line order: key, then income, then member, each only when a selected
     output needs it, and the household fold takes each member as
-    the pass makes it (under ``config.sort``, once every member is made:
-    each household's members in line order, the households in key order).
+    the pass makes it (under ``config.sort`` it gives the households in
+    key order once every member is folded).
     An error names the input line of the first person whose token fails
     (skipped lines and a table's header count), and a table's file; a key
     or income error wins over a fold error wherever it lies. A household
@@ -544,13 +544,11 @@ def _run(
     number, render = _renderer()
     key_lines: list[str] = []
     amount_lines: list[str] = []
-    # under --sort a household's lines may lie anywhere: each strata tuple
-    # keeps its key and, for the fold, its members, in line order, until
-    # every line is read
-    known: dict[tuple[str, ...], tuple[HouseholdKey, list[tuple] | None]] = {}
+    # under --sort a household's lines may lie anywhere: strata -> its key
+    known: dict[tuple[str, ...], HouseholdKey] = {}
 
     def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
-        strata = key = group = None
+        strata = key = None
         # letter code -> (amount, its text for the amount file); numeric
         # tokens, too many to table, are parsed each time
         incomes = TokenTable(lambda token: (amount := income_from_letter(token, mapping),
@@ -559,14 +557,14 @@ def _run(
             # a household's members share one key, built at its first line
             if need_keys and person[:4] != strata:
                 strata = person[:4]
-                key, group = known.get(strata, (None, None))
+                key = known.get(strata)
                 if key is None:
                     try:
                         key = make_household_key(*strata, config.scheme)
                     except HdbError as exc:
                         raise exc.at(source=config.table_source, line=line, stage="identify")
                     if config.sort:
-                        known[strata] = key, (group := [] if fold else None)
+                        known[strata] = key
             if keys:
                 key_lines.append(key.canonical)
             income = None
@@ -582,25 +580,16 @@ def _run(
                 except HdbError as exc:
                     raise exc.at(source=config.table_source, line=line, stage="recode")
             if fold:
-                member = (line, person[4], person[5], person[6] == "1", income)
-                if group is None:
-                    yield key, member
-                else:
-                    group.append(member)
+                yield key, (line, person[4], person[5], person[6] == "1", income)
 
     rows = members(persons)
     del persons  # the pass holds them until it ends
-    if not fold or config.sort:
-        for _ in rows:  # the pass folds no member, or under --sort groups them all
+    if not fold:
+        for _ in rows:  # the pass folds no member
             pass
     rendered: list[tuple[str, ...]] = []
     warnings: list[HdbError] = []
     if fold:
-        if config.sort:
-            # households in key order, each member in line order: a stable sort
-            # of the persons by key, as distinct strata give distinct keys
-            rows = chain.from_iterable(zip(repeat(key), group) for key, group in sorted(
-                known.values(), key=lambda entry: entry[0].canonical))
         try:
             rendered = [render(household)
                         for household in aggregate_all(rows, config, warnings, scale_income=table)]

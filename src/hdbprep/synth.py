@@ -333,16 +333,21 @@ def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
 
 
 def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
-    """Write the generated persons as one delimited table with a header."""
+    """Write the generated persons as one delimited table with a header; if a
+    cell holds a carriage return, which csv leaves bare, every cell is quoted."""
     import csv
 
     config, variables = _layout(result)
     cells = itemgetter(*range(len(variables)))
     path = Path(path)
-    with _open_output(path) as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(config.table_columns[variable] for variable in variables)
-        writer.writerows(map(cells, result.persons))
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        with _open_output(path) as handle:
+            writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n", quoting=quoting)
+            writer.writerow(config.table_columns[variable] for variable in variables)
+            writer.writerows(map(cells, result.persons))
+        with path.open("rb") as written:  # in small reads, which leave no large buffer
+            if not any(b"\r" in block for block in iter(lambda: written.read(1 << 14), b"")):
+                break
     return path
 
 

@@ -376,17 +376,18 @@ class TestErrorPrecedence:
         assert (code, err) == (1, "error: [recode] UNKNOWN_INCOME_CODE (line 5): "
                                   "income code 'Z' is not in the range map")
 
-    def run_table(self, tmp_path, capsys, rows):
-        """Run on a persons.csv of a header and the given data rows."""
+    def run_table(self, tmp_path, capsys, rows, flags=(), keys=""):
+        """Run with ``flags`` on a persons.csv of a header and the given data
+        rows; ``keys`` adds config lines."""
         data = tmp_path / "data"
         data.mkdir(parents=True)
         header = "region,milieu,cluster,household,age,gender,poswrchief,income\n"
         (data / "persons.csv").write_text(header + "".join(f"{r}\n" for r in rows))
         config = data / "config.ini"
         config.write_text("[input]\nmode = table\ntable = persons.csv\n"
-                          "[income]\nmode = letters\n")
+                          "[income]\nmode = letters\n" + keys)
         return failure(capsys, ["run", "--config", str(config),
-                                "--out-dir", str(tmp_path / "out")])
+                                "--out-dir", str(tmp_path / "out"), *flags])
 
     def test_empty_table_cell_beats_later_row_arity_error(self, tmp_path, capsys):
         code, err = self.run_table(tmp_path, capsys, [
@@ -415,6 +416,54 @@ class TestErrorPrecedence:
         assert err == ("error: [ingest] BAD_STRATA_TOKEN "
                        f"({tmp_path / 'again' / 'data' / 'persons.csv'}:3): "
                        "column 'region' contains a line break: '1\\n2'")
+
+    def run_sorted(self, tmp_path, capsys, faults, flags=(), keys=""):
+        """Run --sort on FIVE_PERSONS as a shuffled letter-income table in
+        TestSortedShuffledTable.ORDER (households 2, 1, 3, 2, 1); each fault
+        is (1-based data row, column, token)."""
+        rows = [list(FIVE_PERSONS[i]) for i in TestSortedShuffledTable.ORDER]
+        for row, column, token in faults:
+            rows[row - 1][column] = token
+        return self.run_table(tmp_path, capsys, [",".join(row) for row in rows],
+                              ["--sort", *flags], keys)
+
+    def test_sort_folds_the_earlier_keyed_household_first(self, tmp_path, capsys):
+        # household 2 has the earlier bad line (row 1), household 1 the
+        # earlier key: its bad age on row 5 (line 6) is named
+        code, err = self.run_sorted(tmp_path, capsys, [(1, AGE, "x"), (5, AGE, "y")])
+        assert (code, err) == (1, f"error: [aggregate] BAD_AGE_TOKEN "
+                                  f"({tmp_path / 'data' / 'persons.csv'}:6): "
+                                  "cannot read 'y' as an age")
+
+    def test_sort_zero_scale_beats_a_later_keyed_bad_age(self, tmp_path, capsys):
+        # with c = 0 the all-children household 1 (rows 2 and 5) has a DMP
+        # scale of 0; household 2's bad age lies on the earlier row 1
+        code, err = self.run_sorted(tmp_path, capsys, [(2, AGE, "5"), (1, AGE, "x")],
+                                    ["--scale", "dmp", "--dmp-c", "0"])
+        assert (code, err) == (1, f"error: [aggregate] ZERO_SCALE "
+                                  f"({tmp_path / 'data' / 'persons.csv'}:3): household "
+                                  "R1M1C1H1: dmp scale is 0.0, cannot scale income")
+
+    def test_sort_warnings_come_in_key_order(self, tmp_path, capsys):
+        # unknown ages on rows 1-3 and 5 (households 2, 1, 3, 1) and a
+        # second chief in household 2 (row 4)
+        faults = [(1, AGE, "99"), (2, AGE, "99"), (3, AGE, "99"), (5, AGE, "99"),
+                  (4, 6, "1")]
+        assert self.run_sorted(tmp_path, capsys, faults,
+                               keys="[variables]\nmissing_age_policy = strict\n") == (0, "")
+        data = tmp_path / "data"
+        assert main(["run", "--config", str(data / "config.ini"), "--out-dir",
+                     str(tmp_path / "out"), "--sort"]) == 0
+        table = data / "persons.csv"
+        missing = "AGE_MISSING: unknown-age code '99' treated as adult"
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")] == [
+            f"warning: {table}:3: {missing}",
+            f"warning: {table}:6: {missing}",
+            f"warning: {table}:2: {missing}",
+            "warning: MULTIPLE_CHIEFS: household R1M1C1H2 marks 2 members as chief",
+            f"warning: {table}:4: {missing}",
+        ]
 
 
     def test_line_break_in_the_chief_gender_cell(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
+import csv
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import raises_code
+from hdbprep import ingest
+from hdbprep.errors import HdbError
 from hdbprep.ingest import (
     ColumnSource,
     TableSource,
@@ -236,6 +240,98 @@ class TestReadTable:
     def test_skip_header_lines_before_real_header(self, tmp_path):
         src = self.write(tmp_path, "export 2026\n" + self.HEADER + "1,1,1,1,30,1,1\n")
         assert read_table(src, skip_header=1)[0][4] == "30"
+
+
+def read_rows(path, column_map, delimiter):
+    """A row-at-a-time reference reader: (persons, starts) of the table, or
+    (code, line) of its first error."""
+    with path.open(encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        names = [cell.strip() for cell in next(reader)]
+        indexes = [names.index(column_map[v]) for v in Variable if v in column_map]
+        persons, starts, follows = [], {}, None
+        last = reader.line_num
+        for row in reader:
+            first, last = last + 1, reader.line_num
+            if first != follows:
+                starts[len(persons)] = first
+            follows = first + 1
+            if len(row) != len(names):
+                return "ROW_ARITY_MISMATCH", first
+            person = tuple(row[i].strip() for i in indexes)
+            for token in person:
+                if not token:
+                    return "EMPTY_TOKEN", first
+                if "\n" in token or "\r" in token:
+                    return "BAD_STRATA_TOKEN", first
+            persons.append(person)
+    return (persons, starts) if persons else ("EMPTY_FILE", None)
+
+
+#: Good cells of the read columns, their faults, and cells of an unread note.
+READ_CELLS = st.sampled_from(["1", "2", " 3", "4 ", "10"])
+BAD_CELLS = st.sampled_from(["", " ", "5\n6", "7\r8", "7\r\n8"])
+NOTE_CELLS = st.sampled_from(["", "n", "a\nb", "a\r\nb", "a\rb", "\r", "\n\n", 'q"q', "x,y",
+                              "x\ty"])
+
+
+@st.composite
+def tables(draw):
+    """(text, delimiter, read variables) of a table: a header of every
+    variable and a note, then rows of which a few hold a bad read cell or
+    one cell more or less; breaks quoted inside cells (a lone carriage
+    return sometimes bare), line feed or CRLF row ends, and a BOM or none."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    rows = [[v.value for v in Variable] + ["note"]]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(READ_CELLS) for _ in Variable] + [draw(NOTE_CELLS)]
+        fault = draw(st.integers(0, 24))
+        if fault == 0:
+            row[draw(st.integers(0, 7))] = draw(BAD_CELLS)
+        elif fault in (1, 2):
+            row = (row + ["1"])[:8 + fault]
+        rows.append(row)
+    bare = draw(st.booleans())
+
+    def cell(text):
+        if text == "a\rb" and bare:
+            return text
+        if any(c in text for c in (delimiter, '"', "\n", "\r")):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    text = "".join(delimiter.join(map(cell, row)) + end for row, end in zip(rows, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    read = draw(st.sampled_from([list(Variable), list(Variable)[:4], list(Variable)[4:]]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text, delimiter, read
+
+
+class TestReadTableBlocks:
+    """The block reader gives what a row-at-a-time reader gives, at every
+    block size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_same_persons_starts_and_errors(self, tmp_path_factory, table):
+        text, delimiter, read = table
+        path = tmp_path_factory.mktemp("blocks") / "persons.csv"
+        path.write_bytes(text.encode("utf-8"))
+        column_map = {v: v.value for v in read}
+        want = read_rows(path, column_map, delimiter)
+        default = ingest.TABLE_BLOCK_ROWS
+        try:
+            for block in (1, 2, 3, default):
+                ingest.TABLE_BLOCK_ROWS = block
+                starts = {}
+                try:
+                    got = read_table(TableSource(path, column_map, delimiter), starts=starts), starts
+                except HdbError as exc:
+                    got = exc.code, exc.line
+                assert got == want, block
+        finally:
+            ingest.TABLE_BLOCK_ROWS = default
 
 
 class TestParseAge:

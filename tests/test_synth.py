@@ -13,6 +13,7 @@ from hdbprep.identity import make_household_key
 from hdbprep.ingest import (
     REQUIRED_VARIABLES,
     ColumnSource,
+    TableSource,
     Variable,
     read_column_file,
     read_table,
@@ -304,8 +305,6 @@ class TestFileOutput:
         assert NUMERIC_INCOME_FILE not in names
 
     def test_table_round_trip(self, tmp_path):
-        from hdbprep.ingest import TableSource
-
         result = generate(SynthParams(n_households=12, seed=4))
         path = write_table(result, tmp_path / "persons.csv")
         column_map = {v: v.value for v in Variable}
@@ -320,17 +319,38 @@ class TestFileOutput:
         # cells the writer may quote
         persons = list(result.persons)
         persons[-1] = persons[-1]._replace(age_raw='4"0')
-        persons[-9] = persons[-9]._replace(age_raw="4\r0")
         persons[-17] = persons[-17]._replace(age_raw="4\n0")
-
-        path = write_table(dataclasses.replace(result, persons=tuple(persons)),
-                           tmp_path / "persons.csv", delimiter)
         variables = (*REQUIRED_VARIABLES, Variable.INCOME)
-        expected = io.StringIO()
-        writer = csv.writer(expected, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(PipelineConfig().table_columns[v] for v in variables)
-        writer.writerows(person[:len(variables)] for person in persons)
-        assert path.read_bytes() == expected.getvalue().encode()
+        # the writer leaves a lone "\r" unquoted: a table holding one has
+        # every cell quoted
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            if quoting == csv.QUOTE_ALL:
+                persons[-9] = persons[-9]._replace(age_raw="4\r0")
+            path = write_table(dataclasses.replace(result, persons=tuple(persons)),
+                               tmp_path / "persons.csv", delimiter)
+            expected = io.StringIO()
+            writer = csv.writer(expected, delimiter=delimiter, lineterminator="\n",
+                                quoting=quoting)
+            writer.writerow(PipelineConfig().table_columns[v] for v in variables)
+            writer.writerows(person[:len(variables)] for person in persons)
+            assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_line_break_cells_round_trip(self, tmp_path):
+        result = generate(SynthParams(n_households=12, seed=4))
+        persons = list(result.persons)
+        persons[5] = persons[5]._replace(gender_raw="1\r2")
+        persons[9] = persons[9]._replace(age_raw="4\r\n0")
+        persons[14] = persons[14]._replace(region="1\n2")
+        path = write_table(dataclasses.replace(result, persons=tuple(persons)),
+                           tmp_path / "persons.csv")
+        with path.open(encoding="utf-8", newline="") as handle:
+            assert [tuple(row) for row in csv.reader(handle)][1:] == persons
+        # the first cell with a line break is named at its row's first line
+        # (the header is line 1), not as a row cut short
+        with raises_code("BAD_STRATA_TOKEN") as info:
+            read_table(TableSource(path, {v: v.value for v in Variable}))
+        assert (info.value.line, info.value.message) == (
+            7, "column 'gender' contains a line break: '1\\r2'")
 
 
 class TestRecordShape:

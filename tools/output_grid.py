@@ -18,10 +18,11 @@ made:
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 17 corpora with injected faults (FAULTS below), and 8 shuffled
+* 17 corpora with injected faults (FAULTS below), and 11 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
-  code the CLI can reach is reached, and a later key or income error
-  meets an earlier fold error;
+  code the CLI can reach is reached, a later key or income error meets
+  an earlier fold error, and --sort's key order meets line order in
+  fold errors and warnings;
 * 8 corpora with one config edit each (CONFIGS below): the DMP scale
   off, so that a DMP flag turning it on is compared; the DMP scale off
   with a `dmp_c` that is not a number; a misspelt input mode; income
@@ -30,7 +31,7 @@ made:
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow.
 
-That is 105 corpora, each built once per tree, and 3,150 cases.
+That is 108 corpora, each built once per tree, and 3,240 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -225,6 +226,40 @@ def _note_then_prefix_letter(rows: list[list[str]]) -> None:
     _collide_household(rows, 6)
 
 
+def _canonical(cells: list[str]) -> str:
+    """The canonical household key of a row under the default scheme."""
+    return "R{}M{}C{}H{}".format(*cells[:4])
+
+
+def _unknown_ages(rows: list[list[str]]) -> None:
+    """Age 99 on five data rows, and the chief flag on three more, so that
+    households meet AGE_MISSING and MULTIPLE_CHIEFS in key order, not in
+    line order."""
+    for row in (2, 5, 9, 14, 20):
+        rows[row][4] = "99"
+    for row in (3, 4, 8):
+        rows[row][6] = "1"
+
+
+def _bad_ages_against_key_order(rows: list[list[str]]) -> None:
+    """Bad ages on data row 1 and on the first later row whose household
+    comes before row 1's in key order."""
+    later = next(cells for cells in rows[2:] if _canonical(cells) < _canonical(rows[1]))
+    rows[1][4], later[4] = "x", "y"
+
+
+def _children_first_then_bad_age(rows: list[list[str]]) -> None:
+    """Make every member of the first household in key order a child, and
+    put a bad age on data row 1, which belongs to a later household and
+    lies before that household's first row."""
+    first = min(rows[1:], key=_canonical)[:4]
+    assert rows[1][:4] != first
+    for cells in rows[1:]:
+        if cells[:4] == first:
+            cells[4] = "5"
+    rows[1][4] = "x"
+
+
 def _set_cell(row: int, column: int, text: str):
     """An edit that sets one cell; row 0 is the header."""
     def edit(rows: list[list[str]]) -> None:
@@ -243,6 +278,15 @@ TABLE_FAULTS = {
     "multi-line-note-then-prefix-letter": lambda d: _edit_table(d, _note_then_prefix_letter),
     # over the csv module's default field size limit of 131,072 characters
     "oversized-note": lambda d: _edit_table(d, lambda rows: _add_note(rows, 2, "x" * 140_000)),
+    "strict-unknown-ages": lambda d: (
+        _config_line(d, "gender_encoding = male1_female2",
+                     "gender_encoding = male1_female2\nmissing_age_policy = strict"),
+        _edit_table(d, _unknown_ages)),
+    "bad-ages-against-key-order": lambda d: _edit_table(d, _bad_ages_against_key_order),
+    "zero-scale-then-earlier-bad-age": lambda d: (
+        _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
+        _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
+        _edit_table(d, _children_first_then_bad_age)),
 }
 
 #: One config edit each, made to the seed-3 letters/years corpus.
