@@ -23,8 +23,8 @@ The fold reads the run's one `PipelineConfig`, which has checked the
 scales and the DMP parameters already; which scales, which income and
 which dividing scale apply is resolved from it once per run. An error or
 warning names the member's input line (a household's error the line of
-its first member), and in table mode the table file. A member's warnings
-and first error wait until its household closes.
+its first member), and in table mode the table file. A member's error or
+warning comes as it is folded, a household's when it closes.
 
 The price of the streaming contract is that a household key must never
 reappear after its block ended; when one does the input was not sorted (or
@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import groupby
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import HdbError
@@ -124,17 +122,17 @@ def aggregate_all(
     region token; the chief label is the raw gender token of the last
     member marked chief, or "XXX" when none is.
 
-    Errors come in line order. NON_CONSECUTIVE_KEY is raised at the first
-    line of a run whose key already closed a household, before that member
-    is read. A member's error names its line; ZERO_SCALE (a dividing scale
-    that is not positive) and INCOME_OVERFLOW (an income total or scaled
-    income that is not finite) name the household's first line. Both are
-    raised when the household closes, after its last member, so they win
-    over the next run's NON_CONSECUTIVE_KEY. The warnings AGE_MISSING and
-    MULTIPLE_CHIEFS are appended to ``warnings`` as HdbErrors when their
-    household closes. Under ``config.sort`` the rows need not be grouped:
-    households close in canonical-key order once the rows are spent, each
-    output, error and warning as from the rows sorted stably by key.
+    The fold raises the first error it meets. A member's BAD_AGE_TOKEN,
+    BAD_GENDER_TOKEN or MISSING_INCOME is raised, and its AGE_MISSING
+    warning appended to ``warnings`` (as HdbErrors), at its line as it is
+    folded; NON_CONSECUTIVE_KEY at the first line of a run whose key
+    already closed a household. A household closes when the next run's
+    first row arrives, or under ``config.sort`` in canonical-key order once
+    the rows are spent; then its ZERO_SCALE (a dividing scale that is not
+    positive) or INCOME_OVERFLOW (an income total or scaled income that is
+    not finite) is raised, naming its first line, or its MULTIPLE_CHIEFS
+    warning appended. Sorted, the rows need not be grouped: each output
+    comes as from the rows sorted stably by key.
     """
     age_encoding = config.age_encoding
     sentinel = config.paper_sentinel
@@ -182,14 +180,9 @@ def aggregate_all(
     # (adults, children) -> DMP value
     dmps = TokenTable(lambda composition: dmp_scale(*composition, config.dmp_c, config.dmp_s))
 
-    def close(key, first_line, adults, children, chiefs, oxford, faofam, income, chief_label,
-              notes, error) -> HouseholdAggregate:
-        """A household's aggregate, after its members' warnings and first
-        error; its own errors name its first line."""
-        if notes:
-            warnings.extend(notes)
-        if error is not None:
-            raise error
+    def close(key, first_line, adults, children, chiefs, oxford, faofam, income,
+              chief_label) -> HouseholdAggregate:
+        """A household's aggregate; its own errors name its first line."""
         scale_dmp = dmps[adults, children] if with_dmp else None
         if with_income and not math.isfinite(income):
             raise HdbError("INCOME_OVERFLOW", f"household {key}: income total overflows "
@@ -215,14 +208,14 @@ def aggregate_all(
         )
 
     # a household's state: [key, first line, adults, children, chiefs, Oxford,
-    # FAO-OMS and income sums, chief label, warnings, first member error], in
-    # locals while current; under sort ``opened`` holds all, swapped on any new key
+    # FAO-OMS and income sums, chief label], in locals while current; under
+    # sort ``opened`` holds all, swapped on any new key
     sort, opened, seen, key = config.sort, {}, set(), None
     for row_key, (line, age_token, gender_token, is_chief, amount) in rows:
         if row_key is not key and (sort or row_key != key):
             if key is not None:
                 state[1:] = (first_line, adults, children, chiefs, oxford, faofam, income,
-                             chief_label, notes, error)
+                             chief_label)
                 if not sort:
                     yield close(*state)
             key = row_key
@@ -232,24 +225,20 @@ def aggregate_all(
                     raise HdbError("NON_CONSECUTIVE_KEY", f"household {key.canonical!r} "
                                    "reappears after a different household; input is not "
                                    "grouped (use an explicit sort)", source=source, line=line)
-                state = [key, line, 0, 0, 0, 0.0, 0.0, 0.0, NO_CHIEF_LABEL, None, None]
+                state = [key, line, 0, 0, 0, 0.0, 0.0, 0.0, NO_CHIEF_LABEL]
                 if sort:
                     opened[key.canonical] = state
                 else:
                     seen.add(key.canonical)
-            (_, first_line, adults, children, chiefs, oxford, faofam, income, chief_label, notes,
-             error) = state
+            _, first_line, adults, children, chiefs, oxford, faofam, income, chief_label = state
         try:
             adult, weight_oxford, weight_faofam, missing = profiles[
                 age_token, gender_token, is_chief]
         except HdbError as exc:
-            error = error or exc.at(source=source, line=line)
-            continue
-        if missing and warnings is not None and error is None:
-            if notes is None:
-                notes = []
-            notes.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} "
-                                  "treated as adult", source=source, line=line))
+            raise exc.at(source=source, line=line)
+        if missing and warnings is not None:
+            warnings.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} "
+                                     "treated as adult", source=source, line=line))
         if adult:
             adults += 1
         else:
@@ -258,16 +247,14 @@ def aggregate_all(
         faofam += weight_faofam
         if with_income:
             if amount is None:
-                error = error or HdbError("MISSING_INCOME", "member has no income amount",
-                                          source=source, line=line)
-                continue
+                raise HdbError("MISSING_INCOME", "member has no income amount",
+                               source=source, line=line)
             income += amount
         if is_chief:
             chief_label = gender_token
             chiefs += 1
     if key is not None:
-        state[1:] = (first_line, adults, children, chiefs, oxford, faofam, income, chief_label,
-                     notes, error)
+        state[1:] = (first_line, adults, children, chiefs, oxford, faofam, income, chief_label)
         opened[key.canonical] = state
     for canonical in sorted(opened):
         yield close(*opened.pop(canonical))

@@ -507,8 +507,9 @@ def _run(
     the pass makes it (under ``config.sort`` it gives the households in
     key order once every member is folded).
     An error names the input line of the first person whose token fails
-    (skipped lines and a table's header count), and a table's file; a key
-    or income error wins over a fold error wherever it lies. A household
+    (skipped lines and a table's header count), and a table's file; the
+    first error met wins, on one line the key's, then the income's, then
+    the member's (a household's when it closes, see `aggregate_all`). A household
     key is built at the first line of each run of lines with the same
     strata; under ``config.sort`` every strata tuple keeps its key, so a
     person-shuffled input builds one key per household, at the household's
@@ -594,8 +595,6 @@ def _run(
             rendered = [render(household)
                         for household in aggregate_all(rows, config, warnings, scale_income=table)]
         except HdbError as exc:
-            for _ in rows:  # a later key or income error wins
-                pass
             raise exc.at(stage="aggregate")
 
     # every value is rendered once; the per-variable files and

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hdbprep
 from hdbprep.cli import _configure, build_parser, main
@@ -311,26 +312,31 @@ class TestErrorPrecedence:
         assert err == (f"error: [ingest] BAD_STRATA_TOKEN ({tmp_path / 'data' / 'cluster.txt'}:5): "
                        "column 'cluster' contains a line break: '1\\r2'")
 
-    def test_later_prefix_collision_beats_early_bad_age(self, tmp_path, capsys):
-        code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"))
-        assert code == 1
-        assert err.startswith("error: [identify] PREFIX_COLLISION (line 5): ")
-
     @pytest.mark.parametrize("command, flags", [
-        ("run", ["--sort"]), ("identify", []), ("identify", ["--sort"])])
-    def test_prefix_collision_line_on_every_key_pass(self, command, flags, tmp_path, capsys):
-        # identify reads no age, and makes its keys without members
+        ("run", []), ("run", ["--sort"]), ("identify", []), ("identify", ["--sort"])])
+    def test_early_bad_age_beats_later_prefix_collision_if_ages_are_read(self, command, flags,
+                                                                         tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, HOUSEHOLD, "3H"),
                              flags=flags, command=command)
-        assert (code, err) == (1, "error: [identify] PREFIX_COLLISION (line 5): token '3H' "
-                                  "contains prefix letter 'H'; the identifier would not "
-                                  "parse back")
+        if command == "run":
+            assert (code, err) == (1, "error: [aggregate] BAD_AGE_TOKEN (line 2): "
+                                      "cannot read 'x' as an age")
+        else:  # identify reads no age
+            assert (code, err) == (1, "error: [identify] PREFIX_COLLISION (line 5): token "
+                                      "'3H' contains prefix letter 'H'; the identifier would "
+                                      "not parse back")
 
-    def test_later_unknown_letter_beats_early_bad_age(self, tmp_path, capsys):
+    def test_early_bad_age_beats_later_unknown_letter(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (2, AGE, "x"), (5, INCOME, "Z"))
-        assert code == 1
-        assert err == ("error: [recode] UNKNOWN_INCOME_CODE (line 5): "
-                       "income code 'Z' is not in the range map")
+        assert (code, err) == (1, "error: [aggregate] BAD_AGE_TOKEN (line 2): "
+                                  "cannot read 'x' as an age")
+
+    def test_on_one_line_identify_beats_recode_beats_aggregate(self, tmp_path, capsys):
+        faults = [(2, AGE, "x"), (2, INCOME, "Z"), (2, HOUSEHOLD, "1H")]
+        code, err = self.run(tmp_path, capsys, *faults)
+        assert (code, err[:43]) == (1, "error: [identify] PREFIX_COLLISION (line 2)")
+        code, err = self.run(tmp_path / "again", capsys, *faults[:2])
+        assert (code, err[:46]) == (1, "error: [recode] UNKNOWN_INCOME_CODE (line 2): ")
 
     def test_repeated_bad_age_names_its_first_line(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, (4, AGE, "x"), (2, AGE, "x"))
@@ -356,25 +362,34 @@ class TestErrorPrecedence:
             "R1M1C1H3,1,1,0,0.99,0.99,1,175000,176767.676768,1,1\n"
         )
 
-    def test_later_prefix_collision_beats_early_non_consecutive_key(self, tmp_path, capsys):
+    def test_early_non_consecutive_key_beats_later_prefix_collision(self, tmp_path, capsys):
         # household 1 comes back on line 4, closing household 2 early
-        code, err = self.run(tmp_path / "alone", capsys, (4, HOUSEHOLD, "1"))
-        assert code == 1
-        assert err.startswith("error: [aggregate] NON_CONSECUTIVE_KEY (line 4): ")
         code, err = self.run(tmp_path, capsys, (4, HOUSEHOLD, "1"), (5, HOUSEHOLD, "3H"))
         assert code == 1
-        assert err.startswith("error: [identify] PREFIX_COLLISION (line 5): ")
+        assert err.startswith("error: [aggregate] NON_CONSECUTIVE_KEY (line 4): ")
 
-    def test_later_unknown_letter_beats_early_zero_scale(self, tmp_path, capsys):
+    ZERO_SCALE = ("error: [aggregate] ZERO_SCALE (line 1): household R1M1C1H1: dmp "
+                  "scale is 0.0, cannot scale income")
+
+    def test_early_zero_scale_beats_later_unknown_letter(self, tmp_path, capsys):
         # with c = 0 the all-children household 1 has a DMP scale of 0
         flags = ["--scale", "dmp", "--dmp-c", "0"]
         code, err = self.run(tmp_path / "alone", capsys, (1, AGE, "5"), flags=flags)
-        assert code == 1
-        assert err == ("error: [aggregate] ZERO_SCALE (line 1): household R1M1C1H1: dmp "
-                       "scale is 0.0, cannot scale income")
+        assert (code, err) == (1, self.ZERO_SCALE)
         code, err = self.run(tmp_path, capsys, (1, AGE, "5"), (5, INCOME, "Z"), flags=flags)
-        assert (code, err) == (1, "error: [recode] UNKNOWN_INCOME_CODE (line 5): "
-                                  "income code 'Z' is not in the range map")
+        assert (code, err) == (1, self.ZERO_SCALE)
+
+    @pytest.mark.parametrize("line", [3, 4])
+    def test_household_closes_after_the_next_one_is_keyed_and_recoded(self, line, tmp_path,
+                                                                      capsys):
+        # household 1 (lines 1-2, all children, DMP scale 0 at c = 0) closes
+        # when household 2's first line (3) has been keyed and recoded, so
+        # an income error on that one line is met first
+        code, err = self.run(tmp_path, capsys, (1, AGE, "5"), (line, INCOME, "Z"),
+                             flags=["--scale", "dmp", "--dmp-c", "0"])
+        assert (code, err) == (1, self.ZERO_SCALE if line == 4 else
+                               "error: [recode] UNKNOWN_INCOME_CODE (line 3): "
+                               "income code 'Z' is not in the range map")
 
     def run_table(self, tmp_path, capsys, rows, flags=(), keys=""):
         """Run with ``flags`` on a persons.csv of a header and the given data
@@ -427,24 +442,26 @@ class TestErrorPrecedence:
         return self.run_table(tmp_path, capsys, [",".join(row) for row in rows],
                               ["--sort", *flags], keys)
 
-    def test_sort_folds_the_earlier_keyed_household_first(self, tmp_path, capsys):
-        # household 2 has the earlier bad line (row 1), household 1 the
-        # earlier key: its bad age on row 5 (line 6) is named
+    def test_sort_names_the_first_bad_line_not_the_first_key(self, tmp_path, capsys):
+        # household 2 has the earlier bad line (row 1, line 2), household 1
+        # the earlier key and a bad age on row 5
         code, err = self.run_sorted(tmp_path, capsys, [(1, AGE, "x"), (5, AGE, "y")])
         assert (code, err) == (1, f"error: [aggregate] BAD_AGE_TOKEN "
-                                  f"({tmp_path / 'data' / 'persons.csv'}:6): "
-                                  "cannot read 'y' as an age")
+                                  f"({tmp_path / 'data' / 'persons.csv'}:2): "
+                                  "cannot read 'x' as an age")
 
-    def test_sort_zero_scale_beats_a_later_keyed_bad_age(self, tmp_path, capsys):
+    def test_sort_bad_age_beats_a_zero_scale_met_after_the_rows(self, tmp_path, capsys):
         # with c = 0 the all-children household 1 (rows 2 and 5) has a DMP
-        # scale of 0; household 2's bad age lies on the earlier row 1
+        # scale of 0, met only once every row is folded; household 2's bad
+        # age lies on row 1
         code, err = self.run_sorted(tmp_path, capsys, [(2, AGE, "5"), (1, AGE, "x")],
                                     ["--scale", "dmp", "--dmp-c", "0"])
-        assert (code, err) == (1, f"error: [aggregate] ZERO_SCALE "
-                                  f"({tmp_path / 'data' / 'persons.csv'}:3): household "
-                                  "R1M1C1H1: dmp scale is 0.0, cannot scale income")
+        assert (code, err) == (1, f"error: [aggregate] BAD_AGE_TOKEN "
+                                  f"({tmp_path / 'data' / 'persons.csv'}:2): "
+                                  "cannot read 'x' as an age")
 
-    def test_sort_warnings_come_in_key_order(self, tmp_path, capsys):
+    def test_sort_age_warnings_in_line_order_then_household_warnings(self, tmp_path,
+                                                                    capsys):
         # unknown ages on rows 1-3 and 5 (households 2, 1, 3, 1) and a
         # second chief in household 2 (row 4)
         faults = [(1, AGE, "99"), (2, AGE, "99"), (3, AGE, "99"), (5, AGE, "99"),
@@ -458,11 +475,11 @@ class TestErrorPrecedence:
         missing = "AGE_MISSING: unknown-age code '99' treated as adult"
         assert [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("warning:")] == [
-            f"warning: {table}:3: {missing}",
-            f"warning: {table}:6: {missing}",
             f"warning: {table}:2: {missing}",
-            "warning: MULTIPLE_CHIEFS: household R1M1C1H2 marks 2 members as chief",
+            f"warning: {table}:3: {missing}",
             f"warning: {table}:4: {missing}",
+            f"warning: {table}:6: {missing}",
+            "warning: MULTIPLE_CHIEFS: household R1M1C1H2 marks 2 members as chief",
         ]
 
 
@@ -708,13 +725,18 @@ class TestSortedShuffledTable:
         return failure(capsys, [command, "--config", str(config),
                                 "--out-dir", str(tmp_path / "out"), "--sort"])
 
-    def test_prefix_collision_names_the_first_line_of_its_household(self, tmp_path, capsys):
+    @pytest.mark.parametrize("age_line", [1, 4])
+    def test_prefix_collision_names_the_first_line_of_its_household(self, age_line, tmp_path,
+                                                                    capsys):
+        # household 1 (lines 2 and 5 of the shuffled table) collides; a bad
+        # age on an earlier line is met first
         code, err = self.run_shuffled(
-            tmp_path, capsys, [(2, HOUSEHOLD, "1H"), (5, HOUSEHOLD, "1H"), (1, AGE, "x")])
-        assert code == 1
+            tmp_path, capsys, [(2, HOUSEHOLD, "1H"), (5, HOUSEHOLD, "1H"), (age_line, AGE, "x")])
         table = tmp_path / "data" / "persons.csv"
-        assert err == (f"error: [identify] PREFIX_COLLISION ({table}:3): token '1H' contains "
-                       "prefix letter 'H'; the identifier would not parse back")
+        assert (code, err) == (1, f"error: [aggregate] BAD_AGE_TOKEN ({table}:2): cannot read "
+                                  "'x' as an age" if age_line == 1 else
+                               f"error: [identify] PREFIX_COLLISION ({table}:3): token '1H' "
+                               "contains prefix letter 'H'; the identifier would not parse back")
         assert not (tmp_path / "out").exists()
 
     def test_identify_names_the_first_line_of_the_household(self, tmp_path, capsys):
@@ -735,6 +757,134 @@ class TestSortedShuffledTable:
         table = tmp_path / "data" / "persons.csv"
         assert err == (f"error: [recode] UNKNOWN_INCOME_CODE ({table}:3): "
                        "income code 'Z' is not in the range map")
+
+
+#: Each fault a line can hold, in the order the pass meets them on one
+#: line, with the stage and code it fails with.
+FAULTS = {
+    "prefix letter": ("identify", "PREFIX_COLLISION"),
+    "unknown letter": ("recode", "UNKNOWN_INCOME_CODE"),
+    "returning household": ("aggregate", "NON_CONSECUTIVE_KEY"),
+    "bad age": ("aggregate", "BAD_AGE_TOKEN"),
+    "adult bad gender": ("aggregate", "BAD_GENDER_TOKEN"),
+}
+
+
+class TestFirstBadLineWins:
+    """Two faults, each of which alone fails at its own line: the run names
+    the earlier line, and on one line identify beats recode, which beats
+    aggregate."""
+
+    CORPUS = generate(SynthParams(n_households=24, seed=5))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["columns", "shuffled-table-sort"]), st.data())
+    def test_the_earlier_fault_is_named(self, tmp_path_factory, capsys, layout, data):
+        persons = list(self.CORPUS.persons)
+        sort = layout == "shuffled-table-sort"
+        if sort:
+            random.Random(11).shuffle(persons)
+        # a household closed before the one on the line before: a line
+        # moved into it reopens it (in household order only)
+        first, last = {}, {}
+        for i, person in enumerate(persons):
+            first.setdefault(person[:4], i)
+            last[person[:4]] = i
+        closed = {i: [s for s in last if last[s] < first[persons[i - 1][:4]]]
+                  for i in range(1, len(persons))}
+        # known adult ages, whose gender the FAO-OMS scale reads
+        adults = [i for i, p in enumerate(persons) if 18 <= int(p.age_raw) < 90]
+        kinds = [kind for kind in FAULTS if not (sort and kind == "returning household")]
+        faults = []
+        for _ in range(2):
+            kind = data.draw(st.sampled_from(kinds))
+            lines = (adults if kind == "adult bad gender" else
+                     [i for i in closed if closed[i]] if kind == "returning household" else
+                     range(len(persons)))
+            faults.append((data.draw(st.sampled_from(lines)), kind))
+        # a returning household replaces the strata: it goes first
+        for i, kind in sorted(faults, key=lambda fault: fault[1] != "returning household"):
+            person = persons[i]
+            if kind == "returning household":
+                strata = data.draw(st.sampled_from(closed[i]))
+                person = person._replace(region=strata[0], milieu=strata[1], cluster=strata[2],
+                                         household=strata[3])
+            elif kind == "prefix letter":
+                person = person._replace(household=person.household + "H")
+            elif kind == "unknown letter":
+                person = person._replace(income_raw="Z")
+            elif kind == "bad age":
+                person = person._replace(age_raw="x")
+            else:
+                person = person._replace(gender_raw="9")
+            persons[i] = person
+
+        directory = tmp_path_factory.mktemp("faults")
+        corpus = dataclasses.replace(self.CORPUS, persons=tuple(persons))
+        keys = {("income", "mode"): "letters"}
+        if sort:
+            write_table(corpus, directory / "persons.csv")
+            keys.update({("input", "mode"): "table", ("input", "table"): "persons.csv"})
+        else:
+            write_column_files(corpus, directory)
+        config = write_ini(directory / "config.ini", keys)
+        code, err = failure(capsys, ["run", "--config", str(config),
+                                     "--out-dir", str(directory / "out"),
+                                     *(["--sort"] if sort else [])])
+        i, kind = min(faults, key=lambda fault: (fault[0], list(FAULTS).index(fault[1])))
+        where = f"{directory / 'persons.csv'}:{i + 2}" if sort else f"line {i + 1}"
+        stage, error = FAULTS[kind]
+        assert code == 1
+        assert err.startswith(f"error: [{stage}] {error} ({where}): ")
+
+
+class TestInputFaultsOffTheGrid:
+    """Error paths that neither the other tests nor the output grid reach."""
+
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "1e999"])
+    @pytest.mark.parametrize("layout", ["columns", "table"])
+    def test_numeric_income_that_is_not_a_finite_amount(self, layout, token, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [list(person[:7]) + [amount] for person, amount in
+                zip(FIVE_PERSONS, ["100", "200", token, "300", "400"])]
+        keys = {("income", "mode"): "numeric"}
+        if layout == "columns":
+            names = COLUMN_NAMES[:7] + ("monthlyincome.txt",)
+            for column, name in enumerate(names):
+                (data / name).write_text("".join(f"{row[column]}\n" for row in rows))
+            where = "line 3"
+        else:
+            (data / "persons.csv").write_text(
+                "region,milieu,cluster,household,age,gender,poswrchief,income\n"
+                + "".join(",".join(row) + "\n" for row in rows))
+            keys.update({("input", "mode"): "table", ("input", "table"): "persons.csv"})
+            where = f"{data / 'persons.csv'}:4"
+        config = write_ini(data / "config.ini", keys)
+        assert failure(capsys, ["run", "--config", str(config), "--out-dir",
+                                str(tmp_path / "out")]) == (
+            1, f"error: [recode] BAD_INCOME_TOKEN ({where}): cannot read {token!r} as an "
+               "income amount")
+
+    def table_run(self, tmp_path, capsys):
+        config = write_ini(tmp_path / "config.ini", {("input", "mode"): "table",
+                                                     ("input", "table"): "persons.csv"})
+        return failure(capsys, ["run", "--config", str(config), "--out-dir",
+                                str(tmp_path / "out")])
+
+    def test_empty_table(self, tmp_path, capsys):
+        (tmp_path / "persons.csv").write_text("")
+        assert self.table_run(tmp_path, capsys) == (
+            1, f"error: [ingest] EMPTY_FILE ({tmp_path / 'persons.csv'}): no header row")
+
+    def test_directory_in_place_of_the_table(self, tmp_path, capsys):
+        (tmp_path / "persons.csv").mkdir()
+        code, err = self.table_run(tmp_path, capsys)
+        assert code == 2
+        table = tmp_path / "persons.csv"
+        assert err.startswith(f"error: [ingest] IO_ERROR: cannot read {table}: ")
+        assert not (tmp_path / "out").exists()
 
 
 def write_ini(path, keys):

@@ -1,4 +1,5 @@
-"""Starting the command line stays cheap.
+"""The package's imports: starting the command line stays cheap, and no
+module imports a name it does not use.
 
 Every command starts a fresh interpreter, so what `import hdbprep.cli`
 loads is paid on each run. The `dataclasses` module alone loads `inspect`,
@@ -6,6 +7,7 @@ loads is paid on each run. The `dataclasses` module alone loads `inspect`,
 `exec`; the synthetic generator is imported by `hdbprep synth` alone.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +26,35 @@ def test_cli_import_loads_no_dataclasses_inspect_or_generator():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def module_level_imports(nodes):
+    """The import statements among ``nodes``, looking into ``if`` and
+    ``try`` blocks but not into functions or classes."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            yield from module_level_imports(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_import_goes_unused():
+    unused = []
+    for path in sorted((SRC / "hdbprep").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        for node in module_level_imports(tree.body):
+            if (getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line
+                           for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []

@@ -18,11 +18,12 @@ made:
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 17 corpora with injected faults (FAULTS below), and 11 shuffled
+* 18 corpora with injected faults (FAULTS below), and 11 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
-  code the CLI can reach is reached, a later key or income error meets
-  an earlier fold error, and --sort's key order meets line order in
-  fold errors and warnings;
+  code the CLI can reach is reached, two faults meet in line order (a
+  fold error before a key or income error; a household's error against
+  one on the next household's first line), and --sort's key order meets
+  line order in fold errors and warnings;
 * 8 corpora with one config edit each (CONFIGS below): the DMP scale
   off, so that a DMP flag turning it on is compared; the DMP scale off
   with a `dmp_c` that is not a number; a misspelt input mode; income
@@ -31,7 +32,7 @@ made:
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow.
 
-That is 108 corpora, each built once per tree, and 3,240 cases.
+That is 109 corpora, each built once per tree, and 3,270 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -173,6 +174,11 @@ FAULTS = {
         _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
         _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
         _move_household(d, _household_lines(d, 2)[0])),
+    "zero-scale-then-next-household-letter": lambda d: (
+        _children_household(d),
+        _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
+        _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
+        _replace_line(d / "monthlyincomeNT.txt", _household_lines(d, 1)[0], "Z")),
 }
 
 
