@@ -7,12 +7,8 @@ and computes every household-level statistic directly during generation.
 That ground truth is built from first principles right here, with literal
 weights and inline key concatenation; it deliberately shares no code with
 the identity, scales or aggregate modules, so a bug there cannot hide in
-the expected values.
-
-`oracle_aggregate` is the second independent check: an order-insensitive
-hash-map aggregation over (key, member) rows. It accepts input in any
-order, which is exactly what the streaming aggregator refuses, and is used
-to confirm that the streaming pass computes the same numbers.
+the expected values. The second reference, `tests/oracle.py`, lives
+outside the package and reads the written files back itself.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import HdbError
 from .ingest import REQUIRED_VARIABLES, Variable
@@ -33,7 +29,6 @@ from .model import (
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
-    Member,
     ScaleKind,
 )
 # the income-file names stay importable from here, for callers that write
@@ -350,99 +345,3 @@ def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
                 break
     return path
 
-
-def oracle_aggregate(
-    rows: Iterable[tuple[HouseholdKey, Member]],
-    *,
-    age_encoding: AgeEncoding,
-    gender_encoding: GenderEncoding,
-    dmp_c: float = 0.5,
-    dmp_s: float = 0.7,
-    income_enabled: bool = False,
-    scaled_by: ScaleKind | None = None,
-) -> Mapping[str, HouseholdAggregate]:
-    """Order-insensitive reference aggregation over (key, member) rows.
-
-    Accumulates per-key statistics in a hash map, so shuffled input is fine.
-    All arithmetic is inlined (thresholds, weights, the DMP formula) rather
-    than borrowed from the scales or aggregate modules; the streaming
-    aggregator is tested against this, not the other way round.
-    """
-    male_token, female_token = (
-        ("0", "1") if gender_encoding is GenderEncoding.MALE0_FEMALE1 else ("1", "2")
-    )
-    threshold = 15.0 if age_encoding is AgeEncoding.YEARS else 4.0
-
-    class Acc:
-        __slots__ = ("key", "size", "adults", "children", "oxford", "faofam",
-                     "income", "chief_label")
-
-        def __init__(self, key: HouseholdKey):
-            self.key = key
-            self.size = 0
-            self.adults = 0
-            self.children = 0
-            self.oxford = 0.0
-            self.faofam = 0.0
-            self.income = 0.0
-            self.chief_label = NO_CHIEF_LABEL
-
-    accs: dict[str, Acc] = {}
-    for key, member in rows:
-        acc = accs.get(key.canonical)
-        if acc is None:
-            acc = accs[key.canonical] = Acc(key)
-        acc.size += 1
-        try:
-            age_value = float(member.age_raw)
-        except ValueError:
-            raise HdbError("BAD_AGE_TOKEN", f"cannot read {member.age_raw!r} as an age",
-                           line=member.line) from None
-        is_adult = not age_value < threshold
-        if is_adult:
-            acc.adults += 1
-        else:
-            acc.children += 1
-        if member.is_chief:
-            acc.chief_label = member.gender_raw
-        if not is_adult:
-            acc.oxford += 0.5
-        elif member.is_chief:
-            acc.oxford += 1.0
-        else:
-            acc.oxford += 0.7
-        if not is_adult:
-            acc.faofam += 0.5
-        elif member.gender_raw == male_token:
-            acc.faofam += 1.0
-        elif member.gender_raw == female_token:
-            acc.faofam += 0.8
-        else:
-            raise HdbError("BAD_GENDER_TOKEN", f"gender code {member.gender_raw!r} is not "
-                           f"valid under encoding {gender_encoding.name}", line=member.line)
-        if income_enabled:
-            acc.income += member.income
-
-    out: dict[str, HouseholdAggregate] = {}
-    for canonical, acc in accs.items():
-        dmp = (acc.adults + dmp_c * acc.children) ** dmp_s
-        scaled = None
-        if scaled_by is not None:
-            divisor = {ScaleKind.OXFORD: acc.oxford,
-                       ScaleKind.FAOFAM: acc.faofam,
-                       ScaleKind.DMP: dmp}[scaled_by]
-            scaled = acc.income / divisor
-        out[canonical] = HouseholdAggregate(
-            key=acc.key,
-            size=acc.size,
-            n_adults=acc.adults,
-            n_children=acc.children,
-            scale_oxford=acc.oxford,
-            scale_faofam=acc.faofam,
-            scale_dmp=dmp,
-            total_income=acc.income if income_enabled else None,
-            label_area=acc.key.components[0],
-            label_chief_gender=acc.chief_label,
-            scaled_income=scaled,
-        )
-    return out

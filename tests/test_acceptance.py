@@ -20,6 +20,8 @@ from hdbprep.model import (
     AgeEncoding,
     Gender,
     GenderEncoding,
+    HouseholdAggregate,
+    HouseholdKey,
     IncomeMode,
     Member,
     ScaleKind,
@@ -27,7 +29,8 @@ from hdbprep.model import (
 from hdbprep.pipeline import PipelineConfig
 from hdbprep.recode import elim1_default_map, income_from_letter
 from hdbprep.scales import dmp_scale, faofam_weight, oxford_weight
-from hdbprep.synth import SynthParams, generate, oracle_aggregate
+from hdbprep.synth import SynthParams, generate, write_column_files
+from oracle import expected_outputs
 
 YEARS = AgeEncoding.YEARS
 CLASSES = AgeEncoding.FIVE_YEAR_CLASSES
@@ -155,7 +158,7 @@ def assert_same_household(got, expected):
     assert got.scaled_income == pytest.approx(expected.scaled_income, rel=1e-9)
 
 
-def test_criterion_5_oracle_equivalence():
+def test_criterion_5_oracle_equivalence(tmp_path):
     income_map = elim1_default_map()
     config = PipelineConfig(
         age_encoding=YEARS, gender_encoding=M1F2, scales=ALL_SCALES,
@@ -174,20 +177,19 @@ def test_criterion_5_oracle_equivalence():
             )
         )
         assert len(result.ground_truth) == 1000
-        rows = build_rows(result.persons, income_map)
-        streamed = list(aggregate_all(rows, config, scale_income=True))
-        oracle = oracle_aggregate(
-            rows,
-            age_encoding=YEARS,
-            gender_encoding=M1F2,
-            income_enabled=True,
-            scaled_by=ScaleKind.OXFORD,
-        )
+        streamed = list(aggregate_all(build_rows(result.persons, income_map), config,
+                                      scale_income=True))
+        # the file oracle reads the written files, with its own keys and amounts
+        corpus = tmp_path / f"renumber-{renumber}"
+        write_column_files(result, corpus)
+        files, _ = expected_outputs(corpus, income="letters")
+        oracle = {row[0]: HouseholdAggregate(HouseholdKey(row[0], ()), *row[1:])
+                  for row in files["households.csv"][1:]}
         assert len(streamed) == len(oracle) == 1000
         for got, truth in zip(streamed, result.ground_truth):
             assert_same_household(got, truth)
             assert_same_household(oracle[truth.key.canonical], truth)
-    report(5, "streaming, hash-map oracle and ground truth agree on 2x1000 households")
+    report(5, "streaming, file oracle and ground truth agree on 2x1000 households")
 
 
 FUSED_FILES = (

@@ -1,5 +1,6 @@
-"""The package's imports: starting the command line stays cheap, and no
-module imports a name it does not use.
+"""The package's imports: starting the command line stays cheap, no
+module imports a name it does not use, and the package and the test
+oracle stay apart.
 
 Every command starts a fresh interpreter, so what `import hdbprep.cli`
 loads is paid on each run. The `dataclasses` module alone loads `inspect`,
@@ -13,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_generator():
@@ -58,3 +60,23 @@ def test_no_module_level_import_goes_unused():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def imported_modules(path):
+    """The top-level name of every module that ``path`` imports, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_oracle_imports_nothing_from_the_package():
+    assert "hdbprep" not in set(imported_modules(TESTS / "oracle.py"))
+
+
+def test_no_package_module_imports_from_the_tests():
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    found = [f"{path.name}: {name}" for path in sorted((SRC / "hdbprep").glob("*.py"))
+             for name in imported_modules(path) if name in test_modules]
+    assert found == []

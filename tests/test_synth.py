@@ -37,7 +37,6 @@ from hdbprep.synth import (
     _composition,
     _drawer,
     generate,
-    oracle_aggregate,
     write_column_files,
     write_table,
 )
@@ -229,20 +228,6 @@ class TestAnomalies:
 
 
 class TestOracleEquivalence:
-    def test_truth_matches_oracle(self):
-        result = generate(SynthParams(n_households=40, seed=77,
-                                      income_mode=IncomeMode.NUMERIC))
-        oracle = oracle_aggregate(
-            rows_of(result),
-            age_encoding=YEARS,
-            gender_encoding=M1F2,
-            income_enabled=True,
-            scaled_by=ScaleKind.OXFORD,
-        )
-        assert len(oracle) == 40
-        for expected in result.ground_truth:
-            assert_same_aggregate(oracle[expected.key.canonical], expected)
-
     def test_streaming_pass_matches_truth(self):
         result = generate(SynthParams(n_households=40, seed=78,
                                       income_mode=IncomeMode.NUMERIC))
@@ -259,23 +244,6 @@ class TestOracleEquivalence:
         assert len(out) == len(result.ground_truth)
         for got, expected in zip(out, result.ground_truth):
             assert_same_aggregate(got, expected)
-
-    def test_oracle_is_order_insensitive(self):
-        result = generate(SynthParams(n_households=25, seed=31,
-                                      income_mode=IncomeMode.NUMERIC))
-        rows = rows_of(result)
-        shuffled = rows[:]
-        random.Random(0).shuffle(shuffled)
-        a = oracle_aggregate(rows, age_encoding=YEARS, gender_encoding=M1F2,
-                             income_enabled=True, scaled_by=ScaleKind.OXFORD)
-        b = oracle_aggregate(shuffled, age_encoding=YEARS, gender_encoding=M1F2,
-                             income_enabled=True, scaled_by=ScaleKind.OXFORD)
-        assert set(a) == set(b)
-        for canonical in a:
-            assert_same_aggregate(a[canonical], b[canonical])
-
-    def test_empty_input(self):
-        assert dict(oracle_aggregate([], age_encoding=YEARS, gender_encoding=M1F2)) == {}
 
 
 class TestFileOutput:
