@@ -64,8 +64,8 @@ if TYPE_CHECKING:
 SENTINEL_WEIGHT = 0.99
 
 # Leading-numeric-prefix coercion ("25ans" -> 25.0, "abc" -> 0.0). The
-# compatibility switch reproduces this where the reference arithmetic
-# compared raw tokens numerically without validating them.
+# compatibility switch counts an age token that does not parse this way,
+# as the reference arithmetic compared raw tokens without validating them.
 _VAL_PREFIX = re.compile(r"^\s*[+-]?(\d+\.?\d*|\.\d+)")
 
 
@@ -116,11 +116,12 @@ def aggregate_all(
 
     Per member: strict mode raises BAD_AGE_TOKEN / BAD_GENDER_TOKEN at the
     member's line. Under ``paper_sentinel`` an unparseable token weighs
-    0.99 in the Oxford and FAO-OMS sums, and the adult/child counts use the
-    token's leading numeric prefix (else 0), as the reference arithmetic
-    did. A child's gender token is never read. The area label is the key's
-    region token; the chief label is the raw gender token of the last
-    member marked chief, or "XXX" when none is.
+    0.99 in the Oxford and FAO-OMS sums, and an age token that does not
+    parse is counted by its leading numeric prefix (else 0), as the
+    reference arithmetic did; an age that parses is counted by its value,
+    the one its weights use. A child's gender token is never read. The
+    area label is the key's region token; the chief label is the raw
+    gender token of the last member marked chief, or "XXX" when none is.
 
     The fold raises the first error it meets. A member's BAD_AGE_TOKEN,
     BAD_GENDER_TOKEN or MISSING_INCOME is raised, and its AGE_MISSING
@@ -156,13 +157,12 @@ def aggregate_all(
         except HdbError:
             if not sentinel:
                 raise
-            age = None
-        adult = not (_coerce_numeric_prefix(age_token) if sentinel else age.value) < threshold
-        if age is None:
+            adult = not _coerce_numeric_prefix(age_token) < threshold
             return adult, SENTINEL_WEIGHT, SENTINEL_WEIGHT, False
+        adult = not age.value < threshold
         oxford = oxford_weight(age, age_encoding, is_chief) if with_oxford else 0.0
         faofam = 0.0
-        if with_faofam and age.value < threshold:
+        if with_faofam and not adult:
             faofam = WEIGHT_CHILD
         elif with_faofam:
             try:

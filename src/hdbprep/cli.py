@@ -224,12 +224,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> int:
-    """The `hdbprep` process: `main` on the command line, after moving every
-    object made while importing out of the cyclic garbage collector. Those
-    objects live until the process exits, so no collection, the ones run
-    at exit included, needs to walk them. `main` called in a longer-lived
-    process does not freeze them."""
+    """The `hdbprep` process: `main` on the command line, after moving the
+    objects its imports made out of the cyclic garbage collector and turning
+    the collector off, since the pass makes no reference cycles for it to
+    free. `main` called in a longer-lived process leaves it as it was."""
     gc.freeze()
+    gc.disable()
     return main()
 
 

@@ -301,7 +301,16 @@ def load_config(
         raise HdbError("ERROR", "config file is not valid UTF-8", source=str(path),
                        line=data[: exc.start].count(b"\n") + 1) from None
     except configparser.Error as exc:
-        raise HdbError("ERROR", f"bad config {path}: {exc}") from exc
+        if isinstance(exc, configparser.DuplicateOptionError):
+            problem = f"[{exc.section}] {exc.option} is set twice"
+        elif isinstance(exc, configparser.DuplicateSectionError):
+            problem = f"section [{exc.section}] appears twice"
+        elif isinstance(exc, configparser.MissingSectionHeaderError):
+            problem = "a key comes before any [section] header"
+        else:  # a ParsingError lists every line it refuses; the first is named
+            problem = "line is no [section] header and no key = value"
+        line = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        raise HdbError("ERROR", f"bad config: {problem}", source=str(path), line=line) from exc
     for (section, option), text in (overrides or {}).items():
         if not parser.has_section(section):
             parser.add_section(section)
@@ -475,17 +484,6 @@ def _line_numbers(starts: Mapping[int, int], count: int) -> Iterable[int]:
     )
 
 
-def _parse_amount(token: str) -> float:
-    """A numeric income token read as a finite amount."""
-    try:
-        value = float(token)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise HdbError("BAD_INCOME_TOKEN", f"cannot read {token!r} as an income amount")
-    return value
-
-
 def _run(
     config: PipelineConfig,
     *,
@@ -500,22 +498,15 @@ def _run(
     the per-variable household files (``only`` picks a subset; default
     every file the config enables) and ``table`` households.csv.
 
-    Only the columns a selected output needs are read. Every selection
-    goes through the one per-person loop, which handles each person in
-    line order: key, then income, then member, each only when a selected
-    output needs it, and the household fold takes each member as
-    the pass makes it (under ``config.sort`` it gives the households in
-    key order once every member is folded).
-    An error names the input line of the first person whose token fails
-    (skipped lines and a table's header count), and a table's file; the
-    first error met wins, on one line the key's, then the income's, then
-    the member's (a household's when it closes, see `aggregate_all`). A household
-    key is built at the first line of each run of lines with the same
-    strata; under ``config.sort`` every strata tuple keeps its key, so a
-    person-shuffled input builds one key per household, at the household's
-    first line. Households are folded only for a household output, and the
-    scaled income is computed only for households.csv. Nothing is written
-    before every step has succeeded.
+    Only the columns a selected output needs are read, and the one
+    per-person loop handles each person in line order: key, then income,
+    then member, each only when a selected output needs it; the fold takes
+    each member as the pass makes it. An error names the input line of the
+    first person whose token fails (skipped lines and a table's header
+    count), and a table's file; the first error met wins, on one line the
+    key's, then the income's, then the member's (a household's when it
+    closes, see `aggregate_all`). The scaled income is computed only for
+    households.csv. Nothing is written before every step has succeeded.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
@@ -556,8 +547,8 @@ def _run(
                                             number(amount) if amounts else None))
         for line, person in zip(_line_numbers(starts, n_persons), persons):
             # a household's members share one key, built at its first line
-            if need_keys and person[:4] != strata:
-                strata = person[:4]
+            if need_keys and (tokens := person[:4]) != strata:
+                strata = tokens
                 key = known.get(strata)
                 if key is None:
                     try:
@@ -573,7 +564,13 @@ def _run(
                 token = person[-1]
                 try:
                     if mapping is None:
-                        income = _parse_amount(token)
+                        try:
+                            income = float(token)
+                        except ValueError:
+                            income = math.nan
+                        if not math.isfinite(income):
+                            raise HdbError("BAD_INCOME_TOKEN",
+                                           f"cannot read {token!r} as an income amount")
                     else:
                         income, text = incomes[token]
                         if amounts:  # only letter mode writes the amount file

@@ -211,6 +211,15 @@ class TestCounts:
         rows = household(member(1, "25ans"), member(2, "abc"))
         assert counts(aggregate_one(rows, settings(paper_sentinel=True))) == (1, 1)
 
+    def test_sentinel_counts_an_age_that_parses_by_its_value(self):
+        # 2.5e1 and 4e1 read as 25 and 40, though their numeric prefixes are 2.5 and 4
+        rows = household(member(1, "2.5e1"), member(2, "4e1"), member(3, "abc"))
+        config = settings(OXFORD, FAOFAM, paper_sentinel=True)
+        agg = aggregate_one(rows, config)
+        assert counts(agg) == (2, 1)
+        assert agg.scale_oxford == pytest.approx(0.7 + 0.7 + SENTINEL_WEIGHT)
+        assert agg.scale_faofam == pytest.approx(1.0 + 1.0 + SENTINEL_WEIGHT)
+
     def test_unknown_age_code_warns_under_strict_policy(self):
         warnings = []
         config = settings(missing_age_policy=MissingAgePolicy.STRICT)
@@ -240,6 +249,11 @@ class TestDmp:
         rows = household(member(1, "abc"), member(2, 30))
         agg = aggregate_one(rows, settings(DMP, paper_sentinel=True))
         assert agg.scale_dmp == pytest.approx(1.5 ** 0.7)
+
+    def test_sentinel_counts_feed_the_formula_by_value(self):
+        rows = household(member(1, "4e1"), member(2, "2.5e1"), member(3, 5))
+        agg = aggregate_one(rows, settings(DMP, paper_sentinel=True))
+        assert agg.scale_dmp == pytest.approx(2.5 ** 0.7)
 
 
 class TestIncome:

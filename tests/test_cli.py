@@ -1126,6 +1126,39 @@ class TestConfigErrorsNameTheirKey:
                                             "could not convert string to float: 'half'")
 
 
+class TestConfigSyntaxErrorsNameTheirLine:
+    """A config file that the INI parser refuses stops every processing
+    command with exit code 2 and one error line naming the file and the
+    first line refused, before any input is read."""
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("mode = columns\n", 1, "a key comes before any [section] header"),
+        ("[input]\nmode = columns\nmode = table\n", 3, "[input] mode is set twice"),
+        ("[input]\nmode = columns\n[income]\nmode = letters\n[input]\n", 5,
+         "section [input] appears twice"),
+        ("[input]\nmode columns\ndir .\n", 2, "line is no [section] header and no key = value"),
+    ], ids=["no-section-header", "duplicate-option", "duplicate-section", "no-equals-sign"])
+    @pytest.mark.parametrize("command", PROCESSING_COMMANDS)
+    def test_names_file_and_line(self, command, text, line, problem, tmp_path, capsys):
+        config = tmp_path / "parse.ini"
+        config.write_text(text)
+        assert failure(capsys, [command, "--config", str(config),
+                                "--out-dir", str(tmp_path / "out")]) == (
+            2, f"error: ERROR ({config}:{line}): bad config: {problem}")
+        assert not (tmp_path / "out").exists()
+
+
+def test_an_output_directory_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    config = write_persons(tmp_path / "data")
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    code, err = failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)])
+    assert code == 2
+    assert err.startswith(f"error: IO_ERROR: cannot write {out / 'identhousehold.txt'}: ")
+    assert "\n" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 class TestIncomeOverflow:
     """A household income total or scaled income too large for a float is
     a coded data error, not a traceback; it names the household's first
@@ -1346,16 +1379,18 @@ class TestTabDelimitedTable:
 
 class TestProcessEntry:
     """The `hdbprep` process moves its start-up objects out of the cyclic
-    garbage collector before the command runs; `main` called in process
-    leaves the collector as it found it."""
+    garbage collector and turns the collector off before the command runs;
+    `main` called in process leaves the collector as it found it."""
 
     #: A child that runs the CLI as START does, with its argv, and reports
-    #: the frozen object count when it exits.
+    #: the frozen object count and whether the collector is on when it exits.
     CHILD = ("import atexit, gc, sys\n"
-             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(),\n"
+             "                              'enabled', gc.isenabled(), file=sys.stderr))\n"
              "sys.argv[0] = 'hdbprep'\n")
 
-    def frozen_at_exit(self, start, synth_dir, tmp_path):
+    def collector_at_exit(self, start, synth_dir, tmp_path):
+        """(frozen object count, collector on) when the child exits."""
         argv = ["identify", "--config", str(synth_dir / "config.ini"),
                 "--out-dir", str(tmp_path / "out")]
         src = str(Path(hdbprep.__file__).resolve().parents[1])
@@ -1364,27 +1399,32 @@ class TestProcessEntry:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "persons read: " in done.stdout
-        (count,) = re.findall(r"^frozen (\d+)$", done.stderr, re.MULTILINE)
-        return int(count)
+        ((count, enabled),) = re.findall(r"^frozen (\d+) enabled (True|False)$", done.stderr,
+                                         re.MULTILINE)
+        return int(count), enabled == "True"
 
     def test_main_block_freezes(self, synth_dir, tmp_path):
         start = "import runpy\nrunpy.run_module('hdbprep.cli', run_name='__main__')\n"
-        assert self.frozen_at_exit(start, synth_dir, tmp_path) > 0
+        frozen, enabled = self.collector_at_exit(start, synth_dir, tmp_path)
+        assert frozen > 0
+        assert not enabled
 
     def test_console_script_freezes(self, synth_dir, tmp_path):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         (target,) = re.findall(r'^hdbprep = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
         start = (f"import importlib\n"
                  f"sys.exit(importlib.import_module({target[0]!r}).{target[1]}())\n")
-        assert self.frozen_at_exit(start, synth_dir, tmp_path) > 0
+        frozen, enabled = self.collector_at_exit(start, synth_dir, tmp_path)
+        assert frozen > 0
+        assert not enabled
 
     def test_main_alone_does_not_freeze(self, synth_dir, tmp_path, capsys):
         start = "from hdbprep.cli import main\nsys.exit(main())\n"
-        assert self.frozen_at_exit(start, synth_dir, tmp_path / "child") == 0
-        frozen = gc.get_freeze_count()
+        assert self.collector_at_exit(start, synth_dir, tmp_path / "child") == (0, True)
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
         assert main(["identify", "--config", str(synth_dir / "config.ini"),
                      "--out-dir", str(tmp_path / "out")]) == 0
-        assert gc.get_freeze_count() == frozen
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 def test_processing_commands_take_the_same_flags():

@@ -1,6 +1,6 @@
 """The package's imports: starting the command line stays cheap, no
-module imports a name it does not use, and the package and the test
-oracle stay apart.
+module imports a name it does not use, no private helper goes without a
+caller, and the package and the test oracle stay apart.
 
 Every command starts a fresh interpreter, so what `import hdbprep.cli`
 loads is paid on each run. The `dataclasses` module alone loads `inspect`,
@@ -12,6 +12,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -80,3 +81,26 @@ def test_no_package_module_imports_from_the_tests():
     found = [f"{path.name}: {name}" for path in sorted((SRC / "hdbprep").glob("*.py"))
              for name in imported_modules(path) if name in test_modules]
     assert found == []
+
+
+def referenced_names(node):
+    """Every name that ``node`` and the nodes under it use: a name read or
+    bound, an attribute, or a name imported from a module."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
+def test_every_private_helper_has_a_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "hdbprep").glob("*.py"))]
+    uses = Counter(name for tree in trees for name in referenced_names(tree))
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and uses[node.name] == Counter(referenced_names(node))[node.name]]
+    assert unused == []

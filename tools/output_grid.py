@@ -30,9 +30,12 @@ made:
   scaled by the DMP scale while it is off; an `[income_map]` code of two
   letters; an infinite `[income_map]` amount; an `[income_map]` that
   holds only a default; and every letter recoded to 1e308, so that
-  household incomes overflow.
+  household incomes overflow;
+* 1 corpus, the seed-3 letters/years one with every third adult age
+  respelt as a token that reads as the same age but whose leading numeric
+  prefix is a child's: `3.4e1` and `3_4` for 34, in turn.
 
-That is 109 corpora, each built once per tree, and 3,270 cases.
+That is 110 corpora, each built once per tree, and 3,300 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -312,6 +315,18 @@ CONFIGS = {
 }
 
 
+def _respell_adult_ages(data: Path) -> None:
+    """Respell every third adult age, in turn as an exponent and with an
+    underscore: 34 as `3.4e1`, then the next as `3_4`."""
+    path = data / "age.txt"
+    ages = path.read_text(encoding="utf-8").split("\n")
+    adults = [i for i, age in enumerate(ages) if age and float(age) >= 15][::3]
+    for n, i in enumerate(adults):
+        tens, units = ages[i][:-1], ages[i][-1]
+        ages[i] = f"{tens}.{units}e1" if n % 2 == 0 else f"{tens}_{units}"
+    path.write_text("\n".join(ages), encoding="utf-8")
+
+
 def corpora() -> dict[str, tuple[list[str], str, object]]:
     """Corpus name -> (synth flags, layout, fault or None); the layout is
     "columns", "table" or "shuffled" (a shuffled table, run with --sort)."""
@@ -339,6 +354,7 @@ def corpora() -> dict[str, tuple[list[str], str, object]]:
         specs[f"fault-shuffled-{fault}"] = (base, "shuffled", inject)
     for name, edit in CONFIGS.items():
         specs[f"config-{name}"] = (base, "columns", edit)
+    specs["respelt-adult-ages"] = (base, "columns", _respell_adult_ages)
     return specs
 
 
