@@ -31,10 +31,8 @@ from .model import (
 from .pipeline import (
     PipelineConfig,
     load_config,
-    run_aggregate,
     run_identify,
     run_pipeline,
-    run_recode,
 )
 from .recode import (
     IncomeRangeMap,
@@ -71,8 +69,6 @@ __all__ = [
     "make_household_key",
     "oxford_weight",
     "parse_household_key",
-    "run_aggregate",
     "run_identify",
     "run_pipeline",
-    "run_recode",
 ]

@@ -14,6 +14,7 @@ import argparse
 import configparser
 import gc
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -23,11 +24,10 @@ from .pipeline import (
     AGGREGATE_OUTPUTS,
     PipelineConfig,
     _open_output,
+    _run,
     load_config,
-    run_aggregate,
     run_identify,
     run_pipeline,
-    run_recode,
 )
 
 if TYPE_CHECKING:
@@ -88,8 +88,8 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_process(args: argparse.Namespace) -> int:
-    """A processing command: the pipeline entry point its subparser sets,
-    read from this module when `main` builds the parser."""
+    """A processing command: the pass with the output selection its
+    subparser sets, read from this module when `main` builds the parser."""
     extra = {"only": args.only} if args.command == "aggregate" else {}
     print(args.run(_configure(args), **extra).render())
     return 0
@@ -170,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recode-income", parents=config_flags,
                        help="recode letter-coded incomes to bracket amounts")
-    p.set_defaults(handler=_cmd_process, run=run_recode)
+    p.set_defaults(handler=_cmd_process, run=partial(_run, amounts=True))
 
     p = sub.add_parser("aggregate", parents=config_flags,
                        help="write per-household statistic files")
     p.add_argument("--only", nargs="+", choices=AGGREGATE_OUTPUTS, metavar="WHAT",
                    help="write only these outputs "
                         f"(any of: {', '.join(AGGREGATE_OUTPUTS)})")
-    p.set_defaults(handler=_cmd_process, run=run_aggregate)
+    p.set_defaults(handler=_cmd_process, run=partial(_run, files=True))
 
     p = sub.add_parser("run", parents=config_flags,
                        help="full pipeline: identify, recode, aggregate, combined table")

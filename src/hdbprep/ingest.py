@@ -272,9 +272,10 @@ def parse_age(
     """Parse an age token under the given encoding.
 
     Years may be fractional (infant ages below 1 are real data) but must be
-    finite and non-negative. Class indices must be integers >= 1. Under the
-    strict policy the reserved unknown-age code 99 (years only) yields an
-    Age flagged missing rather than an error.
+    finite and non-negative. Class indices must be integers >= 1. Neither
+    may hold ``_``, which Python reads between digits (``1_5`` as 15).
+    Under the strict policy the reserved unknown-age code 99 (years only)
+    yields an Age flagged missing rather than an error.
     """
     token = raw.strip()
     if encoding is AgeEncoding.YEARS:
@@ -282,7 +283,7 @@ def parse_age(
             value = float(token)
         except ValueError:
             value = float("nan")
-        if 0 <= value < float("inf"):  # NaN, junk included, fails both
+        if 0 <= value < float("inf") and "_" not in token:  # junk, as NaN, fails both bounds
             missing = policy is MissingAgePolicy.STRICT and value == UNKNOWN_AGE_YEARS
             return Age(value, missing=missing)
     else:
@@ -290,7 +291,7 @@ def parse_age(
             index = int(token)
         except ValueError:
             index = 0
-        if index >= 1:
+        if index >= 1 and "_" not in token:
             return Age(float(index))
     raise HdbError("BAD_AGE_TOKEN", f"cannot read {token!r} as an age")
 

@@ -7,10 +7,11 @@ flag) and the on-disk output contract. Every command is a selection of
 outputs from the same pass, whose one per-person loop does only the work
 its selection needs: `identify` reads the four strata columns and builds
 keys, `recode-income` reads and recodes the income column alone, and
-households are folded only when a household output is selected. Nothing
-is written until every step has succeeded, so a run that stops on a data
-error writes none of its outputs (an I/O failure part-way through the
-writes can still leave the files written before it).
+households are folded only when a household output is selected. The CLI
+selects the outputs of `recode-income` and `aggregate` from `_run` itself.
+Nothing is written until every step has succeeded, so a run that stops on
+a data error writes none of its outputs (an I/O failure part-way through
+the writes can still leave the files written before it).
 
 The household fold is fed each person as the pass reads it, so no
 person-indexed rows are kept (under --sort it keeps a small state per
@@ -494,9 +495,10 @@ def _run(
     table: bool = False,
 ) -> RunReport:
     """The one pass behind every command, writing the selected outputs:
-    ``keys`` the key file, ``amounts`` the recoded-income file, ``files``
-    the per-variable household files (``only`` picks a subset; default
-    every file the config enables) and ``table`` households.csv.
+    ``keys`` the key file, ``amounts`` the recoded-income file (letter mode
+    only), ``files`` the per-variable household files (``only`` picks
+    enabled ones; default every one the config enables) and ``table``
+    households.csv. The CLI's `recode-income` and `aggregate` call it.
 
     Only the columns a selected output needs are read, and the one
     per-person loop handles each person in line order: key, then income,
@@ -512,12 +514,11 @@ def _run(
     enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
     if with_income:
         enabled.add("income")
+    if amounts and config.income_mode is not IncomeMode.LETTERS:
+        raise HdbError("ERROR", "income recoding needs income mode 'letters'")
     selected = dict.fromkeys(AGGREGATE_OUTPUTS if only is None else only) if files else {}
-    for name in selected:
-        if name not in _HOUSEHOLD_FILES:
-            raise HdbError("ERROR", f"unknown aggregate output {name!r} "
-                           f"(choose from {', '.join(AGGREGATE_OUTPUTS)})")
-        if name not in enabled and only is not None:
+    for name in only or ():
+        if name not in enabled:
             raise HdbError("ERROR", f"aggregate output {name!r} is not enabled by this config")
     plan = [_HOUSEHOLD_FILES[name] for name in selected if name in enabled]
 
@@ -568,7 +569,7 @@ def _run(
                             income = float(token)
                         except ValueError:
                             income = math.nan
-                        if not math.isfinite(income):
+                        if not math.isfinite(income) or "_" in token:  # float reads 1_000
                             raise HdbError("BAD_INCOME_TOKEN",
                                            f"cannot read {token!r} as an income amount")
                     else:
@@ -620,23 +621,6 @@ def run_identify(config: PipelineConfig) -> RunReport:
     """Write one canonical key per person, reading only the four strata
     columns."""
     return _run(config, keys=True)
-
-
-def run_recode(config: PipelineConfig) -> RunReport:
-    """Recode letter incomes into the amount file, reading only the income
-    column (the one-pass workflow this mirrors does not need the other
-    variables yet)."""
-    if config.income_mode is not IncomeMode.LETTERS:
-        raise HdbError("ERROR", "income recoding needs income mode 'letters'")
-    return _run(config, amounts=True)
-
-
-def run_aggregate(
-    config: PipelineConfig, only: Sequence[str] | None = None
-) -> RunReport:
-    """Write the selected per-variable household files; ``only`` picks a
-    subset (default: everything the config enables)."""
-    return _run(config, files=True, only=only)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:

@@ -207,9 +207,9 @@ class TestCounts:
         assert info.value.line == 2
 
     def test_sentinel_coerces_numeric_prefix(self):
-        # "25ans" reads as 25 (adult), "abc" as 0 (child)
-        rows = household(member(1, "25ans"), member(2, "abc"))
-        assert counts(aggregate_one(rows, settings(paper_sentinel=True))) == (1, 1)
+        # "25ans" reads as 25 (adult), "abc" as 0 and "3_4", no age, as 3 (children)
+        rows = household(member(1, "25ans"), member(2, "abc"), member(3, "3_4"))
+        assert counts(aggregate_one(rows, settings(paper_sentinel=True))) == (1, 2)
 
     def test_sentinel_counts_an_age_that_parses_by_its_value(self):
         # 2.5e1 and 4e1 read as 25 and 40, though their numeric prefixes are 2.5 and 4

@@ -842,7 +842,7 @@ class TestFirstBadLineWins:
 class TestInputFaultsOffTheGrid:
     """Error paths that neither the other tests nor the output grid reach."""
 
-    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "1e999"])
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "1e999", "1_000"])
     @pytest.mark.parametrize("layout", ["columns", "table"])
     def test_numeric_income_that_is_not_a_finite_amount(self, layout, token, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,6 +1,7 @@
 """The package's imports: starting the command line stays cheap, no
 module imports a name it does not use, no private helper goes without a
-caller, and the package and the test oracle stay apart.
+caller, every export has a caller outside the tests, and the package and
+the test oracle stay apart.
 
 Every command starts a fresh interpreter, so what `import hdbprep.cli`
 loads is paid on each run. The `dataclasses` module alone loads `inspect`,
@@ -10,6 +11,7 @@ loads is paid on each run. The `dataclasses` module alone loads `inspect`,
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -104,3 +106,15 @@ def test_every_private_helper_has_a_caller():
               and node.name.startswith("_") and not node.name.startswith("__")
               and uses[node.name] == Counter(referenced_names(node))[node.name]]
     assert unused == []
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name in `hdbprep.__all__` is used by the command line, a demo or
+    the README; an export that loses its last such caller goes."""
+    tree = ast.parse((SRC / "hdbprep" / "__init__.py").read_text(encoding="utf-8"))
+    exports = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__")
+    root = SRC.parent
+    callers = [SRC / "hdbprep" / "cli.py", root / "README.md", *sorted(root.glob("demos/*.py"))]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in callers)
+    assert [name for name in exports if not re.search(rf"\b{name}\b", text)] == []

@@ -23,7 +23,7 @@ from hdbprep.model import (
     GenderEncoding,
     MissingAgePolicy,
 )
-from hdbprep.pipeline import PipelineConfig, run_aggregate, run_identify
+from hdbprep.pipeline import PipelineConfig, run_identify, run_pipeline
 
 
 def column(tmp_path, name, text):
@@ -137,7 +137,7 @@ class TestZipColumns:
         del files[Variable.GENDER]
         config = PipelineConfig(input_dir=tmp_path, column_files=files)
         with raises_code("ERROR") as info:
-            run_aggregate(config)
+            run_pipeline(config)
         assert info.value.message == "no source supplies variable 'gender'"
         # identify reads the strata alone and needs no gender column
         assert run_identify(config).persons == 2
@@ -340,7 +340,7 @@ class TestParseAge:
         assert parse_age("0.5", AgeEncoding.YEARS) == Age(0.5)
         assert parse_age(" 15 ", AgeEncoding.YEARS) == Age(15.0)
 
-    @pytest.mark.parametrize("token", ["", "abc", "12ans", "-3", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("token", ["", "abc", "12ans", "-3", "nan", "inf", "-inf", "1_5"])
     def test_years_rejects_junk(self, token):
         with raises_code("BAD_AGE_TOKEN"):
             parse_age(token, AgeEncoding.YEARS)
@@ -358,7 +358,7 @@ class TestParseAge:
 
     def test_classes_integer_only(self):
         assert parse_age("4", AgeEncoding.FIVE_YEAR_CLASSES) == Age(4.0)
-        for token in ["0", "-1", "3.5", "x"]:
+        for token in ["0", "-1", "3.5", "x", "1_2"]:
             with raises_code("BAD_AGE_TOKEN"):
                 parse_age(token, AgeEncoding.FIVE_YEAR_CLASSES)
 

@@ -17,7 +17,7 @@ from hdbprep.model import (
     ScaleKind,
 )
 from hdbprep.errors import HdbError
-from hdbprep.pipeline import DEFAULT_COLUMN_FILES, PipelineConfig, RunReport, run_aggregate
+from hdbprep.pipeline import DEFAULT_COLUMN_FILES, PipelineConfig, RunReport, run_pipeline
 from hdbprep.recode import elim1_default_map
 
 
@@ -103,7 +103,7 @@ class TestPersonRecord:
                 (tmp_path / f"{name}.txt").write_text(
                     "".join(f"{t}\n" for t in tokens), encoding="utf-8"
                 )
-            run_aggregate(PipelineConfig(input_dir=tmp_path), only=["chief", "oxford"])
+            run_pipeline(PipelineConfig(input_dir=tmp_path))
             return [(tmp_path / name).read_text(encoding="utf-8").split()
                     for name in ("labelgender.txt", "scaleoxford.txt")]
 

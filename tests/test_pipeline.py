@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import raises_code
+from hdbprep.cli import main
 from hdbprep.ingest import Variable
 from hdbprep.model import (
     AgeEncoding,
@@ -20,10 +21,8 @@ from hdbprep.pipeline import (
     dmp_file_name,
     format_number,
     load_config,
-    run_aggregate,
     run_identify,
     run_pipeline,
-    run_recode,
     write_household_table,
 )
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
@@ -403,65 +402,83 @@ class TestRunIdentify:
         assert first.startswith("D")
 
 
-class TestRunRecode:
-    def test_amounts_conserve_ground_truth(self, synth_data, tmp_path):
+def command(capsys, name, data, *flags, ini="[income]\nmode = letters\n"):
+    """Run CLI command ``name`` with a config of ``ini`` written in ``data``;
+    returns (exit code, stdout, stderr)."""
+    (data / "config.ini").write_text(ini, encoding="utf-8")
+    capsys.readouterr()
+    code = main([name, "--config", str(data / "config.ini"), *flags])
+    return (code, *capsys.readouterr())
+
+
+def written(stdout):
+    """The names of the files a run report lists as written, in order."""
+    return [Path(line[len("wrote: "):]).name for line in stdout.splitlines()
+            if line.startswith("wrote: ")]
+
+
+class TestRecodeIncomeCommand:
+    def test_amounts_conserve_ground_truth(self, synth_data, tmp_path, capsys):
         result, data = synth_data
         out = tmp_path / "out"
-        report = run_recode(letters_config(data, out_dir=out))
+        code, stdout, _ = command(capsys, "recode-income", data, "--out-dir", str(out))
+        assert code == 0
         amounts = [float(t) for t in lines_of(out / "monthlyincome.txt")]
         assert len(amounts) == len(result.persons)
         expected_total = sum(a.total_income for a in result.ground_truth)
         assert sum(amounts) == pytest.approx(expected_total, rel=1e-9)
-        assert report.outputs[0].name == "monthlyincome.txt"
+        assert written(stdout) == ["monthlyincome.txt"]
 
-    def test_needs_letter_mode(self, synth_data):
-        _, data = synth_data
-        with raises_code("ERROR"):
-            run_recode(letters_config(data, income_mode=IncomeMode.NUMERIC))
+    @pytest.mark.parametrize("mode", ["numeric", "none"])
+    def test_needs_letter_mode_before_reading_input(self, mode, tmp_path, capsys):
+        # no input file exists: the mode is checked first
+        assert command(capsys, "recode-income", tmp_path, ini=f"[income]\nmode = {mode}\n") == (
+            2, "", "error: ERROR: income recoding needs income mode 'letters'\n")
 
-    def test_reads_only_the_income_column(self, tmp_path):
+    def test_reads_only_the_income_column(self, tmp_path, capsys):
         # a directory holding just the letter file is enough for this stage
         (tmp_path / "monthlyincomeNT.txt").write_text("A\nI\n", encoding="utf-8")
-        report = run_recode(letters_config(tmp_path))
+        code, stdout, _ = command(capsys, "recode-income", tmp_path)
+        assert code == 0
         assert lines_of(tmp_path / "monthlyincome.txt") == ["14500", "875000"]
-        assert report.persons == 2
+        assert "persons read: 2" in stdout
 
-    def test_table_mode_reads_only_the_income_column(self, tmp_path):
+    def test_table_mode_reads_only_the_income_column(self, tmp_path, capsys):
         (tmp_path / "persons.csv").write_text("age,income\n,A\nx,I\n", encoding="utf-8")
-        config = letters_config(tmp_path, input_mode="table", table_file="persons.csv")
-        assert run_recode(config).persons == 2
+        code, stdout, _ = command(capsys, "recode-income", tmp_path, ini=(
+            "[input]\nmode = table\ntable = persons.csv\n[income]\nmode = letters\n"))
+        assert code == 0
+        assert "persons read: 2" in stdout
         assert lines_of(tmp_path / "monthlyincome.txt") == ["14500", "875000"]
 
-    def test_literal_table_zeroes_unknown_letters(self, tmp_path):
+    def test_literal_table_zeroes_unknown_letters(self, tmp_path, capsys):
         (tmp_path / "monthlyincomeNT.txt").write_text("A\nZ\n", encoding="utf-8")
-        run_recode(letters_config(tmp_path, paper_literal=True))
+        assert command(capsys, "recode-income", tmp_path, "--paper-literal")[0] == 0
         assert lines_of(tmp_path / "monthlyincome.txt") == ["14500", "0"]
 
-    def test_unknown_letter_is_an_error_by_default(self, tmp_path):
+    def test_unknown_letter_is_an_error_by_default(self, tmp_path, capsys):
         (tmp_path / "monthlyincomeNT.txt").write_text("A\nZ\n", encoding="utf-8")
-        with raises_code("UNKNOWN_INCOME_CODE") as info:
-            run_recode(letters_config(tmp_path))
-        assert info.value.line == 2
-        assert info.value.stage == "recode"
+        code, _, stderr = command(capsys, "recode-income", tmp_path)
+        assert code == 1
+        assert stderr.startswith("error: [recode] UNKNOWN_INCOME_CODE (line 2): ")
 
 
-class TestRunAggregate:
-    def test_default_file_set(self, synth_data, tmp_path):
+class TestAggregateCommand:
+    def test_default_file_set(self, synth_data, tmp_path, capsys):
         result, data = synth_data
-        out = tmp_path / "out"
-        report = run_aggregate(letters_config(data, out_dir=out))
-        names = {p.name for p in report.outputs}
-        assert names == {
+        code, stdout, _ = command(capsys, "aggregate", data, "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert set(written(stdout)) == {
             "scaleoxford.txt", "scalefaofam.txt", "scaleDMP-0.5-0.7.txt",
             "sizehousehold.txt", "totalincome.txt", "labelregion.txt",
             "labelgender.txt",
         }
-        assert report.households == len(result.ground_truth)
+        assert f"households: {len(result.ground_truth)}" in stdout.splitlines()
 
-    def test_files_line_up_with_ground_truth(self, synth_data, tmp_path):
+    def test_files_line_up_with_ground_truth(self, synth_data, tmp_path, capsys):
         result, data = synth_data
         out = tmp_path / "out"
-        run_aggregate(letters_config(data, out_dir=out))
+        assert command(capsys, "aggregate", data, "--out-dir", str(out))[0] == 0
         truth = result.ground_truth
         assert lines_of(out / "sizehousehold.txt") == [str(a.size) for a in truth]
         assert lines_of(out / "labelregion.txt") == [a.label_area for a in truth]
@@ -469,25 +486,19 @@ class TestRunAggregate:
         oxford = [float(t) for t in lines_of(out / "scaleoxford.txt")]
         assert oxford == pytest.approx([a.scale_oxford for a in truth], rel=1e-9)
 
-    def test_only_selects_outputs(self, synth_data, tmp_path):
+    def test_only_selects_outputs(self, synth_data, tmp_path, capsys):
         _, data = synth_data
-        out = tmp_path / "out"
-        report = run_aggregate(letters_config(data, out_dir=out),
-                               only=["oxford", "size"])
-        assert [p.name for p in report.outputs] == [
-            "scaleoxford.txt", "sizehousehold.txt"
-        ]
+        code, stdout, _ = command(capsys, "aggregate", data, "--out-dir", str(tmp_path / "out"),
+                                  "--only", "oxford", "size")
+        assert code == 0
+        assert written(stdout) == ["scaleoxford.txt", "sizehousehold.txt"]
 
-    def test_only_rejects_unknown_names(self, synth_data):
+    def test_only_rejects_disabled_outputs(self, synth_data, tmp_path, capsys):
         _, data = synth_data
-        with raises_code("ERROR"):
-            run_aggregate(letters_config(data), only=["median"])
-
-    def test_only_rejects_disabled_outputs(self, synth_data):
-        _, data = synth_data
-        config = letters_config(data, income_mode=IncomeMode.NONE)
-        with raises_code("ERROR"):
-            run_aggregate(config, only=["income"])
+        assert command(capsys, "aggregate", data, "--out-dir", str(tmp_path / "out"),
+                       "--only", "size", "income", ini="[income]\nmode = none\n") == (
+            2, "", "error: ERROR: aggregate output 'income' is not enabled by this config\n")
+        assert not (tmp_path / "out").exists()
 
 
 def write_columns(directory, **columns):
@@ -520,20 +531,20 @@ UNSORTED = dict(
 
 
 class TestSorting:
-    def test_unsorted_input_aborts(self, tmp_path):
+    def test_unsorted_input_aborts(self, tmp_path, capsys):
         write_columns(tmp_path, **UNSORTED)
-        with raises_code("NON_CONSECUTIVE_KEY") as info:
-            run_aggregate(PipelineConfig(input_dir=tmp_path))
-        assert info.value.line == 3
-        assert info.value.stage == "aggregate"
+        code, _, stderr = command(capsys, "aggregate", tmp_path, ini="")
+        assert code == 1
+        assert stderr.startswith("error: [aggregate] NON_CONSECUTIVE_KEY (line 3): ")
 
-    def test_sort_flag_repairs_the_order(self, tmp_path):
+    def test_sort_flag_repairs_the_order(self, tmp_path, capsys):
         write_columns(tmp_path, **UNSORTED)
         out = tmp_path / "out"
-        run_aggregate(PipelineConfig(input_dir=tmp_path, sort=True, out_dir=out))
+        assert command(capsys, "aggregate", tmp_path, "--sort", "--out-dir", str(out),
+                       ini="")[0] == 0
         assert lines_of(out / "sizehousehold.txt") == ["2", "1"]
 
-    def test_household_files_follow_sorted_run_order(self, tmp_path):
+    def test_household_files_follow_sorted_run_order(self, tmp_path, capsys):
         write_columns(
             tmp_path,
             region=["1", "1"],
@@ -545,7 +556,8 @@ class TestSorting:
             poswrchief=["1", "2"],
         )
         out = tmp_path / "out"
-        run_aggregate(PipelineConfig(input_dir=tmp_path, sort=True, out_dir=out))
+        assert command(capsys, "aggregate", tmp_path, "--sort", "--out-dir", str(out),
+                       ini="")[0] == 0
         assert lines_of(out / "sizehousehold.txt") == ["1", "1"]
         # person-level outputs keep the input order even when sorting
         run_identify(PipelineConfig(input_dir=tmp_path, sort=True, out_dir=out))

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from conftest import raises_code
-from hdbprep.model import IncomeMode
-from hdbprep.pipeline import PipelineConfig, run_recode
+from hdbprep.cli import main
 from hdbprep.recode import IncomeRangeMap, elim1_default_map, income_from_letter
 
 # midpoints recomputed by hand from the bracket bounds
@@ -127,12 +126,19 @@ class TestIncomeFromLetter:
             income_from_letter("b", elim1_default_map())
 
 
-def recode_column(directory, tokens):
-    """Recode a letter column file through the standalone recode stage."""
+def recode(directory, tokens):
+    """Run `hdbprep recode-income` on a letter column file of ``tokens``;
+    returns its exit code."""
     (directory / "monthlyincomeNT.txt").write_text(
         "".join(f"{t}\n" for t in tokens), encoding="utf-8"
     )
-    run_recode(PipelineConfig(input_dir=directory, income_mode=IncomeMode.LETTERS))
+    (directory / "config.ini").write_text("[income]\nmode = letters\n", encoding="utf-8")
+    return main(["recode-income", "--config", str(directory / "config.ini")])
+
+
+def recode_column(directory, tokens):
+    """The amounts `hdbprep recode-income` writes for a letter column."""
+    assert recode(directory, tokens) == 0
     text = (directory / "monthlyincome.txt").read_text(encoding="utf-8")
     return [float(t) for t in text.splitlines()]
 
@@ -141,10 +147,10 @@ class TestRecodeStream:
     def test_order_and_length(self, tmp_path):
         assert recode_column(tmp_path, ["A", "B", "A"]) == [14500.0, 39500.0, 14500.0]
 
-    def test_error_carries_line(self, tmp_path):
-        with raises_code("UNKNOWN_INCOME_CODE") as info:
-            recode_column(tmp_path, ["A", "Z"])
-        assert info.value.line == 2
+    def test_error_carries_line(self, tmp_path, capsys):
+        assert recode(tmp_path, ["A", "Z"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [recode] UNKNOWN_INCOME_CODE (line 2): ")
 
     def test_random_letters_against_plain_dict(self, tmp_path):
         codes = list(CORRECTED) + ["U"]

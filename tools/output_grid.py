@@ -32,8 +32,10 @@ made:
   holds only a default; and every letter recoded to 1e308, so that
   household incomes overflow;
 * 1 corpus, the seed-3 letters/years one with every third adult age
-  respelt as a token that reads as the same age but whose leading numeric
-  prefix is a child's: `3.4e1` and `3_4` for 34, in turn.
+  respelt, in turn, as `3.4e1` for 34, which reads as the same age but
+  whose leading numeric prefix is a child's, and as `3_4`, which is no
+  age: BAD_AGE_TOKEN at its line, or under `--paper-sentinel` a child by
+  its prefix 3.
 
 That is 110 corpora, each built once per tree, and 3,300 cases.
 
