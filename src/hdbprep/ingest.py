@@ -166,7 +166,7 @@ def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
 
 
 def read_table(
-    source: TableSource, skip_header: int = 0, starts: dict[int, int] | None = None
+    source: TableSource, skip_header: int = 0, lines: list[Sequence[int]] | None = None
 ) -> list[tuple[str, ...]]:
     """Read a delimited table with a header row into one tuple per person,
     its stripped cells in `Variable` order, restricted to the variables of
@@ -187,9 +187,9 @@ def read_table(
     Rows are read TABLE_BLOCK_ROWS at a time and checked by column; a block
     that fails or holds a multi-line row is checked row by row instead.
 
-    ``starts``, when given, receives the first line of the first row and of
-    every row after one that a quoted line break spans, by row index; every
-    other row starts on the line after the previous row's first line.
+    ``lines``, when given, receives the first lines of each block's rows:
+    a range for a block checked by column, whose rows lie on one line each,
+    and a list for a block checked row by row.
     """
     try:
         handle = source.path.open(encoding="utf-8-sig", newline="")
@@ -215,7 +215,6 @@ def read_table(
             variables = [variable for variable in Variable if variable in positions]
             indexes = [positions[variable] for variable in variables]
             persons: list[tuple[str, ...]] = []
-            follows = None  # the first line of a row when the one before spans one line
             while True:
                 before, rows, failure = reader.line_num, [], None
                 try:
@@ -228,16 +227,11 @@ def read_table(
                         and set(map(len, rows)) <= {len(names)}):
                     columns = [list(map(str.strip, map(itemgetter(i), rows))) for i in indexes]
                 if columns and not any("" in column for column in columns):
-                    if rows and before + 1 != follows and starts is not None:
-                        starts[len(persons)] = before + 1
-                    follows = reader.line_num + 1
                     persons.extend(zip(*columns))
+                    firsts = range(before + 1, reader.line_num + 1)
                 else:
-                    first = before + 1
+                    firsts, first = [], before + 1
                     for row in rows:  # the first bad row, and each row's first line
-                        if first != follows and starts is not None:
-                            starts[len(persons)] = first
-                        follows = first + 1
                         if len(row) != len(names):
                             raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, "
                                            f"header has {len(names)}", source=str(source.path),
@@ -247,9 +241,12 @@ def read_table(
                         if "" in person or breaks:
                             _check_cells(person, variables, source, first)
                         persons.append(person)
+                        firsts.append(first)
                         first += 1 + breaks
                     if failure is not None:
                         raise failure
+                if lines is not None:
+                    lines.append(firsts)
                 if len(rows) < TABLE_BLOCK_ROWS:
                     break
     except csv.Error as exc:

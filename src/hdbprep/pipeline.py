@@ -445,11 +445,12 @@ def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
 
 def _read_persons(
     config: PipelineConfig, variables: Sequence[Variable]
-) -> tuple[list[tuple[str, ...]], dict[int, int]]:
+) -> tuple[list[tuple[str, ...]], list[Sequence[int]]]:
     """One tuple per person in line order, holding the tokens of
     ``variables`` (given in `Variable` order) and read from their columns
-    alone, and the first line of the first person and of every person that
-    does not start on the line after the previous one, by person index."""
+    alone, and the persons' first lines: one range of them for column
+    files, and for a table one sequence per block of rows (see
+    `read_table`)."""
     if config.input_mode == "columns":
         names = {**config.column_files, Variable.INCOME: config.effective_income_file}
     else:
@@ -464,25 +465,17 @@ def _read_persons(
                 for variable in variables
             ]
             persons = read_column_sources(sources, skip_header=config.skip_header)
-            return persons, {0: config.skip_header + 1}
+            first = config.skip_header + 1
+            return persons, [range(first, first + len(persons))]
         source = TableSource(
             config.input_dir / config.table_file,
             {variable: names[variable] for variable in variables},
             delimiter=config.table_delimiter,
         )
-        starts: dict[int, int] = {}
-        return read_table(source, skip_header=config.skip_header, starts=starts), starts
+        lines: list[Sequence[int]] = []
+        return read_table(source, skip_header=config.skip_header, lines=lines), lines
     except HdbError as exc:
         raise exc.at(stage="ingest")
-
-
-def _line_numbers(starts: Mapping[int, int], count: int) -> Iterable[int]:
-    """Each of ``count`` persons' first line: from each person that
-    ``starts`` holds, the next line for every person up to the next one."""
-    bounds = sorted(starts) + [count]
-    return chain.from_iterable(
-        range(starts[i], starts[i] + j - i) for i, j in zip(bounds, bounds[1:])
-    )
 
 
 def _run(
@@ -508,7 +501,9 @@ def _run(
     count), and a table's file; the first error met wins, on one line the
     key's, then the income's, then the member's (a household's when it
     closes, see `aggregate_all`). The scaled income is computed only for
-    households.csv. Nothing is written before every step has succeeded.
+    households.csv. A data error writes nothing, as the writes follow the
+    pass; an I/O failure part-way through them can leave the files
+    written before it.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
@@ -532,7 +527,7 @@ def _run(
     mapping = (
         config.active_income_map() if config.income_mode is IncomeMode.LETTERS else None
     )
-    persons, starts = _read_persons(config, variables)
+    persons, lines = _read_persons(config, variables)
     n_persons = len(persons)
     number, render = _renderer()
     key_lines: list[str] = []
@@ -546,7 +541,7 @@ def _run(
         # tokens, too many to table, are parsed each time
         incomes = TokenTable(lambda token: (amount := income_from_letter(token, mapping),
                                             number(amount) if amounts else None))
-        for line, person in zip(_line_numbers(starts, n_persons), persons):
+        for line, person in zip(chain.from_iterable(lines), persons):
             # a household's members share one key, built at its first line
             if need_keys and (tokens := person[:4]) != strata:
                 strata = tokens

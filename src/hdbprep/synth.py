@@ -92,6 +92,11 @@ class SynthParams:
         if self.n_households > capacity:
             raise HdbError("ERROR",
                            f"{self.n_households} households exceed frame capacity {capacity}")
+        PipelineConfig(dmp_c=self.dmp_c, dmp_s=self.dmp_s)  # the config's range check
+        if (self.scaled_by is ScaleKind.DMP and self.income_mode is not IncomeMode.NONE
+                and self.dmp_c == 0 and self.dmp_s > 0):
+            raise HdbError("ERROR", "dmp_c = 0 gives a children-only household a DMP scale of "
+                           "0, which its scaled income would be divided by")
 
 
 class SynthPerson(NamedTuple):
@@ -106,10 +111,6 @@ class SynthPerson(NamedTuple):
     gender_raw: str
     poswrchief_raw: str
     income_raw: str | None = None
-
-    @property
-    def is_chief(self) -> bool:
-        return self.poswrchief_raw == "1"
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def build_rows(persons, income_map):
                     line=i,
                     age_raw=p.age_raw,
                     gender_raw=p.gender_raw,
-                    is_chief=p.is_chief,
+                    is_chief=p.poswrchief_raw == "1",
                     income=income_from_letter(p.income_raw, income_map),
                 ),
             )
@@ -248,7 +248,7 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
     two_chief_key = truth[1].key
     chiefs = [p for p in result.persons
               if (p.region, p.milieu, p.cluster, p.household)
-              == two_chief_key.components and p.is_chief]
+              == two_chief_key.components and p.poswrchief_raw == "1"]
     assert len(chiefs) == 2
     assert truth[1].label_chief_gender == chiefs[-1].gender_raw
 

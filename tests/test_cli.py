@@ -627,6 +627,70 @@ class TestTokenTableCap:
             assert capped_calls[name] > count, name
 
 
+class TestTableBlockSize:
+    """The table reader's block size changes nothing a run prints or
+    writes: a block checked by column, whose rows lie on one line each,
+    and a block checked row by row, because an unread note spans lines,
+    give every person the same line."""
+
+    #: The data row that gets a bad age: at 7 rows a block, its block holds
+    #: no multi-line note, and at 64 the block before it does.
+    BAD_ROW = 50
+
+    def table(self, data, shuffled, bad_age):
+        """Write a letter-income table with a note column, two or three
+        lines long on every twentieth data row, and its config; return the
+        config and the line of the bad age, if any."""
+        result = generate(SynthParams(n_households=30, seed=12, max_household_size=8))
+        persons = [list(person) for person in result.persons]
+        if shuffled:
+            random.Random(5).shuffle(persons)
+        notes = {2: "two\nlines", 22: "three\n\nlines"}
+        rows = [person + [notes.get(i % 40, "n")] for i, person in enumerate(persons)]
+        if bad_age:
+            rows[self.BAD_ROW][4] = "x"
+        data.mkdir()
+        with (data / "persons.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["region", "milieu", "cluster", "household", "age", "gender",
+                             "poswrchief", "income", "note"])
+            writer.writerows(rows)
+        config = write_ini(data / "config.ini", {
+            ("input", "mode"): "table", ("input", "table"): "persons.csv",
+            ("income", "mode"): "letters"})
+        # the header, then each row's first line after every line break before it
+        line = 2 + self.BAD_ROW + sum(row[-1].count("\n") for row in rows[:self.BAD_ROW])
+        return config, line if bad_age else None
+
+    @pytest.mark.parametrize("bad_age", [False, True], ids=["clean", "bad-age"])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["household-order", "shuffled-sort"])
+    @pytest.mark.parametrize("command", ["run", "identify"])
+    def test_block_size_changes_no_byte(self, tmp_path, capsys, monkeypatch, command,
+                                        shuffled, bad_age):
+        from hdbprep import ingest
+
+        config, bad_line = self.table(tmp_path / "data", shuffled, bad_age)
+        results = {}
+        for block in (1, 7, ingest.TABLE_BLOCK_ROWS):
+            out = tmp_path / f"out-{block}"
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "TABLE_BLOCK_ROWS", block)
+                code = main([command, "--config", str(config), "--out-dir", str(out),
+                             *(["--sort"] if shuffled else [])])
+            printed = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))}
+            results[block] = (code, printed.out.replace(str(out), "<OUT>"), printed.err, files)
+        first, *others = results.values()
+        assert all(result == first for result in others)
+        code, _, err, files = first
+        if bad_line is None or command == "identify":
+            assert code == 0 and err == "" and "identhousehold.txt" in files
+        else:
+            table = tmp_path / "data" / "persons.csv"
+            assert code == 1 and files == {}
+            assert err.startswith(f"error: [aggregate] BAD_AGE_TOKEN ({table}:{bad_line}): ")
+
+
 class TestSortedShuffledTable:
     """Under --sort a person-shuffled table builds one key per household,
     still in line order."""

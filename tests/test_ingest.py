@@ -1,4 +1,5 @@
 import csv
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,12 +181,12 @@ class TestReadTable:
         header = 'region,milieu,cluster,household,age,gender,poswrchief,"two\nlines"\n'
         rows = ['1,1,1,1,30,1,1,"a\nb\nc"', "1,1,1,1,7,2,2,", '1,1,1,2,9,2,1,"d\ne"',
                 "1,1,1,2,8,2,2,", "1,1,1,2,6,1,2,"]
-        starts = {}
+        lines = []
         records = read_table(self.write(tmp_path, header + "\n".join(rows) + "\n"),
-                             skip_header=0, starts=starts)
+                             skip_header=0, lines=lines)
         assert len(records) == 5
         # header on lines 1-2, rows on lines 3-5, 6, 7-8, 9 and 10
-        assert starts == {0: 3, 1: 6, 3: 9}
+        assert list(chain.from_iterable(lines)) == [3, 6, 7, 9, 10]
 
     def test_linebreak_outside_strata_rejected(self, tmp_path):
         src = self.write(tmp_path, self.HEADER + '1,1,1,1,30,1,"1\r1"\n')
@@ -243,19 +244,16 @@ class TestReadTable:
 
 
 def read_rows(path, column_map, delimiter):
-    """A row-at-a-time reference reader: (persons, starts) of the table, or
-    (code, line) of its first error."""
+    """A row-at-a-time reference reader: (persons, each row's first line)
+    of the table, or (code, line) of its first error."""
     with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         names = [cell.strip() for cell in next(reader)]
         indexes = [names.index(column_map[v]) for v in Variable if v in column_map]
-        persons, starts, follows = [], {}, None
+        persons, firsts = [], []
         last = reader.line_num
         for row in reader:
             first, last = last + 1, reader.line_num
-            if first != follows:
-                starts[len(persons)] = first
-            follows = first + 1
             if len(row) != len(names):
                 return "ROW_ARITY_MISMATCH", first
             person = tuple(row[i].strip() for i in indexes)
@@ -265,7 +263,8 @@ def read_rows(path, column_map, delimiter):
                 if "\n" in token or "\r" in token:
                     return "BAD_STRATA_TOKEN", first
             persons.append(person)
-    return (persons, starts) if persons else ("EMPTY_FILE", None)
+            firsts.append(first)
+    return (persons, firsts) if persons else ("EMPTY_FILE", None)
 
 
 #: Good cells of the read columns, their faults, and cells of an unread note.
@@ -324,9 +323,10 @@ class TestReadTableBlocks:
         try:
             for block in (1, 2, 3, default):
                 ingest.TABLE_BLOCK_ROWS = block
-                starts = {}
+                lines = []
                 try:
-                    got = read_table(TableSource(path, column_map, delimiter), starts=starts), starts
+                    got = (read_table(TableSource(path, column_map, delimiter), lines=lines),
+                           list(chain.from_iterable(lines)))
                 except HdbError as exc:
                     got = exc.code, exc.line
                 assert got == want, block

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import shlex
 import shutil
 import signal
 import subprocess
@@ -48,6 +49,22 @@ def test_a_changed_corpus_byte_is_reported(tmp_path, capsys):
                           f"DIFF {CASES[0]}: file households.csv, file identhousehold.txt, "
                           "file labelregion.txt (exit 0 -> 0)\n")
     assert out.endswith("1 corpora, 1 differ; 1 cases, 1 differ\n")
+
+
+def test_the_change_side_runs_under_the_given_interpreter(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    python = tmp_path / "python"
+    python.write_text(f'#!/bin/sh\necho "$@" >> {shlex.quote(str(log))}\n'
+                      f'exec {shlex.quote(sys.executable)} "$@"\n')
+    python.chmod(0o755)
+    assert output_grid.main([str(SRC), str(SRC), f"--case={CASES[0]}",
+                             f"--python={python}"]) == 0
+    assert capsys.readouterr().out == "1 corpora, 0 differ; 1 cases, 0 differ\n"
+    # the change side's synth and its one case; the parent side keeps its own
+    calls = log.read_text().splitlines()
+    assert [call.split()[:3] for call in calls] == [["-m", "hdbprep.cli", "synth"],
+                                                     ["-m", "hdbprep.cli", "run"]]
+    assert "/corpora/change/" in calls[0] and "/out/0-change" in calls[1]
 
 
 def test_a_stopped_grid_removes_its_work_directory(tmp_path):

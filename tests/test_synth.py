@@ -106,6 +106,26 @@ class TestParams:
         with raises_code("ERROR"):
             SynthParams(n_households=0, seed=1)
 
+    @pytest.mark.parametrize("name, value", [("dmp_c", 1.5), ("dmp_c", -0.1), ("dmp_s", 1.01),
+                                             ("dmp_s", -1.0), ("dmp_c", float("nan"))])
+    def test_dmp_parameters_lie_in_the_unit_interval(self, name, value):
+        with raises_code("DMP_PARAM_OUT_OF_RANGE") as info:
+            SynthParams(n_households=20, seed=2, **{name: value})
+        assert info.value.message == (f"bad value for [scales] {name}: DMP parameter "
+                                      f"{name[-1]}={value} outside [0, 1]")
+
+    def test_zero_dmp_c_is_refused_where_the_dmp_scale_divides(self):
+        zero = dict(n_households=20, seed=2, dmp_c=0.0)
+        with raises_code("ERROR") as info:
+            SynthParams(**zero, scaled_by=ScaleKind.DMP)
+        assert "DMP scale of 0" in info.value.message
+        # seed 2 draws a children-only household, whose DMP scale is then 0
+        assert 0.0 in {h.scale_dmp for h in generate(SynthParams(**zero)).ground_truth}
+        for accepted in (dict(scaled_by=ScaleKind.OXFORD),
+                         dict(scaled_by=ScaleKind.DMP, income_mode=IncomeMode.NONE),
+                         dict(scaled_by=ScaleKind.DMP, dmp_s=0.0)):
+            generate(SynthParams(**zero, **accepted))
+
 
 class TestGenerate:
     def test_same_seed_same_database(self):

@@ -2,12 +2,15 @@
 compare everything each case leaves behind.
 
     python tools/output_grid.py PARENT_SRC CHANGE_SRC [--jobs N] [--case ID ...]
+                                [--python PATH]
 
 PARENT_SRC and CHANGE_SRC are directories holding the `hdbprep` package,
 for example the `src` of a clean checkout of the parent commit and this
 checkout's `src`. Each corpus is generated twice, once by each tree's
 `hdbprep synth`, and each tree's cases run on the corpus its own synth
-made:
+made. Both sides run under the interpreter that runs the grid, unless
+`--python` names another for the change side, so that the same `src`
+can be compared across interpreters:
 
 * 48 clean corpora: synth seeds 3 and 11, 400 households, `--regions 6
   --max-clusters 8 --max-per-cluster 12 --max-size 12`, with letter,
@@ -370,11 +373,11 @@ def _env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
 
-def build_corpus(src: Path, name: str, directory: Path) -> Path:
+def build_corpus(src: Path, name: str, directory: Path, python: str = sys.executable) -> Path:
     flags, layout, inject = corpora()[name]
     table = layout != "columns"
     subprocess.run(
-        [sys.executable, "-m", "hdbprep.cli", "synth", *flags, *FRAME,
+        [python, "-m", "hdbprep.cli", "synth", *flags, *FRAME,
          "--out-dir", str(directory)] + (["--table"] if table else []),
         env=_env(src), check=True, capture_output=True, timeout=CHILD_TIMEOUT_S)
     if table:
@@ -387,13 +390,13 @@ def build_corpus(src: Path, name: str, directory: Path) -> Path:
 
 
 def run_case(src: Path, corpus: Path, command: str, flag: str, out_dir: Path,
-             sort: bool = False) -> tuple:
-    """(exit code, stdout, stderr, {file name: bytes}) of one case;
-    ``sort`` adds --sort to its flags."""
+             sort: bool = False, python: str = sys.executable) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one case, run
+    under ``python``; ``sort`` adds --sort to its flags."""
     out_dir.mkdir(parents=True)
     (out_dir / "households.csv").write_text("stale\n", encoding="utf-8")
     flags = FLAGS[flag] + (["--sort"] if sort and "--sort" not in FLAGS[flag] else [])
-    argv = [sys.executable, "-m", "hdbprep.cli", COMMANDS[command][0],
+    argv = [python, "-m", "hdbprep.cli", COMMANDS[command][0],
             "--config", str(corpus / "config.ini"), "--out-dir", str(out_dir),
             *COMMANDS[command][1:], *flags]
     done = subprocess.run(argv, env=_env(src), capture_output=True,
@@ -429,15 +432,17 @@ SIDES = ("parent", "change")
 
 
 def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
-            jobs: int = 2) -> tuple[list[tuple[str, list[str]]],
-                                    list[tuple[str, list[str], tuple, tuple]]]:
+            jobs: int = 2, python: str = sys.executable
+            ) -> tuple[list[tuple[str, list[str]]], list[tuple[str, list[str], tuple, tuple]]]:
     """Build the corpora of the selected cases and run the cases, each on
-    both trees; returns the corpora that differ as (corpus, what differs)
-    and the cases that differ as (case id, what differs, parent result,
-    change result)."""
+    both trees, the change side under ``python``; returns the corpora that
+    differ as (corpus, what differs) and the cases that differ as (case id,
+    what differs, parent result, change result)."""
     trees = dict(zip(SIDES, (parent_src.resolve(), change_src.resolve())))
+    pythons = dict(zip(SIDES, (sys.executable, python)))
     names = sorted({case.split("/")[0] for case in selected})
-    paths = {(name, side): build_corpus(src, name, work / "corpora" / side / name)
+    paths = {(name, side): build_corpus(src, name, work / "corpora" / side / name,
+                                        pythons[side])
              for name in names for side, src in trees.items()}
     corpus_diffs = [(name, what) for name in names
                     if (what := _differing_files(*(_files(paths[name, side])
@@ -448,7 +453,7 @@ def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
         corpus, command, flag = case.split("/")
         sort = corpora()[corpus][1] == "shuffled"
         results = [run_case(src, paths[corpus, side], command, flag,
-                            work / "out" / f"{index}-{side}", sort)
+                            work / "out" / f"{index}-{side}", sort, pythons[side])
                    for side, src in trees.items()]
         return case, differences(*results), *results
 
@@ -463,6 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=2, help="cases run at once")
     parser.add_argument("--case", action="append", metavar="ID",
                         help="run only this case (corpus/command/flags); repeatable")
+    parser.add_argument("--python", default=sys.executable, metavar="PATH",
+                        help="interpreter of the change side (default: the one running this)")
     args = parser.parse_args(argv)
     known = cases()
     selected = args.case or known
@@ -471,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown case {unknown[0]!r}")
     with tempfile.TemporaryDirectory(prefix="output_grid_") as work:
         differing_corpora, differing = compare(args.parent_src, args.change_src, selected,
-                                               Path(work), jobs=args.jobs)
+                                               Path(work), jobs=args.jobs, python=args.python)
     for corpus, what in differing_corpora:
         print(f"DIFF corpus {corpus}: {', '.join(what)}")
     for case, what, parent, change in differing:
