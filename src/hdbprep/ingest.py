@@ -166,7 +166,7 @@ def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
 
 
 def read_table(
-    source: TableSource, skip_header: int = 0, lines: list[Sequence[int]] | None = None
+    source: TableSource, skip_header: int = 0, lines: list[range] | None = None
 ) -> list[tuple[str, ...]]:
     """Read a delimited table with a header row into one tuple per person,
     its stripped cells in `Variable` order, restricted to the variables of
@@ -187,9 +187,9 @@ def read_table(
     Rows are read TABLE_BLOCK_ROWS at a time and checked by column; a block
     that fails or holds a multi-line row is checked row by row instead.
 
-    ``lines``, when given, receives the first lines of each block's rows:
-    a range for a block checked by column, whose rows lie on one line each,
-    and a list for a block checked row by row.
+    ``lines``, when given, receives the rows' first lines as ranges: one
+    for a block checked by column, whose rows lie on one line each, and one
+    per run of rows up to a multi-line row for a block checked row by row.
     """
     try:
         handle = source.path.open(encoding="utf-8-sig", newline="")
@@ -228,10 +228,11 @@ def read_table(
                     columns = [list(map(str.strip, map(itemgetter(i), rows))) for i in indexes]
                 if columns and not any("" in column for column in columns):
                     persons.extend(zip(*columns))
-                    firsts = range(before + 1, reader.line_num + 1)
+                    runs = [range(before + 1, reader.line_num + 1)]
                 else:
-                    firsts, first = [], before + 1
-                    for row in rows:  # the first bad row, and each row's first line
+                    runs, first = [], before + 1
+                    start = first
+                    for row in rows:  # the first bad row, and each run of one-line rows
                         if len(row) != len(names):
                             raise HdbError("ROW_ARITY_MISMATCH", f"row has {len(row)} fields, "
                                            f"header has {len(names)}", source=str(source.path),
@@ -241,12 +242,15 @@ def read_table(
                         if "" in person or breaks:
                             _check_cells(person, variables, source, first)
                         persons.append(person)
-                        firsts.append(first)
                         first += 1 + breaks
+                        if breaks:  # the next row's first line skips the breaks
+                            runs.append(range(start, first - breaks))
+                            start = first
                     if failure is not None:
                         raise failure
+                    runs.append(range(start, first))
                 if lines is not None:
-                    lines.append(firsts)
+                    lines.extend(runs)
                 if len(rows) < TABLE_BLOCK_ROWS:
                     break
     except csv.Error as exc:

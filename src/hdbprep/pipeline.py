@@ -445,12 +445,10 @@ def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
 
 def _read_persons(
     config: PipelineConfig, variables: Sequence[Variable]
-) -> tuple[list[tuple[str, ...]], list[Sequence[int]]]:
+) -> tuple[list[tuple[str, ...]], list[range]]:
     """One tuple per person in line order, holding the tokens of
     ``variables`` (given in `Variable` order) and read from their columns
-    alone, and the persons' first lines: one range of them for column
-    files, and for a table one sequence per block of rows (see
-    `read_table`)."""
+    alone, and the persons' first lines as ranges (see `read_table`)."""
     if config.input_mode == "columns":
         names = {**config.column_files, Variable.INCOME: config.effective_income_file}
     else:
@@ -472,7 +470,7 @@ def _read_persons(
             {variable: names[variable] for variable in variables},
             delimiter=config.table_delimiter,
         )
-        lines: list[Sequence[int]] = []
+        lines: list[range] = []
         return read_table(source, skip_header=config.skip_header, lines=lines), lines
     except HdbError as exc:
         raise exc.at(stage="ingest")

@@ -634,7 +634,8 @@ class TestTableBlockSize:
     give every person the same line."""
 
     #: The data row that gets a bad age: at 7 rows a block, its block holds
-    #: no multi-line note, and at 64 the block before it does.
+    #: no multi-line note but the block before it does; at 64 its own block
+    #: does.
     BAD_ROW = 50
 
     def table(self, data, shuffled, bad_age):

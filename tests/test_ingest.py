@@ -187,6 +187,9 @@ class TestReadTable:
         assert len(records) == 5
         # header on lines 1-2, rows on lines 3-5, 6, 7-8, 9 and 10
         assert list(chain.from_iterable(lines)) == [3, 6, 7, 9, 10]
+        # one range per run of rows up to a multi-line row: sparse, as a table
+        # may hold a multi-line cell in most blocks
+        assert lines == [range(3, 4), range(6, 8), range(9, 11)]
 
     def test_linebreak_outside_strata_rejected(self, tmp_path):
         src = self.write(tmp_path, self.HEADER + '1,1,1,1,30,1,"1\r1"\n')
