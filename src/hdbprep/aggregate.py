@@ -1,4 +1,4 @@
-"""Streaming household-level aggregation.
+"""Member-token parsing and streaming household-level aggregation.
 
 Survey files arrive sorted so that each household's members occupy one
 consecutive block of lines. Aggregation exploits that: `aggregate_all`
@@ -39,13 +39,18 @@ import re
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import HdbError
-from .ingest import parse_age, parse_gender
 from .model import (
     NO_CHIEF_LABEL,
+    UNKNOWN_AGE_YEARS,
+    Age,
+    AgeEncoding,
+    Gender,
+    GenderEncoding,
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
     Member,
+    MissingAgePolicy,
     ScaleKind,
 )
 from .scales import (
@@ -72,6 +77,55 @@ _VAL_PREFIX = re.compile(r"^\s*[+-]?(\d+\.?\d*|\.\d+)")
 def _coerce_numeric_prefix(token: str) -> float:
     match = _VAL_PREFIX.match(token)
     return float(match.group(0)) if match else 0.0
+
+
+def parse_age(
+    raw: str,
+    encoding: AgeEncoding,
+    policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT,
+) -> Age:
+    """Parse an age token under the given encoding.
+
+    Years may be fractional (infant ages below 1 are real data) but must be
+    finite and non-negative. Class indices must be integers >= 1. Neither
+    may hold ``_``, which Python reads between digits (``1_5`` as 15).
+    Under the strict policy the reserved unknown-age code 99 (years only)
+    yields an Age flagged missing rather than an error.
+    """
+    token = raw.strip()
+    if encoding is AgeEncoding.YEARS:
+        try:
+            value = float(token)
+        except ValueError:
+            value = float("nan")
+        if 0 <= value < float("inf") and "_" not in token:  # junk, as NaN, fails both bounds
+            missing = policy is MissingAgePolicy.STRICT and value == UNKNOWN_AGE_YEARS
+            return Age(value, missing=missing)
+    else:
+        try:
+            index = int(token)
+        except ValueError:
+            index = 0
+        if index >= 1 and "_" not in token:
+            return Age(float(index))
+    raise HdbError("BAD_AGE_TOKEN", f"cannot read {token!r} as an age")
+
+
+_GENDER_TOKENS = {
+    GenderEncoding.MALE0_FEMALE1: {"0": Gender.MALE, "1": Gender.FEMALE},
+    GenderEncoding.MALE1_FEMALE2: {"1": Gender.MALE, "2": Gender.FEMALE},
+}
+
+
+def parse_gender(raw: str, encoding: GenderEncoding) -> Gender:
+    """Parse a gender token; only the two exact tokens of the declared
+    encoding are accepted."""
+    token = raw.strip()
+    gender = _GENDER_TOKENS[encoding].get(token)
+    if gender is None:
+        raise HdbError("BAD_GENDER_TOKEN",
+                       f"gender code {token!r} is not valid under encoding {encoding.name}")
+    return gender
 
 
 #: The most entries a per-run token table holds. Survey columns have small

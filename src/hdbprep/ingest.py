@@ -1,12 +1,13 @@
 """Reading survey inputs: one-column-per-file text exports and delimited
-tables, plus the token parsers for age and gender.
+tables. The module only reads; the fold in `hdbprep.aggregate` parses the
+member tokens.
 
 Column files are the native format: one token per line, aligned across
 files by line number so that line i of every file describes person i. The
 table reader accepts a delimited file with a header row instead and maps
 named columns onto the same variables. Both readers return one plain tuple
 of stripped tokens per person, in `Variable` order, holding only the
-variables they were asked for; nothing is parsed here.
+variables they were asked for.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import HdbError
-from .model import (
-    UNKNOWN_AGE_YEARS,
-    Age,
-    AgeEncoding,
-    Gender,
-    GenderEncoding,
-    MissingAgePolicy,
-)
 
 
 class Variable(Enum):
@@ -82,44 +75,6 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> HdbError:
                     line=exc.object[: exc.start].count(b"\n") + 1)
 
 
-def read_column_file(source: ColumnSource, skip_header: int = 0) -> list[str]:
-    """Read a one-token-per-line file into a list of stripped tokens.
-
-    A single trailing newline is tolerated; blank lines anywhere else are a
-    BLANK_LINE error (they would silently shift every later person across
-    files). A file with no data lines is an EMPTY_FILE error. Only a line
-    feed ends a line: the carriage return of a CRLF is stripped with the
-    token's whitespace, and one inside a token is a BAD_STRATA_TOKEN error,
-    as a line break in a table cell is. Error line numbers are 1-based and
-    count skipped header lines.
-    """
-    try:
-        # utf-8-sig: strip a BOM if a spreadsheet export left one behind
-        text = source.path.read_bytes().decode("utf-8-sig")
-    except OSError as exc:
-        raise HdbError("IO_ERROR", f"cannot read {source.path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(source.path, exc) from None
-    lines = text.split("\n")[skip_header:]
-    if lines and lines[-1] == "":
-        lines.pop()
-    # a column has few distinct lines: strip each once, one string per token
-    distinct: dict[str, str] = {}
-    stripped = {line: distinct.setdefault(token := line.strip(), token) for line in set(lines)}
-    tokens = list(map(stripped.__getitem__, lines))
-    if "" in distinct:
-        raise HdbError("BLANK_LINE", "blank line in column file", source=str(source.path),
-                       line=skip_header + tokens.index("") + 1)
-    if not tokens:
-        raise HdbError("EMPTY_FILE", "no data lines", source=str(source.path))
-    if "\r" in text and "\r" in "".join(distinct):
-        index = next(i for i, token in enumerate(tokens) if "\r" in token)
-        raise HdbError("BAD_STRATA_TOKEN", f"column {source.variable.value!r} contains a "
-                       f"line break: {tokens[index]!r}", source=str(source.path),
-                       line=skip_header + index + 1)
-    return tokens
-
-
 def read_column_sources(
     sources: Sequence[ColumnSource], skip_header: int = 0
 ) -> list[tuple[str, ...]]:
@@ -127,22 +82,54 @@ def read_column_sources(
     its tokens in `Variable` order (region, milieu, cluster, household,
     age, gender, poswrchief, income), restricted to the variables supplied.
 
-    Every file must have as many tokens as the first in `Variable` order;
-    a shorter or longer one means the files drifted apart and is a
-    LENGTH_MISMATCH error naming the variable and its file.
+    Each file is read whole, in turn, as one stripped token per line, a
+    BOM stripped. A single trailing newline is tolerated; blank lines
+    anywhere else are a BLANK_LINE error (they would silently shift every
+    later person across files). A file with no data lines is an EMPTY_FILE
+    error. Only a line feed ends a line: the carriage return of a CRLF is
+    stripped with the token's whitespace, and one inside a token is a
+    BAD_STRATA_TOKEN error, as a line break in a table cell is. Error line
+    numbers are 1-based and count skipped header lines.
+
+    Once every file is read, each must have as many tokens as the first in
+    `Variable` order; a shorter or longer one means the files drifted apart
+    and is a LENGTH_MISMATCH error naming the variable and its file.
     """
     columns: dict[Variable, list[str]] = {}
-    for source in sources:
-        if source.variable in columns:
-            raise HdbError("ERROR", f"variable '{source.variable.value}' supplied twice")
-        columns[source.variable] = read_column_file(source, skip_header=skip_header)
+    for path, variable in sources:
+        if variable in columns:
+            raise HdbError("ERROR", f"variable '{variable.value}' supplied twice")
+        try:
+            # utf-8-sig: strip a BOM if a spreadsheet export left one behind
+            text = path.read_bytes().decode("utf-8-sig")
+        except OSError as exc:
+            raise HdbError("IO_ERROR", f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+        lines = text.split("\n")[skip_header:]
+        if lines and lines[-1] == "":
+            lines.pop()
+        # a column has few distinct lines: strip each once, one string per token
+        distinct: dict[str, str] = {}
+        stripped = {line: distinct.setdefault(token := line.strip(), token) for line in set(lines)}
+        columns[variable] = tokens = list(map(stripped.__getitem__, lines))
+        if "" in distinct:
+            raise HdbError("BLANK_LINE", "blank line in column file", source=str(path),
+                           line=skip_header + tokens.index("") + 1)
+        if not tokens:
+            raise HdbError("EMPTY_FILE", "no data lines", source=str(path))
+        if "\r" in text and "\r" in "".join(distinct):
+            index = next(i for i, token in enumerate(tokens) if "\r" in token)
+            raise HdbError("BAD_STRATA_TOKEN", f"column {variable.value!r} contains a line "
+                           f"break: {tokens[index]!r}", source=str(path),
+                           line=skip_header + index + 1)
     ordered = [columns[variable] for variable in Variable if variable in columns]
     expected = len(ordered[0])
-    for source in sources:
-        actual = len(columns[source.variable])
+    for path, variable in sources:
+        actual = len(columns[variable])
         if actual != expected:
-            raise HdbError("LENGTH_MISMATCH", f"column '{source.variable.value}' has {actual} "
-                           f"tokens, expected {expected}", source=str(source.path))
+            raise HdbError("LENGTH_MISMATCH", f"column '{variable.value}' has {actual} "
+                           f"tokens, expected {expected}", source=str(path))
     return list(zip(*ordered))
 
 
@@ -263,52 +250,3 @@ def read_table(
     if not persons:
         raise HdbError("EMPTY_FILE", "no data rows", source=str(source.path))
     return persons
-
-
-def parse_age(
-    raw: str,
-    encoding: AgeEncoding,
-    policy: MissingAgePolicy = MissingAgePolicy.PAPER_COMPAT,
-) -> Age:
-    """Parse an age token under the given encoding.
-
-    Years may be fractional (infant ages below 1 are real data) but must be
-    finite and non-negative. Class indices must be integers >= 1. Neither
-    may hold ``_``, which Python reads between digits (``1_5`` as 15).
-    Under the strict policy the reserved unknown-age code 99 (years only)
-    yields an Age flagged missing rather than an error.
-    """
-    token = raw.strip()
-    if encoding is AgeEncoding.YEARS:
-        try:
-            value = float(token)
-        except ValueError:
-            value = float("nan")
-        if 0 <= value < float("inf") and "_" not in token:  # junk, as NaN, fails both bounds
-            missing = policy is MissingAgePolicy.STRICT and value == UNKNOWN_AGE_YEARS
-            return Age(value, missing=missing)
-    else:
-        try:
-            index = int(token)
-        except ValueError:
-            index = 0
-        if index >= 1 and "_" not in token:
-            return Age(float(index))
-    raise HdbError("BAD_AGE_TOKEN", f"cannot read {token!r} as an age")
-
-
-_GENDER_TOKENS = {
-    GenderEncoding.MALE0_FEMALE1: {"0": Gender.MALE, "1": Gender.FEMALE},
-    GenderEncoding.MALE1_FEMALE2: {"1": Gender.MALE, "2": Gender.FEMALE},
-}
-
-
-def parse_gender(raw: str, encoding: GenderEncoding) -> Gender:
-    """Parse a gender token; only the two exact tokens of the declared
-    encoding are accepted."""
-    token = raw.strip()
-    gender = _GENDER_TOKENS[encoding].get(token)
-    if gender is None:
-        raise HdbError("BAD_GENDER_TOKEN",
-                       f"gender code {token!r} is not valid under encoding {encoding.name}")
-    return gender

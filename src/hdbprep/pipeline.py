@@ -212,14 +212,39 @@ class PipelineConfig(_Checked, _ConfigFields):
         return self.income_map or elim1_default_map(self.paper_literal)
 
 
+#: The most warnings of one code a run keeps; the rest are only counted.
+WARNINGS_KEPT = 20
+
+
+class WarningLog(list):
+    """A run's warnings: each code's first WARNINGS_KEPT in the order met.
+    ``counts`` holds every warning's code, kept or not, with its count."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts: dict[str, int] = {}
+
+    def append(self, warning: HdbError) -> None:
+        count = self.counts[warning.code] = self.counts.get(warning.code, 0) + 1
+        if count <= WARNINGS_KEPT:
+            super().append(warning)
+
+    def unkept(self) -> tuple[tuple[str, int], ...]:
+        """(code, warnings past those kept) of each code that overflowed."""
+        return tuple((code, count - WARNINGS_KEPT)
+                     for code, count in self.counts.items() if count > WARNINGS_KEPT)
+
+
 class RunReport(NamedTuple):
-    """What one run did: counts, outputs written, warnings, skipped steps."""
+    """What one run did: counts, outputs written, warnings, skipped steps.
+    ``unkept`` counts the warnings of each code past those kept."""
 
     persons: int
     households: int | None
     outputs: tuple[Path, ...] = ()
     warnings: tuple[HdbError, ...] = ()
     skipped: tuple[str, ...] = ()
+    unkept: tuple[tuple[str, int], ...] = ()
 
     def render(self) -> str:
         lines = [f"persons read: {self.persons}"]
@@ -233,6 +258,8 @@ class RunReport(NamedTuple):
             where = warning.location()
             lines.append(f"warning: {where + ': ' if where else ''}{warning.code}: "
                          f"{warning.message}")
+        for code, count in self.unkept:
+            lines.append(f"warning: ... and {count} more {code}")
         return "\n".join(lines)
 
 
@@ -580,7 +607,7 @@ def _run(
         for _ in rows:  # the pass folds no member
             pass
     rendered: list[tuple[str, ...]] = []
-    warnings: list[HdbError] = []
+    warnings = WarningLog()
     if fold:
         try:
             rendered = [render(household)
@@ -607,6 +634,7 @@ def _run(
         households=len(rendered) if fold else None,
         outputs=tuple(outputs),
         warnings=tuple(warnings),
+        unkept=warnings.unkept(),
     )
 
 

@@ -15,7 +15,8 @@ import hdbprep
 from hdbprep.cli import _configure, build_parser, main
 from hdbprep.identity import make_household_key
 from hdbprep.model import _SPELLINGS, IncomeMode
-from hdbprep.pipeline import _CONFIG_KEYS, load_config
+from hdbprep.errors import HdbError
+from hdbprep.pipeline import _CONFIG_KEYS, RunReport, WarningLog, load_config
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
 
 
@@ -1382,6 +1383,39 @@ class TestWarningsNameTheirFile:
                      "--only", "size"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "warning: line 3: AGE_MISSING: unknown-age code '99' treated as adult")
+
+
+class TestWarningsAreBounded:
+    """A run keeps each warning code's first 20 warnings and counts the
+    rest, so a corpus of unknown ages costs no memory per person."""
+
+    def test_every_age_unknown_prints_twenty_then_the_count(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "1", "--households", "50", "--out-dir", str(data)]) == 0
+        ages = (data / "age.txt").read_text().splitlines()
+        (data / "age.txt").write_text("99\n" * len(ages))
+        config = data / "config.ini"
+        config.write_text(config.read_text().replace(
+            "[variables]\n", "[variables]\nmissing_age_policy = strict\n"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == [
+            f"warning: line {line}: AGE_MISSING: unknown-age code '99' treated as adult"
+            for line in range(1, 21)] + [f"warning: ... and {len(ages) - 20} more AGE_MISSING"]
+        assert warnings[-1] == "warning: ... and 219 more AGE_MISSING"
+        report = hdbprep.run_pipeline(load_config(config))
+        assert len(report.warnings) == 20
+
+    def test_each_overflowing_code_is_counted_in_the_order_first_met(self):
+        log = WarningLog()
+        for code in ["MULTIPLE_CHIEFS"] * 22 + ["AGE_MISSING"] * 25 + ["MULTIPLE_CHIEFS"]:
+            log.append(HdbError(code, "x"))
+        assert [w.code for w in log] == ["MULTIPLE_CHIEFS"] * 20 + ["AGE_MISSING"] * 20
+        report = RunReport(47, 1, warnings=tuple(log), unkept=log.unkept())
+        assert report.render().splitlines()[-2:] == [
+            "warning: ... and 3 more MULTIPLE_CHIEFS", "warning: ... and 5 more AGE_MISSING"]
 
 
 class TestTableRowsTheCsvModuleRefuses:

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import raises_code
 from hdbprep import ingest
+from hdbprep.aggregate import parse_age, parse_gender
 from hdbprep.errors import HdbError
 from hdbprep.ingest import (
     ColumnSource,
     TableSource,
     Variable,
-    parse_age,
-    parse_gender,
-    read_column_file,
     read_column_sources,
     read_table,
 )
@@ -31,6 +29,11 @@ def column(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return ColumnSource(path, Variable.REGION)
+
+
+def read_column_file(source, skip_header=0):
+    """The tokens of one column file, read as a single source."""
+    return [person[0] for person in read_column_sources([source], skip_header=skip_header)]
 
 
 class TestReadColumnFile:

@@ -1,0 +1,129 @@
+"""Two laws of `hdbprep run` over drawn corpora, run in process.
+
+Concatenation: on two column corpora whose household keys cannot meet,
+every output of the corpora read one after the other is the first
+corpus's output followed by the second's, and the counts add up.
+
+Error shift: a clean corpus put before a corpus with one fault moves the
+fault's reported line by the clean corpus's person count, and changes
+nothing else on stderr.
+"""
+
+import dataclasses
+import re
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hdbprep.cli import _write_synth_config, main
+from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, ScaleKind
+from hdbprep.synth import SynthParams, SynthResult, generate, write_column_files
+
+LAW_SETTINGS = settings(max_examples=25, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def frames(draw, income_mode=None):
+    """Small generator settings; a DMP parameter c above 0, so that no
+    household's scale divides its income by 0."""
+    regions = draw(st.integers(1, 3))
+    milieux, clusters, per_cluster = (draw(st.integers(1, 3)) for _ in range(3))
+    capacity = regions * milieux * clusters * per_cluster
+    return SynthParams(
+        n_households=draw(st.integers(regions, min(capacity, 12))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_regions=regions,
+        max_milieux=milieux,
+        max_clusters=clusters,
+        max_households_per_cluster=per_cluster,
+        max_household_size=draw(st.integers(1, 8)),
+        age_encoding=draw(st.sampled_from(AgeEncoding)),
+        gender_encoding=draw(st.sampled_from(GenderEncoding)),
+        income_mode=income_mode or draw(st.sampled_from(IncomeMode)),
+        renumber_households=draw(st.booleans()),
+        anomalies=draw(st.booleans()),
+        scheme_letters=tuple(draw(st.permutations("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))[:4]),
+        dmp_c=draw(st.integers(1, 100)) / 100,
+        dmp_s=draw(st.integers(0, 100)) / 100,
+        scaled_by=draw(st.sampled_from(ScaleKind)),
+    )
+
+
+def later_regions(persons, offset):
+    """The persons with each region number raised by ``offset``, so that
+    none of their household keys is one of a corpus of ``offset`` regions."""
+    return [person._replace(region=re.sub(r"\d+", lambda m: str(int(m[0]) + offset),
+                                          person.region, count=1))
+            for person in persons]
+
+
+def write_corpus(directory, params, persons):
+    directory.mkdir()
+    write_column_files(SynthResult(params, tuple(persons), ()), directory)
+    return _write_synth_config(directory, params)
+
+
+def run(capsys, config, out_dir):
+    """(exit code, stdout, stderr) of `hdbprep run` on ``config``."""
+    capsys.readouterr()
+    code = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+    return (code, *capsys.readouterr())
+
+
+def counts(stdout):
+    return [int(n) for n in re.findall(r"^(?:persons read|households): (\d+)$", stdout, re.M)]
+
+
+@LAW_SETTINGS
+@given(frames(), st.integers(0, 2**32 - 1))
+def test_concatenated_corpora_give_concatenated_outputs(tmp_path_factory, capsys, params,
+                                                        seed_b):
+    work = tmp_path_factory.mktemp("concatenation")
+    first = list(generate(params).persons)
+    second = later_regions(generate(dataclasses.replace(params, seed=seed_b)).persons,
+                           params.n_regions)
+    results = {}
+    for name, persons in (("a", first), ("b", second), ("ab", first + second)):
+        code, stdout, stderr = run(capsys, write_corpus(work / name, params, persons),
+                                   work / f"out-{name}")
+        assert (code, stderr) == (0, "")
+        results[name] = counts(stdout), {
+            path.name: path.read_text(encoding="utf-8").splitlines()
+            for path in (work / f"out-{name}").iterdir()}
+    (counts_a, files_a), (counts_b, files_b), (counts_ab, files_ab) = results.values()
+    assert counts_ab == [a + b for a, b in zip(counts_a, counts_b)]
+    assert set(files_ab) == set(files_a) == set(files_b)
+    for name, lines in files_ab.items():
+        header = 1 if name == "households.csv" else 0
+        assert lines == files_a[name] + files_b[name][header:], name
+
+
+def bad_age(person, scheme_letters):
+    return person._replace(age_raw="x")
+
+
+def unknown_letter(person, scheme_letters):
+    return person._replace(income_raw="Z")
+
+
+def prefix_letter(person, scheme_letters):
+    return person._replace(region=person.region + scheme_letters[0])
+
+
+@LAW_SETTINGS
+@given(frames(income_mode=IncomeMode.LETTERS), st.integers(0, 2**32 - 1),
+       st.sampled_from([bad_age, unknown_letter, prefix_letter]), st.data())
+def test_a_clean_corpus_before_a_fault_shifts_its_line(tmp_path_factory, capsys, params,
+                                                       seed_b, fault, data):
+    work = tmp_path_factory.mktemp("shift")
+    clean = list(generate(params).persons)
+    faulty = later_regions(generate(dataclasses.replace(params, seed=seed_b)).persons,
+                           params.n_regions)
+    index = data.draw(st.integers(0, len(faulty) - 1), label="fault index")
+    faulty[index] = fault(faulty[index], params.scheme_letters)
+    code, stdout, stderr = run(capsys, write_corpus(work / "f", params, faulty),
+                               work / "out-f")
+    assert code == 1 and f"(line {index + 1}): " in stderr, stderr
+    shifted = run(capsys, write_corpus(work / "af", params, clean + faulty), work / "out-af")
+    assert shifted == (code, stdout, stderr.replace(f"(line {index + 1}): ",
+                                                    f"(line {index + 1 + len(clean)}): "))

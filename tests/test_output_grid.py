@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 CASES = ["s3-letters-years-anomalies-continuous/run/plain",
@@ -19,6 +21,17 @@ CASES = ["s3-letters-years-anomalies-continuous/run/plain",
 spec = importlib.util.spec_from_file_location("output_grid", ROOT / "tools" / "output_grid.py")
 output_grid = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(output_grid)
+
+
+def interpreter(version):
+    """The path of ``python<version>`` on PATH if it runs and reports that
+    version, else None."""
+    path = shutil.which(f"python{version}")
+    if path is None:
+        return None
+    done = subprocess.run([path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                          capture_output=True, text=True, timeout=60)
+    return path if done.returncode == 0 and done.stdout.strip() == version else None
 
 
 def test_source_tree_matches_itself(capsys):
@@ -84,3 +97,29 @@ def test_a_stopped_grid_removes_its_work_directory(tmp_path):
             if grid.poll() is None:
                 grid.kill()
     assert not list(tmp_path.glob("output_grid_*"))
+
+
+def test_a_failing_synth_is_reported_as_a_differing_corpus(tmp_path, capsys):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "hdbprep" / "cli.py"
+    head = "def _cmd_synth(args: argparse.Namespace) -> int:\n"
+    cli.write_text(cli.read_text().replace(
+        head, head + '    print("synth broken", file=sys.stderr)\n    return 2\n'))
+    assert output_grid.main([str(SRC), str(changed), *(f"--case={case}" for case in CASES)]) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    corpora = sorted({case.split("/")[0] for case in CASES})
+    assert lines == [f"DIFF corpus {name}: change synth exit 2: synth broken"
+                     for name in corpora] + ["3 corpora, 3 differ; 3 cases, 3 differ"]
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_another_interpreter_gives_the_same_outputs(version, capsys):
+    # the fault case and the shuffled-table case, the change side under it
+    python = interpreter(version)
+    if python is None:
+        pytest.skip(f"no working python{version} on PATH")
+    assert output_grid.main([str(SRC), str(SRC), f"--python={python}",
+                             *(f"--case={case}" for case in CASES[1:])]) == 0
+    assert capsys.readouterr().out == "2 corpora, 0 differ; 2 cases, 0 differ\n"

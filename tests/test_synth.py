@@ -15,7 +15,7 @@ from hdbprep.ingest import (
     ColumnSource,
     TableSource,
     Variable,
-    read_column_file,
+    read_column_sources,
     read_table,
 )
 from hdbprep.model import (
@@ -273,10 +273,9 @@ class TestFileOutput:
         names = {p.name for p in paths}
         assert set(DEFAULT_COLUMN_FILES.values()) <= names
         assert LETTER_INCOME_FILE in names
-        ages = read_column_file(ColumnSource(tmp_path / "age.txt", Variable.AGE))
-        assert ages == [p.age_raw for p in result.persons]
-        regions = read_column_file(ColumnSource(tmp_path / "region.txt", Variable.REGION))
-        assert regions == [p.region for p in result.persons]
+        persons = read_column_sources([ColumnSource(tmp_path / "region.txt", Variable.REGION),
+                                       ColumnSource(tmp_path / "age.txt", Variable.AGE)])
+        assert persons == [(p.region, p.age_raw) for p in result.persons]
 
     def test_numeric_income_file_name(self, tmp_path):
         result = generate(SynthParams(n_households=12, seed=4,

@@ -50,9 +50,11 @@ output directory starts with a stale `households.csv` in it. The grid
 compares the name and bytes of every file of the two builds of each
 corpus, faults and config edits included, and of each case the exit
 code, stdout and stderr (output, corpus and source directories masked)
-and the name and bytes of every file in the output directory. It prints
-each corpus and each case that differs with what differs, and exits 1
-when any differs.
+and the name and bytes of every file in the output directory. A corpus
+whose synth exits non-zero on either side differs, with that exit code
+and stderr, and its cases are not run but counted as differing. It
+prints each corpus and each case that differs with what differs, and
+exits 1 when any differs.
 """
 
 from __future__ import annotations
@@ -433,20 +435,32 @@ SIDES = ("parent", "change")
 
 def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
             jobs: int = 2, python: str = sys.executable
-            ) -> tuple[list[tuple[str, list[str]]], list[tuple[str, list[str], tuple, tuple]]]:
+            ) -> tuple[list[tuple[str, list[str]]], list[tuple[str, list[str], tuple, tuple]],
+                       int]:
     """Build the corpora of the selected cases and run the cases, each on
     both trees, the change side under ``python``; returns the corpora that
-    differ as (corpus, what differs) and the cases that differ as (case id,
-    what differs, parent result, change result)."""
+    differ as (corpus, what differs), the cases that differ as (case id,
+    what differs, parent result, change result), and the number of cases
+    not run because a side could not build their corpus."""
     trees = dict(zip(SIDES, (parent_src.resolve(), change_src.resolve())))
     pythons = dict(zip(SIDES, (sys.executable, python)))
     names = sorted({case.split("/")[0] for case in selected})
-    paths = {(name, side): build_corpus(src, name, work / "corpora" / side / name,
-                                        pythons[side])
-             for name in names for side, src in trees.items()}
-    corpus_diffs = [(name, what) for name in names
-                    if (what := _differing_files(*(_files(paths[name, side])
-                                                   for side in SIDES)))]
+    paths, corpus_diffs, unbuilt = {}, [], set()
+    for name in names:
+        what = []
+        for side, src in trees.items():
+            try:
+                paths[name, side] = build_corpus(src, name, work / "corpora" / side / name,
+                                                 pythons[side])
+            except subprocess.CalledProcessError as exc:
+                stderr = exc.stderr.decode(errors="replace").strip()
+                what.append(f"{side} synth exit {exc.returncode}: {stderr}")
+        if what:
+            unbuilt.add(name)
+        else:
+            what = _differing_files(*(_files(paths[name, side]) for side in SIDES))
+        if what:
+            corpus_diffs.append((name, what))
 
     def one(index_case):
         index, case = index_case
@@ -457,8 +471,11 @@ def compare(parent_src: Path, change_src: Path, selected: list[str], work: Path,
                    for side, src in trees.items()]
         return case, differences(*results), *results
 
+    runnable = [(i, case) for i, case in enumerate(selected)
+                if case.split("/")[0] not in unbuilt]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return corpus_diffs, [row for row in pool.map(one, enumerate(selected)) if row[1]]
+        differing = [row for row in pool.map(one, runnable) if row[1]]
+    return corpus_diffs, differing, len(selected) - len(runnable)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -477,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown case {unknown[0]!r}")
     with tempfile.TemporaryDirectory(prefix="output_grid_") as work:
-        differing_corpora, differing = compare(args.parent_src, args.change_src, selected,
+        differing_corpora, differing, unrun = compare(args.parent_src, args.change_src, selected,
                                                Path(work), jobs=args.jobs, python=args.python)
     for corpus, what in differing_corpora:
         print(f"DIFF corpus {corpus}: {', '.join(what)}")
@@ -488,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {label} stderr: {result[2].decode(errors='replace').strip()}")
     n_corpora = len({case.split("/")[0] for case in selected})
     print(f"{n_corpora} corpora, {len(differing_corpora)} differ; "
-          f"{len(selected)} cases, {len(differing)} differ")
+          f"{len(selected)} cases, {len(differing) + unrun} differ")
     return 1 if differing_corpora or differing else 0
 
 
