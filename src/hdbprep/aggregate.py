@@ -11,10 +11,10 @@ it arrives into its household's small state, never kept, and the
 households come out at the end in canonical-key order.
 
 Each member costs one lookup: a per-run `TokenTable` maps the member's
-profile (age token, gender token, chief flag) to whether it is an adult,
-its Oxford and FAO-OMS weights, and whether its age is the unknown-age
-code. A gender token is read only for adults, and only when the FAO-OMS
-scale is configured. A profile that fails to parse is never stored, so it
+profile (age token, gender token, chief flag), read by `parse_age` and
+`parse_gender`, to whether it is an adult, its Oxford and FAO-OMS
+weights, and whether its age is the unknown-age code. A gender token is
+read only for adults, and only when the FAO-OMS scale is configured. A profile that fails to parse is never stored, so it
 fails again at each occurrence and the first bad token in row order is
 the one an error names. Each household composition (adults, children)
 gets its DMP value once per run, from a second table.
