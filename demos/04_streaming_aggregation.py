@@ -14,7 +14,6 @@ from hdbprep import (
     GenderEncoding,
     HdbError,
     IncomeMode,
-    Member,
     PipelineConfig,
     ScaleKind,
     aggregate_all,
@@ -23,12 +22,11 @@ from hdbprep import (
 
 
 def person(line, household, age, gender, chief=False, income=0.0):
+    # one flat row per person, as the pipeline feeds the fold: the key, the
+    # input line, the raw age, gender and poswrchief tokens (1 marks the
+    # chief), and the income amount
     key = make_household_key("1", "1", "2", household)
-    # a Member names its fields; a plain tuple in the same field order,
-    # which is what the pipeline feeds the fold, folds the same
-    member = Member(line=line, age_raw=str(age), gender_raw=gender,
-                    is_chief=chief, income=income)
-    return key, member
+    return key, line, str(age), gender, "1" if chief else "2", income
 
 
 rows = [

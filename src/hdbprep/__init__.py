@@ -25,7 +25,6 @@ from .model import (
     Gender,
     GenderEncoding,
     IncomeMode,
-    Member,
     ScaleKind,
 )
 from .pipeline import (
@@ -56,7 +55,6 @@ __all__ = [
     "HdbError",
     "IncomeMode",
     "IncomeRangeMap",
-    "Member",
     "PipelineConfig",
     "PrefixScheme",
     "ScaleKind",

@@ -2,22 +2,23 @@
 
 Survey files arrive sorted so that each household's members occupy one
 consecutive block of lines. Aggregation exploits that: `aggregate_all`
-folds (key, member) rows as they come, from any iterable (the pipeline
-feeds it one person at a time), one run of equal keys at a time. A run's
-totals are locals of the loop, and its household's aggregate is emitted
-after its last member. It never builds a person-indexed table. Under the
-config's ``sort`` a household's members may lie anywhere: each is folded as
-it arrives into its household's small state, never kept, and the
-households come out at the end in canonical-key order.
+folds one flat row per person as it comes (the pipeline feeds it one person
+at a time), one run of equal keys at a time. A run's totals are locals of
+the loop, and its household's aggregate is emitted after its last member.
+It never builds a person-indexed table. Under the config's ``sort`` a
+household's members may lie anywhere: each is folded as it arrives into its
+household's small state, never kept, and the households come out at the end
+in canonical-key order.
 
-Each member costs one lookup: a per-run `TokenTable` maps the member's
-profile (age token, gender token, chief flag), read by `parse_age` and
-`parse_gender`, to whether it is an adult, its Oxford and FAO-OMS
-weights, and whether its age is the unknown-age code. A gender token is
-read only for adults, and only when the FAO-OMS scale is configured. A profile that fails to parse is never stored, so it
-fails again at each occurrence and the first bad token in row order is
-the one an error names. Each household composition (adults, children)
-gets its DMP value once per run, from a second table.
+The fold owns every member-token rule. Each member costs one lookup: a
+per-run `TokenTable` maps the member's profile (age token, gender token,
+chief flag: whether its poswrchief token is ``1``), read by `parse_age` and
+`parse_gender`, to whether it is an adult, its Oxford and FAO-OMS weights,
+and whether its age is the unknown-age code. A gender token is read only
+for adults, and only when the FAO-OMS scale is configured. A profile that
+fails to parse is never stored, so it fails again at each occurrence and
+the first bad token in row order is the one an error names. A second table
+holds each household composition's DMP value.
 
 The fold reads the run's one `PipelineConfig`, which has checked the
 scales and the DMP parameters already; which scales, which income and
@@ -49,7 +50,6 @@ from .model import (
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
-    Member,
     MissingAgePolicy,
     ScaleKind,
 )
@@ -154,28 +154,31 @@ class TokenTable(dict):
 
 
 def aggregate_all(
-    rows: Iterable[tuple[HouseholdKey, Member]],
+    rows: Iterable[tuple[HouseholdKey, int, str, str, str, float | None]],
     config: PipelineConfig,
     warnings: list[HdbError] | None = None,
     *,
     scale_income: bool = False,
 ) -> Iterator[HouseholdAggregate]:
-    """Stream (key, member) rows into one HouseholdAggregate per household,
-    in input order, in a single pass; a member may be a `Member` or a plain
-    tuple in its field order. A household is a run of rows with equal keys
-    (equal canonical text: a fresh key object per row still groups). The
-    fold runs as ``config`` sets it up: its encodings, missing-age policy
-    and paper sentinel, its scales, and its income mode. The scaled income
-    is computed only under ``scale_income``, and only when income is on.
+    """Stream flat person rows, each (key, line, age token, gender token,
+    poswrchief token, income), into one HouseholdAggregate per household,
+    in input order, in a single pass. ``line`` is the person's 1-based
+    input line, which its errors and warnings name; ``income`` is the
+    amount after any letter recoding, or None without income. A household
+    is a run of rows with equal keys (equal canonical text: a fresh key
+    object per row still groups). The fold runs as ``config`` sets it up:
+    its encodings, missing-age policy and paper sentinel, its scales, and
+    its income mode; the scaled income only under ``scale_income``, and
+    only when income is on.
 
     Per member: strict mode raises BAD_AGE_TOKEN / BAD_GENDER_TOKEN at the
-    member's line. Under ``paper_sentinel`` an unparseable token weighs
-    0.99 in the Oxford and FAO-OMS sums, and an age token that does not
-    parse is counted by its leading numeric prefix (else 0), as the
-    reference arithmetic did; an age that parses is counted by its value,
-    the one its weights use. A child's gender token is never read. The
-    area label is the key's region token; the chief label is the raw
-    gender token of the last member marked chief, or "XXX" when none is.
+    member's line. Under ``paper_sentinel`` an unparseable token weighs 0.99 in
+    the Oxford and FAO-OMS sums, and an age token that does not parse is
+    counted by its leading numeric prefix (else 0), as the reference arithmetic
+    did; an age that parses is counted by its value, the one its weights use. A
+    child's gender token is never read. A member is the chief when its
+    poswrchief token is exactly ``1``. The area label is the key's region
+    token, the chief label the last chief's raw gender token or "XXX".
 
     The fold raises the first error it meets. A member's BAD_AGE_TOKEN,
     BAD_GENDER_TOKEN or MISSING_INCOME is raised, and its AGE_MISSING
@@ -265,7 +268,7 @@ def aggregate_all(
     # FAO-OMS and income sums, chief label], in locals while current; under
     # sort ``opened`` holds all, swapped on any new key
     sort, opened, seen, key = config.sort, {}, set(), None
-    for row_key, (line, age_token, gender_token, is_chief, amount) in rows:
+    for row_key, line, age_token, gender_token, chief_token, amount in rows:
         if row_key is not key and (sort or row_key != key):
             if key is not None:
                 state[1:] = (first_line, adults, children, chiefs, oxford, faofam, income,
@@ -285,6 +288,7 @@ def aggregate_all(
                 else:
                     seen.add(key.canonical)
             _, first_line, adults, children, chiefs, oxford, faofam, income, chief_label = state
+        is_chief = chief_token == "1"
         try:
             adult, weight_oxford, weight_faofam, missing = profiles[
                 age_token, gender_token, is_chief]

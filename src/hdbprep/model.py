@@ -145,25 +145,6 @@ class HouseholdKey(NamedTuple):
         return self.canonical
 
 
-class Member(NamedTuple):
-    """One parsed household member as the aggregation stage sees it. The
-    pass hands the fold a plain tuple in this field order per person,
-    which the fold reads the same way.
-
-    ``line`` is the person's 1-based line in its input file, used to locate
-    errors and warnings. ``income`` is the numeric amount after any letter
-    recoding, or None when income is not configured. ``gender_raw`` is the
-    raw gender token; the chief's is exported verbatim as the household's
-    chief-gender label.
-    """
-
-    line: int
-    age_raw: str
-    gender_raw: str
-    is_chief: bool
-    income: float | None = None
-
-
 class HouseholdAggregate(NamedTuple):
     """Per-household outputs of one aggregation pass; a named tuple, built
     once per household.

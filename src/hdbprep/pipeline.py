@@ -560,7 +560,7 @@ def _run(
     # under --sort a household's lines may lie anywhere: strata -> its key
     known: dict[tuple[str, ...], HouseholdKey] = {}
 
-    def members(persons) -> Iterator[tuple[HouseholdKey, tuple]]:
+    def members(persons) -> Iterator[tuple]:
         strata = key = None
         # letter code -> (amount, its text for the amount file); numeric
         # tokens, too many to table, are parsed each time
@@ -599,7 +599,7 @@ def _run(
                 except HdbError as exc:
                     raise exc.at(source=config.table_source, line=line, stage="recode")
             if fold:
-                yield key, (line, person[4], person[5], person[6] == "1", income)
+                yield key, line, person[4], person[5], person[6], income
 
     rows = members(persons)
     del persons  # the pass holds them until it ends

@@ -23,7 +23,6 @@ from hdbprep.model import (
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
-    Member,
     ScaleKind,
 )
 from hdbprep.pipeline import PipelineConfig
@@ -132,13 +131,11 @@ def build_rows(persons, income_map):
         rows.append(
             (
                 make_household_key(p.region, p.milieu, p.cluster, p.household),
-                Member(
-                    line=i,
-                    age_raw=p.age_raw,
-                    gender_raw=p.gender_raw,
-                    is_chief=p.poswrchief_raw == "1",
-                    income=income_from_letter(p.income_raw, income_map),
-                ),
+                i,
+                p.age_raw,
+                p.gender_raw,
+                p.poswrchief_raw,
+                income_from_letter(p.income_raw, income_map),
             )
         )
     return rows
@@ -263,8 +260,7 @@ def test_criterion_8_anomaly_semantics(tmp_path, capsys):
 
     # unsorted input must fail loudly, naming the offending row
     key = lambda h: make_household_key("1", "1", "1", h)
-    rows = [(key(h), Member(line=line, age_raw="30", gender_raw="1", is_chief=False))
-            for line, h in enumerate("121", 1)]
+    rows = [(key(h), line, "30", "1", "2", None) for line, h in enumerate("121", 1)]
     with raises_code("NON_CONSECUTIVE_KEY") as info:
         list(aggregate_all(rows, config))
     assert info.value.code == "NON_CONSECUTIVE_KEY"

@@ -9,7 +9,6 @@ from hdbprep.model import (
     AgeEncoding,
     GenderEncoding,
     IncomeMode,
-    Member,
     MissingAgePolicy,
     ScaleKind,
 )
@@ -28,18 +27,14 @@ def key(h, region="1"):
 
 
 def member(line, age, gender="1", chief=False, income=None):
-    return Member(
-        line=line,
-        age_raw=str(age),
-        gender_raw=str(gender),
-        is_chief=chief,
-        income=income,
-    )
+    """A person row without its key: line, age, gender and poswrchief
+    tokens (1 for the chief, else 2) and income."""
+    return line, str(age), str(gender), "1" if chief else "2", income
 
 
 def household(*members, h=1):
     """A one-household rows list."""
-    return [(key(h), m) for m in members]
+    return [(key(h), *m) for m in members]
 
 
 def settings(*scales, age=YEARS, gender=M1F2, income=False, scaled_by=None, **options):
@@ -59,16 +54,16 @@ class TestGroupConsecutive:
     """Consecutive rows with one key form one household."""
 
     def test_single_run(self):
-        rows = [(key(1), member(1, 30)), (key(1), member(2, 10))]
+        rows = [(key(1), *member(1, 30)), (key(1), *member(2, 10))]
         out = list(aggregate_all(rows, settings()))
         assert len(out) == 1
         assert out[0].size == 2
 
     def test_boundary_between_households(self):
         rows = [
-            (key(1), member(1, 30)),
-            (key(2), member(2, 40)),
-            (key(2), member(3, 8)),
+            (key(1), *member(1, 30)),
+            (key(2), *member(2, 40)),
+            (key(2), *member(3, 8)),
         ]
         out = list(aggregate_all(rows, settings()))
         assert [a.key.canonical for a in out] == ["R1M1C1H1", "R1M1C1H2"]
@@ -76,9 +71,9 @@ class TestGroupConsecutive:
 
     def test_reappearing_key_aborts(self):
         rows = [
-            (key(1), member(1, 30)),
-            (key(2), member(2, 40)),
-            (key(1), member(3, 8)),
+            (key(1), *member(1, 30)),
+            (key(2), *member(2, 40)),
+            (key(1), *member(3, 8)),
         ]
         with raises_code("NON_CONSECUTIVE_KEY") as info:
             list(aggregate_all(rows, settings()))
@@ -92,9 +87,9 @@ class TestGroupConsecutive:
         # errors come in line order: household 2's zero DMP scale, raised
         # after its last member, wins over household 1 coming back
         rows = [
-            (key(1), member(1, 30, income=1.0)),
-            (key(2), member(2, 5, income=1.0)),
-            (key(1), member(3, 40, income=1.0)),
+            (key(1), *member(1, 30, income=1.0)),
+            (key(2), *member(2, 5, income=1.0)),
+            (key(1), *member(3, 40, income=1.0)),
         ]
         config = settings(DMP, dmp_c=0.0, income=True, scaled_by=DMP)
         with raises_code("ZERO_SCALE") as info:
@@ -103,9 +98,9 @@ class TestGroupConsecutive:
 
     def test_reappearing_key_beats_its_first_member_bad_age(self):
         rows = [
-            (key(1), member(1, 30)),
-            (key(2), member(2, 40)),
-            (key(1), member(3, "x")),
+            (key(1), *member(1, 30)),
+            (key(2), *member(2, 40)),
+            (key(1), *member(3, "x")),
         ]
         with raises_code("NON_CONSECUTIVE_KEY") as info:
             list(aggregate_all(rows, settings(*ALL_SCALES)))
@@ -273,7 +268,7 @@ class TestLabels:
     def test_area_is_first_member_token(self):
         # the area label is the key's region token, which every member of
         # the household shares
-        rows = [(key(1, region="7"), member(1, 30)), (key(1, region="7"), member(2, 40))]
+        rows = [(key(1, region="7"), *member(1, 30)), (key(1, region="7"), *member(2, 40))]
         assert aggregate_one(rows).label_area == "7"
 
     def test_chief_gender_token_exported_verbatim(self):
@@ -296,6 +291,11 @@ class TestLabels:
     def test_chief_flag_is_exact_token_match(self):
         rows = household(member(1, 30, "2", chief=False))
         assert aggregate_one(rows).label_chief_gender == "XXX"
+        # the fold reads the raw poswrchief token: only "1" marks the chief
+        for token in ("01", "1.0", " 1", "2", "3", ""):
+            rows = [(key(1), 1, "30", "2", token, None)]
+            assert aggregate_one(rows, settings(OXFORD)) == aggregate_one(
+                household(member(1, 30, "2")), settings(OXFORD)), token
 
 
 class TestSettings:
@@ -381,9 +381,9 @@ class TestAggregateRun:
 class TestAggregateAll:
     def test_streams_in_input_order(self):
         rows = [
-            (key(2), member(1, 30)),
-            (key(1), member(2, 40)),
-            (key(1), member(3, 8)),
+            (key(2), *member(1, 30)),
+            (key(1), *member(2, 40)),
+            (key(1), *member(3, 8)),
         ]
         out = list(aggregate_all(rows, settings()))
         assert [a.key.canonical for a in out] == ["R1M1C1H2", "R1M1C1H1"]
@@ -395,7 +395,7 @@ class TestAggregateAll:
         for h, size in enumerate([3, 1, 4], start=1):
             for _ in range(size):
                 line += 1
-                rows.append((key(h), member(line, 20 + line)))
+                rows.append((key(h), *member(line, 20 + line)))
         out = list(aggregate_all(rows, settings()))
         assert sum(a.size for a in out) == line
         assert len(out) == 3
@@ -461,7 +461,7 @@ def test_aggregate_invariants(hh):
     for h, people in enumerate(hh, start=1):
         for age, gender, chief in people:
             line += 1
-            rows.append((key(h), member(line, age, gender, chief=chief)))
+            rows.append((key(h), *member(line, age, gender, chief=chief)))
     out = list(aggregate_all(rows, settings(*ALL_SCALES)))
     assert sum(a.size for a in out) == line
     for agg in out:

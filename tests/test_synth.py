@@ -24,7 +24,6 @@ from hdbprep.model import (
     HouseholdAggregate,
     HouseholdKey,
     IncomeMode,
-    Member,
     ScaleKind,
 )
 from hdbprep.aggregate import aggregate_all
@@ -50,24 +49,12 @@ def key_of(p):
 
 
 def rows_of(result):
-    """(key, member) rows for the generated persons, income taken from the
-    numeric token when present."""
+    """The fold's flat person rows for the generated persons, income taken
+    from the numeric token when present."""
     numeric = result.params.income_mode is IncomeMode.NUMERIC
-    rows = []
-    for i, p in enumerate(result.persons, 1):
-        rows.append(
-            (
-                key_of(p),
-                Member(
-                    line=i,
-                    age_raw=p.age_raw,
-                    gender_raw=p.gender_raw,
-                    is_chief=p.poswrchief_raw == "1",
-                    income=float(p.income_raw) if numeric else None,
-                ),
-            )
-        )
-    return rows
+    return [(key_of(p), i, p.age_raw, p.gender_raw, p.poswrchief_raw,
+             float(p.income_raw) if numeric else None)
+            for i, p in enumerate(result.persons, 1)]
 
 
 def assert_same_aggregate(a, b):
