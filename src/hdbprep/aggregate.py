@@ -181,16 +181,17 @@ def aggregate_all(
     token, the chief label the last chief's raw gender token or "XXX".
 
     The fold raises the first error it meets. A member's BAD_AGE_TOKEN,
-    BAD_GENDER_TOKEN or MISSING_INCOME is raised, and its AGE_MISSING
-    warning appended to ``warnings`` (as HdbErrors), at its line as it is
-    folded; NON_CONSECUTIVE_KEY at the first line of a run whose key
-    already closed a household. A household closes when the next run's
-    first row arrives, or under ``config.sort`` in canonical-key order once
-    the rows are spent; then its ZERO_SCALE (a dividing scale that is not
-    positive) or INCOME_OVERFLOW (an income total or scaled income that is
-    not finite) is raised, naming its first line, or its MULTIPLE_CHIEFS
-    warning appended. Sorted, the rows need not be grouped: each output
-    comes as from the rows sorted stably by key.
+    BAD_GENDER_TOKEN or MISSING_INCOME is raised, and its AGE_MISSING warning
+    appended to ``warnings`` (as HdbErrors; a warning that a log with a
+    ``wants`` method, such as `pipeline.WarningLog`, would not keep is only
+    counted there, never built), at its line as it is folded;
+    NON_CONSECUTIVE_KEY at the first line of a run whose key already closed a
+    household. A household closes when the next run's first row arrives, or
+    under ``config.sort`` in canonical-key order once the rows are spent; then
+    its ZERO_SCALE (a dividing scale that is not positive) or INCOME_OVERFLOW
+    (an income total or scaled income that is not finite) is raised, naming its
+    first line, or its MULTIPLE_CHIEFS warning appended. Sorted, the rows need
+    not be grouped: each output comes as from the rows sorted stably by key.
     """
     age_encoding = config.age_encoding
     sentinel = config.paper_sentinel
@@ -232,6 +233,10 @@ def aggregate_all(
                 faofam = faofam_weight(age, age_encoding, gender)
         return adult, oxford, faofam, age.missing
 
+    # whether to build a warning of a code: a log that caps them (see
+    # pipeline.WarningLog) counts those past its cap unbuilt
+    wants = getattr(warnings, "wants", lambda code: warnings is not None)
+
     # member profile -> (adult, Oxford, FAO-OMS, age missing)
     profiles = TokenTable(profile)
     # (adults, children) -> DMP value
@@ -255,7 +260,7 @@ def aggregate_all(
                 raise HdbError("INCOME_OVERFLOW", f"household {key}: income {income} "
                                f"divided by its {scaled_by.value} scale {divisor} overflows",
                                source=source, line=first_line)
-        if chiefs > 1 and warnings is not None:
+        if chiefs > 1 and wants("MULTIPLE_CHIEFS"):
             warnings.append(HdbError(
                 "MULTIPLE_CHIEFS", f"household {key} marks {chiefs} members as chief"))
         return HouseholdAggregate(
@@ -294,7 +299,7 @@ def aggregate_all(
                 age_token, gender_token, is_chief]
         except HdbError as exc:
             raise exc.at(source=source, line=line)
-        if missing and warnings is not None:
+        if missing and wants("AGE_MISSING"):
             warnings.append(HdbError("AGE_MISSING", f"unknown-age code {age_token!r} "
                                      "treated as adult", source=source, line=line))
         if adult:

@@ -9,9 +9,9 @@ its selection needs: `identify` reads the four strata columns and builds
 keys, `recode-income` reads and recodes the income column alone, and
 households are folded only when a household output is selected. The CLI
 selects the outputs of `recode-income` and `aggregate` from `_run` itself.
-Nothing is written until every step has succeeded, so a run that stops on
-a data error writes none of its outputs (an I/O failure part-way through
-the writes can still leave the files written before it).
+Nothing is written until every step has succeeded, and the outputs are
+staged and then moved into place together, so a failed run changes none
+of them.
 
 The household fold is fed each person as the pass reads it, so no
 person-indexed rows are kept (under --sort it keeps a small state per
@@ -37,10 +37,15 @@ Output files
 from __future__ import annotations
 
 import configparser
+import errno
 import io
 import math
+import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -229,6 +234,14 @@ class WarningLog(list):
         if count <= WARNINGS_KEPT:
             super().append(warning)
 
+    def wants(self, code: str) -> bool:
+        """Whether a warning of ``code`` met now would be kept, and so is
+        worth building for `append`; one that would not is counted here."""
+        if self.counts.get(code, 0) < WARNINGS_KEPT:
+            return True
+        self.counts[code] += 1
+        return False
+
     def unkept(self) -> tuple[tuple[str, int], ...]:
         """(code, warnings past those kept) of each code that overflowed."""
         return tuple((code, count - WARNINGS_KEPT)
@@ -395,10 +408,10 @@ def load_config(
 
 
 def format_number(value: float) -> str:
-    """Render a number with a decimal point and no grouping: integers
-    without a fractional part, anything else as the shortest decimal of at
-    most 12 significant digits that reads back to the same double (full 12
-    digits when none shorter does)."""
+    """Render a number with a decimal point and no grouping: an integral
+    value below 1e16 in magnitude as an integer, anything else as the
+    shortest decimal of at most 12 significant digits that reads back to
+    the same double (full 12 digits when none shorter does)."""
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"cannot format {value}")
     if value == int(value) and abs(value) < 1e16:
@@ -436,6 +449,37 @@ def _write_lines(path: Path, lines: Iterable[str]) -> Path:
     with _open_output(path) as handle:
         handle.write("\n".join(lines) + "\n" if lines else "")
     return path
+
+
+def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[Path], Path]]]
+                  ) -> tuple[Path, ...]:
+    """Write every output or none: each (file name, writer of the file at
+    a path) writes into a fresh staging directory inside ``out_dir``, and
+    only once all have succeeded is each file moved into place with
+    `os.replace`. A target that is a directory is refused before anything
+    is written. The staging directory is removed either way. A failure is
+    IO_ERROR naming the output's final path; returns the final paths."""
+    targets = [out_dir / name for name, _ in writes]
+    target = targets[0]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".hdbprep-", dir=out_dir))
+        try:
+            for target in targets:
+                if target.is_dir():  # refused as writing it in place was
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            for target, (name, write) in zip(targets, writes):
+                write(stage / name)
+            for target in targets:
+                os.replace(stage / target.name, target)
+        except HdbError as exc:  # a staged write's, which names the staged file
+            exc.message = exc.message.replace(str(stage / target.name), str(target))
+            raise
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except OSError as exc:
+        raise HdbError("IO_ERROR", f"cannot write {target}: {exc}") from exc
+    return tuple(targets)
 
 
 def _renderer() -> tuple[Callable[[float | None], str],
@@ -526,9 +570,9 @@ def _run(
     count), and a table's file; the first error met wins, on one line the
     key's, then the income's, then the member's (a household's when it
     closes, see `aggregate_all`). The scaled income is computed only for
-    households.csv. A data error writes nothing, as the writes follow the
-    pass; an I/O failure part-way through them can leave the files
-    written before it.
+    households.csv. A failed run changes no output: the writes follow the
+    pass and go through `_write_staged`, which replaces the outputs only
+    once every one is written.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
@@ -618,21 +662,20 @@ def _run(
     # every value is rendered once; the per-variable files and
     # households.csv write the same text
     columns = dict(zip(_TABLE_COLUMNS, zip(*rendered)))
-    out_dir = config.effective_out_dir
-    outputs = []
+    writes = []
     if keys:
-        outputs.append(_write_lines(out_dir / IDENT_FILE, key_lines))
+        writes.append((IDENT_FILE, partial(_write_lines, lines=key_lines)))
     if amounts:
-        outputs.append(_write_lines(out_dir / RECODED_INCOME_FILE, amount_lines))
+        writes.append((RECODED_INCOME_FILE, partial(_write_lines, lines=amount_lines)))
     for file_name, attribute in plan:
-        path = out_dir / (file_name or dmp_file_name(config.dmp_c, config.dmp_s))
-        outputs.append(_write_lines(path, columns[attribute]))
+        writes.append((file_name or dmp_file_name(config.dmp_c, config.dmp_s),
+                       partial(_write_lines, lines=columns[attribute])))
     if table:
-        outputs.append(write_household_table(rendered, out_dir / TABLE_FILE))
+        writes.append((TABLE_FILE, partial(write_household_table, rendered)))
     return RunReport(
         persons=n_persons,
         households=len(rendered) if fold else None,
-        outputs=tuple(outputs),
+        outputs=_write_staged(config.effective_out_dir, writes),
         warnings=tuple(warnings),
         unkept=warnings.unkept(),
     )

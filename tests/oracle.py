@@ -27,6 +27,20 @@ LETTER_AMOUNTS = {
 }
 
 
+def render(number):
+    """A number's text in an output file: an integral value below 1e16 in
+    magnitude as an integer; any other as the shortest decimal of at most
+    12 significant digits that reads back to the same double, or with 12
+    significant digits when none does."""
+    if number == int(number) and abs(number) < 1e16:
+        return str(int(number))
+    for digits in range(1, 13):
+        text = f"{number:.{digits}g}"
+        if float(text) == number:
+            break
+    return text
+
+
 def read_persons(input_dir, table, delimiter, income):
     """One tuple of stripped tokens per person, in VARIABLES order (no
     income when ``income`` is "none"): from the default column files, or

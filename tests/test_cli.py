@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hdbprep
 from hdbprep.cli import _configure, build_parser, main
 from hdbprep.identity import make_household_key
-from hdbprep.model import _SPELLINGS, IncomeMode
+from hdbprep.model import _SPELLINGS, IncomeMode, MissingAgePolicy
 from hdbprep.errors import HdbError
-from hdbprep.pipeline import _CONFIG_KEYS, RunReport, WarningLog, load_config
+from hdbprep.pipeline import _CONFIG_KEYS, RunReport, WarningLog, _open_output, load_config
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
 
 
@@ -1225,6 +1225,71 @@ def test_an_output_directory_that_is_a_file_is_an_io_error(tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+class TestAllOrNothingWrites:
+    """A failed run changes no output file: the outputs are written into a
+    staging directory inside the output directory and moved into place only
+    once every one is written, and the staging directory never stays."""
+
+    STALE_NS = 1_000_000_000_000_000_000
+
+    def stale_outputs(self, tmp_path, capsys, faults=()):
+        """A run's config and output directory, the outputs of a first run
+        there made stale (other bytes, an old mtime), and ``households.csv``
+        a directory."""
+        config = write_persons(tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        write_persons(tmp_path / "data", faults)
+        (out / "households.csv").unlink()
+        (out / "households.csv").mkdir()
+        for path in out.iterdir():
+            if path.is_file():
+                path.write_text(f"stale {path.name}\n")
+                os.utime(path, ns=(self.STALE_NS, self.STALE_NS))
+        capsys.readouterr()
+        return config, out
+
+    @staticmethod
+    def files(out):
+        return {path.name: (path.is_dir() or path.read_bytes(), path.stat().st_mtime_ns)
+                for path in out.iterdir()}
+
+    def test_a_directory_in_place_of_an_output_changes_no_file(self, tmp_path, capsys):
+        config, out = self.stale_outputs(tmp_path, capsys)
+        before = self.files(out)
+        assert len(before) == 10
+        target = out / "households.csv"
+        assert failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)]) == (
+            2, f"error: IO_ERROR: cannot write {target}: [Errno 21] Is a directory: '{target}'")
+        assert self.files(out) == before
+
+    def test_a_data_error_changes_no_file(self, tmp_path, capsys):
+        config, out = self.stale_outputs(tmp_path, capsys, faults=[(3, AGE, "x")])
+        before = self.files(out)
+        code, err = failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)])
+        assert code == 1 and err.startswith("error: [aggregate] BAD_AGE_TOKEN (line 3): ")
+        assert self.files(out) == before
+
+    def test_a_failed_write_names_its_output_and_changes_no_file(self, tmp_path, capsys,
+                                                                monkeypatch):
+        config, out = self.stale_outputs(tmp_path, capsys)
+        (out / "households.csv").rmdir()
+        before = self.files(out)
+
+        def full_disk(rows, path):
+            with _open_output(path):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(hdbprep.pipeline, "write_household_table", full_disk)
+        assert failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)]) == (
+            2, f"error: IO_ERROR: cannot write {out / 'households.csv'}: "
+               "[Errno 28] No space left on device")
+        assert self.files(out) == before
+        monkeypatch.undo()
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert sorted(self.files(out)) == sorted([*before, "households.csv"])
+
+
 class TestIncomeOverflow:
     """A household income total or scaled income too large for a float is
     a coded data error, not a traceback; it names the household's first
@@ -1389,24 +1454,55 @@ class TestWarningsAreBounded:
     """A run keeps each warning code's first 20 warnings and counts the
     rest, so a corpus of unknown ages costs no memory per person."""
 
-    def test_every_age_unknown_prints_twenty_then_the_count(self, tmp_path, capsys):
-        data = tmp_path / "data"
+    @staticmethod
+    def unknown_ages(data):
+        """A 50-household corpus in ``data`` with every age the unknown-age
+        code 99, read under the strict policy: its config and person count."""
         assert main(["synth", "--seed", "1", "--households", "50", "--out-dir", str(data)]) == 0
         ages = (data / "age.txt").read_text().splitlines()
         (data / "age.txt").write_text("99\n" * len(ages))
         config = data / "config.ini"
         config.write_text(config.read_text().replace(
             "[variables]\n", "[variables]\nmissing_age_policy = strict\n"))
+        return config, len(ages)
+
+    def test_every_age_unknown_prints_twenty_then_the_count(self, tmp_path, capsys):
+        config, persons = self.unknown_ages(tmp_path / "data")
         capsys.readouterr()
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
         warnings = [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("warning:")]
         assert warnings == [
             f"warning: line {line}: AGE_MISSING: unknown-age code '99' treated as adult"
-            for line in range(1, 21)] + [f"warning: ... and {len(ages) - 20} more AGE_MISSING"]
+            for line in range(1, 21)] + [f"warning: ... and {persons - 20} more AGE_MISSING"]
         assert warnings[-1] == "warning: ... and 219 more AGE_MISSING"
         report = hdbprep.run_pipeline(load_config(config))
         assert len(report.warnings) == 20
+
+    def test_warnings_past_the_cap_are_never_built(self, tmp_path, capsys, monkeypatch):
+        config, _ = self.unknown_ages(tmp_path / "data")
+        argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        built = []
+
+        class Counted(HdbError):
+            def __init__(self, code, *args, **kwargs):
+                built.append(code)
+                super().__init__(code, *args, **kwargs)
+
+        monkeypatch.setattr(hdbprep.aggregate, "HdbError", Counted)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert built == ["AGE_MISSING"] * 20
+        # a plain list, as a library caller passes, still receives every one
+        key = make_household_key("1", "1", "1", "1")
+        warnings = []
+        list(hdbprep.aggregate_all(
+            [(key, line, "99", "1", "2", None) for line in range(1, 31)],
+            hdbprep.PipelineConfig(missing_age_policy=MissingAgePolicy.STRICT), warnings))
+        assert [w.code for w in warnings] == ["AGE_MISSING"] * 30
 
     def test_each_overflowing_code_is_counted_in_the_order_first_met(self):
         log = WarningLog()

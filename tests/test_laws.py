@@ -1,4 +1,4 @@
-"""Two laws of `hdbprep run` over drawn corpora, run in process.
+"""Laws of the one pass over drawn corpora, run in process.
 
 Concatenation: on two column corpora whose household keys cannot meet,
 every output of the corpora read one after the other is the first
@@ -7,23 +7,33 @@ corpus's output followed by the second's, and the counts add up.
 Error shift: a clean corpus put before a corpus with one fault moves the
 fault's reported line by the clean corpus's person count, and changes
 nothing else on stderr.
+
+Selection: a command that selects some outputs writes each as `run`
+writes it, and each per-variable household file is its households.csv
+column.
+
+Order: under --sort, shuffling a table's persons changes no household
+file.
 """
 
+import csv
 import dataclasses
+import random
 import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hdbprep.cli import _write_synth_config, main
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, ScaleKind
-from hdbprep.synth import SynthParams, SynthResult, generate, write_column_files
+from hdbprep.synth import (SynthParams, SynthResult, generate, write_column_files,
+                           write_table)
 
 LAW_SETTINGS = settings(max_examples=25, deadline=None,
                         suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @st.composite
-def frames(draw, income_mode=None):
+def frames(draw, income_mode=None, anomalies=None):
     """Small generator settings; a DMP parameter c above 0, so that no
     household's scale divides its income by 0."""
     regions = draw(st.integers(1, 3))
@@ -41,7 +51,7 @@ def frames(draw, income_mode=None):
         gender_encoding=draw(st.sampled_from(GenderEncoding)),
         income_mode=income_mode or draw(st.sampled_from(IncomeMode)),
         renumber_households=draw(st.booleans()),
-        anomalies=draw(st.booleans()),
+        anomalies=draw(st.booleans()) if anomalies is None else anomalies,
         scheme_letters=tuple(draw(st.permutations("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))[:4]),
         dmp_c=draw(st.integers(1, 100)) / 100,
         dmp_s=draw(st.integers(0, 100)) / 100,
@@ -63,11 +73,16 @@ def write_corpus(directory, params, persons):
     return _write_synth_config(directory, params)
 
 
-def run(capsys, config, out_dir):
-    """(exit code, stdout, stderr) of `hdbprep run` on ``config``."""
+def run(capsys, config, out_dir, command="run", *flags):
+    """(exit code, stdout, stderr) of `hdbprep COMMAND` on ``config``."""
     capsys.readouterr()
-    code = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+    code = main([command, "--config", str(config), "--out-dir", str(out_dir), *flags])
     return (code, *capsys.readouterr())
+
+
+def output_files(out_dir):
+    """{file name: bytes} of every file a run wrote."""
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
 
 
 def counts(stdout):
@@ -127,3 +142,63 @@ def test_a_clean_corpus_before_a_fault_shifts_its_line(tmp_path_factory, capsys,
     shifted = run(capsys, write_corpus(work / "af", params, clean + faulty), work / "out-af")
     assert shifted == (code, stdout, stderr.replace(f"(line {index + 1}): ",
                                                     f"(line {index + 1 + len(clean)}): "))
+
+
+#: Each per-variable household file's --only name and households.csv column.
+HOUSEHOLD_FILES = {
+    "scaleoxford.txt": ("oxford", "scale_oxford"),
+    "scalefaofam.txt": ("faofam", "scale_faofam"),
+    "scaleDMP": ("dmp", "scale_dmp"),
+    "sizehousehold.txt": ("size", "size"),
+    "totalincome.txt": ("income", "total_income"),
+    "labelregion.txt": ("area", "label_area"),
+    "labelgender.txt": ("chief", "label_chief_gender"),
+}
+
+
+@LAW_SETTINGS
+@given(frames(), st.data())
+def test_a_selected_output_is_the_one_run_writes(tmp_path_factory, capsys, params, data):
+    work = tmp_path_factory.mktemp("selection")
+    config = write_corpus(work / "corpus", params, generate(params).persons)
+    assert run(capsys, config, work / "run")[::2] == (0, "")
+    files = output_files(work / "run")
+    header, *rows = csv.reader(files["households.csv"].decode().splitlines())
+    household_files = {name: HOUSEHOLD_FILES[name.partition("-")[0]] for name in files
+                       if name.partition("-")[0] in HOUSEHOLD_FILES}
+    assert len(household_files) == 6 + (params.income_mode is not IncomeMode.NONE)
+    for name, (_, column) in household_files.items():
+        cells = [row[header.index(column)] for row in rows]
+        assert files[name].decode().splitlines() == cells, name
+    selections = [("identify", "identhousehold.txt")]
+    if params.income_mode is IncomeMode.LETTERS:
+        selections.append(("recode-income", "monthlyincome.txt"))
+    name = data.draw(st.sampled_from(sorted(household_files)), label="household file")
+    selections.append(("aggregate", name, "--only", household_files[name][0]))
+    for command, name, *flags in selections:
+        assert run(capsys, config, work / command, command, *flags)[::2] == (0, "")
+        assert output_files(work / command) == {name: files[name]}, command
+
+
+@LAW_SETTINGS
+@given(frames(anomalies=False), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+def test_shuffled_persons_give_the_same_household_files(tmp_path_factory, capsys, params,
+                                                       seeds):
+    # a household with two chiefs (an anomaly) takes the last one's label
+    # in line order, which a shuffle may change
+    work = tmp_path_factory.mktemp("order")
+    result = generate(params)
+    outputs = []
+    for i, seed in enumerate(seeds):
+        persons = list(result.persons)
+        random.Random(seed).shuffle(persons)
+        config = write_corpus(work / f"corpus-{i}", params, persons)
+        write_table(dataclasses.replace(result, persons=tuple(persons)), config.parent / "t.csv")
+        config.write_text(config.read_text().replace("mode = columns",
+                                                     "mode = table\ntable = t.csv"))
+        code, stdout, stderr = run(capsys, config, work / f"out-{i}", "run", "--sort")
+        assert (code, stderr) == (0, "")
+        outputs.append((counts(stdout), {
+            name: data for name, data in output_files(work / f"out-{i}").items()
+            if name not in ("identhousehold.txt", "monthlyincome.txt")}))
+    assert outputs[0] == outputs[1]

@@ -7,7 +7,6 @@ settings, configs and layouts."""
 import configparser
 import csv
 import dataclasses
-import math
 import random
 import re
 from collections import Counter
@@ -18,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hdbprep.cli import _write_synth_config, main
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, ScaleKind
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
-from oracle import HEADER, VARIABLES, expected_outputs
+from oracle import HEADER, VARIABLES, expected_outputs, render
 
 
 def warning_counts(stdout):
@@ -115,12 +114,12 @@ def written(out_dir):
 
 
 def same_cell(text, expected):
-    """Counts, keys and labels exactly; amounts and scales to 1e-11
-    relative, as a number keeps at most 12 significant digits."""
+    """Whether a written cell is the expected one's text: a number as the
+    oracle renders it, None as an empty cell."""
     if expected is None:
         return text == ""
     if isinstance(expected, float):
-        return text != "" and math.isclose(float(text), expected, rel_tol=1e-11)
+        return text == render(expected)
     return text == str(expected)
 
 
