@@ -460,7 +460,7 @@ def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[Path], Pa
     is written. The staging directory is removed either way. A failure is
     IO_ERROR naming the output's final path; returns the final paths."""
     targets = [out_dir / name for name, _ in writes]
-    target = targets[0]
+    target = targets[0]  # the output that a failure names
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=".hdbprep-", dir=out_dir))

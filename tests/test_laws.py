@@ -192,8 +192,10 @@ def test_shuffled_persons_give_the_same_household_files(tmp_path_factory, capsys
     for i, seed in enumerate(seeds):
         persons = list(result.persons)
         random.Random(seed).shuffle(persons)
-        config = write_corpus(work / f"corpus-{i}", params, persons)
-        write_table(dataclasses.replace(result, persons=tuple(persons)), config.parent / "t.csv")
+        corpus = work / f"corpus-{i}"
+        corpus.mkdir()
+        write_table(dataclasses.replace(result, persons=tuple(persons)), corpus / "t.csv")
+        config = _write_synth_config(corpus, params)
         config.write_text(config.read_text().replace("mode = columns",
                                                      "mode = table\ntable = t.csv"))
         code, stdout, stderr = run(capsys, config, work / f"out-{i}", "run", "--sort")

@@ -99,7 +99,7 @@ MUTANTS = (
            ("tests/test_laws.py::test_shuffled_persons_give_the_same_household_files",)),
     # exact oracle cells
     Mutant("income-amount-changed", "src/hdbprep/recode.py", '"A": 14500.0,',
-           '"A": 14500.000001,', ("tests/test_oracle.py::test_run_matches_file_oracle",)),
+           '"A": 14500.0000001,', ("tests/test_oracle.py::test_run_matches_file_oracle",)),
     Mutant("eleven-digits", PIPELINE, 'return f"{value:.12g}"', 'return f"{value:.11g}"',
            ("tests/test_oracle.py::test_run_matches_file_oracle",)),
     # all-or-nothing writes
