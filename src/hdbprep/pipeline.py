@@ -457,8 +457,17 @@ def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[Path], Pa
     a path) writes into a fresh staging directory inside ``out_dir``, and
     only once all have succeeded is each file moved into place with
     `os.replace`. A target that is a directory is refused before anything
-    is written. The staging directory is removed either way. A failure is
-    IO_ERROR naming the output's final path; returns the final paths."""
+    is written. The staging directory is removed either way. Returns the
+    final paths.
+
+    A failure is IO_ERROR naming the output's final path, followed by the
+    system's own error text, which names the file it opened: the staged
+    file, or the staging directory when that cannot be made. Replacing
+    rather than rewriting a file means that an output path that is a
+    symlink becomes a regular file (the link's target is left as it was),
+    that an output takes the default mode instead of keeping its own, and
+    that an output directory that cannot be written fails the run even
+    where its output files can be."""
     targets = [out_dir / name for name, _ in writes]
     target = targets[0]  # the output that a failure names
     try:
@@ -469,12 +478,12 @@ def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[Path], Pa
                 if target.is_dir():  # refused as writing it in place was
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             for target, (name, write) in zip(targets, writes):
-                write(stage / name)
+                try:
+                    write(stage / name)
+                except HdbError as exc:  # `_open_output`'s IO_ERROR: report its OSError
+                    raise exc.__cause__ from None
             for target in targets:
                 os.replace(stage / target.name, target)
-        except HdbError as exc:  # a staged write's, which names the staged file
-            exc.message = exc.message.replace(str(stage / target.name), str(target))
-            raise
         finally:
             shutil.rmtree(stage, ignore_errors=True)
     except OSError as exc:

@@ -1289,6 +1289,17 @@ class TestAllOrNothingWrites:
         assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
         assert sorted(self.files(out)) == sorted([*before, "households.csv"])
 
+    def test_a_symlinked_output_is_replaced_and_its_target_kept(self, tmp_path, capsys):
+        config, out = self.stale_outputs(tmp_path, capsys)
+        (out / "households.csv").rmdir()
+        elsewhere = tmp_path / "elsewhere.csv"
+        elsewhere.write_text("kept\n")
+        (out / "households.csv").symlink_to(elsewhere)
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        table = out / "households.csv"
+        assert not table.is_symlink() and table.read_text().startswith("key,size,")
+        assert elsewhere.read_text() == "kept\n"
+
 
 class TestIncomeOverflow:
     """A household income total or scaled income too large for a float is

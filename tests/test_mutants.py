@@ -14,11 +14,6 @@ mutants = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(mutants)
 
 
-def test_names_are_unique():
-    names = [mutant.name for mutant in mutants.MUTANTS]
-    assert len(names) == len(set(names))
-
-
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
 def test_each_old_text_occurs_once(mutant):
     text = (ROOT / mutant.file).read_text(encoding="utf-8")

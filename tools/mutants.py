@@ -1,7 +1,7 @@
 """Mutation checks that can be run again: each mutant is one exact edit of
 the tree that named tests must fail.
 
-    python tools/mutants.py [--only NAME ...] [--timeout SECONDS]
+    python tools/mutants.py
 
 For each mutant in MUTANTS the tree (`src`, `tests`, `demos`, `tools`, the
 README and `pyproject.toml`) is copied to a temporary directory, and the
@@ -10,7 +10,7 @@ by its new text. Then `python -m pytest -x` runs the mutant's test node
 ids in the copy, against the copy's `src`. The mutant is killed when the
 tests fail, and survived when they pass. An edit that cannot be applied,
 or a pytest run that neither passes nor fails (a node id that matches no
-test, a run past the timeout), is an error. First every mutant's tests
+test, a run past TIMEOUT), is an error. First every mutant's tests
 run on an unedited copy, where they must pass, or no kill would mean
 anything. It prints one line per mutant with its time, and exits 1 when
 any mutant survived or is an error.
@@ -22,7 +22,6 @@ exactly once. A correctness change adds a mutant for each new check.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -36,6 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: What is copied for each mutant: what the tests read.
 TREE = ("src", "tests", "demos", "tools", "README.md", "pyproject.toml")
+
+#: Seconds one pytest run may take before its mutant is an error.
+TIMEOUT = 600.0
 
 
 class Mutant(NamedTuple):
@@ -120,7 +122,7 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def check(mutant: Mutant | None, timeout: float) -> str:
+def check(mutant: Mutant | None) -> str:
     """"killed", "survived" or "error: ..." for one mutant; for None,
     "survived" when every mutant's tests pass on the unedited tree."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as work:
@@ -144,9 +146,9 @@ def check(mutant: Mutant | None, timeout: float) -> str:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                  *tests], cwd=copy, env=env, capture_output=True, text=True,
-                timeout=timeout)
+                timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return f"error: tests still running after {timeout:g} s"
+            return f"error: tests still running after {TIMEOUT:g} s"
     if done.returncode == 1:
         return "killed"
     if done.returncode == 0:
@@ -155,29 +157,17 @@ def check(mutant: Mutant | None, timeout: float) -> str:
     return f"error: pytest exit {done.returncode}: {last[0]}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="check only these mutants, by name")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds a mutant's tests may run (default 600)")
-    args = parser.parse_args(argv)
-    names = {mutant.name for mutant in MUTANTS}
-    unknown = sorted(set(args.only or ()) - names)
-    if unknown:
-        parser.error(f"unknown mutant: {', '.join(unknown)}")
+def main() -> int:
     start = time.perf_counter()
-    baseline = check(None, args.timeout)
+    baseline = check(None)
     print(f"unedited tree: {'passes' if baseline == 'survived' else baseline} "
           f"({time.perf_counter() - start:.1f} s)", flush=True)
     if baseline != "survived":
         return 1
     failed = 0
     for mutant in MUTANTS:
-        if args.only and mutant.name not in args.only:
-            continue
         began = time.perf_counter()
-        outcome = check(mutant, args.timeout)
+        outcome = check(mutant)
         failed += outcome != "killed"
         print(f"{outcome:<10} {mutant.name} ({time.perf_counter() - began:.1f} s)", flush=True)
     print(f"{failed} not killed; {time.perf_counter() - start:.1f} s in all")
