@@ -23,8 +23,8 @@ from .model import _SPELLINGS, AgeEncoding, GenderEncoding, IncomeMode, ScaleKin
 from .pipeline import (
     AGGREGATE_OUTPUTS,
     PipelineConfig,
-    _open_output,
     _run,
+    _write_staged,
     load_config,
     run_identify,
     run_pipeline,
@@ -95,8 +95,9 @@ def _cmd_process(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_synth_config(out_dir: Path, params: SynthParams) -> Path:
-    """Drop a ready-to-run config next to the generated files."""
+def _synth_config(params: SynthParams) -> configparser.ConfigParser:
+    """The ready-to-run config that synth writes next to the generated
+    files."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser["input"] = {"mode": "columns", "dir": "."}
@@ -117,15 +118,12 @@ def _write_synth_config(out_dir: Path, params: SynthParams) -> Path:
         "dmp_s": repr(params.dmp_s),
         "scaled_by": _written(ScaleKind)[params.scaled_by],
     }
-    path = out_dir / "config.ini"
-    with _open_output(path) as handle:
-        parser.write(handle)
-    return path
+    return parser
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     # the generator is imported here alone, so the other commands start faster
-    from .synth import SynthParams, generate, write_column_files, write_table
+    from .synth import SynthParams, _column_writers, _write_persons_table, generate
 
     params = SynthParams(
         n_households=args.households,
@@ -142,11 +140,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         anomalies=args.anomalies,
     )
     result = generate(params)
-    out_dir = Path(args.out_dir)
-    paths = write_column_files(result, out_dir)
+    # one staged write: a failed synth changes no file
+    writes = _column_writers(result)
     if args.table:
-        paths.append(write_table(result, out_dir / "persons.csv"))
-    paths.append(_write_synth_config(out_dir, params))
+        writes.append(("persons.csv", partial(_write_persons_table, result, ",")))
+    writes.append(("config.ini", _synth_config(params).write))
+    paths = _write_staged(Path(args.out_dir), writes)
     print(f"persons: {len(result.persons)}")
     print(f"households: {len(result.ground_truth)}")
     for path in paths:

@@ -44,7 +44,6 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -430,35 +429,20 @@ def dmp_file_name(c: float, s: float) -> str:
     return f"scaleDMP-{format_number(c)}-{format_number(s)}.txt"
 
 
-@contextmanager
-def _open_output(path: Path) -> Iterator[TextIO]:
-    """Open an output file for UTF-8 text, its directory made first and
-    no newline translated; an OSError while opening or writing it is
-    IO_ERROR."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            yield handle
-    except OSError as exc:
-        raise HdbError("IO_ERROR", f"cannot write {path}: {exc}") from exc
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> Path:
+def _write_lines(handle: TextIO, lines: Iterable[str]) -> None:
     """Write each line followed by a newline, in one write."""
     lines = list(lines)
-    with _open_output(path) as handle:
-        handle.write("\n".join(lines) + "\n" if lines else "")
-    return path
+    handle.write("\n".join(lines) + "\n" if lines else "")
 
 
-def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[Path], Path]]]
+def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[TextIO], object]]]
                   ) -> tuple[Path, ...]:
-    """Write every output or none: each (file name, writer of the file at
-    a path) writes into a fresh staging directory inside ``out_dir``, and
-    only once all have succeeded is each file moved into place with
-    `os.replace`. A target that is a directory is refused before anything
-    is written. The staging directory is removed either way. Returns the
-    final paths.
+    """Write every output or none: each (file name, writer) pair's writer
+    receives its file, opened for UTF-8 text with no newline translated in
+    a fresh staging directory inside ``out_dir``, and only once all have
+    succeeded is each file moved into place with `os.replace`. A target
+    that is a directory is refused before anything is written. The staging
+    directory is removed either way. Returns the final paths.
 
     A failure is IO_ERROR naming the output's final path, followed by the
     system's own error text, which names the file it opened: the staged
@@ -478,10 +462,8 @@ def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[Path], Pa
                 if target.is_dir():  # refused as writing it in place was
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             for target, (name, write) in zip(targets, writes):
-                try:
-                    write(stage / name)
-                except HdbError as exc:  # `_open_output`'s IO_ERROR: report its OSError
-                    raise exc.__cause__ from None
+                with open(stage / name, "w", encoding="utf-8", newline="") as handle:
+                    write(handle)
             for target in targets:
                 os.replace(stage / target.name, target)
         finally:
@@ -509,18 +491,16 @@ def _renderer() -> tuple[Callable[[float | None], str],
     return number, row
 
 
-def write_household_table(rows: Iterable[Sequence[str]], path: Path) -> Path:
-    """Write the combined one-row-per-household table: the header (always
-    present), then each row of cells already rendered to text, in
-    `_TABLE_COLUMNS` order (an empty cell where a statistic was not
-    configured)."""
+def write_household_table(rows: Iterable[Sequence[str]], handle: TextIO) -> None:
+    """Write the combined one-row-per-household table to ``handle``: the
+    header (always present), then each row of cells already rendered to
+    text, in `_TABLE_COLUMNS` order (an empty cell where a statistic was
+    not configured)."""
     import csv
 
-    with _open_output(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        writer.writerows(rows)
-    return path
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(_TABLE_COLUMNS)
+    writer.writerows(rows)
 
 
 def _read_persons(

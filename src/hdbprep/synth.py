@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 from .errors import HdbError
 from .ingest import REQUIRED_VARIABLES, Variable
@@ -35,7 +36,7 @@ from .model import (
 # the generated layout themselves
 from .pipeline import DEFAULT_LETTER_INCOME_FILE as LETTER_INCOME_FILE  # noqa: F401
 from .pipeline import DEFAULT_NUMERIC_INCOME_FILE as NUMERIC_INCOME_FILE  # noqa: F401
-from .pipeline import PipelineConfig, _open_output, _write_lines
+from .pipeline import PipelineConfig, _write_lines, _write_staged
 
 # Letter incomes the generator can draw, with the amounts the ground truth
 # assigns them. Literal on purpose: these must not come from the recode
@@ -318,31 +319,45 @@ def _layout(result: SynthResult) -> tuple[PipelineConfig, tuple[Variable, ...]]:
     return config, REQUIRED_VARIABLES + ((Variable.INCOME,) if with_income else ())
 
 
-def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
-    """Write the generated persons as the standard one-column-per-file
-    layout; returns the paths written."""
+def _column_writers(result: SynthResult) -> list[tuple[str, Callable[[TextIO], None]]]:
+    """The standard one-column-per-file layout of the generated persons, as
+    (file name, writer) pairs for `_write_staged`."""
     config, variables = _layout(result)
     names = {**config.column_files, Variable.INCOME: config.effective_income_file}
     # a person's tokens lie in Variable order
-    return [_write_lines(Path(out_dir) / names[variable], map(itemgetter(i), result.persons))
+    return [(names[variable], partial(_write_lines, lines=map(itemgetter(i), result.persons)))
             for i, variable in enumerate(variables)]
 
 
-def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
-    """Write the generated persons as one delimited table with a header; if a
-    cell holds a carriage return, which csv leaves bare, every cell is quoted."""
+def write_column_files(result: SynthResult, out_dir: Path) -> list[Path]:
+    """Write the generated persons as the standard one-column-per-file
+    layout, every file or none; returns the paths written."""
+    return list(_write_staged(Path(out_dir), _column_writers(result)))
+
+
+def _write_persons_table(result: SynthResult, delimiter: str, handle: TextIO) -> None:
+    """Write the generated persons to ``handle`` as one delimited table with
+    a header; if a cell holds a carriage return, which csv leaves bare, the
+    file read back shows it, and every cell is quoted instead."""
     import csv
 
     config, variables = _layout(result)
     cells = itemgetter(*range(len(variables)))
-    path = Path(path)
     for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
-        with _open_output(path) as handle:
-            writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n", quoting=quoting)
-            writer.writerow(config.table_columns[variable] for variable in variables)
-            writer.writerows(map(cells, result.persons))
-        with path.open("rb") as written:  # in small reads, which leave no large buffer
+        handle.seek(0)
+        handle.truncate()
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n", quoting=quoting)
+        writer.writerow(config.table_columns[variable] for variable in variables)
+        writer.writerows(map(cells, result.persons))
+        handle.flush()
+        with open(handle.name, "rb") as written:  # in small reads, which leave no large buffer
             if not any(b"\r" in block for block in iter(lambda: written.read(1 << 14), b"")):
                 break
-    return path
 
+
+def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
+    """Write the generated persons as one delimited table with a header (see
+    `_write_persons_table`), staged; returns the path written."""
+    path = Path(path)
+    return _write_staged(path.parent, [(path.name, partial(_write_persons_table, result,
+                                                           delimiter))])[0]

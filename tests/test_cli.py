@@ -16,7 +16,7 @@ from hdbprep.cli import _configure, build_parser, main
 from hdbprep.identity import make_household_key
 from hdbprep.model import _SPELLINGS, IncomeMode, MissingAgePolicy
 from hdbprep.errors import HdbError
-from hdbprep.pipeline import _CONFIG_KEYS, RunReport, WarningLog, _open_output, load_config
+from hdbprep.pipeline import _CONFIG_KEYS, RunReport, WarningLog, load_config
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
 
 
@@ -933,6 +933,17 @@ class TestInputFaultsOffTheGrid:
             1, f"error: [recode] BAD_INCOME_TOKEN ({where}): cannot read {token!r} as an "
                "income amount")
 
+    def test_a_nul_in_a_strata_token_is_a_token_character(self, tmp_path, capsys):
+        # strata tokens are used verbatim, control characters included: the
+        # first person's region "1\0" keys a household of its own
+        config = write_persons(tmp_path / "data", [(1, REGION, "1\0")])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert "households: 4\n" in capsys.readouterr().out
+        assert (out / "identhousehold.txt").read_text().splitlines()[:2] == [
+            "R1\0M1C1H1", "R1M1C1H1"]
+        assert (out / "labelregion.txt").read_text().splitlines() == ["1\0", "1", "1", "1"]
+
     def table_run(self, tmp_path, capsys):
         config = write_ini(tmp_path / "config.ini", {("input", "mode"): "table",
                                                      ("input", "table"): "persons.csv"})
@@ -1276,9 +1287,8 @@ class TestAllOrNothingWrites:
         (out / "households.csv").rmdir()
         before = self.files(out)
 
-        def full_disk(rows, path):
-            with _open_output(path):
-                raise OSError(28, "No space left on device")
+        def full_disk(rows, handle):
+            raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(hdbprep.pipeline, "write_household_table", full_disk)
         assert failure(capsys, ["run", "--config", str(config), "--out-dir", str(out)]) == (
@@ -1288,6 +1298,22 @@ class TestAllOrNothingWrites:
         monkeypatch.undo()
         assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
         assert sorted(self.files(out)) == sorted([*before, "households.csv"])
+
+    def test_a_failed_synth_changes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        synth = ["synth", "--households", "12", "--out-dir", str(out), "--table"]
+        assert main([*synth, "--seed", "1"]) == 0
+        (out / "age.txt").unlink()
+        (out / "age.txt").mkdir()
+        for path in out.iterdir():
+            os.utime(path, ns=(self.STALE_NS, self.STALE_NS))
+        capsys.readouterr()
+        before = self.files(out)
+        assert len(before) == 10
+        target = out / "age.txt"
+        assert failure(capsys, [*synth, "--seed", "2"]) == (
+            2, f"error: IO_ERROR: cannot write {target}: [Errno 21] Is a directory: '{target}'")
+        assert self.files(out) == before
 
     def test_a_symlinked_output_is_replaced_and_its_target_kept(self, tmp_path, capsys):
         config, out = self.stale_outputs(tmp_path, capsys)

@@ -14,6 +14,10 @@ column.
 
 Order: under --sort, shuffling a table's persons changes no household
 file.
+
+Layout: the same persons as column files and as a table, under any
+delimiter the synth writer takes, give the same exit code, counts and
+output bytes.
 """
 
 import csv
@@ -23,8 +27,9 @@ import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hdbprep.cli import _write_synth_config, main
+from hdbprep.cli import _synth_config, main
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, ScaleKind
+from hdbprep.pipeline import _write_staged
 from hdbprep.synth import (SynthParams, SynthResult, generate, write_column_files,
                            write_table)
 
@@ -70,7 +75,13 @@ def later_regions(persons, offset):
 def write_corpus(directory, params, persons):
     directory.mkdir()
     write_column_files(SynthResult(params, tuple(persons), ()), directory)
-    return _write_synth_config(directory, params)
+    return write_config(directory, params)
+
+
+def write_config(directory, params):
+    """The config.ini that synth writes for ``params``, written as synth
+    writes it."""
+    return _write_staged(directory, [("config.ini", _synth_config(params).write)])[0]
 
 
 def run(capsys, config, out_dir, command="run", *flags):
@@ -195,7 +206,7 @@ def test_shuffled_persons_give_the_same_household_files(tmp_path_factory, capsys
         corpus = work / f"corpus-{i}"
         corpus.mkdir()
         write_table(dataclasses.replace(result, persons=tuple(persons)), corpus / "t.csv")
-        config = _write_synth_config(corpus, params)
+        config = write_config(corpus, params)
         config.write_text(config.read_text().replace("mode = columns",
                                                      "mode = table\ntable = t.csv"))
         code, stdout, stderr = run(capsys, config, work / f"out-{i}", "run", "--sort")
@@ -204,3 +215,31 @@ def test_shuffled_persons_give_the_same_household_files(tmp_path_factory, capsys
             name: data for name, data in output_files(work / f"out-{i}").items()
             if name not in ("identhousehold.txt", "monthlyincome.txt")}))
     assert outputs[0] == outputs[1]
+
+
+@LAW_SETTINGS
+@given(frames(), st.sampled_from([",", ";", "|", "\t"]),
+       st.sampled_from([None, bad_age, prefix_letter]), st.data())
+def test_columns_and_a_table_give_the_same_outputs(tmp_path_factory, capsys, params, delimiter,
+                                                   fault, data):
+    # messages are not compared: the table's header line shifts every line
+    work = tmp_path_factory.mktemp("layout")
+    persons = list(generate(params).persons)
+    if fault is not None:
+        index = data.draw(st.integers(0, len(persons) - 1), label="fault index")
+        persons[index] = fault(persons[index], params.scheme_letters)
+    configs = {"columns": write_corpus(work / "columns", params, persons)}
+    (work / "table").mkdir()
+    write_table(SynthResult(params, tuple(persons), ()), work / "table" / "persons.csv",
+                delimiter)
+    configs["table"] = write_config(work / "table", params)
+    spelt = "tab" if delimiter == "\t" else delimiter
+    configs["table"].write_text(configs["table"].read_text().replace(
+        "mode = columns", f"mode = table\ntable = persons.csv\ndelimiter = {spelt}"))
+    results = []
+    for layout, config in configs.items():
+        code, stdout, _ = run(capsys, config, work / f"out-{layout}")
+        out = work / f"out-{layout}"
+        results.append((code, counts(stdout), out.exists() and output_files(out)))
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if fault is None else 1)

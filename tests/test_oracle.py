@@ -14,8 +14,9 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hdbprep.cli import _write_synth_config, main
+from hdbprep.cli import _synth_config, main
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode, ScaleKind
+from hdbprep.pipeline import _write_staged
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
 from oracle import HEADER, VARIABLES, expected_outputs, render
 
@@ -254,14 +255,11 @@ def test_every_command_matches_oracle_and_truth(tmp_path_factory, capsys, drawn)
     if table is not None:
         write_table(result, corpus / table)
 
-    config = configparser.ConfigParser(interpolation=None)
-    config.optionxform = str
-    config.read(_write_synth_config(corpus, params), encoding="utf-8")
+    config = _synth_config(params)
     config["scales"].update({kind.value: "false" for kind in off})
     if table is not None:
         config["input"].update(mode="table", table=table)
-    with (corpus / "config.ini").open("w", encoding="utf-8") as handle:
-        config.write(handle)
+    _write_staged(corpus, [("config.ini", config.write)])
 
     income = params.income_mode.value
     expected, expected_warnings = expected_outputs(

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import textwrap
 from pathlib import Path
@@ -156,9 +157,10 @@ class TestHouseholdTable:
     HEADER = ("key,size,n_adults,n_children,scale_oxford,scale_faofam,"
               "scale_dmp,total_income,scaled_income,label_area,label_chief_gender")
 
-    def test_header_always_present(self, tmp_path):
-        path = write_household_table([], tmp_path / "households.csv")
-        assert path.read_text() == self.HEADER + "\n"
+    def test_header_always_present(self):
+        handle = io.StringIO()
+        write_household_table([], handle)
+        assert handle.getvalue() == self.HEADER + "\n"
 
     def run_one_household(self, tmp_path, **config):
         """Run the pipeline on one household of three (chief man 40, woman

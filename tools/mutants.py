@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 AGGREGATE = "src/hdbprep/aggregate.py"
 PIPELINE = "src/hdbprep/pipeline.py"
 INGEST = "src/hdbprep/ingest.py"
+SYNTH = "src/hdbprep/synth.py"
 
 MUTANTS = (
     # the member-token rules and the weights
@@ -108,6 +109,21 @@ MUTANTS = (
     Mutant("directory-target-not-refused", PIPELINE, "if target.is_dir():", "if False:",
            ("tests/test_cli.py::TestAllOrNothingWrites::"
             "test_a_directory_in_place_of_an_output_changes_no_file",)),
+    Mutant("synth-staged-file-by-file", "src/hdbprep/cli.py",
+           "paths = _write_staged(Path(args.out_dir), writes)",
+           "paths = [path for write in writes for path in _write_staged(Path(args.out_dir), "
+           "[write])]",
+           ("tests/test_cli.py::TestAllOrNothingWrites::test_a_failed_synth_changes_no_file",)),
+    # the key and the generator
+    Mutant("key-letters-reordered", "src/hdbprep/identity.py",
+           'f"{r}{region}{m}{milieu}{c}{cluster}{h}{household}"',
+           'f"{m}{milieu}{r}{region}{c}{cluster}{h}{household}"',
+           ("tests/test_identity.py::TestMakeHouseholdKey::test_canonical_form",)),
+    Mutant("below-bound-widened", SYNTH, "while r >= n:", "while r > n:",
+           ("tests/test_synth.py::TestBytes::test_below_draws_what_randrange_draws",)),
+    Mutant("table-writer-ignores-delimiter", SYNTH,
+           "csv.writer(handle, delimiter=delimiter, ", "csv.writer(handle, ",
+           ("tests/test_laws.py::test_columns_and_a_table_give_the_same_outputs",)),
 )
 
 
