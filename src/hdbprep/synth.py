@@ -359,5 +359,5 @@ def write_table(result: SynthResult, path: Path, delimiter: str = ",") -> Path:
     """Write the generated persons as one delimited table with a header (see
     `_write_persons_table`), staged; returns the path written."""
     path = Path(path)
-    return _write_staged(path.parent, [(path.name, partial(_write_persons_table, result,
-                                                           delimiter))])[0]
+    writer = partial(_write_persons_table, result, delimiter)
+    return _write_staged(path.parent, [(path.name, writer)])[0]
