@@ -238,8 +238,8 @@ def test_columns_and_a_table_give_the_same_outputs(tmp_path_factory, capsys, par
         "mode = columns", f"mode = table\ntable = persons.csv\ndelimiter = {spelt}"))
     results = []
     for layout, config in configs.items():
-        code, stdout, _ = run(capsys, config, work / f"out-{layout}")
         out = work / f"out-{layout}"
+        code, stdout, _ = run(capsys, config, out)
         results.append((code, counts(stdout), out.exists() and output_files(out)))
     assert results[0] == results[1]
     assert results[0][0] == (0 if fault is None else 1)
