@@ -12,7 +12,6 @@ aliasing two households.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import HdbError
@@ -90,14 +89,6 @@ def make_household_key(
     return HouseholdKey(f"{r}{region}{m}{milieu}{c}{cluster}{h}{household}", components)
 
 
-@lru_cache(maxsize=8)
-def _key_pattern(letters: tuple[str, str, str, str]) -> re.Pattern[str]:
-    escaped = [re.escape(letter) for letter in letters]
-    charclass = "".join(escaped)
-    parts = "".join(f"{e}([^{charclass}]+)" for e in escaped)
-    return re.compile(f"^{parts}$")
-
-
 def parse_household_key(
     canonical: str, scheme: PrefixScheme = DEFAULT_SCHEME
 ) -> tuple[str, str, str, str]:
@@ -107,7 +98,9 @@ def parse_household_key(
     no key build could have produced (missing, reordered or duplicated
     prefixes) raises MALFORMED_KEY.
     """
-    match = _key_pattern(scheme.letters).match(canonical)
+    escaped = [re.escape(letter) for letter in scheme]
+    charclass = "".join(escaped)
+    match = re.fullmatch("".join(f"{e}([^{charclass}]+)" for e in escaped), canonical)
     if match is None:
         raise HdbError("MALFORMED_KEY", f"cannot parse household key {canonical!r}")
     region, milieu, cluster, household = match.groups()

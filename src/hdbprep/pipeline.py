@@ -37,6 +37,7 @@ Output files
 from __future__ import annotations
 
 import configparser
+import csv
 import errno
 import io
 import math
@@ -46,6 +47,7 @@ import sys
 import tempfile
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -107,10 +109,6 @@ _HOUSEHOLD_FILES = {
 
 #: Selectable per-variable outputs of the aggregate stage.
 AGGREGATE_OUTPUTS = tuple(_HOUSEHOLD_FILES)
-
-#: The columns of households.csv, which are also its header: every
-#: HouseholdAggregate field, in field order.
-_TABLE_COLUMNS = HouseholdAggregate._fields
 
 #: Table mode: the header name of each variable's column, by default its own.
 _DEFAULT_TABLE_COLUMNS = MappingProxyType({v: v.value for v in Variable})
@@ -333,13 +331,14 @@ def load_config(
     except OSError as exc:
         raise HdbError("IO_ERROR", f"cannot read config {path}: {exc}") from exc
     try:
-        # newline=None: the universal newlines of a file opened in text mode
+        # newline=None: the universal newlines of a file opened in text mode;
+        # utf-8-sig drops a leading BOM, as every input reader does
         parser.read_file(
-            io.StringIO(data.decode("utf-8"), newline=None), source=str(path)
+            io.StringIO(data.decode("utf-8-sig"), newline=None), source=str(path)
         )
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # its offsets count from after a BOM
         raise HdbError("ERROR", "config file is not valid UTF-8", source=str(path),
-                       line=data[: exc.start].count(b"\n") + 1) from None
+                       line=exc.object[: exc.start].count(b"\n") + 1) from None
     except configparser.Error as exc:
         if isinstance(exc, configparser.DuplicateOptionError):
             problem = f"[{exc.section}] {exc.option} is set twice"
@@ -431,8 +430,7 @@ def dmp_file_name(c: float, s: float) -> str:
 
 def _write_lines(handle: TextIO, lines: Iterable[str]) -> None:
     """Write each line followed by a newline, in one write."""
-    lines = list(lines)
-    handle.write("\n".join(lines) + "\n" if lines else "")
+    handle.write("\n".join(chain(lines, ("",))))
 
 
 def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[TextIO], object]]]
@@ -476,9 +474,9 @@ def _write_staged(out_dir: Path, writes: Sequence[tuple[str, Callable[[TextIO], 
 def _renderer() -> tuple[Callable[[float | None], str],
                          Callable[[HouseholdAggregate], tuple[str, ...]]]:
     """Renderers of a number (None as an empty cell, a float through
-    format_number) and of a household's row of cells in `_TABLE_COLUMNS`
-    order. They share a table of the text of each number rendered, so a
-    value that repeats is formatted once."""
+    format_number) and of a household's row of cells in `HouseholdAggregate`
+    field order. They share a table of the text of each number rendered,
+    so a value that repeats is formatted once."""
     texts = TokenTable(format_number)
     texts[None] = ""
     number = texts.__getitem__
@@ -493,13 +491,11 @@ def _renderer() -> tuple[Callable[[float | None], str],
 
 def write_household_table(rows: Iterable[Sequence[str]], handle: TextIO) -> None:
     """Write the combined one-row-per-household table to ``handle``: the
-    header (always present), then each row of cells already rendered to
-    text, in `_TABLE_COLUMNS` order (an empty cell where a statistic was
-    not configured)."""
-    import csv
-
+    header of `HouseholdAggregate` field names (always present), then each
+    row of cells already rendered to text, in field order (an empty cell
+    where a statistic was not configured)."""
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
+    writer.writerow(HouseholdAggregate._fields)
     writer.writerows(rows)
 
 
@@ -559,9 +555,10 @@ def _run(
     count), and a table's file; the first error met wins, on one line the
     key's, then the income's, then the member's (a household's when it
     closes, see `aggregate_all`). The scaled income is computed only for
-    households.csv. A failed run changes no output: the writes follow the
-    pass and go through `_write_staged`, which replaces the outputs only
-    once every one is written.
+    households.csv, whose report notes a skipped income or scaled income.
+    A failed run changes no output: the writes follow the pass and go
+    through `_write_staged`, which replaces the outputs only once every one
+    is written.
     """
     with_income = config.income_mode is not IncomeMode.NONE
     enabled = {kind.value for kind in config.scales} | {"size", "area", "chief"}
@@ -636,10 +633,6 @@ def _run(
 
     rows = members(persons)
     del persons  # the pass holds them until it ends
-    if not fold:
-        for _ in rows:  # the pass folds no member
-            pass
-    rendered: list[tuple[str, ...]] = []
     warnings = WarningLog()
     if fold:
         try:
@@ -647,25 +640,35 @@ def _run(
                         for household in aggregate_all(rows, config, warnings, scale_income=table)]
         except HdbError as exc:
             raise exc.at(stage="aggregate")
+    else:
+        rendered = []
+        for _ in rows:  # the pass folds no member
+            pass
 
-    # every value is rendered once; the per-variable files and
-    # households.csv write the same text
-    columns = dict(zip(_TABLE_COLUMNS, zip(*rendered)))
     writes = []
     if keys:
         writes.append((IDENT_FILE, partial(_write_lines, lines=key_lines)))
     if amounts:
         writes.append((RECODED_INCOME_FILE, partial(_write_lines, lines=amount_lines)))
-    for file_name, attribute in plan:
+    # every value is rendered once: each per-variable file writes its
+    # column of households.csv's rows
+    for file_name, field in plan:
+        column = map(itemgetter(HouseholdAggregate._fields.index(field)), rendered)
         writes.append((file_name or dmp_file_name(config.dmp_c, config.dmp_s),
-                       partial(_write_lines, lines=columns[attribute])))
+                       partial(_write_lines, lines=column)))
+    skipped = ()
     if table:
         writes.append((TABLE_FILE, partial(write_household_table, rendered)))
+        if not with_income:
+            skipped = ("income recoding and totals: no income configured",)
+        elif config.scaled_by is None:
+            skipped = ("scaled income: no scale chosen",)
     return RunReport(
         persons=n_persons,
         households=len(rendered) if fold else None,
         outputs=_write_staged(config.effective_out_dir, writes),
         warnings=tuple(warnings),
+        skipped=skipped,
         unkept=warnings.unkept(),
     )
 
@@ -679,17 +682,5 @@ def run_identify(config: PipelineConfig) -> RunReport:
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """The full fused run: person-level files, every enabled household
     file, and the combined households.csv."""
-    report = _run(
-        config,
-        keys=True,
-        amounts=config.income_mode is IncomeMode.LETTERS,
-        files=True,
-        table=True,
-    )
-    if config.income_mode is IncomeMode.NONE:
-        skipped = ("income recoding and totals: no income configured",)
-    elif config.scaled_by is None:
-        skipped = ("scaled income: no scale chosen",)
-    else:
-        skipped = ()
-    return report._replace(skipped=skipped)
+    return _run(config, keys=True, amounts=config.income_mode is IncomeMode.LETTERS,
+                files=True, table=True)

@@ -13,6 +13,7 @@ outside the package and reads the written files back itself.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from dataclasses import dataclass
@@ -339,8 +340,6 @@ def _write_persons_table(result: SynthResult, delimiter: str, handle: TextIO) ->
     """Write the generated persons to ``handle`` as one delimited table with
     a header; if a cell holds a carriage return, which csv leaves bare, the
     file read back shows it, and every cell is quoted instead."""
-    import csv
-
     config, variables = _layout(result)
     cells = itemgetter(*range(len(variables)))
     for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):

@@ -1225,6 +1225,69 @@ class TestConfigSyntaxErrorsNameTheirLine:
         assert not (tmp_path / "out").exists()
 
 
+class TestConfigByteOrderMark:
+    """A config file saved with a UTF-8 byte order mark reads as the same
+    file without it, as every input file does."""
+
+    def test_a_bom_changes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "1", "--households", "5", "--out-dir", str(data)]) == 0
+        (data / "bom.ini").write_bytes(b"\xef\xbb\xbf" + (data / "config.ini").read_bytes())
+        out = tmp_path / "out"
+        seen = []
+        for name in ("config.ini", "bom.ini"):
+            capsys.readouterr()
+            code = main(["run", "--config", str(data / name), "--out-dir", str(out)])
+            printed = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            seen.append((code, printed.out, printed.err, files))
+        assert seen[0][0] == 0
+        assert seen[1] == seen[0]
+
+    def test_an_undecodable_byte_after_a_bom_names_its_line(self, tmp_path, capsys):
+        # the bad byte lies within a BOM's length of its line's start, so
+        # an offset counted from after the BOM must not be read in the file
+        config = tmp_path / "config.ini"
+        config.write_bytes(b"\xef\xbb\xbf[input]\nmode = columns\n; \xe9\n")
+        assert failure(capsys, ["run", "--config", str(config)]) == (
+            2, f"error: ERROR ({config}:3): config file is not valid UTF-8")
+
+
+class TestSkippedSteps:
+    """`run` notes on one `skipped:` line a step that its config leaves out;
+    `aggregate` and `identify`, which write no households.csv, note none."""
+
+    @staticmethod
+    def skipped(capsys, argv):
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("skipped:")]
+
+    def test_run_without_income(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        config.write_text("")
+        assert self.skipped(capsys, ["run", "--config", str(config)]) == [
+            "skipped: income recoding and totals: no income configured"]
+
+    def test_run_with_income_and_no_scale(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        assert self.skipped(capsys, ["run", "--config", str(config), "--scale", "none"]) == [
+            "skipped: scaled income: no scale chosen"]
+
+    def test_run_with_income_and_a_scale(self, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        assert self.skipped(capsys, ["run", "--config", str(config)]) == []
+
+    @pytest.mark.parametrize("command", ["aggregate", "identify"])
+    @pytest.mark.parametrize("text, flags", [("", []), (None, ["--scale", "none"])],
+                             ids=["no-income", "no-scale"])
+    def test_other_commands_note_nothing(self, command, text, flags, tmp_path, capsys):
+        config = write_persons(tmp_path / "data")
+        if text is not None:
+            config.write_text(text)
+        assert self.skipped(capsys, [command, "--config", str(config), *flags]) == []
+
+
 def test_an_output_directory_that_is_a_file_is_an_io_error(tmp_path, capsys):
     config = write_persons(tmp_path / "data")
     out = tmp_path / "out"

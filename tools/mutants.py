@@ -97,6 +97,10 @@ MUTANTS = (
     Mutant("size-file-holds-adults", PIPELINE, '"size": ("sizehousehold.txt", "size"),',
            '"size": ("sizehousehold.txt", "n_adults"),',
            ("tests/test_laws.py::test_a_selected_output_is_the_one_run_writes",)),
+    Mutant("household-file-reads-next-column", PIPELINE,
+           "HouseholdAggregate._fields.index(field))",
+           "HouseholdAggregate._fields.index(field) + 1)",
+           ("tests/test_laws.py::test_a_selected_output_is_the_one_run_writes",)),
     Mutant("sorted-households-unsorted", AGGREGATE, "for canonical in sorted(opened):",
            "for canonical in list(opened):",
            ("tests/test_laws.py::test_shuffled_persons_give_the_same_household_files",)),
@@ -114,6 +118,9 @@ MUTANTS = (
            "paths = [path for write in writes for path in _write_staged(Path(args.out_dir), "
            "[write])]",
            ("tests/test_cli.py::TestAllOrNothingWrites::test_a_failed_synth_changes_no_file",)),
+    # the config file
+    Mutant("config-bom-kept", PIPELINE, 'data.decode("utf-8-sig")', 'data.decode("utf-8")',
+           ("tests/test_cli.py::TestConfigByteOrderMark::test_a_bom_changes_nothing",)),
     # the key and the generator
     Mutant("key-letters-reordered", "src/hdbprep/identity.py",
            'f"{r}{region}{m}{milieu}{c}{cluster}{h}{household}"',
