@@ -30,7 +30,7 @@ CODES: dict[str, tuple[int, str]] = {
     "BAD_TABLE_ROW": (1, "a table row cannot be parsed, such as a cell over the csv "
                          "field size limit"),
     "EMPTY_TOKEN": (1, "a table cell or a strata token is empty"),
-    "BAD_STRATA_TOKEN": (1, "a table cell or a column-file token holds a line break"),
+    "BAD_STRATA_TOKEN": (1, "a table cell or a column-file token holds a line break or a U+FEFF"),
     "PREFIX_COLLISION": (1, "a strata token contains a prefix letter of the key"),
     "MALFORMED_KEY": (1, "a string is not a canonical household key"),
     "BAD_AGE_TOKEN": (1, "an age token is not a valid age under its encoding"),

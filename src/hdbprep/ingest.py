@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import HdbError
 
@@ -75,6 +75,29 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> HdbError:
                     line=exc.object[: exc.start].count(b"\n") + 1)
 
 
+def _refused(tokens: Collection[str]) -> set[str]:
+    """The read tokens refused: an empty one, and one that holds a line break
+    or a U+FEFF (the BOM of an export joined on mid-file); NUL and other
+    controls are token characters. A batch is tested whole, then each token."""
+    text = "".join(tokens)
+    if "" not in tokens and "\n" not in text and "\r" not in text and "\ufeff" not in text:
+        return set()
+    return set(tokens) if len(tokens) == 1 else {t for t in tokens if _refused((t,))}
+
+
+def _refusal(token: str, column: str, path: Path, line: int, blank_line: bool = False) -> HdbError:
+    """The error for a refused token: BLANK_LINE or EMPTY_TOKEN when empty,
+    else BAD_STRATA_TOKEN, naming a line break before a byte order mark."""
+    where = {"source": str(path), "line": line}
+    if token:
+        what = "a line break" if "\n" in token or "\r" in token else "a byte order mark"
+        message = f"column {column!r} contains {what}: {token!r}"
+        return HdbError("BAD_STRATA_TOKEN", message, **where)
+    if blank_line:
+        return HdbError("BLANK_LINE", "blank line in column file", **where)
+    return HdbError("EMPTY_TOKEN", f"column {column!r} is empty", **where)
+
+
 def read_column_sources(
     sources: Sequence[ColumnSource], skip_header: int = 0
 ) -> list[tuple[str, ...]]:
@@ -83,13 +106,11 @@ def read_column_sources(
     age, gender, poswrchief, income), restricted to the variables supplied.
 
     Each file is read whole, in turn, as one stripped token per line, a
-    BOM stripped. A single trailing newline is tolerated; blank lines
-    anywhere else are a BLANK_LINE error (they would silently shift every
-    later person across files). A file with no data lines is an EMPTY_FILE
-    error. Only a line feed ends a line: the carriage return of a CRLF is
-    stripped with the token's whitespace, and one inside a token is a
-    BAD_STRATA_TOKEN error, as a line break in a table cell is. Error line
-    numbers are 1-based and count skipped header lines.
+    leading BOM stripped. Only a line feed ends a line, and a single
+    trailing one is tolerated. A file's first `_refused` line is an error:
+    BLANK_LINE (it would shift every later person across files), or
+    BAD_STRATA_TOKEN for a lone carriage return or a U+FEFF. A file with no
+    data lines is an EMPTY_FILE error. Line numbers count skipped lines.
 
     Once every file is read, each must have as many tokens as the first in
     `Variable` order; a shorter or longer one means the files drifted apart
@@ -113,16 +134,11 @@ def read_column_sources(
         distinct: dict[str, str] = {}
         stripped = {line: distinct.setdefault(token := line.strip(), token) for line in set(lines)}
         columns[variable] = tokens = list(map(stripped.__getitem__, lines))
-        if "" in distinct:
-            raise HdbError("BLANK_LINE", "blank line in column file", source=str(path),
-                           line=skip_header + tokens.index("") + 1)
+        if bad := _refused(distinct):
+            index = next(i for i, token in enumerate(tokens) if token in bad)
+            raise _refusal(tokens[index], variable.value, path, skip_header + index + 1, True)
         if not tokens:
             raise HdbError("EMPTY_FILE", "no data lines", source=str(path))
-        if "\r" in text and "\r" in "".join(distinct):
-            index = next(i for i, token in enumerate(tokens) if "\r" in token)
-            raise HdbError("BAD_STRATA_TOKEN", f"column {variable.value!r} contains a line "
-                           f"break: {tokens[index]!r}", source=str(path),
-                           line=skip_header + index + 1)
     ordered = [columns[variable] for variable in Variable if variable in columns]
     expected = len(ordered[0])
     for path, variable in sources:
@@ -138,20 +154,6 @@ def read_column_sources(
 TABLE_BLOCK_ROWS = 64
 
 
-def _check_cells(person: tuple[str, ...], variables: Sequence[Variable],
-                 source: TableSource, line: int) -> None:
-    """Raise for the first bad cell of a person, in field order: an empty
-    cell, or a cell holding a line break."""
-    for variable, token in zip(variables, person):
-        name = source.column_map[variable]
-        if not token:
-            raise HdbError("EMPTY_TOKEN", f"column {name!r} is empty", source=str(source.path),
-                           line=line)
-        if "\n" in token or "\r" in token:
-            raise HdbError("BAD_STRATA_TOKEN", f"column {name!r} contains a line break: "
-                           f"{token!r}", source=str(source.path), line=line)
-
-
 def read_table(
     source: TableSource, skip_header: int = 0, lines: list[range] | None = None
 ) -> list[tuple[str, ...]]:
@@ -161,15 +163,13 @@ def read_table(
 
     ``skip_header`` lines are discarded before the header itself. Every
     column named in the column_map must appear in the header; every data
-    row must have exactly as many cells as the header. An empty cell is an
-    EMPTY_TOKEN error and a cell holding a line break a BAD_STRATA_TOKEN
-    error, each naming the cell's column by its header; these and a row of
-    the wrong length name the file and the row's first line. A row the csv
-    module cannot parse, such as one with a cell over its field size limit,
-    is a BAD_TABLE_ROW error naming the line it stopped on, once the rows
-    before it are checked. Quoting follows the common convention (fields
-    wrapped in double quotes, embedded quotes doubled), which the csv
-    module implements.
+    row must have exactly as many cells as the header. A row of another
+    length, and a read cell that `_refused` refuses (named by its header),
+    are errors at the file and the row's first line. A row the csv module
+    cannot parse, such as one with a cell over its field size limit, is a
+    BAD_TABLE_ROW error naming the line it stopped on, once the rows before
+    it are checked. Quoting follows the common convention (fields wrapped
+    in double quotes, embedded quotes doubled) of the csv module.
 
     Rows are read TABLE_BLOCK_ROWS at a time and checked by column; a block
     that fails or holds a multi-line row is checked row by row instead.
@@ -199,8 +199,7 @@ def read_table(
                 except ValueError:
                     raise HdbError("MISSING_COLUMN", f"column '{column_name}' not found in "
                                    "header row", source=str(source.path)) from None
-            variables = [variable for variable in Variable if variable in positions]
-            indexes = [positions[variable] for variable in variables]
+            indexes = [positions[variable] for variable in Variable if variable in positions]
             persons: list[tuple[str, ...]] = []
             while True:
                 before, rows, failure = reader.line_num, [], None
@@ -213,7 +212,7 @@ def read_table(
                 if (failure is None and reader.line_num - before == len(rows)
                         and set(map(len, rows)) <= {len(names)}):
                     columns = [list(map(str.strip, map(itemgetter(i), rows))) for i in indexes]
-                if columns and not any("" in column for column in columns):
+                if columns and not any(map(_refused, columns)):
                     persons.extend(zip(*columns))
                     runs = [range(before + 1, reader.line_num + 1)]
                 else:
@@ -225,9 +224,10 @@ def read_table(
                                            f"header has {len(names)}", source=str(source.path),
                                            line=first)
                         person = tuple([row[i].strip() for i in indexes])
+                        if bad := _refused(person):
+                            i = next(i for i, token in enumerate(person) if token in bad)
+                            raise _refusal(person[i], names[indexes[i]], source.path, first)
                         breaks = sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
-                        if "" in person or breaks:
-                            _check_cells(person, variables, source, first)
                         persons.append(person)
                         first += 1 + breaks
                         if breaks:  # the next row's first line skips the breaks

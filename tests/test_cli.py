@@ -964,6 +964,44 @@ class TestInputFaultsOffTheGrid:
         assert not (tmp_path / "out").exists()
 
 
+class TestByteOrderMarkInsideAFile:
+    """A file joined from two BOM-prefixed exports holds a U+FEFF at the
+    start of a line: the token that holds it is refused at its file and
+    line, in both layouts, while the file's leading BOM is stripped."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def corpus(self, tmp_path, name, line):
+        """A seed-1 synth database of 5 households with a BOM before the
+        first byte of the file ``name`` and another before its ``line``."""
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "1", "--households", "5", "--table",
+                     "--out-dir", str(data)]) == 0
+        lines = (data / name).read_bytes().split(b"\n")
+        lines[line - 1] = self.BOM + lines[line - 1]
+        (data / name).write_bytes(self.BOM + b"\n".join(lines))
+        return data
+
+    def test_in_a_column_file(self, tmp_path, capsys):
+        data = self.corpus(tmp_path, "region.txt", 2)
+        assert failure(capsys, ["run", "--config", str(data / "config.ini"), "--out-dir",
+                                str(tmp_path / "out")]) == (
+            1, f"error: [ingest] BAD_STRATA_TOKEN ({data / 'region.txt'}:2): column 'region' "
+               "contains a byte order mark: '\\ufeff1'")
+        assert not (tmp_path / "out").exists()
+
+    def test_in_a_table_row(self, tmp_path, capsys):
+        data = self.corpus(tmp_path, "persons.csv", 3)
+        config = write_ini(data / "table.ini", {("income", "mode"): "letters",
+                                                ("input", "mode"): "table",
+                                                ("input", "table"): "persons.csv"})
+        assert failure(capsys, ["run", "--config", str(config), "--out-dir",
+                                str(tmp_path / "out")]) == (
+            1, f"error: [ingest] BAD_STRATA_TOKEN ({data / 'persons.csv'}:3): column 'region' "
+               "contains a byte order mark: '\\ufeff1'")
+        assert not (tmp_path / "out").exists()
+
+
 def write_ini(path, keys):
     """Write a config file holding ``keys``, a {(section, option): text}."""
     sections = {}

@@ -8,6 +8,9 @@ bytes. A processing command then runs into an output directory that holds
 a previous clean run's outputs. Each case exits 0, or exits 1 or 2 with
 one coded `error:` line, which names a location on exit 1; a failed case
 changes no file of the output directory and leaves no staging directory.
+A BOM anywhere but at a file's first bytes, inside a token the command
+reads, fails at the line it was put on (in a table's header, as a column
+that is not found).
 """
 
 import os
@@ -17,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hdbprep.cli import _synth_config, main
 from hdbprep.errors import CODES
+from hdbprep.ingest import REQUIRED_VARIABLES, STRATA_VARIABLES, Variable
 from hdbprep.model import AgeEncoding, GenderEncoding, IncomeMode
 from hdbprep.pipeline import _write_staged
 from hdbprep.synth import SynthParams, generate, write_column_files, write_table
@@ -65,11 +69,13 @@ def write_corpus(directory, params, layout):
 
 
 def inject(draw, paths, layout, kind):
-    """Put one fault of ``kind`` into the data files, at a drawn position."""
+    """Put one fault of ``kind`` into the data files, at a drawn position;
+    returns the file, its 0-based line and the offset in that line."""
     header = layout == "table"
     contents = {path: path.read_bytes().split(b"\n") for path in paths}  # last item b""
-    lines = contents[draw(st.sampled_from(paths))]
-    i = draw(st.integers(0, len(lines) - 2))
+    path = draw(st.sampled_from(paths))
+    lines = contents[path]
+    i, at = draw(st.integers(0, len(lines) - 2)), 0
     if kind == "cut line":
         del lines[i]
     elif kind == "added line":
@@ -98,8 +104,36 @@ def inject(draw, paths, layout, kind):
         later = starts[draw(st.integers(n + 2, len(starts) - 1))]
         for file_lines in contents.values():
             file_lines[later:later] = file_lines[starts[n]:starts[n + 1]]
-    for path, file_lines in contents.items():
-        path.write_bytes(b"\n".join(file_lines))
+    for each, file_lines in contents.items():
+        each.write_bytes(b"\n".join(file_lines))
+    return path, i, at
+
+
+def read_variables(params, command):
+    """The variables that ``command`` reads, in `Variable` order."""
+    if command == "identify":
+        return STRATA_VARIABLES
+    if command == "recode-income":  # which needs letter incomes, or reads nothing
+        return (Variable.INCOME,) if params.income_mode is IncomeMode.LETTERS else ()
+    return REQUIRED_VARIABLES + ((Variable.INCOME,) if params.income_mode is not IncomeMode.NONE
+                                 else ())
+
+
+def expected_bom_error(params, layout, command, paths, path, i, at):
+    """(code, location) of the error a BOM put at offset ``at`` of line
+    ``i`` of ``path`` must give, or None when no read token holds it."""
+    if (i, at) == (0, 0):  # a file's first bytes: stripped
+        return None
+    written = read_variables(params, "run")  # every variable synth writes
+    if layout == "columns":
+        variable = written[paths.index(path)]
+    else:
+        variable = written[path.read_bytes().split(b"\n")[i][:at].count(b",")]
+    if variable not in read_variables(params, command):
+        return None
+    if layout == "table" and i == 0:
+        return "MISSING_COLUMN", f" ({path})"
+    return "BAD_STRATA_TOKEN", f" ({path}:{i + 1})"
 
 
 def files(out):
@@ -121,14 +155,16 @@ def test_a_fault_is_one_coded_error_and_changes_no_output(
     for path in out.iterdir():
         os.utime(path, ns=(STALE_NS, STALE_NS))
     before = files(out)
-    inject(data.draw, paths, layout, kind)
+    where = inject(data.draw, paths, layout, kind)
     capsys.readouterr()
 
     code = main([command, "--config", str(config), "--out-dir", str(out),
                  *(["--sort"] if sort and layout == "table" else [])])
     err = capsys.readouterr().err
+    expected = (expected_bom_error(params, layout, command, paths, *where)
+                if kind == "bom" else None)
     if code == 0:
-        assert err == ""
+        assert (err, expected) == ("", None), err
         return
     assert code in (1, 2)
     assert err.endswith("\n") and err.count("\n") == 1, err
@@ -137,4 +173,6 @@ def test_a_fault_is_one_coded_error_and_changes_no_output(
     assert CODES[match[1]][0] == code, err
     if code == 1:
         assert match[2], err
+    if expected:
+        assert (code, *match.groups()) == (1, *expected), err
     assert files(out) == before

@@ -266,7 +266,7 @@ def read_rows(path, column_map, delimiter):
             for token in person:
                 if not token:
                     return "EMPTY_TOKEN", first
-                if "\n" in token or "\r" in token:
+                if "\n" in token or "\r" in token or "\ufeff" in token:
                     return "BAD_STRATA_TOKEN", first
             persons.append(person)
             firsts.append(first)
@@ -275,9 +275,9 @@ def read_rows(path, column_map, delimiter):
 
 #: Good cells of the read columns, their faults, and cells of an unread note.
 READ_CELLS = st.sampled_from(["1", "2", " 3", "4 ", "10"])
-BAD_CELLS = st.sampled_from(["", " ", "5\n6", "7\r8", "7\r\n8"])
+BAD_CELLS = st.sampled_from(["", " ", "5\n6", "7\r8", "7\r\n8", "\ufeff9", " 9\ufeff"])
 NOTE_CELLS = st.sampled_from(["", "n", "a\nb", "a\r\nb", "a\rb", "\r", "\n\n", 'q"q', "x,y",
-                              "x\ty"])
+                              "x\ty", "\ufeffn"])
 
 
 @st.composite
@@ -338,6 +338,57 @@ class TestReadTableBlocks:
                 assert got == want, block
         finally:
             ingest.TABLE_BLOCK_ROWS = default
+
+
+def read_plainly(data, skip_header):
+    """A plain loop over a column file's lines: its tokens, or (code, line,
+    message) of its first refused line or of a file with no lines."""
+    lines = data.decode("utf-8-sig").split("\n")[skip_header:]
+    if lines and lines[-1] == "":
+        lines.pop()
+    for number, line in enumerate(lines, skip_header + 1):
+        token = line.strip()
+        if not token:
+            return "BLANK_LINE", number, "blank line in column file"
+        if "\r" in token:
+            return "BAD_STRATA_TOKEN", number, f"column 'region' contains a line break: {token!r}"
+        if "\ufeff" in token:
+            return ("BAD_STRATA_TOKEN", number,
+                    f"column 'region' contains a byte order mark: {token!r}")
+    return [line.strip() for line in lines] if lines else ("EMPTY_FILE", None, "no data lines")
+
+
+#: Faults of one column-file line, each put in at a drawn offset.
+LINE_FAULTS = {"blank": lambda line, at: "", "whitespace": lambda line, at: " \t",
+               "lone cr": lambda line, at: line[:at] + "\r" + line[at:],
+               "bom": lambda line, at: line[:at] + "\ufeff" + line[at:]}
+
+
+class TestFirstRefusedLine:
+    """In one column file, the first line that the token rule refuses is
+    named, whatever its fault and whatever faults come after it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["1", "22", " 3 ", "4\r", "\t5"]), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(0, 11), st.sampled_from(sorted(LINE_FAULTS)),
+                              st.integers(0, 3)), max_size=3),
+           st.integers(0, 2), st.booleans(), st.booleans())
+    def test_the_first_refused_line_is_named(self, tmp_path_factory, lines, faults, skip_header,
+                                             bom, final_newline):
+        lines = list(lines)
+        for index, kind, at in faults:
+            index %= len(lines)
+            lines[index] = LINE_FAULTS[kind](lines[index], at)
+        text = "header\n" * skip_header + "\n".join(lines) + "\n" * final_newline
+        data = ("\ufeff" * bom + text).encode("utf-8")
+        path = tmp_path_factory.mktemp("order") / "region.txt"
+        path.write_bytes(data)
+        try:
+            got = read_column_file(ColumnSource(path, Variable.REGION), skip_header)
+        except HdbError as exc:
+            assert exc.source == str(path)
+            got = exc.code, exc.line, exc.message
+        assert got == read_plainly(data, skip_header)
 
 
 class TestParseAge:

@@ -18,6 +18,10 @@ file.
 Layout: the same persons as column files and as a table, under any
 delimiter the synth writer takes, give the same exit code, counts and
 output bytes.
+
+Edits: CRLF line ends, a leading BOM and padding around tokens, drawn
+over a corpus in either layout, change no exit code, count, message or
+output byte.
 """
 
 import csv
@@ -76,6 +80,18 @@ def write_corpus(directory, params, persons):
     directory.mkdir()
     write_column_files(SynthResult(params, tuple(persons), ()), directory)
     return write_config(directory, params)
+
+
+def write_table_corpus(directory, params, persons, delimiter=","):
+    """The persons as one persons.csv, with the config synth writes set to
+    read it; returns the config's path."""
+    directory.mkdir()
+    write_table(SynthResult(params, tuple(persons), ()), directory / "persons.csv", delimiter)
+    config = write_config(directory, params)
+    spelt = "tab" if delimiter == "\t" else delimiter
+    config.write_text(config.read_text().replace(
+        "mode = columns", f"mode = table\ntable = persons.csv\ndelimiter = {spelt}"))
+    return config
 
 
 def write_config(directory, params):
@@ -228,14 +244,8 @@ def test_columns_and_a_table_give_the_same_outputs(tmp_path_factory, capsys, par
     if fault is not None:
         index = data.draw(st.integers(0, len(persons) - 1), label="fault index")
         persons[index] = fault(persons[index], params.scheme_letters)
-    configs = {"columns": write_corpus(work / "columns", params, persons)}
-    (work / "table").mkdir()
-    write_table(SynthResult(params, tuple(persons), ()), work / "table" / "persons.csv",
-                delimiter)
-    configs["table"] = write_config(work / "table", params)
-    spelt = "tab" if delimiter == "\t" else delimiter
-    configs["table"].write_text(configs["table"].read_text().replace(
-        "mode = columns", f"mode = table\ntable = persons.csv\ndelimiter = {spelt}"))
+    configs = {"columns": write_corpus(work / "columns", params, persons),
+               "table": write_table_corpus(work / "table", params, persons, delimiter)}
     results = []
     for layout, config in configs.items():
         out = work / f"out-{layout}"
@@ -243,3 +253,37 @@ def test_columns_and_a_table_give_the_same_outputs(tmp_path_factory, capsys, par
         results.append((code, counts(stdout), out.exists() and output_files(out)))
     assert results[0] == results[1]
     assert results[0][0] == (0 if fault is None else 1)
+
+
+def edit(path, rng):
+    """Rewrite a data file with drawn CRLF line ends, a drawn leading BOM
+    and drawn padding around each comma-separated token."""
+    pads = ["", "", " ", "\t", "  "]
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[:-1] = [",".join(rng.choice(pads) + token + rng.choice(pads)
+                           for token in line.split(",")) + "\r" * rng.randrange(2)
+                  for line in lines[:-1]]
+    path.write_text("\ufeff" * rng.randrange(2) + "\n".join(lines), encoding="utf-8")
+
+
+@LAW_SETTINGS
+@given(frames(), st.sampled_from(["columns", "table"]), st.integers(0, 2**32 - 1))
+def test_crlf_a_bom_and_padding_change_nothing(tmp_path_factory, capsys, params, layout, seed):
+    work = tmp_path_factory.mktemp("edits")
+    persons = generate(params).persons
+    if layout == "columns":
+        config = write_corpus(work / "corpus", params, persons)
+    else:
+        config = write_table_corpus(work / "corpus", params, persons)
+
+    def outcome(out):
+        code, stdout, stderr = run(capsys, config, out)
+        return code, counts(stdout), stderr, output_files(out)
+
+    plain = outcome(work / "out-plain")
+    rng = random.Random(seed)
+    for path in sorted(config.parent.iterdir()):
+        if path != config:
+            edit(path, rng)
+    assert plain[0] == 0
+    assert outcome(work / "out-edited") == plain

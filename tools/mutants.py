@@ -79,6 +79,17 @@ MUTANTS = (
            ("tests/test_ingest.py::TestReadTable::"
             "test_starts_hold_the_rows_after_multi_line_rows",
             "tests/test_ingest.py::TestReadTableBlocks")),
+    # the read-token rule
+    Mutant("bom-inside-a-token-taken", INGEST, ' and "\\ufeff" not in text:', ":",
+           ("tests/test_cli.py::TestByteOrderMarkInsideAFile",)),
+    Mutant("blank-line-before-other-refused-lines", INGEST,
+           "index = next(i for i, token in enumerate(tokens) if token in bad)",
+           'index = tokens.index("") if "" in bad else next(i for i, token in '
+           "enumerate(tokens) if token in bad)",
+           ("tests/test_ingest.py::TestFirstRefusedLine",)),
+    Mutant("column-file-bom-kept", INGEST, 'text = path.read_bytes().decode("utf-8-sig")',
+           'text = path.read_bytes().decode("utf-8")',
+           ("tests/test_laws.py::test_crlf_a_bom_and_padding_change_nothing",)),
     # warnings
     Mutant("twenty-one-warnings-kept", PIPELINE, "WARNINGS_KEPT = 20", "WARNINGS_KEPT = 21",
            ("tests/test_cli.py::TestWarningsAreBounded",)),

@@ -21,12 +21,13 @@ can be compared across interpreters:
 * 12 shuffled-table corpora: the same tables with their data rows in a
   fixed random order (seed SHUFFLE_SEED), so that a household's members
   lie apart; every case on them adds `--sort`;
-* 18 corpora with injected faults (FAULTS below), and 11 shuffled
+* 19 corpora with injected faults (FAULTS below), and 12 shuffled
   tables with injected faults (TABLE_FAULTS below), so that every error
-  code the CLI can reach is reached, two faults meet in line order (a
-  fold error before a key or income error; a household's error against
-  one on the next household's first line), and --sort's key order meets
-  line order in fold errors and warnings;
+  code the CLI can reach is reached, a BOM inside a file is met in each
+  layout, two faults meet in line order (a fold error before a key or
+  income error; a household's error against one on the next household's
+  first line), and --sort's key order meets line order in fold errors and
+  warnings;
 * 8 corpora with one config edit each (CONFIGS below): the DMP scale
   off, so that a DMP flag turning it on is compared; the DMP scale off
   with a `dmp_c` that is not a number; a misspelt input mode; income
@@ -40,7 +41,7 @@ can be compared across interpreters:
   age: BAD_AGE_TOKEN at its line, or under `--paper-sentinel` a child by
   its prefix 3.
 
-That is 110 corpora, each built once per tree, and 3,300 cases.
+That is 112 corpora, each built once per tree, and 3,360 cases.
 
 Every corpus runs `run`, `aggregate`, `aggregate --only income size`,
 `identify` and `recode-income`, each with no flag, `--paper-sentinel`,
@@ -147,10 +148,16 @@ def _add_income_map(data: Path, entries: str) -> None:
         config.write(f"[income_map]\n{entries}")
 
 
-def _not_utf8(path: Path, line: int) -> None:
+def _prefix_line(path: Path, line: int, data: bytes) -> None:
+    """Put ``data`` before the first byte of the given line."""
     lines = path.read_bytes().split(b"\n")
-    lines[line - 1] = b"\xe9" + lines[line - 1]
+    lines[line - 1] = data + lines[line - 1]
     path.write_bytes(b"\n".join(lines))
+
+
+#: A UTF-8 byte order mark, as two exports joined with `cat` leave it
+#: inside a file.
+BOM = b"\xef\xbb\xbf"
 
 
 #: One fault each, injected into the seed-3 letters/years corpus.
@@ -165,7 +172,8 @@ FAULTS = {
     "non-consecutive-household": _move_household,
     "short-column-file": lambda d: _drop_last_line(d / "gender.txt"),
     "dmp-out-of-range": lambda d: _config_line(d, "dmp_c = 0.5", "dmp_c = 1.5"),
-    "not-utf8-region": lambda d: _not_utf8(d / "region.txt", 6),
+    "not-utf8-region": lambda d: _prefix_line(d / "region.txt", 6, b"\xe9"),
+    "bom-before-a-region-line": lambda d: _prefix_line(d / "region.txt", 6, BOM),
     "blank-line-age": lambda d: _replace_line(d / "age.txt", 5, ""),
     "empty-gender-file": lambda d: (d / "gender.txt").write_text("", encoding="utf-8"),
     "missing-milieu-file": lambda d: (d / "milieu.txt").unlink(),
@@ -299,6 +307,7 @@ TABLE_FAULTS = {
                      "gender_encoding = male1_female2\nmissing_age_policy = strict"),
         _edit_table(d, _unknown_ages)),
     "bad-ages-against-key-order": lambda d: _edit_table(d, _bad_ages_against_key_order),
+    "bom-before-a-row": lambda d: _prefix_line(d / "persons.csv", 17, BOM),
     "zero-scale-then-earlier-bad-age": lambda d: (
         _config_line(d, "dmp_c = 0.5", "dmp_c = 0"),
         _config_line(d, "scaled_by = oxford", "scaled_by = dmp"),
